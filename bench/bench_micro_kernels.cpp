@@ -7,9 +7,11 @@
 //     speedup at the CIFAR-CNN shapes (S-KER) and the vectorized
 //     single-thread speedup at the square GEMM shapes, gated at >= 1.3x
 //     (S-VEC; waived, and recorded as such, when the host has a single
-//     core). `--threads N` additionally times the blocked backend at an
-//     intra-op width of N (top-level kernels only; inside the round loop's
-//     per-agent phases kernels stay sequential).
+//     core). A `dp_noise` row times dp::add_gaussian_noise against the
+//     per-coordinate Rng::normal loop on one 25,450-float gradient, gated
+//     at >= 3x with no waiver. `--threads N` additionally times the blocked
+//     backend at an intra-op width of N (top-level kernels only; inside the
+//     round loop's per-agent phases kernels stay sequential).
 //     Flags: --out <path> --reps <n> --threads <n>
 //
 //  2. The original google-benchmark suite (matmul, model gradients, DP
@@ -178,6 +180,32 @@ SweepRow sweep_conv(const ConvShape& s, std::size_t reps, std::size_t threads) {
   return row;
 }
 
+/// The DP noise row: dp::add_gaussian_noise (the ziggurat sampler) against
+/// the per-coordinate Rng::normal loop it replaced, on one thread and one
+/// gradient of the Table I MLP (784*32 + 32 + 32*10 + 10 = 25,450 floats).
+struct NoiseRow {
+  double reference_ms = 0.0;
+  double ziggurat_ms = 0.0;
+};
+
+NoiseRow time_dp_noise(std::size_t reps) {
+  constexpr std::size_t kDim = 25450;
+  constexpr double kSigma = 0.1;
+  std::vector<float> g(kDim, 0.0f);
+  Rng rng(7);
+  runtime::set_global_threads(1);
+  NoiseRow row;
+  row.reference_ms = time_ms(reps, [&] {
+    for (auto& v : g) v += static_cast<float>(rng.normal(0.0, kSigma));
+    benchmark::DoNotOptimize(g.data());
+  });
+  row.ziggurat_ms = time_ms(reps, [&] {
+    dp::add_gaussian_noise(g, kSigma, rng);
+    benchmark::DoNotOptimize(g.data());
+  });
+  return row;
+}
+
 int run_kernel_sweep(const CliArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernels.json");
   const auto reps = static_cast<std::size_t>(args.get_int("reps", 20));
@@ -241,27 +269,54 @@ int run_kernel_sweep(const CliArgs& args) {
   env.add_metric_sample("cifar_conv_min_speedup", "x", cifar_conv_min_speedup);
   env.add_metric_sample("square_gemm_vec_min_speedup", "x", square_gemm_vec_min_speedup);
 
-  // Two acceptance contracts. S-KER: blocked conv must beat naive at the
+  const NoiseRow noise = time_dp_noise(reps);
+  const double noise_speedup = noise.ziggurat_ms > 0 ? noise.reference_ms / noise.ziggurat_ms : 0.0;
+  std::printf("%-16s %-24s %12.4f %12s %12.4f %9s %8.2fx  (reference = Rng::normal loop)\n",
+              "dp_noise", "25450 floats", noise.reference_ms, "-", noise.ziggurat_ms, "-",
+              noise_speedup);
+  env.add_metric_sample("dp_noise.reference_ms", "ms", noise.reference_ms);
+  env.add_metric_sample("dp_noise.ziggurat_ms", "ms", noise.ziggurat_ms);
+  env.add_metric_sample("dp_noise.speedup", "x", noise_speedup);
+  {
+    pdsl::json::Object o;
+    o["name"] = std::string("dp_noise");
+    o["kind"] = std::string("noise");
+    o["shape"] = std::string("25450 floats");
+    o["reference_ms"] = noise.reference_ms;
+    o["ziggurat_ms"] = noise.ziggurat_ms;
+    o["speedup"] = noise_speedup;
+    env.add_run(std::move(o));
+  }
+
+  // Three acceptance contracts. S-KER: blocked conv must beat naive at the
   // CIFAR-CNN shapes. S-VEC: the register-tiled backend must clear 1.3x over
   // naive on the square GEMM shapes single-threaded — except on a single-core
   // host, where scheduler contention makes the timing unreliable; there the
-  // gate is waived and the waiver recorded in the envelope.
+  // gate is waived and the waiver recorded in the envelope. DP noise: the
+  // ziggurat must clear 3x over the Rng::normal loop, with no waiver (both
+  // sides run on one thread, so the core count does not enter).
   const unsigned host_cores = std::thread::hardware_concurrency();
   const bool vec_gate_met = square_gemm_vec_min_speedup >= 1.3;
   const bool vec_gate_waived = !vec_gate_met && host_cores <= 1;
+  const bool noise_gate_met = noise_speedup >= 3.0;
   pdsl::json::Object gate;
   gate["cifar_conv_min_speedup"] = cifar_conv_min_speedup;
   gate["square_gemm_vec_min_speedup"] = square_gemm_vec_min_speedup;
   gate["square_gemm_vec_threshold"] = 1.3;
   gate["host_cores"] = static_cast<std::size_t>(host_cores);
   gate["vec_gate_waived_single_core"] = vec_gate_waived;
-  gate["passed"] = cifar_conv_min_speedup > 1.0 && (vec_gate_met || vec_gate_waived);
+  gate["dp_noise_speedup"] = noise_speedup;
+  gate["dp_noise_threshold"] = 3.0;
+  gate["passed"] =
+      cifar_conv_min_speedup > 1.0 && (vec_gate_met || vec_gate_waived) && noise_gate_met;
   env.set_acceptance(std::move(gate));
   if (!env.write(out_path)) return 1;
   std::printf("cifar conv min speedup: %.2fx\n", cifar_conv_min_speedup);
   std::printf("square gemm vectorized min speedup: %.2fx (gate >=1.3x: %s)\n",
               square_gemm_vec_min_speedup,
               vec_gate_met ? "passed" : (vec_gate_waived ? "waived, 1-core host" : "FAILED"));
+  std::printf("dp noise ziggurat speedup: %.2fx (gate >=3x: %s)\n", noise_speedup,
+              noise_gate_met ? "passed" : "FAILED");
   return 0;
 }
 

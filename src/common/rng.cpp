@@ -29,6 +29,77 @@ double Rng::normal(double mean, double stddev) {
   return dist(engine_);
 }
 
+namespace {
+
+// 128-layer ziggurat for the unnormalized density f(x) = exp(-x^2 / 2):
+// R is the rightmost layer edge, V the common area of every layer (the
+// bottom one includes the tail beyond R). Marsaglia & Tsang (2000).
+constexpr int kZigLayers = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigV = 9.91256303526217e-3;
+
+/// Doornik's ZIGNOR tables: x[i] is the right edge of layer i (x[0] = V/f(R),
+/// the virtual width of the bottom block; x[1] = R; x[128] = 0) and
+/// r[i] = x[i+1] / x[i], the share of layer i that lies wholly under f.
+struct ZigTables {
+  double x[kZigLayers + 1];
+  double r[kZigLayers];
+
+  ZigTables() {
+    double f = std::exp(-0.5 * kZigR * kZigR);
+    x[0] = kZigV / f;
+    x[1] = kZigR;
+    x[kZigLayers] = 0.0;
+    for (int i = 2; i < kZigLayers; ++i) {
+      x[i] = std::sqrt(-2.0 * std::log(kZigV / x[i - 1] + f));
+      f = std::exp(-0.5 * x[i] * x[i]);
+    }
+    for (int i = 0; i < kZigLayers; ++i) r[i] = x[i + 1] / x[i];
+  }
+};
+
+const ZigTables& zig_tables() {
+  static const ZigTables tables;
+  return tables;
+}
+
+/// Uniform in [0, 1) from the top 53 bits of an engine word.
+double unit_closed_open(std::uint64_t w) { return static_cast<double>(w >> 11) * 0x1.0p-53; }
+
+/// Uniform in (0, 1], safe to take the log of.
+double unit_open_closed(std::uint64_t w) {
+  return static_cast<double>((w >> 11) + 1) * 0x1.0p-53;
+}
+
+}  // namespace
+
+double Rng::ziggurat_normal() {
+  const ZigTables& z = zig_tables();
+  for (;;) {
+    // One word per attempt: the low 7 bits pick the layer, the top 53 bits
+    // (disjoint from them) give the signed abscissa u in [-1, 1).
+    const std::uint64_t w = engine_();
+    const auto i = static_cast<int>(w & (kZigLayers - 1));
+    const double u = 2.0 * unit_closed_open(w) - 1.0;
+    if (std::fabs(u) < z.r[i]) return u * z.x[i];  // wholly under f
+    if (i == 0) {
+      // Bottom block beyond R: Marsaglia's exact tail algorithm.
+      double x = 0.0, y = 0.0;
+      do {
+        x = -std::log(unit_open_closed(engine_())) / kZigR;
+        y = -std::log(unit_open_closed(engine_()));
+      } while (y + y < x * x);
+      return u < 0.0 ? -(kZigR + x) : kZigR + x;
+    }
+    // Wedge between layers i and i+1: accept iff a uniform height in
+    // [f(x_i), f(x_{i+1})] falls under f(x); both sides divided by f(x).
+    const double x = u * z.x[i];
+    const double f0 = std::exp(-0.5 * (z.x[i] * z.x[i] - x * x));
+    const double f1 = std::exp(-0.5 * (z.x[i + 1] * z.x[i + 1] - x * x));
+    if (f0 + unit_closed_open(engine_()) * (f1 - f0) < 1.0) return x;
+  }
+}
+
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
   return dist(engine_);

@@ -29,6 +29,17 @@ class Rng {
   /// Standard normal (mean 0, stddev 1) unless overridden.
   double normal(double mean = 0.0, double stddev = 1.0);
 
+  /// Standard normal from the 128-layer Marsaglia–Tsang ziggurat (Doornik's
+  /// ZIGNOR layout, Marsaglia's exact tail beyond R ≈ 3.4426). About four
+  /// times cheaper than normal(): 97% of attempts cost one engine word, a
+  /// table lookup and a multiply. Engine words become uniforms by explicit
+  /// bit arithmetic, and no state is kept beyond the engine, so the stream
+  /// depends only on the seed (under any standard library) and survives
+  /// serialize()/deserialize().
+  /// This is the DP noise sampler; normal() and fill_normal() stay on
+  /// std::normal_distribution for data synthesis and weight init.
+  double ziggurat_normal();
+
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

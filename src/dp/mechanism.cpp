@@ -37,7 +37,7 @@ std::vector<float> clipped_l2(const std::vector<float>& g, double threshold) {
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng) {
   if (sigma < 0.0) throw std::invalid_argument("add_gaussian_noise: negative sigma");
   if (sigma == 0.0) return;
-  for (auto& v : g) v += static_cast<float>(rng.normal(0.0, sigma));
+  for (auto& v : g) v += static_cast<float>(sigma * rng.ziggurat_normal());
 }
 
 double gaussian_sigma(double l2_sensitivity, double epsilon, double delta) {

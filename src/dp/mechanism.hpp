@@ -16,7 +16,8 @@ double clip_l2(std::vector<float>& g, double threshold);
 /// Out-of-place variant.
 [[nodiscard]] std::vector<float> clipped_l2(const std::vector<float>& g, double threshold);
 
-/// Add i.i.d. N(0, sigma^2) noise to every coordinate (Eq. 11).
+/// Add i.i.d. N(0, sigma^2) noise to every coordinate (Eq. 11), drawn with
+/// Rng::ziggurat_normal. sigma == 0 draws nothing.
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng);
 
 /// Standard Gaussian-mechanism noise scale for (epsilon, delta)-DP given L2

@@ -96,6 +96,11 @@ class ByteReader {
 
   [[nodiscard]] std::string read_string(const char* what) {
     const auto n = read_u32(what);
+    // Check the declared length before allocating: a corrupted frame must not
+    // zero-fill gigabytes only to fail the truncation check afterwards.
+    if (n > buf_->size() - pos_) {
+      throw std::runtime_error(std::string(who_) + ": truncated reading " + what);
+    }
     std::string s(n, '\0');
     read_raw(s.data(), n, what);
     return s;

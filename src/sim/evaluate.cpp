@@ -19,14 +19,17 @@ EvalResult evaluate(nn::Model& workspace, const std::vector<float>& params,
   if (n == 0) return res;
   double loss_acc = 0.0;
   double hits = 0.0;
+  nn::SoftmaxCrossEntropy scorer;
   for (std::size_t off = 0; off < n; off += batch) {
     const std::size_t take = std::min(batch, n - off);
     std::vector<std::size_t> idx(take);
     for (std::size_t k = 0; k < take; ++k) idx[k] = off + k;
     const Tensor x = ds.batch_features(idx);
     const auto y = ds.batch_labels(idx);
-    loss_acc += workspace.loss(x, y) * static_cast<double>(take);
-    hits += workspace.accuracy(x, y) * static_cast<double>(take);
+    // One forward pass scores both: the same logits Model::loss and
+    // Model::accuracy would each recompute.
+    loss_acc += scorer.forward(workspace.forward(x), y) * static_cast<double>(take);
+    hits += scorer.accuracy() * static_cast<double>(take);
   }
   res.loss = loss_acc / static_cast<double>(n);
   res.accuracy = hits / static_cast<double>(n);

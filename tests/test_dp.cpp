@@ -51,17 +51,34 @@ TEST_P(ClipProperty, OutputNormNeverExceedsThreshold) {
 INSTANTIATE_TEST_SUITE_P(Thresholds, ClipProperty, ::testing::Values(0.1, 0.5, 1.0, 5.0, 50.0));
 
 TEST(Gaussian, NoiseHasRequestedMoments) {
-  Rng rng(18);
   const std::size_t d = 20000;
-  std::vector<float> g(d, 0.0f);
-  add_gaussian_noise(g, 2.0, rng);
-  double sum = 0.0, sq = 0.0;
-  for (float v : g) {
-    sum += v;
-    sq += static_cast<double>(v) * v;
+  for (const double sigma : {1e-3, 0.05, 0.5, 2.0, 40.0}) {
+    SCOPED_TRACE(sigma);
+    Rng rng(18);
+    std::vector<float> g(d, 0.0f);
+    add_gaussian_noise(g, sigma, rng);
+    double sum = 0.0, sq = 0.0;
+    for (float v : g) {
+      sum += v;
+      sq += static_cast<double>(v) * v;
+    }
+    // The sigma = 2 bands (0.08 and 0.3) scaled by sigma and sigma^2: about
+    // 5.7 and 7.5 standard errors at d = 20000.
+    EXPECT_NEAR(sum / d, 0.0, 0.04 * sigma);
+    EXPECT_NEAR(sq / d, sigma * sigma, 0.075 * sigma * sigma);
   }
-  EXPECT_NEAR(sum / d, 0.0, 0.08);
-  EXPECT_NEAR(sq / d, 4.0, 0.3);
+}
+
+TEST(Gaussian, NoiseIsSigmaTimesTheZigguratStream) {
+  // The DP stream is exactly sigma * Rng::ziggurat_normal per coordinate,
+  // added in order: a fixed seed fixes every released value.
+  Rng noise_rng(21), reference(21);
+  std::vector<float> g = {1.0f, -2.0f, 0.5f, 0.0f, 3.0f};
+  const std::vector<float> before = g;
+  add_gaussian_noise(g, 0.7, noise_rng);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    EXPECT_EQ(g[i], before[i] + static_cast<float>(0.7 * reference.ziggurat_normal()));
+  }
 }
 
 TEST(Gaussian, ZeroSigmaIsIdentity) {

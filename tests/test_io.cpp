@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,18 @@
 #include "io/checkpoint.hpp"
 #include "io/codec.hpp"
 #include "nn/model_zoo.hpp"
+
+// Any single allocation above 1 GiB fails with std::bad_alloc in this binary:
+// a reader that sizes a buffer from an unchecked length field then fails its
+// test (bad_alloc is not the runtime_error expected) instead of zero-filling
+// gigabytes on the way to rejecting the frame.
+void* operator new(std::size_t n) {
+  if (n > (std::size_t{1} << 30)) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace pdsl;
 using namespace pdsl::io;
@@ -201,6 +215,28 @@ TEST(Checkpoint, Fnv1aIsStableAndSensitive) {
   auto w = v;
   w[10] += 1.0f;
   EXPECT_NE(fnv1a(v), fnv1a(w));
+}
+
+TEST(ByteReader, LyingStringLengthThrowsBeforeAllocating) {
+  // A corrupted u32 length prefix claiming ~4 GB must be refused against the
+  // bytes actually left, not allocated and zero-filled first.
+  io::ByteBuffer buf;
+  io::append_u32(buf, 0xFFFFFFF0u);
+  io::append_raw(buf, "tag", 3);
+  io::ByteReader r(buf, "lying-length");
+  EXPECT_THROW((void)r.read_string("tag"), std::runtime_error);
+
+  // An honest length that overruns by one byte is refused too; an exact fit reads.
+  io::ByteBuffer tight;
+  io::append_string(tight, "abc");
+  tight.pop_back();
+  io::ByteReader short_reader(tight, "short");
+  EXPECT_THROW((void)short_reader.read_string("tag"), std::runtime_error);
+  io::ByteBuffer exact;
+  io::append_string(exact, "abc");
+  io::ByteReader exact_reader(exact, "exact");
+  EXPECT_EQ(exact_reader.read_string("tag"), "abc");
+  EXPECT_TRUE(exact_reader.exhausted());
 }
 
 // ---------------------------------------------------------------------------

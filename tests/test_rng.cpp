@@ -147,6 +147,107 @@ TEST(Rng, FillNormalFills) {
   EXPECT_GT(nonzero, 990);
 }
 
+// ---------------------------------------------------------------------------
+// Ziggurat sampler (the DP noise stream).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kZigTailEdge = 3.442619855899;  // R of the 128-layer ziggurat
+
+std::vector<double> ziggurat_draws(std::uint64_t seed, std::size_t n) {
+  Rng r(seed);
+  std::vector<double> z(n);
+  for (auto& v : z) v = r.ziggurat_normal();
+  return z;
+}
+
+double std_normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// |observed - p| within `k` binomial standard errors of n trials.
+void expect_binomial(std::size_t hits, std::size_t n, double p, double k, const char* what) {
+  const double se = std::sqrt(p * (1.0 - p) / static_cast<double>(n));
+  EXPECT_NEAR(static_cast<double>(hits) / static_cast<double>(n), p, k * se) << what;
+}
+
+}  // namespace
+
+TEST(Ziggurat, KolmogorovSmirnovAgainstPhi) {
+  auto z = ziggurat_draws(101, 1000000);
+  std::sort(z.begin(), z.end());
+  const double n = static_cast<double>(z.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double cdf = std_normal_cdf(z[i]);
+    d = std::max({d, static_cast<double>(i + 1) / n - cdf, cdf - static_cast<double>(i) / n});
+  }
+  // Asymptotic critical value at alpha = 0.001: sqrt(-ln(alpha / 2) / 2) / sqrt(n).
+  const double critical = std::sqrt(-std::log(0.0005) / 2.0) / std::sqrt(n);
+  EXPECT_LT(d, critical);
+}
+
+TEST(Ziggurat, TailMassesMatchPhi) {
+  const std::size_t n = 1000000;
+  const auto z = ziggurat_draws(102, n);
+  std::size_t beyond3 = 0, beyond4 = 0, beyond_r = 0;
+  for (double v : z) {
+    beyond3 += std::fabs(v) > 3.0;
+    beyond4 += std::fabs(v) > 4.0;
+    beyond_r += std::fabs(v) > kZigTailEdge;
+  }
+  expect_binomial(beyond3, n, 2.699796e-3, 5.0, "P(|z| > 3)");
+  expect_binomial(beyond4, n, 6.334248e-5, 5.0, "P(|z| > 4)");
+  // Only the tail branch can return |z| > R; it must be taken, and as often
+  // as the normal tail beyond R (2 * (1 - Phi(R)) = 5.761e-4).
+  EXPECT_GT(beyond_r, 0u) << "the tail branch was never taken";
+  expect_binomial(beyond_r, n, 2.0 * (1.0 - std_normal_cdf(kZigTailEdge)), 5.0,
+                  "P(|z| > R)");
+}
+
+TEST(Ziggurat, MomentsWithinBands) {
+  const std::size_t n = 1000000;
+  const auto z = ziggurat_draws(103, n);
+  double m1 = 0.0;
+  for (double v : z) m1 += v;
+  m1 /= static_cast<double>(n);
+  double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+  for (double v : z) {
+    const double c = v - m1;
+    m2 += c * c;
+    m3 += c * c * c;
+    m4 += c * c * c * c;
+  }
+  m2 /= static_cast<double>(n);
+  m3 /= static_cast<double>(n);
+  m4 /= static_cast<double>(n);
+  const double skew = m3 / std::pow(m2, 1.5);
+  const double excess_kurtosis = m4 / (m2 * m2) - 3.0;
+  // Five standard errors of each estimator under N(0, 1).
+  const double rn = std::sqrt(static_cast<double>(n));
+  EXPECT_NEAR(m1, 0.0, 5.0 / rn);
+  EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0) / rn);
+  EXPECT_NEAR(skew, 0.0, 5.0 * std::sqrt(6.0) / rn);
+  EXPECT_NEAR(excess_kurtosis, 0.0, 5.0 * std::sqrt(24.0) / rn);
+}
+
+TEST(Ziggurat, SameSeedSameStream) {
+  EXPECT_EQ(ziggurat_draws(104, 5000), ziggurat_draws(104, 5000));
+  EXPECT_NE(ziggurat_draws(104, 50), ziggurat_draws(105, 50));
+}
+
+TEST(Ziggurat, SerializeMidStreamResumesExactly) {
+  // The sampler keeps no state beyond the engine (no cached pair value), so
+  // an engine checkpoint taken after any number of draws resumes bit-exactly.
+  for (const std::size_t k : {0u, 1u, 7u, 313u, 4099u}) {
+    Rng live(106);
+    for (std::size_t i = 0; i < k; ++i) (void)live.ziggurat_normal();
+    Rng restored = Rng::deserialize(live.serialize());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(live.ziggurat_normal(), restored.ziggurat_normal()) << "k=" << k << " i=" << i;
+    }
+  }
+}
+
 TEST(Rng, SplitMixAvalanche) {
   // Adjacent inputs should produce very different outputs.
   const auto a = pdsl::splitmix64(1);

@@ -137,6 +137,41 @@ TEST(Evaluate, FullVsSubsample) {
   EXPECT_LE(full.accuracy, 1.0);
 }
 
+namespace {
+/// evaluate() scores each batch from one forward pass; its loss and accuracy
+/// must equal what separate Model::loss and Model::accuracy calls give.
+void expect_fused_eval_matches_separate(nn::Model ws, const data::Dataset& ds,
+                                        std::size_t batch) {
+  Rng rng(14);
+  ws.init(rng);
+  const auto params = ws.flat_params();
+  const auto fused = evaluate(ws, params, ds, 0, batch);
+  double loss = 0.0, hits = 0.0;
+  for (std::size_t off = 0; off < ds.size(); off += batch) {
+    const std::size_t take = std::min(batch, ds.size() - off);
+    std::vector<std::size_t> idx(take);
+    for (std::size_t k = 0; k < take; ++k) idx[k] = off + k;
+    const Tensor x = ds.batch_features(idx);
+    const auto y = ds.batch_labels(idx);
+    loss += ws.loss(x, y) * static_cast<double>(take);
+    hits += ws.accuracy(x, y) * static_cast<double>(take);
+  }
+  EXPECT_EQ(fused.samples, ds.size());
+  EXPECT_EQ(fused.loss, loss / static_cast<double>(ds.size()));
+  EXPECT_EQ(fused.accuracy, hits / static_cast<double>(ds.size()));
+}
+}  // namespace
+
+TEST(Evaluate, OneForwardPassMatchesSeparateLossAndAccuracyMlp) {
+  const auto ds = data::make_synthetic_images(data::mnist_like_spec(70, 8, 15));
+  expect_fused_eval_matches_separate(nn::make_mlp(64, 16, 10), ds, 32);
+}
+
+TEST(Evaluate, OneForwardPassMatchesSeparateLossAndAccuracyCnn) {
+  const auto ds = data::make_synthetic_images(data::cifar_like_spec(45, 8, 16));
+  expect_fused_eval_matches_separate(nn::make_cifar_cnn(8, 3, 10), ds, 16);
+}
+
 TEST(Evaluate, FixedBatchScoring) {
   const auto ds = data::make_gaussian_mixture(50, 2, 3, 3.0, 0.2, 12);
   Rng rng(13);
