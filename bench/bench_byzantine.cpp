@@ -8,9 +8,10 @@
 // The run doubles as the PR's acceptance gate: at the 25% sign_flip point it
 // asserts (a) pdsl_robust's attacker-edge pi has collapsed below half the
 // honest-edge pi by round 10 and (b) plain pdsl's final accuracy beats
-// unweighted dp_dpsgd gossip by a clear margin. Exit 1 on violation, so CI
-// can run the bench as a contract. Results land in BENCH_byzantine.json
-// (override with --out).
+// unweighted dp_dpsgd gossip by a clear margin. Exit 1 on violation, and
+// also when the 25% row ran fewer than 10 rounds (acceptance records
+// pi_gate_armed: false), so CI can run the bench as a contract. Results land
+// in BENCH_byzantine.json (override with --out).
 
 #include <cstdio>
 #include <string>
@@ -158,8 +159,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Acceptance contract (mirrors test_byzantine's ShapleyDefense suite).
+  // Acceptance contract (mirrors test_byzantine's ShapleyDefense suite). It
+  // applies whenever the 25% sign_flip row ran, and fails closed: a run too
+  // short to reach round 10 never measures the pi collapse, which leaves the
+  // gate unarmed — a failure, not a pass.
   bool ok = true;
+  const bool pi_gate_armed = robust_pi_att_r10 >= 0.0;
   if (pdsl_acc_25 >= 0.0 && dpsgd_acc_25 >= 0.0) {
     if (pdsl_acc_25 <= dpsgd_acc_25 + 0.15) {
       std::fprintf(stderr,
@@ -168,7 +173,13 @@ int main(int argc, char** argv) {
                    pdsl_acc_25, dpsgd_acc_25);
       ok = false;
     }
-    if (robust_pi_att_r10 >= 0.0 && robust_pi_att_r10 >= robust_pi_hon_r10) {
+    if (!pi_gate_armed) {
+      std::fprintf(stderr,
+                   "CONTRACT UNARMED: pdsl_robust pi at round 10 was never measured "
+                   "(%zu rounds; need >= 10)\n",
+                   base.rounds);
+      ok = false;
+    } else if (robust_pi_att_r10 >= robust_pi_hon_r10) {
       std::fprintf(stderr,
                    "CONTRACT VIOLATION: pdsl_robust round-10 attacker pi %.3f "
                    ">= honest pi %.3f\n",
@@ -181,6 +192,7 @@ int main(int argc, char** argv) {
     pdsl::json::Object gate;
     gate["pdsl_accuracy_at_25pct"] = pdsl_acc_25;
     gate["dp_dpsgd_accuracy_at_25pct"] = dpsgd_acc_25;
+    gate["pi_gate_armed"] = pi_gate_armed;
     gate["pdsl_robust_pi_attacker_round10"] = robust_pi_att_r10;
     gate["pdsl_robust_pi_honest_round10"] = robust_pi_hon_r10;
     gate["passed"] = ok;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "kernels/backend.hpp"
 #include "kernels/microkernel.hpp"
@@ -152,12 +153,11 @@ void blocked_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m
 // (matches the original matmul_transpose_b numerics exactly).
 // ---------------------------------------------------------------------------
 
-void naive_sgemm_tb_block(std::size_t i_begin, std::size_t i_end, std::size_t j_begin,
-                          std::size_t j_end, std::size_t n, std::size_t k, const float* a,
-                          const float* b, float* c, bool accumulate) {
+void naive_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
+                         const float* a, const float* b, float* c, bool accumulate) {
   for (std::size_t i = i_begin; i < i_end; ++i) {
     const float* arow = a + i * n;
-    for (std::size_t j = j_begin; j < j_end; ++j) {
+    for (std::size_t j = 0; j < k; ++j) {
       const float* brow = b + j * n;
       double acc = 0.0;
       for (std::size_t p = 0; p < n; ++p) acc += static_cast<double>(arow[p]) * brow[p];
@@ -170,64 +170,94 @@ void naive_sgemm_tb_block(std::size_t i_begin, std::size_t i_end, std::size_t j_
   }
 }
 
-void naive_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                         const float* a, const float* b, float* c, bool accumulate) {
-  naive_sgemm_tb_block(i_begin, i_end, 0, k, n, k, a, b, c, accumulate);
+// The blocked kernel packs kTbPanel rows of B into a [p][lane] panel of
+// doubles and sweeps p once per register tile of kTbRowTile output rows. Each
+// SIMD lane carries one output element's own chain, acc += double(a)*double(b)
+// in ascending p from +0.0 — the same additions in the same order as the
+// naive loop. The float x float product is exact in double (24+24 significand
+// bits < 53, and the exponent range cannot overflow or underflow), so
+// multiply-then-add and a fused multiply-add round identically: every element
+// matches the naive path bit for bit whatever the compiler contracts.
+constexpr std::size_t kTbPanel = 8;
+constexpr std::size_t kTbRowTile = 3;
+
+typedef double d2 __attribute__((vector_size(16)));
+
+inline d2 load_d2(const double* p) {
+  d2 v;
+  __builtin_memcpy(&v, p, sizeof(d2));
+  return v;
+}
+
+/// Transposes B rows [j0, j0 + lanes) into panel[p * width + l], widened to
+/// double. Lanes in [lanes, width) are zero padding: their chains run but are
+/// never written back.
+void pack_tb_panel(const float* b, std::size_t n, std::size_t j0, std::size_t lanes,
+                   std::size_t width, double* panel) {
+  for (std::size_t l = 0; l < width; ++l) {
+    double* dst = panel + l;
+    if (l < lanes) {
+      const float* brow = b + (j0 + l) * n;
+      for (std::size_t p = 0; p < n; ++p) dst[p * width] = brow[p];
+    } else {
+      for (std::size_t p = 0; p < n; ++p) dst[p * width] = 0.0;
+    }
+  }
+}
+
+/// R x (2V) register tile: output rows a[0..R) against the 2V-lane panel.
+/// Kept out of line so the R*V accumulators stay register-resident (see the
+/// notes at the top of microkernel.cpp).
+template <std::size_t R, std::size_t V>
+__attribute__((noinline)) void tb_tile(std::size_t n, const float* a, const double* panel,
+                                       std::size_t lanes, float* c, std::size_t ldc,
+                                       bool accumulate) {
+  d2 acc[R][V] = {};
+  for (std::size_t p = 0; p < n; ++p) {
+    const double* bp = panel + p * (2 * V);
+    for (std::size_t r = 0; r < R; ++r) {
+      const double av = a[r * n + p];
+      const d2 ab = {av, av};
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += ab * load_d2(bp + 2 * v);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    float* crow = c + r * ldc;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const float out = static_cast<float>(acc[r][l / 2][l % 2]);
+      crow[l] = accumulate ? crow[l] + out : out;
+    }
+  }
+}
+
+template <std::size_t V>
+void tb_panel_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
+                   std::size_t j0, std::size_t lanes, const float* a, const double* panel,
+                   float* c, bool accumulate) {
+  std::size_t i = i_begin;
+  for (; i + kTbRowTile <= i_end; i += kTbRowTile) {
+    tb_tile<kTbRowTile, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
+  }
+  static_assert(kTbRowTile == 3, "the 1- and 2-row remainders are spelled out");
+  if (i_end - i == 2) tb_tile<2, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
+  if (i_end - i == 1) tb_tile<1, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
 }
 
 void blocked_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
                            const float* a, const float* b, float* c, bool accumulate) {
-  // 2x4 register tile of independent dot products: each accumulator still
-  // runs over p in ascending order, so every element matches the naive path
-  // bit-for-bit while the A/B rows are reused 4x/2x from registers.
-  std::size_t i = i_begin;
-  for (; i + 2 <= i_end; i += 2) {
-    const float* __restrict__ a0 = a + (i + 0) * n;
-    const float* __restrict__ a1 = a + (i + 1) * n;
-    std::size_t j = 0;
-    for (; j + 4 <= k; j += 4) {
-      const float* __restrict__ b0 = b + (j + 0) * n;
-      const float* __restrict__ b1 = b + (j + 1) * n;
-      const float* __restrict__ b2 = b + (j + 2) * n;
-      const float* __restrict__ b3 = b + (j + 3) * n;
-      double d00 = 0.0, d01 = 0.0, d02 = 0.0, d03 = 0.0;
-      double d10 = 0.0, d11 = 0.0, d12 = 0.0, d13 = 0.0;
-      for (std::size_t p = 0; p < n; ++p) {
-        const double av0 = a0[p], av1 = a1[p];
-        d00 += av0 * b0[p];
-        d01 += av0 * b1[p];
-        d02 += av0 * b2[p];
-        d03 += av0 * b3[p];
-        d10 += av1 * b0[p];
-        d11 += av1 * b1[p];
-        d12 += av1 * b2[p];
-        d13 += av1 * b3[p];
-      }
-      float* c0 = c + (i + 0) * k + j;
-      float* c1 = c + (i + 1) * k + j;
-      if (accumulate) {
-        c0[0] += static_cast<float>(d00);
-        c0[1] += static_cast<float>(d01);
-        c0[2] += static_cast<float>(d02);
-        c0[3] += static_cast<float>(d03);
-        c1[0] += static_cast<float>(d10);
-        c1[1] += static_cast<float>(d11);
-        c1[2] += static_cast<float>(d12);
-        c1[3] += static_cast<float>(d13);
-      } else {
-        c0[0] = static_cast<float>(d00);
-        c0[1] = static_cast<float>(d01);
-        c0[2] = static_cast<float>(d02);
-        c0[3] = static_cast<float>(d03);
-        c1[0] = static_cast<float>(d10);
-        c1[1] = static_cast<float>(d11);
-        c1[2] = static_cast<float>(d12);
-        c1[3] = static_cast<float>(d13);
-      }
-    }
-    if (j < k) naive_sgemm_tb_block(i, i + 2, j, k, n, k, a, b, c, accumulate);
+  static_assert(kTbPanel == 8, "one panel width per lane-pair count 1..4 below");
+  constexpr decltype(&tb_panel_rows<1>) kPanelRows[] = {tb_panel_rows<1>, tb_panel_rows<2>,
+                                                         tb_panel_rows<3>, tb_panel_rows<4>};
+  // Per-thread, grow-only: concurrent for_row_range chunks each pack their
+  // own copy, and steady-state calls allocate nothing.
+  thread_local std::vector<double> panel;
+  if (panel.size() < n * kTbPanel) panel.resize(n * kTbPanel);
+  for (std::size_t j0 = 0; j0 < k; j0 += kTbPanel) {
+    const std::size_t lanes = std::min(kTbPanel, k - j0);
+    const std::size_t pairs = (lanes + 1) / 2;  // a ragged panel narrows to whole lane pairs
+    pack_tb_panel(b, n, j0, lanes, 2 * pairs, panel.data());
+    kPanelRows[pairs - 1](i_begin, i_end, n, k, j0, lanes, a, panel.data(), c, accumulate);
   }
-  if (i < i_end) naive_sgemm_tb_rows(i, i_end, n, k, a, b, c, accumulate);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 // triple loop (zero-skip shortcuts removed — they silently dropped NaN/Inf
 // propagation from the other operand); the blocked path register-tiles output
 // rows and blocks columns so the inner loops stream contiguously and
-// vectorize. Naive and blocked accumulate every output element in the same
+// vectorize (sgemm_transpose_b: packed B panels, one double chain per SIMD
+// lane). Naive and blocked accumulate every output element in the same
 // reduction order, so their results are bit-identical. The vectorized path
 // (microkernel.hpp) keeps accumulator tiles register-resident and reduces in
 // fixed float lanes — deterministic but only tolerance-banded against the

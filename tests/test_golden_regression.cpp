@@ -127,6 +127,21 @@ std::vector<Scenario> scenarios() {
     cfg.adversary.scale = 3.0;
     out.push_back({"pdsl_byz_signflip", cfg});
   }
+  {
+    // CNN path: every conv forward/backward (im2col GEMMs, per-image dW
+    // through sgemm_transpose_b) and the sequential CNN Shapley scoring.
+    ExperimentConfig cfg = base_config();
+    cfg.algorithm = "pdsl";
+    cfg.dataset = "cifar_like";
+    cfg.model = "cifar_cnn";
+    cfg.agents = 3;
+    cfg.train_samples = 180;
+    cfg.test_samples = 60;
+    cfg.validation_samples = 48;
+    cfg.metrics.test_subsample = 60;
+    cfg.hp.gamma = 0.01;
+    out.push_back({"pdsl_cnn_clean", cfg});
+  }
   return out;
 }
 

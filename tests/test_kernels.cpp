@@ -4,7 +4,10 @@
 // differently), NaN/Inf propagation regressions for the removed zero-skip
 // shortcuts, and the intra-op determinism contract (bit-identical results at
 // any --threads width, including a full PDSL round loop on the blocked
-// backend with a CNN model).
+// backend with a CNN model). The lane-parallel blocked sgemm_transpose_b is
+// also checked on order-sensitive (cancelling) inputs, with NaN/Inf at every
+// panel lane offset, and against canaries past C and NaN rows past A and B,
+// so a padded lane or row whose result reaches C shows up.
 //
 // S-VEC additions: randomized-shape fuzz of the vectorized tier against naive
 // within the documented tolerance band (plus ragged tails, unit/empty dims,
@@ -15,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -117,13 +122,132 @@ TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
   }
 }
 
+namespace {
+
+/// Bitwise equality, except that any two NaNs compare equal (which NaN
+/// payload an x86 multiply propagates depends on operand order).
+bool same_bits_or_both_nan(float x, float y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+constexpr float kCanary = 12345.0f;
+
+/// C = A(m,n) * B(k,n)^T on `be` into a buffer with a canary tail after
+/// C(m,k): padded lanes or rows written back would land there.
+std::vector<float> tb_with_canary(kernels::Backend be, std::size_t m, std::size_t n,
+                                  std::size_t k, const std::vector<float>& a,
+                                  const std::vector<float>& b, bool accumulate) {
+  std::vector<float> c = random_vec(m * k, 97);
+  c.resize(m * k + 16, kCanary);
+  kernels::set_backend(be);
+  kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), c.data(), accumulate);
+  return c;
+}
+
+void expect_tb_blocked_matches_naive(std::size_t m, std::size_t n, std::size_t k,
+                                     const std::vector<float>& a, const std::vector<float>& b,
+                                     const std::string& what) {
+  for (const bool acc : {false, true}) {
+    const auto want = tb_with_canary(kernels::Backend::kNaive, m, n, k, a, b, acc);
+    const auto got = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, acc);
+    for (std::size_t e = 0; e < got.size(); ++e) {
+      ASSERT_TRUE(same_bits_or_both_nan(got[e], want[e]))
+          << what << " accumulate=" << acc << " element " << e << ": blocked " << got[e]
+          << " naive " << want[e];
+    }
+    for (std::size_t e = m * k; e < got.size(); ++e) ASSERT_EQ(got[e], kCanary) << what;
+  }
+}
+
+}  // namespace
+
 TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
   KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
+  // sgemm_transpose_b(m, n, k): A(m,n), B(k,n), C(m,k) — here (m, depth, cols).
+  std::vector<GemmShape> shapes = kShapes;
+  // The workload shapes: Linear forward 32x784->32, the stacked Shapley
+  // first layer 64x784->64, and the CIFAR conv weight gradients.
+  shapes.insert(shapes.end(), {{32, 784, 32}, {64, 784, 64}, {8, 144, 75}, {16, 36, 200}});
+  // Panel (8 output columns) and row-tile (3 rows) edges.
+  for (const std::size_t cols : {1, 7, 8, 9, 15, 17}) {
+    for (std::size_t rows = 1; rows <= 5; ++rows) shapes.push_back({rows, 13, cols});
+  }
+  for (const auto& s : shapes) {
     for (const bool acc : {false, true}) {
-      // sgemm_transpose_b(m, n, k): A(m,n), B(k,n), C(m,k).
       expect_backends_bit_identical(kernels::sgemm_transpose_b, s.m, s.k, s.n, s.m * s.k,
                                     s.n * s.k, s.m * s.n, acc);
+    }
+    if (s.k < 2) continue;
+    // Random data hides a changed summation order: a double sum of <= 784
+    // exact products almost always rounds to the same float. Cancelling
+    // +-2^40 products at the first and last depth index make each chain's
+    // float bits depend on the exact order of the additions in between.
+    auto a = random_vec(s.m * s.k, 141);
+    auto b = random_vec(s.n * s.k, 143);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      a[i * s.k] = 0x1p40f;
+      a[i * s.k + s.k - 1] = -0x1p40f;
+    }
+    for (std::size_t j = 0; j < s.n; ++j) b[j * s.k] = b[j * s.k + s.k - 1] = 1.0f;
+    expect_tb_blocked_matches_naive(s.m, s.k, s.n, a, b,
+                                    "cancelling m=" + std::to_string(s.m) +
+                                        " depth=" + std::to_string(s.k) +
+                                        " cols=" + std::to_string(s.n));
+  }
+}
+
+// A NaN or Inf in B row j lands in output column j only, at every lane offset
+// of a full panel and of the ragged last panel (k = 17: panels of 8, 8, 1).
+// A NaN in A row i poisons exactly row i, through every panel and through the
+// padded lanes of the ragged one — which must never be written back.
+TEST(Kernels, SgemmTransposeBBlockedPropagatesNanAndInfAtEveryLaneOffset) {
+  KernelEnvGuard guard;
+  const std::size_t m = 5, n = 11, k = 17;
+  for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto a = random_vec(m * n, 101);
+      auto b = random_vec(k * n, 103);
+      b[j * n + 4] = poison;
+      expect_tb_blocked_matches_naive(m, n, k, a, b, "B poison col " + std::to_string(j));
+      const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, false);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t jj = 0; jj < k; ++jj) {
+          EXPECT_EQ(std::isfinite(c[i * k + jj]), jj != j) << "i=" << i << " j=" << jj;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      auto a = random_vec(m * n, 107);
+      const auto b = random_vec(k * n, 109);
+      a[i * n + 7] = poison;
+      expect_tb_blocked_matches_naive(m, n, k, a, b, "A poison row " + std::to_string(i));
+    }
+  }
+  // 0 * inf -> NaN in every output.
+  const std::vector<float> az(m * n, 0.0f);
+  const std::vector<float> binf(k * n, HUGE_VALF);
+  const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, az, binf, false);
+  for (std::size_t e = 0; e < m * k; ++e) EXPECT_TRUE(std::isnan(c[e])) << e;
+}
+
+// NaN rows stored just past the logical end of A and B — the rows a padded
+// row tile or lane would pick up if it read past the matrix — must not reach
+// any written output: every ragged row/column count matches naive with no
+// NaN anywhere.
+TEST(Kernels, SgemmTransposeBBlockedIgnoresNanPastTheEdges) {
+  KernelEnvGuard guard;
+  const std::size_t n = 9;
+  for (const std::size_t k : {1, 3, 7, 9, 15, 17}) {
+    for (std::size_t m = 1; m <= 5; ++m) {
+      auto a = random_vec(m * n, 113);
+      auto b = random_vec(k * n, 127);
+      a.resize((m + 3) * n, std::nanf(""));
+      b.resize((k + 8) * n, std::nanf(""));
+      const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k);
+      expect_tb_blocked_matches_naive(m, n, k, a, b, what);
+      const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, true);
+      for (std::size_t e = 0; e < m * k; ++e) ASSERT_TRUE(std::isfinite(c[e])) << what;
     }
   }
 }
@@ -306,6 +430,30 @@ TEST(Kernels, IntraOpGemmBitIdenticalAcrossWidths) {
     results.push_back(std::move(c));
   }
   EXPECT_EQ(results[0], results[1]);
+}
+
+// Intra-op tb at width 4 splits 37 rows into chunks of 10 that pack their
+// panels concurrently; rows straddle chunk, row-tile and panel (k = 27: 8, 8,
+// 8, 3) boundaries. Every width must give the naive bits.
+TEST(Kernels, SgemmTransposeBIntraOpChunksMatchNaiveAcrossWidths) {
+  KernelEnvGuard guard;
+  const std::size_t m = 37, n = 50, k = 27;
+  const auto a = random_vec(m * n, 131);
+  const auto b = random_vec(k * n, 137);
+  const auto c_seed = random_vec(m * k, 139);
+  for (const bool acc : {false, true}) {
+    kernels::set_backend(kernels::Backend::kNaive);
+    runtime::set_global_threads(1);
+    std::vector<float> want = c_seed;
+    kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), want.data(), acc);
+    kernels::set_backend(kernels::Backend::kBlocked);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      runtime::set_global_threads(width);
+      std::vector<float> got = c_seed;
+      kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), got.data(), acc);
+      EXPECT_EQ(got, want) << "width=" << width << " accumulate=" << acc;
+    }
+  }
 }
 
 TEST(Kernels, KernelsInsideParallelForDegradeToSequential) {

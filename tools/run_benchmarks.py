@@ -54,6 +54,7 @@ BENCHES = {
         "quick": ["--reps", "5"],
         "default": [],
         "headline": ["cifar_conv_min_speedup", "square_gemm_vec_min_speedup",
+                     "tb_blocked_min_speedup", "tb_shapley_stack.speedup",
                      "conv_cifar_l2.speedup", "gemm_square_256.speedup",
                      "gemm_square_256.vec_speedup", "conv_cifar_l2.vec_speedup"],
         "ab": True,
@@ -80,7 +81,9 @@ BENCHES = {
     },
     "byzantine": {
         "binary": "bench_byzantine",
-        "quick": ["--rounds", "8", "--train", "600", "--mc_perms", "4",
+        # 10 rounds: the 25% sign_flip gate reads pi at round 10 and fails
+        # closed (pi_gate_armed: false) on a shorter run.
+        "quick": ["--rounds", "10", "--train", "600", "--mc_perms", "4",
                   "--fracs", "0.0,0.25"],
         "default": [],
         "headline": ["pdsl.final_accuracy", "dp_dpsgd.final_accuracy",
