@@ -521,7 +521,6 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
   std::vector<sim::RoundMetrics> series;
   series.reserve(rounds);
   Stopwatch watch;
-  nn::Model eval_ws = *alg.env().model_template;
   double last_acc = 0.0;
   // S-RECOV resume: continue past the checkpointed cursor with the held
   // accuracy, the prior series and the accountant's raw accumulators restored
@@ -568,22 +567,37 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     // set — touching every worker would materialize the whole fleet.
     const std::size_t eval_agents =
         opts.metric_agents == 0 ? alg.num_agents() : std::min(alg.num_agents(), opts.metric_agents);
-    double loss_acc = 0.0;
-    for (std::size_t i = 0; i < eval_agents; ++i) {
-      loss_acc += alg.worker(i).local_eval_loss(alg.models()[i]);
-    }
-    m.avg_loss = loss_acc / static_cast<double>(eval_agents);
-    m.consensus = sim::consensus_distance(alg.models());
-
     const bool eval_now =
         opts.eval_every != 0 && (t % opts.eval_every == 0 || t == rounds);
-    if (eval_now) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < eval_agents; ++i) {
-        acc += sim::evaluate(eval_ws, alg.models()[i], test, opts.test_subsample).accuracy;
+    Stopwatch metrics_watch;
+    {
+      PDSL_SPAN("metrics_eval", static_cast<std::int64_t>(t), "round");
+      // One barrier, agent-parallel: agent i scores its own model in its own
+      // worker's workspace (idle between rounds) and writes only slot i, so
+      // its GEMMs run inline instead of forking per call. A lazy worker may
+      // materialize here (WorkerPool slot discipline). The folds below run in
+      // agent order, so the sums are bit-identical at every width.
+      std::vector<double> losses(eval_agents);
+      std::vector<double> accuracies(eval_now ? eval_agents : 0);
+      runtime::parallel_for(0, eval_agents, 1, [&](std::size_t i) {
+        sim::LocalWorker& w = alg.worker(i);
+        losses[i] = w.local_eval_loss(alg.models()[i]);
+        if (eval_now) {
+          accuracies[i] =
+              sim::evaluate(w.workspace(), alg.models()[i], test, opts.test_subsample).accuracy;
+        }
+      });
+      double loss_acc = 0.0;
+      for (const double l : losses) loss_acc += l;
+      m.avg_loss = loss_acc / static_cast<double>(eval_agents);
+      m.consensus = sim::consensus_distance(alg.models());
+      if (eval_now) {
+        double acc = 0.0;
+        for (const double a : accuracies) acc += a;
+        last_acc = acc / static_cast<double>(eval_agents);
       }
-      last_acc = acc / static_cast<double>(eval_agents);
     }
+    const double metrics_eval_s = metrics_watch.elapsed_seconds();
     m.test_accuracy = last_acc;
     m.messages = alg.network().messages_sent();
     m.bytes = alg.network().bytes_sent();
@@ -655,6 +669,7 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
       timing["shapley_ms"] = 1e3 * m.phases.shapley_s;
       timing["aggregate_ms"] = 1e3 * m.phases.aggregate_s;
       timing["gossip_ms"] = 1e3 * m.phases.gossip_s;
+      timing["metrics_eval_ms"] = 1e3 * metrics_eval_s;
       ledger->event(obs::RunLedger::kTimingEvent, std::move(timing));
     }
     series.push_back(m);

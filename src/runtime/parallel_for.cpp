@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 namespace pdsl::runtime {
 
@@ -57,19 +56,10 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     pool->parallel_for(begin, end, grain, body);
     return;
   }
-  // Sequential fallback, sharing the nesting-rejection flag with the pool
-  // path so behavior (and in_parallel_region()) does not depend on width.
-  if (detail::t_in_parallel_region) {
-    throw std::logic_error("parallel_for: nested call from inside a parallel_for body");
-  }
-  detail::t_in_parallel_region = true;
-  try {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  } catch (...) {
-    detail::t_in_parallel_region = false;
-    throw;
-  }
-  detail::t_in_parallel_region = false;
+  // Sequential fallback under the same region guard as the pool's chunks,
+  // so nesting rejection and in_parallel_region() do not depend on width.
+  detail::ParallelRegion region;
+  for (std::size_t i = begin; i < end; ++i) body(i);
 }
 
 }  // namespace pdsl::runtime

@@ -7,13 +7,27 @@
 
 namespace pdsl::runtime {
 
-namespace detail {
+namespace {
 // Guards against nested parallelism, which the engine does not support (and
-// which would deadlock a fully-busy pool); exposed read-only through
-// runtime::in_parallel_region() so kernels can degrade to sequential.
+// which would deadlock a fully-busy pool). Only this translation unit touches
+// it: everyone else goes through in_parallel_region() and ParallelRegion.
 thread_local bool t_in_parallel_region = false;
-}  // namespace detail
-using detail::t_in_parallel_region;
+
+void reject_nested() {
+  if (t_in_parallel_region) {
+    throw std::logic_error("parallel_for: nested call from inside a parallel_for body");
+  }
+}
+}  // namespace
+
+bool in_parallel_region() noexcept { return t_in_parallel_region; }
+
+detail::ParallelRegion::ParallelRegion() {
+  reject_nested();
+  t_in_parallel_region = true;
+}
+
+detail::ParallelRegion::~ParallelRegion() { t_in_parallel_region = false; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) throw std::invalid_argument("ThreadPool: at least one worker required");
@@ -57,9 +71,7 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                               const std::function<void(std::size_t)>& body) {
-  if (t_in_parallel_region) {
-    throw std::logic_error("parallel_for: nested call from inside a parallel_for body");
-  }
+  reject_nested();
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t chunk = std::max<std::size_t>(1, grain);
@@ -87,16 +99,15 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t gr
   join.remaining = num_chunks;
 
   auto run_chunk = [begin, end, chunk, &body, pjoin = &join](std::size_t c) {
-    t_in_parallel_region = true;
     const std::size_t lo = begin + c * chunk;
     const std::size_t hi = std::min(end, lo + chunk);
     try {
+      detail::ParallelRegion region;
       for (std::size_t i = lo; i < hi; ++i) body(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(pjoin->mu);
       if (!pjoin->error) pjoin->error = std::current_exception();
     }
-    t_in_parallel_region = false;
     {
       std::lock_guard<std::mutex> lock(pjoin->mu);
       --pjoin->remaining;

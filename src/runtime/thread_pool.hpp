@@ -19,21 +19,26 @@
 
 namespace pdsl::runtime {
 
-namespace detail {
-/// Set while the calling thread executes a parallel_for body — both the pool
-/// worker chunks and the width-1 inline path in runtime::parallel_for flag
-/// themselves through this. Not part of the public surface; use
-/// in_parallel_region().
-extern thread_local bool t_in_parallel_region;
-}  // namespace detail
-
 /// True while the calling thread is inside a parallel_for body (at any
 /// configured width). Layers that offer optional intra-op parallelism — the
 /// S-KER kernels — consult this to run sequentially instead of tripping the
-/// nested-call rejection.
-[[nodiscard]] inline bool in_parallel_region() noexcept {
-  return detail::t_in_parallel_region;
-}
+/// nested-call rejection. The flag behind it is private to thread_pool.cpp.
+[[nodiscard]] bool in_parallel_region() noexcept;
+
+namespace detail {
+/// Marks the calling thread as inside a parallel_for body for the guard's
+/// lifetime. Both the pool's chunks and the width-1 inline path in
+/// runtime::parallel_for run their bodies under one, so nesting rejection and
+/// in_parallel_region() behave the same at every width. Throws
+/// std::logic_error when the thread is already inside a body.
+class ParallelRegion {
+ public:
+  ParallelRegion();
+  ~ParallelRegion();
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+};
+}  // namespace detail
 
 /// Fixed-size worker pool over one blocking FIFO queue. Construction spawns
 /// the workers; destruction drains nothing — it wakes everyone, joins, and

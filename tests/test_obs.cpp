@@ -415,6 +415,9 @@ TEST(RunLedger, ExperimentLedgerHasTheContractedEventSequence) {
       EXPECT_TRUE(ev.contains("phi"));
     } else if (type == RunLedger::kTimingEvent) {
       ++timing;
+      // The metrics evaluation after run_round is timed next to its phases.
+      ASSERT_TRUE(ev.contains("metrics_eval_ms"));
+      EXPECT_GE(ev.at("metrics_eval_ms").as_number(), 0.0);
     }
   }
   EXPECT_EQ(rounds, 3u);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -132,6 +133,28 @@ TEST(RuntimeTest, InlinePathRejectsNestingToo) {
   EXPECT_EQ(n, 5u);
 }
 
+TEST(RuntimeTest, InParallelRegionTracksBodiesAtEveryWidth) {
+  WidthGuard guard;
+  for (std::size_t w : {1u, 2u, 4u}) {
+    runtime::set_global_threads(w);
+    EXPECT_FALSE(runtime::in_parallel_region());
+    std::vector<int> inside(8, 0);
+    runtime::parallel_for(0, inside.size(), 1, [&inside](std::size_t i) {
+      inside[i] = runtime::in_parallel_region() ? 1 : 0;
+    });
+    for (std::size_t i = 0; i < inside.size(); ++i) EXPECT_EQ(inside[i], 1) << "width " << w;
+    // A throwing body leaves no thread flagged: the region guard unwinds.
+    EXPECT_THROW(runtime::parallel_for(0, 4, 1,
+                                       [](std::size_t) { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    EXPECT_FALSE(runtime::in_parallel_region());
+    std::vector<int> after(8, 0);
+    runtime::parallel_for(0, after.size(), 1,
+                          [&after](std::size_t i) { after[i] = 1; });
+    EXPECT_EQ(std::accumulate(after.begin(), after.end(), 0), 8) << "width " << w;
+  }
+}
+
 TEST(RuntimeTest, ObsInstrumentsAreSafeFromWorkerThreads) {
   WidthGuard guard;
   runtime::set_global_threads(4);
@@ -233,4 +256,57 @@ TEST(RuntimeDeterminism, AutoDetectWidthAlsoMatches) {
   cfg.threads = 0;  // hardware_concurrency
   const auto par = core::run_experiment(cfg);
   expect_bit_identical(seq, par);
+}
+
+// The per-round metrics loop scores every agent's model on that agent's own
+// worker inside one parallel_for; its sums fold in agent order after the
+// barrier. A CNN run whose test subsample spans several evaluate() batches
+// must report the same loss, accuracy and consensus at every width.
+TEST(RuntimeDeterminism, CnnMetricsLoopBitIdenticalAcrossWidths) {
+  WidthGuard guard;
+  auto cfg = det_config("pdsl");
+  cfg.dataset = "cifar_like";
+  cfg.model = "cifar_cnn";
+  cfg.image = 8;
+  cfg.agents = 3;
+  cfg.rounds = 2;
+  cfg.train_samples = 180;
+  cfg.test_samples = 300;
+  cfg.metrics.test_subsample = 300;  // three evaluate() batches of <= 128
+  cfg.hp.gamma = 0.01;
+  cfg.threads = 1;
+  const auto seq = core::run_experiment(cfg);
+  ASSERT_GT(seq.series.back().test_accuracy, 0.0);
+  for (std::size_t w : {2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(w));
+    cfg.threads = w;
+    expect_bit_identical(seq, core::run_experiment(cfg));
+  }
+}
+
+// Lazy fleet: the metric prefix (12 agents) is larger than the active set (4)
+// and the worker cache (6) is smaller than their union, so every round's
+// metrics loop materializes evicted workers from inside the parallel body.
+TEST(RuntimeDeterminism, LazyFleetMetricsLoopMaterializesWorkersIdentically) {
+  WidthGuard guard;
+  auto cfg = det_config("pdsl");
+  cfg.agents = 24;
+  cfg.train_samples = 720;
+  cfg.topology = "regular";
+  cfg.fleet.sparse = true;
+  cfg.fleet.degree = 4;
+  cfg.fleet.participation.mode = fleet::ParticipationMode::kSampled;
+  cfg.fleet.participation.active = 4;
+  cfg.fleet.lazy_state = true;
+  cfg.fleet.worker_cache = 6;
+  cfg.metrics.metric_agents = 12;
+  cfg.threads = 1;
+  const auto seq = core::run_experiment(cfg);
+  // prepare() alone peaks at cache + active; anything above that was
+  // materialized by the metrics loop.
+  EXPECT_GT(seq.workers_peak, cfg.fleet.worker_cache + cfg.fleet.participation.active);
+  cfg.threads = 4;
+  const auto par = core::run_experiment(cfg);
+  expect_bit_identical(seq, par);
+  EXPECT_EQ(seq.workers_peak, par.workers_peak);
 }

@@ -46,7 +46,9 @@ BENCHES = {
         "quick": ["--rounds", "3", "--train", "800"],
         "default": [],
         "headline": ["threads1.total_s", "threads2.speedup_total",
-                     "threads4.speedup_total", "threads8.speedup_total"],
+                     "threads4.speedup_total", "threads8.speedup_total",
+                     "threads1.metrics_eval_ms_per_round",
+                     "threads4.metrics_eval_ms_per_round"],
         "ab": True,
     },
     "kernels": {
