@@ -420,16 +420,24 @@ static void BM_Privatize(benchmark::State& state) {
 }
 BENCHMARK(BM_Privatize)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// Additive test game v(S) = sum over members p of (p + 1) / 100.
+static std::vector<double> additive_values(const std::vector<std::uint64_t>& masks) {
+  std::vector<double> out;
+  out.reserve(masks.size());
+  for (const std::uint64_t mask : masks) {
+    double v = 0.0;
+    for (std::size_t p : shapley::Game::members(mask)) v += static_cast<double>(p + 1);
+    out.push_back(v / 100.0);
+  }
+  return out;
+}
+
 static void BM_MonteCarloShapley(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   const auto perms = static_cast<std::size_t>(state.range(1));
   Rng rng(5);
   for (auto _ : state) {
-    shapley::CachedGame game(players, [](const std::vector<std::size_t>& c) {
-      double v = 0.0;
-      for (std::size_t p : c) v += static_cast<double>(p + 1);
-      return v / 100.0;
-    });
+    shapley::Game game(players, additive_values);
     benchmark::DoNotOptimize(shapley::monte_carlo_shapley(game, perms, rng));
   }
 }
@@ -438,11 +446,7 @@ BENCHMARK(BM_MonteCarloShapley)->Args({6, 8})->Args({10, 8})->Args({20, 10});
 static void BM_ExactShapley(benchmark::State& state) {
   const auto players = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    shapley::CachedGame game(players, [](const std::vector<std::size_t>& c) {
-      double v = 0.0;
-      for (std::size_t p : c) v += static_cast<double>(p + 1);
-      return v / 100.0;
-    });
+    shapley::Game game(players, additive_values);
     benchmark::DoNotOptimize(shapley::exact_shapley(game));
   }
 }

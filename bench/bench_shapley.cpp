@@ -3,8 +3,8 @@
 //
 //  perf      — the hot-path contract. One PDSL testbed (8 agents, full graph,
 //              mnist_like mlp) run four ways: the sequential reference path,
-//              --shapley-eval batched (stacked-GEMM coalition scoring + the
-//              cross-round value cache; BIT-IDENTICAL to sequential),
+//              --shapley-eval batched (stacked-GEMM coalition scoring;
+//              BIT-IDENTICAL to sequential),
 //              --shapley-eval linear (coalitions scored via first-layer
 //              linearity — per-member pre-activations computed once, each
 //              coalition a cheap average + the small later layers), and
@@ -235,17 +235,14 @@ int main(int argc, char** argv) {
 
     CsvWriter csv("bench_results/shapley_perf.csv",
                   {"variant", "round_ms", "shapley_ms", "coalition_evals",
-                   "coalitions_batched", "cache_hits", "permutations_used",
-                   "early_stopped", "test_accuracy"});
-    std::printf("%22s %10s %12s %8s %8s %8s %6s %9s\n", "variant", "round_ms",
-                "shapley_ms", "evals", "batched", "cachehit", "perms", "accuracy");
+                   "permutations_used", "early_stopped", "test_accuracy"});
+    std::printf("%22s %10s %12s %8s %6s %9s\n", "variant", "round_ms", "shapley_ms", "evals",
+                "perms", "accuracy");
     const auto report = [&](const char* name, const PerfRun& r) {
-      std::printf("%22s %10.2f %12.2f %8zu %8zu %8zu %6zu %9.3f\n", name, r.round_ms,
-                  r.shapley_ms, r.stats.coalition_evals, r.stats.coalitions_batched,
-                  r.stats.cache_hits, r.stats.permutations_used, r.accuracy);
+      std::printf("%22s %10.2f %12.2f %8zu %6zu %9.3f\n", name, r.round_ms, r.shapley_ms,
+                  r.stats.coalition_evals, r.stats.permutations_used, r.accuracy);
       csv.row(name, r.round_ms, r.shapley_ms, r.stats.coalition_evals,
-              r.stats.coalitions_batched, r.stats.cache_hits, r.stats.permutations_used,
-              r.stats.early_stopped, r.accuracy);
+              r.stats.permutations_used, r.stats.early_stopped, r.accuracy);
       const std::string p = std::string("perf.") + name;
       env.add_metric_sample(p + ".round_ms", "ms", r.round_ms);
       env.add_metric_sample(p + ".shapley_ms", "ms", r.shapley_ms);
@@ -257,9 +254,6 @@ int main(int argc, char** argv) {
       run["round_ms"] = r.round_ms;
       run["shapley_ms"] = r.shapley_ms;
       run["coalition_evals"] = r.stats.coalition_evals;
-      run["coalitions_batched"] = r.stats.coalitions_batched;
-      run["cache_hits"] = r.stats.cache_hits;
-      run["cache_misses"] = r.stats.cache_misses;
       run["permutations_used"] = r.stats.permutations_used;
       run["early_stopped"] = r.stats.early_stopped;
       run["test_accuracy"] = r.accuracy;

@@ -75,8 +75,7 @@ auto deterministic_fields(const RoundMetrics& m) {
   return std::tie(m.round, m.avg_loss, m.test_accuracy, m.consensus, m.grad_norm, m.messages,
                   m.bytes, m.dropped, m.delayed, m.offline, m.stale_reused, m.fallbacks,
                   m.byz_active, m.corrupted, m.rejected, m.reclipped, m.pi_attacker,
-                  m.pi_honest, m.epsilon_spent, m.shapley_evals, m.shapley_batched,
-                  m.shapley_cache_hits, m.shapley_cache_misses, m.shapley_early_stops,
+                  m.pi_honest, m.epsilon_spent, m.shapley_evals, m.shapley_early_stops,
                   m.retransmits, m.corrupt_detected, m.dup_dropped, m.reordered, m.crashes,
                   m.resyncs);
 }

@@ -616,9 +616,6 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     }
     if (const auto sstats = alg.shapley_round_stats()) {
       m.shapley_evals = sstats->coalition_evals;
-      m.shapley_batched = sstats->coalitions_batched;
-      m.shapley_cache_hits = sstats->cache_hits;
-      m.shapley_cache_misses = sstats->cache_misses;
       m.shapley_early_stops = sstats->early_stopped;
     }
     m.retransmits = alg.network().retransmits();

@@ -41,17 +41,16 @@ struct HyperParams {
 
   // PDSL
   std::size_t shapley_permutations = 8;  ///< R in Algorithm 2
-  bool exact_shapley = false;            ///< use Eq. 18 enumeration instead
-  /// Estimator: "mc" (Algorithm 2) | "exact" | "tmc" (truncated MC) |
-  /// "stratified" (Castro et al. [37]) | "adaptive" (S-SHAP antithetic pairs
-  /// + CI early stop). exact_shapley=true overrides to exact.
+  /// Estimator: "mc" (Algorithm 2) | "exact" (Eq. 18 enumeration) | "tmc"
+  /// (truncated MC) | "stratified" (Castro et al. [37]) | "adaptive"
+  /// (S-SHAP antithetic pairs + CI early stop).
   std::string shapley_method = "mc";
   double tmc_tolerance = 0.01;           ///< truncation tolerance for "tmc"
   std::size_t validation_batch = 64;     ///< per-round subsample of Q for v(.)
   /// S-SHAP coalition scoring path: "sequential" (one forward pass per
   /// coalition — the bit-identical reference) | "batched" (stacked-GEMM
-  /// evaluation + cross-round value cache; bit-identical on supported
-  /// models, verified by tests/test_shapley.cpp) | "linear" (additionally
+  /// evaluation; bit-identical on supported models, verified by
+  /// tests/test_shapley.cpp) | "linear" (additionally
   /// reuses per-member first-layer pre-activations across coalitions —
   /// fastest, tolerance-banded against sequential, pinned by the banded
   /// golden fixture tests/golden/pdsl_linear.csv). Default: linear; models
@@ -126,13 +125,10 @@ struct Env {
 };
 
 /// S-SHAP per-round Shapley-phase accounting, snapshotted by
-/// run_with_metrics into the CSV so the batched/cached/adaptive speedup is
+/// run_with_metrics into the CSV so the adaptive sampler's savings are
 /// attributable round by round.
 struct ShapleyRoundStats {
   std::size_t coalition_evals = 0;      ///< characteristic evaluations run
-  std::size_t coalitions_batched = 0;   ///< of those, scored via stacked GEMM
-  std::size_t cache_hits = 0;           ///< served from the cross-round cache
-  std::size_t cache_misses = 0;         ///< cache lookups that had to evaluate
   std::size_t permutations_used = 0;    ///< MC permutations consumed (all agents)
   std::size_t early_stopped = 0;        ///< agents whose sampler CI-stopped early
 };
@@ -263,7 +259,7 @@ class Algorithm {
   }
 
   /// A crash loses everything in agent i's process memory that is NOT part of
-  /// a snapshot: cross-gradient staleness cache, Shapley value cache, ...
+  /// a snapshot, e.g. PDSL's cross-gradient staleness cache.
   /// Called by the RecoveryManager on every crash (base: nothing to wipe).
   virtual void crash_wipe_caches(std::size_t i) { (void)i; }
 

@@ -1,7 +1,6 @@
 #include "core/pdsl.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -50,12 +49,9 @@ Pdsl::Pdsl(const algos::Env& env, Options options)
         " agents, use a sparse topology with bounded degree "
         "(--sparse --degree <= 62) so every closed neighborhood fits.");
   }
-  use_batched_ = env.hp.shapley_eval != "sequential";
+  stack_coalitions_ = env.hp.shapley_eval != "sequential" &&
+                      sim::CoalitionBatchEvaluator::batchable(*env.model_template);
   use_linear_ = env.hp.shapley_eval == "linear";
-  if (use_batched_) {
-    batch_supported_ = sim::CoalitionBatchEvaluator::batchable(*env.model_template);
-    value_caches_.assign(num_agents(), shapley::ValueCache());
-  }
   momentum_.reset(num_agents(), std::vector<float>(models_.dim(), 0.0f));
   Rng shapley_root(splitmix64(env.seed ^ 0x5876BE7));
   shapley_rngs_.reserve(num_agents());
@@ -105,10 +101,6 @@ void Pdsl::save_state(io::ByteBuffer& buf) const {
       io::append_floats(buf, cached.grad);
     }
   }
-  io::append_u8(buf, use_batched_ ? 1 : 0);
-  if (use_batched_) {
-    for (std::size_t i = 0; i < m; ++i) value_caches_[i].serialize(buf);
-  }
 }
 
 void Pdsl::load_state(io::ByteReader& r) {
@@ -137,14 +129,6 @@ void Pdsl::load_state(io::ByteReader& r) {
       xgrad_cache_[i].emplace(j, std::move(cached));
     }
   }
-  const bool file_batched = r.read_u8("pdsl batched flag") != 0;
-  if (file_batched != use_batched_) {
-    throw std::runtime_error("Pdsl::load_state: shapley_eval mode mismatch between the "
-                             "checkpoint and this run");
-  }
-  if (use_batched_) {
-    for (std::size_t i = 0; i < m; ++i) value_caches_[i].deserialize(r);
-  }
 }
 
 std::vector<float> Pdsl::crash_snapshot_extra(std::size_t i) const {
@@ -160,7 +144,6 @@ void Pdsl::crash_restore_extra(std::size_t i, const std::vector<float>& extra) {
 
 void Pdsl::crash_wipe_caches(std::size_t i) {
   xgrad_cache_[i].clear();
-  if (use_batched_) value_caches_[i] = shapley::ValueCache();
 }
 
 sim::FixedBatch Pdsl::draw_validation_batch() {
@@ -234,15 +217,6 @@ void Pdsl::round_impl(std::size_t t) {
   // Shared validation batch for this round's characteristic function.
   const sim::FixedBatch val = draw_validation_batch();
 
-  // S-SHAP: the cross-round cache context — everything shared by all of this
-  // round's coalition scores except the member models themselves.
-  std::uint64_t val_ctx = 0;
-  if (use_batched_) {
-    val_ctx = shapley::hash_bytes(val.x.data(), val.x.numel() * sizeof(float));
-    val_ctx = shapley::hash_bytes(val.y.data(), val.y.size() * sizeof(int), val_ctx);
-    val_ctx = shapley::hash_mix(val_ctx, options_.loss_characteristic ? 1 : 0);
-  }
-
   // ---- Lines 13-20: virtual models, Shapley weights ----
   // Under faults each agent plays the Shapley game over the *present* subset
   // of its closed neighborhood: members whose perturbed cross-gradient is
@@ -255,10 +229,7 @@ void Pdsl::round_impl(std::size_t t) {
   std::vector<double> agent_phi_min(m, 1.0);
   std::vector<std::size_t> agent_stale(m, 0);      // slot-written, folded below
   std::vector<unsigned char> agent_fallback(m, 0);
-  std::vector<std::size_t> agent_batched(m, 0);    // S-SHAP slots
-  std::vector<std::size_t> agent_hits(m, 0);
-  std::vector<std::size_t> agent_misses(m, 0);
-  std::vector<std::size_t> agent_perms(m, 0);
+  std::vector<std::size_t> agent_perms(m, 0);      // S-SHAP slots
   std::vector<unsigned char> agent_early(m, 0);
   {
     auto timer = phase(obs::Phase::kShapley);
@@ -332,124 +303,93 @@ void Pdsl::round_impl(std::size_t t) {
       nn::Model& ws = workers_[i].workspace();
       // Line 15 / Algorithm 2 (or an alternative estimator when requested).
       std::vector<double> phi;
-      const std::string& method =
-          env_.hp.exact_shapley ? std::string("exact") : env_.hp.shapley_method;
+      const std::string& method = env_.hp.shapley_method;
       if (options_.uniform_weights) {
         phi.assign(p, 1.0);
       } else {
-        const auto score_members = [&](const std::vector<const std::vector<float>*>& mem) {
-          const auto avg = mean_of(mem);
-          return options_.loss_characteristic ? -sim::loss_on(ws, avg, val)
-                                              : sim::accuracy_on(ws, avg, val);
+        // One game per agent-round; --shapley-eval picks only how a chunk of
+        // coalition masks is scored. Every scorer averages the SAME
+        // virtual-model pointers with the same mean_of fold, so batched and
+        // sequential values are bit-identical by construction.
+        const bool loss = options_.loss_characteristic;
+        const auto coalition_avg = [&](std::uint64_t mask) {
+          std::vector<const std::vector<float>*> mem;
+          for (std::size_t k : shapley::Game::members(mask)) mem.push_back(&virtual_models[k]);
+          return mean_of(mem);
         };
-        // Either the reference one-at-a-time game, or the S-SHAP batched game
-        // (stacked-GEMM scoring + per-agent cross-round value cache). Both
-        // score coalition averages over the SAME virtual-model pointers via
-        // the same mean_of fold, so values are bit-identical by construction.
-        std::unique_ptr<shapley::Game> game;
+        const auto negate_if_loss = [loss](std::vector<double> out) {
+          if (loss) {
+            for (double& v : out) v = -v;
+          }
+          return out;
+        };
         std::optional<sim::CoalitionBatchEvaluator> batch_eval;
-        if (use_batched_) {
-          if (batch_supported_) {
-            batch_eval.emplace(*env_.model_template, val);
-            if (use_linear_) {
-              std::vector<const std::vector<float>*> member_ptrs(p);
-              for (std::size_t k = 0; k < p; ++k) member_ptrs[k] = &virtual_models[k];
-              batch_eval->set_members(member_ptrs);
-            }
-          }
-          std::vector<std::uint64_t> member_hashes(p);
-          for (std::size_t k = 0; k < p; ++k) {
-            member_hashes[k] = shapley::hash_bytes(
-                virtual_models[k].data(), virtual_models[k].size() * sizeof(float));
-          }
-          value_caches_[i].begin_round(t, val_ctx, std::move(member_hashes));
-          game = std::make_unique<shapley::BatchedGame>(
-              p,
-              [&](const std::vector<std::uint64_t>& masks) {
-                if (use_linear_ && batch_eval) {
-                  // First-layer linearity: member pre-activations were scored
-                  // once in set_members(); each coalition is a cheap average
-                  // + the small later layers. No mean_of, no big GEMM.
-                  auto out = options_.loss_characteristic
-                                 ? batch_eval->coalition_losses(masks)
-                                 : batch_eval->coalition_accuracies(masks);
-                  if (options_.loss_characteristic) {
-                    for (double& v : out) v = -v;
-                  }
-                  return out;
-                }
-                std::vector<std::vector<float>> avgs(masks.size());
-                std::vector<const std::vector<float>*> mem;
-                for (std::size_t q = 0; q < masks.size(); ++q) {
-                  mem.clear();
-                  for (std::size_t k : shapley::Game::members(masks[q])) {
-                    mem.push_back(&virtual_models[k]);
-                  }
-                  avgs[q] = mean_of(mem);
-                }
-                std::vector<double> out;
-                if (batch_eval) {
-                  std::vector<const std::vector<float>*> ptrs(avgs.size());
-                  for (std::size_t q = 0; q < avgs.size(); ++q) ptrs[q] = &avgs[q];
-                  out = options_.loss_characteristic ? batch_eval->losses(ptrs)
-                                                     : batch_eval->accuracies(ptrs);
-                  if (options_.loss_characteristic) {
-                    for (double& v : out) v = -v;
-                  }
-                } else {
-                  out.reserve(avgs.size());
-                  for (const auto& avg : avgs) {
-                    out.push_back(options_.loss_characteristic
-                                      ? -sim::loss_on(ws, avg, val)
-                                      : sim::accuracy_on(ws, avg, val));
-                  }
-                }
-                return out;
-              },
-              &value_caches_[i]);
+        shapley::BatchCharacteristicFn score;
+        if (stack_coalitions_ && use_linear_) {
+          // First-layer linearity: member pre-activations are scored once in
+          // set_members(); each coalition is a cheap average + the small
+          // later layers. No mean_of, no big GEMM.
+          batch_eval.emplace(*env_.model_template, val);
+          std::vector<const std::vector<float>*> member_ptrs(p);
+          for (std::size_t k = 0; k < p; ++k) member_ptrs[k] = &virtual_models[k];
+          batch_eval->set_members(member_ptrs);
+          score = [&](const std::vector<std::uint64_t>& masks) {
+            return negate_if_loss(loss ? batch_eval->coalition_losses(masks)
+                                       : batch_eval->coalition_accuracies(masks));
+          };
+        } else if (stack_coalitions_) {
+          // Stacked GEMM over the chunk's coalition-average models.
+          batch_eval.emplace(*env_.model_template, val);
+          score = [&](const std::vector<std::uint64_t>& masks) {
+            std::vector<std::vector<float>> avgs;
+            avgs.reserve(masks.size());
+            for (const std::uint64_t mask : masks) avgs.push_back(coalition_avg(mask));
+            std::vector<const std::vector<float>*> ptrs(avgs.size());
+            for (std::size_t q = 0; q < avgs.size(); ++q) ptrs[q] = &avgs[q];
+            return negate_if_loss(loss ? batch_eval->losses(ptrs) : batch_eval->accuracies(ptrs));
+          };
         } else {
-          game = std::make_unique<shapley::CachedGame>(
-              p, [&](const std::vector<std::size_t>& coalition) {
-                std::vector<const std::vector<float>*> mem;
-                mem.reserve(coalition.size());
-                for (std::size_t k : coalition) mem.push_back(&virtual_models[k]);
-                return score_members(mem);
-              });
+          // One forward pass per coalition, each average formed just before
+          // it is scored (sequential mode, and models that cannot stack).
+          score = [&](const std::vector<std::uint64_t>& masks) {
+            std::vector<double> out;
+            out.reserve(masks.size());
+            for (const std::uint64_t mask : masks) {
+              const auto avg = coalition_avg(mask);
+              out.push_back(loss ? sim::loss_on(ws, avg, val) : sim::accuracy_on(ws, avg, val));
+            }
+            return negate_if_loss(std::move(out));
+          };
         }
+        shapley::Game game(p, std::move(score));
 
         if (method == "exact" && p <= 20) {
-          phi = shapley::exact_shapley(*game);
+          phi = shapley::exact_shapley(game);
         } else if (method == "tmc") {
           shapley::TruncatedMcOptions topts;
           topts.num_permutations = env_.hp.shapley_permutations;
           topts.tolerance = env_.hp.tmc_tolerance;
-          phi = shapley::truncated_monte_carlo_shapley(*game, topts, shapley_rngs_[i]);
+          phi = shapley::truncated_monte_carlo_shapley(game, topts, shapley_rngs_[i]);
           agent_perms[i] = topts.num_permutations;
         } else if (method == "stratified") {
           const std::size_t per_stratum =
               std::max<std::size_t>(1, env_.hp.shapley_permutations / 2);
-          phi = shapley::stratified_shapley(*game, per_stratum, shapley_rngs_[i]);
+          phi = shapley::stratified_shapley(game, per_stratum, shapley_rngs_[i]);
         } else if (method == "adaptive") {
           shapley::AdaptiveMcOptions aopts;
           aopts.min_permutations = env_.hp.shapley_min_permutations;
           aopts.max_permutations = env_.hp.shapley_permutations;
           aopts.ci_z = env_.hp.shapley_ci_z;
-          auto res = shapley::adaptive_monte_carlo_shapley(*game, aopts, shapley_rngs_[i]);
+          auto res = shapley::adaptive_monte_carlo_shapley(game, aopts, shapley_rngs_[i]);
           phi = std::move(res.phi);
           agent_perms[i] = res.permutations_used;
           agent_early[i] = res.early_stopped ? 1 : 0;
         } else {  // "mc" and the exact fallback for oversized neighborhoods
-          phi = shapley::monte_carlo_shapley(*game, env_.hp.shapley_permutations,
+          phi = shapley::monte_carlo_shapley(game, env_.hp.shapley_permutations,
                                              shapley_rngs_[i]);
           agent_perms[i] = env_.hp.shapley_permutations;
         }
-        agent_evals[i] = game->evaluations();
-        if (use_batched_) {
-          const auto& st = static_cast<shapley::BatchedGame&>(*game).stats();
-          agent_batched[i] = st.coalitions_batched;
-          agent_hits[i] = st.cache_hits;
-          agent_misses[i] = st.cache_misses;
-        }
+        agent_evals[i] = game.evaluations();
       }
 
       // Eq. 19 normalization (or the robust ReLU variant), Eq. 20 weights.
@@ -478,9 +418,6 @@ void Pdsl::round_impl(std::size_t t) {
     std::size_t fallbacks = 0;
     for (std::size_t i = 0; i < m; ++i) {
       sstats.coalition_evals += agent_evals[i];
-      sstats.coalitions_batched += agent_batched[i];
-      sstats.cache_hits += agent_hits[i];
-      sstats.cache_misses += agent_misses[i];
       sstats.permutations_used += agent_perms[i];
       sstats.early_stopped += agent_early[i];
       observed_phi_hat_min_ = std::min(observed_phi_hat_min_, agent_phi_min[i]);
@@ -492,17 +429,8 @@ void Pdsl::round_impl(std::size_t t) {
     static obs::Counter& evals =
         obs::MetricsRegistry::global().counter("shapley.coalition_evals");
     evals.add(last_evals_);
-    static obs::Counter& batched_c =
-        obs::MetricsRegistry::global().counter("shapley.coalitions_batched");
-    static obs::Counter& hits_c =
-        obs::MetricsRegistry::global().counter("shapley.cache_hits");
-    static obs::Counter& misses_c =
-        obs::MetricsRegistry::global().counter("shapley.cache_misses");
     static obs::Counter& early_c =
         obs::MetricsRegistry::global().counter("shapley.permutations_early_stopped");
-    batched_c.add(sstats.coalitions_batched);
-    hits_c.add(sstats.cache_hits);
-    misses_c.add(sstats.cache_misses);
     early_c.add(sstats.early_stopped);
     if (stale != 0) {
       fault_stats_.stale_reused += stale;
@@ -586,13 +514,9 @@ void Pdsl::ledger_round(obs::RunLedger& ledger, std::size_t t) const {
   ev["phi"] = json::Value(std::move(phi));
   ev["pi"] = json::Value(std::move(pi));
   ev["characteristic_evals"] = last_evals_;
-  // S-SHAP evaluation budget: where the round's coalition scores came from
-  // (stacked-GEMM batches vs cross-round cache) and how many permutations
-  // the sampler actually consumed. Deterministic, so it stays inside the
-  // ledger's bit-identity contract.
-  ev["coalitions_batched"] = last_shapley_stats_.coalitions_batched;
-  ev["cache_hits"] = last_shapley_stats_.cache_hits;
-  ev["cache_misses"] = last_shapley_stats_.cache_misses;
+  // S-SHAP evaluation budget: how many permutations the sampler actually
+  // consumed. Deterministic, so it stays inside the ledger's bit-identity
+  // contract.
   ev["permutations_used"] = last_shapley_stats_.permutations_used;
   ev["early_stopped"] = last_shapley_stats_.early_stopped;
   ledger.event("shapley", std::move(ev));

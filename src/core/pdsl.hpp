@@ -14,7 +14,6 @@
 #include <map>
 
 #include "algos/common.hpp"
-#include "shapley/value_cache.hpp"
 #include "sim/evaluate.hpp"
 
 namespace pdsl::core {
@@ -67,7 +66,7 @@ class Pdsl final : public algos::Algorithm {
   /// Distinct coalition evaluations performed last round (all agents).
   [[nodiscard]] std::size_t last_characteristic_evals() const { return last_evals_; }
 
-  /// S-SHAP: batching/caching/early-stop accounting for the last round.
+  /// S-SHAP: evaluation/early-stop accounting for the last round.
   [[nodiscard]] std::optional<algos::ShapleyRoundStats> shapley_round_stats() const override {
     return last_shapley_stats_;
   }
@@ -91,7 +90,7 @@ class Pdsl final : public algos::Algorithm {
 
   /// Full algorithm state for kill-and-resume: base state (models, RNG
   /// streams, network) plus momentum, the validation/Shapley RNG cursors, the
-  /// staleness cache, the coalition score caches and the phi_hat_min floor.
+  /// staleness cache and the phi_hat_min floor.
   void save_state(io::ByteBuffer& buf) const override;
   void load_state(io::ByteReader& r) override;
 
@@ -99,8 +98,8 @@ class Pdsl final : public algos::Algorithm {
   /// snapshotted by the RecoveryManager itself).
   [[nodiscard]] std::vector<float> crash_snapshot_extra(std::size_t i) const override;
   void crash_restore_extra(std::size_t i, const std::vector<float>& extra) override;
-  /// A crashed agent loses its warm state: staleness-cached cross-gradients
-  /// and coalition score cache (they lived in the dead process's memory).
+  /// A crashed agent loses its warm state: the staleness-cached
+  /// cross-gradients (they lived in the dead process's memory).
   void crash_wipe_caches(std::size_t i) override;
 
  protected:
@@ -136,21 +135,15 @@ class Pdsl final : public algos::Algorithm {
   double observed_phi_hat_min_ = 1.0;
   algos::ShapleyRoundStats last_shapley_stats_;
 
-  /// S-SHAP: hp.shapley_eval == "batched" or "linear" (validated in the
-  /// ctor). Both share the BatchedGame dedup/cache machinery.
-  bool use_batched_ = false;
+  /// S-SHAP: hp.shapley_eval is "batched" or "linear" (validated in the
+  /// ctor) AND the model is a chain CoalitionBatchEvaluator can stack. When
+  /// false, each coalition is scored with its own forward pass.
+  bool stack_coalitions_ = false;
   /// S-SHAP: hp.shapley_eval == "linear" — score coalitions via first-layer
   /// linearity (member pre-activations averaged instead of re-running the
   /// dominant GEMM per coalition). Mathematically the same characteristic,
   /// ulp-level numeric differences; NOT bit-identical to sequential.
   bool use_linear_ = false;
-  /// Is the model a chain CoalitionBatchEvaluator can stack? When false the
-  /// batched path still deduplicates and caches via BatchedGame, but scores
-  /// each coalition with a sequential forward pass.
-  bool batch_supported_ = false;
-  /// Per-agent cross-round coalition score caches (slot discipline: agent i's
-  /// phase body is the only writer of value_caches_[i]). Empty unless batched.
-  std::vector<shapley::ValueCache> value_caches_;
   /// xgrad_cache_[i][j]: agent i's cached cross-gradient from neighbor j.
   /// Written only by agent i's phase body (slot discipline) or the sequential
   /// absorb_late hook, so no synchronization is needed.

@@ -23,8 +23,11 @@ namespace pdsl::io {
 
 /// On-disk layout version shared by every io/ checkpoint family. Version 2
 /// added the version word itself (version-1 files, which had the payload
-/// metadata where the version now lives, are rejected loudly).
-constexpr std::uint64_t kCheckpointVersion = 2;
+/// metadata where the version now lives, are rejected loudly). Version 3
+/// dropped the coalition score caches from the PDSL state and three Shapley
+/// counters from the PDSLRUN1 round rows; version-2 files are refused rather
+/// than misparsed.
+constexpr std::uint64_t kCheckpointVersion = 3;
 
 /// Crash-safe writer: stream into a `.tmp` sibling, then std::rename over the
 /// destination once the bytes are durably written. A crash mid-save leaves the

@@ -40,9 +40,6 @@ void append_round(io::ByteBuffer& buf, const sim::RoundMetrics& m) {
   io::append_f64(buf, m.pi_honest);
   io::append_f64(buf, m.epsilon_spent);
   io::append_u64(buf, m.shapley_evals);
-  io::append_u64(buf, m.shapley_batched);
-  io::append_u64(buf, m.shapley_cache_hits);
-  io::append_u64(buf, m.shapley_cache_misses);
   io::append_u64(buf, m.shapley_early_stops);
   io::append_u64(buf, m.retransmits);
   io::append_u64(buf, m.corrupt_detected);
@@ -81,9 +78,6 @@ sim::RoundMetrics read_round(io::ByteReader& r) {
   m.pi_honest = r.read_f64("pi_honest");
   m.epsilon_spent = r.read_f64("epsilon_spent");
   m.shapley_evals = static_cast<std::size_t>(r.read_u64("shapley_evals"));
-  m.shapley_batched = static_cast<std::size_t>(r.read_u64("shapley_batched"));
-  m.shapley_cache_hits = static_cast<std::size_t>(r.read_u64("shapley_cache_hits"));
-  m.shapley_cache_misses = static_cast<std::size_t>(r.read_u64("shapley_cache_misses"));
   m.shapley_early_stops = static_cast<std::size_t>(r.read_u64("shapley_early_stops"));
   m.retransmits = static_cast<std::size_t>(r.read_u64("retransmits"));
   m.corrupt_detected = static_cast<std::size_t>(r.read_u64("corrupt_detected"));

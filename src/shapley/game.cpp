@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "shapley/value_cache.hpp"
+#include <unordered_set>
 
 namespace pdsl::shapley {
 
-Game::Game(std::size_t num_players) : n_(num_players) {
+Game::Game(std::size_t num_players, BatchCharacteristicFn batch_v)
+    : n_(num_players), batch_v_(std::move(batch_v)) {
   if (n_ == 0) throw std::invalid_argument("shapley::Game: need at least one player");
   if (n_ > 63) {
     throw std::invalid_argument(
@@ -15,6 +15,7 @@ Game::Game(std::size_t num_players) : n_(num_players) {
         "Dense neighborhoods of a large fleet exceed this; use a sparse topology "
         "(--sparse with bounded degree) so every closed neighborhood stays <= 63.");
   }
+  if (!batch_v_) throw std::invalid_argument("shapley::Game: null characteristic function");
 }
 
 std::vector<std::size_t> Game::members(std::uint64_t mask) {
@@ -29,98 +30,48 @@ std::uint64_t Game::full_mask() const {
   return n_ == 63 ? ~0ULL >> 1 : (1ULL << n_) - 1;
 }
 
-CachedGame::CachedGame(std::size_t num_players, CharacteristicFn v)
-    : Game(num_players), v_(std::move(v)) {
-  if (!v_) throw std::invalid_argument("CachedGame: null characteristic function");
+void Game::check_range(std::uint64_t mask) const {
+  if (mask >= (1ULL << n_)) throw std::out_of_range("shapley::Game: mask out of range");
 }
 
-double CachedGame::value(std::uint64_t mask) {
-  if (mask == 0) return 0.0;  // v(emptyset) = 0 by Definition 3
-  if (mask >= (1ULL << n_)) throw std::out_of_range("CachedGame::value: mask out of range");
-  const auto it = cache_.find(mask);
-  if (it != cache_.end()) return it->second;
-  const double val = v_(members(mask));
-  cache_.emplace(mask, val);
-  ++evals_;
-  return val;
-}
-
-BatchedGame::BatchedGame(std::size_t num_players, BatchCharacteristicFn batch_v,
-                         ValueCache* cache)
-    : Game(num_players), batch_v_(std::move(batch_v)), cache_(cache) {
-  if (!batch_v_) throw std::invalid_argument("BatchedGame: null batch characteristic function");
-}
-
-void BatchedGame::check_range(std::uint64_t mask) const {
-  if (mask >= (1ULL << n_)) throw std::out_of_range("BatchedGame: mask out of range");
-}
-
-bool BatchedGame::from_cache(std::uint64_t mask) {
-  if (cache_ == nullptr) return false;
-  double v = 0.0;
-  if (cache_->lookup(mask, v)) {
-    memo_.emplace(mask, v);
-    ++stats_.cache_hits;
-    return true;
+void Game::score(const std::vector<std::uint64_t>& masks) {
+  const std::vector<double> vals = batch_v_(masks);
+  if (vals.size() != masks.size()) {
+    throw std::logic_error("shapley::Game: characteristic returned the wrong value count");
   }
-  ++stats_.cache_misses;
-  return false;
+  for (std::size_t k = 0; k < masks.size(); ++k) memo_.emplace(masks[k], vals[k]);
 }
 
-double BatchedGame::value(std::uint64_t mask) {
-  if (mask == 0) return 0.0;
+double Game::value(std::uint64_t mask) {
+  if (mask == 0) return 0.0;  // v(emptyset) = 0 by Definition 3
   check_range(mask);
-  const auto it = memo_.find(mask);
-  if (it != memo_.end()) return it->second;
-  if (from_cache(mask)) return memo_.at(mask);
-  const std::vector<double> vals = batch_v_({mask});
-  if (vals.size() != 1) throw std::logic_error("BatchedGame: batch fn returned wrong count");
-  memo_.emplace(mask, vals[0]);
-  if (cache_ != nullptr) cache_->store(mask, vals[0]);
-  ++stats_.evaluations;
-  return vals[0];
+  auto it = memo_.find(mask);
+  if (it == memo_.end()) {
+    score({mask});
+    it = memo_.find(mask);
+  }
+  return it->second;
 }
 
-void BatchedGame::prefetch(const std::vector<std::uint64_t>& masks) {
-  // Pending = first occurrence of each mask that is non-empty, unknown to the
-  // within-round memo and absent from the cross-round cache, in announcement
-  // order (so the batch composition is deterministic).
+void Game::prefetch(const std::vector<std::uint64_t>& masks) {
+  // Pending = first occurrence of each non-empty, unknown mask, in
+  // announcement order (so the chunk composition is deterministic).
   std::vector<std::uint64_t> pending;
-  pending.reserve(masks.size());
+  std::unordered_set<std::uint64_t> seen;
   for (const std::uint64_t mask : masks) {
     if (mask == 0) continue;
     check_range(mask);
-    if (memo_.count(mask) != 0) continue;
-    bool seen = false;
-    for (const std::uint64_t p : pending) {
-      if (p == mask) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    if (from_cache(mask)) continue;
-    pending.push_back(mask);
+    if (memo_.count(mask) == 0 && seen.insert(mask).second) pending.push_back(mask);
   }
-  if (pending.empty()) return;
-  // Chunk so the batch evaluator's stacked weight/activation buffers stay
-  // bounded even when an exact enumeration announces 2^n coalitions at once.
+  // Chunk so a stacked evaluator's weight/activation buffers stay bounded
+  // even when an exact enumeration announces 2^n coalitions at once.
   constexpr std::size_t kMaxBatch = 512;
   std::vector<std::uint64_t> chunk;
   for (std::size_t start = 0; start < pending.size(); start += kMaxBatch) {
     const std::size_t count = std::min(kMaxBatch, pending.size() - start);
     chunk.assign(pending.begin() + static_cast<std::ptrdiff_t>(start),
                  pending.begin() + static_cast<std::ptrdiff_t>(start + count));
-    const std::vector<double> vals = batch_v_(chunk);
-    if (vals.size() != chunk.size()) {
-      throw std::logic_error("BatchedGame: batch fn returned wrong count");
-    }
-    for (std::size_t k = 0; k < chunk.size(); ++k) {
-      memo_.emplace(chunk[k], vals[k]);
-      if (cache_ != nullptr) cache_->store(chunk[k], vals[k]);
-    }
-    stats_.evaluations += chunk.size();
-    stats_.coalitions_batched += chunk.size();
+    score(chunk);
   }
 }
 

@@ -1,17 +1,16 @@
 #pragma once
-// Cooperative game abstraction (S6, Definition 3). Players are indexed
-// 0..n-1; coalitions are bitmasks (n <= 63). The characteristic function is
+// Cooperative game (S6, Definition 3). Players are indexed 0..n-1;
+// coalitions are bitmasks (n <= 63). The characteristic function is
 // expensive in PDSL (a validation-set evaluation per coalition, Eq. 16), so
-// games memoize values — both the exact enumeration and Monte Carlo
+// the game memoizes values — both the exact enumeration and Monte Carlo
 // estimation revisit coalitions heavily.
 //
-// Two concrete games:
-//  - CachedGame: one coalition at a time (the reference / default path).
-//  - BatchedGame (S-SHAP): estimators announce the coalitions they are about
-//    to need via prefetch(); the game resolves them against an optional
-//    cross-round ValueCache and scores the remaining misses in ONE call to a
-//    BatchCharacteristicFn, which can stack the coalition-average models into
-//    a single blocked GEMM per layer (sim::CoalitionBatchEvaluator).
+// Estimators announce the coalitions they are about to need via prefetch();
+// the game scores the unknown ones in chunks through one
+// BatchCharacteristicFn, which may stack the coalition-average models into a
+// single blocked GEMM per layer (sim::CoalitionBatchEvaluator) or simply
+// loop. A coalition requested via value() that was never announced (the
+// value-dependent truncated MC) is scored alone.
 
 #include <cstdint>
 #include <functional>
@@ -20,99 +19,45 @@
 
 namespace pdsl::shapley {
 
-class ValueCache;
-
-/// v(S): coalition passed as a sorted list of member indices. By Definition 3
-/// implementations must return 0 for the empty coalition; games
-/// short-circuit that case and never call the function with an empty set.
-using CharacteristicFn = std::function<double(const std::vector<std::size_t>& coalition)>;
-
 /// Batched v(S): masks in, one value per mask out (same order). Masks are
-/// non-empty, in range and pairwise distinct; the implementation may evaluate
-/// them jointly (stacked GEMM) or loop — either way each value must be
-/// bit-identical to what the sequential characteristic would return.
+/// non-empty, in range and pairwise distinct; v(emptyset) = 0 by
+/// Definition 3 and is never requested. The implementation may evaluate the
+/// masks jointly (stacked GEMM) or loop — either way each value must not
+/// depend on which other masks share the call.
 using BatchCharacteristicFn =
     std::function<std::vector<double>(const std::vector<std::uint64_t>& masks)>;
 
-/// Abstract coalition game over bitmask coalitions. Estimators in
-/// shapley.hpp take `Game&` and may call prefetch() with the coalitions they
-/// are about to evaluate; the default implementation ignores the hint.
+/// Memoizing coalition game over bitmask coalitions.
 class Game {
  public:
-  explicit Game(std::size_t num_players);
-  virtual ~Game() = default;
+  Game(std::size_t num_players, BatchCharacteristicFn batch_v);
 
   [[nodiscard]] std::size_t num_players() const { return n_; }
 
   /// Value of the coalition encoded in `mask` (bit j = player j present).
-  virtual double value(std::uint64_t mask) = 0;
+  double value(std::uint64_t mask);
 
-  /// Number of distinct non-empty coalitions evaluated so far (cache hits —
-  /// within-round memo or cross-round ValueCache — do not count).
-  [[nodiscard]] virtual std::size_t evaluations() const = 0;
+  /// Number of distinct non-empty coalitions evaluated so far.
+  [[nodiscard]] std::size_t evaluations() const { return memo_.size(); }
 
-  /// Hint: these masks are about to be requested via value(), in this order.
-  /// Duplicates, empty and already-known masks are allowed; out-of-range
-  /// masks are not. Default: no-op.
-  virtual void prefetch(const std::vector<std::uint64_t>& masks) { (void)masks; }
+  /// These masks are about to be requested via value(): score the unknown
+  /// ones now, in announcement order, in chunks of at most 512. Duplicates,
+  /// empty and already-known masks are allowed; out-of-range masks are not.
+  void prefetch(const std::vector<std::uint64_t>& masks);
 
   /// Members of a mask, ascending.
   [[nodiscard]] static std::vector<std::size_t> members(std::uint64_t mask);
 
   [[nodiscard]] std::uint64_t full_mask() const;
 
- protected:
-  std::size_t n_;
-};
-
-/// Reference game: memoizes one coalition evaluation at a time.
-class CachedGame final : public Game {
- public:
-  CachedGame(std::size_t num_players, CharacteristicFn v);
-
-  double value(std::uint64_t mask) override;
-  [[nodiscard]] std::size_t evaluations() const override { return evals_; }
-
  private:
-  CharacteristicFn v_;
-  std::unordered_map<std::uint64_t, double> cache_;
-  std::size_t evals_ = 0;
-};
-
-/// Per-round instrumentation of a BatchedGame.
-struct BatchedGameStats {
-  std::size_t evaluations = 0;          ///< characteristic evaluations actually run
-  std::size_t coalitions_batched = 0;   ///< of those, scored through a prefetch batch
-  std::size_t cache_hits = 0;           ///< served from the cross-round ValueCache
-  std::size_t cache_misses = 0;         ///< looked up in the ValueCache and absent
-};
-
-/// S-SHAP game: prefetch() resolves pending masks against the cross-round
-/// `cache` (may be null) and evaluates all remaining misses in one
-/// BatchCharacteristicFn call. value() on a mask that was never prefetched
-/// falls back to a singleton batch, so estimators that cannot announce their
-/// coalitions up front (e.g. truncated MC) still work, just unbatched.
-class BatchedGame final : public Game {
- public:
-  BatchedGame(std::size_t num_players, BatchCharacteristicFn batch_v,
-              ValueCache* cache = nullptr);
-
-  double value(std::uint64_t mask) override;
-  [[nodiscard]] std::size_t evaluations() const override { return stats_.evaluations; }
-  void prefetch(const std::vector<std::uint64_t>& masks) override;
-
-  [[nodiscard]] const BatchedGameStats& stats() const { return stats_; }
-
- private:
-  /// Looks `mask` up in the cross-round cache; memoizes and returns true on
-  /// a hit. Counts hit/miss only when a cache is attached.
-  bool from_cache(std::uint64_t mask);
   void check_range(std::uint64_t mask) const;
+  /// Score `masks` (unknown, distinct) in one call and memoize the values.
+  void score(const std::vector<std::uint64_t>& masks);
 
+  std::size_t n_;
   BatchCharacteristicFn batch_v_;
-  ValueCache* cache_;
   std::unordered_map<std::uint64_t, double> memo_;
-  BatchedGameStats stats_;
 };
 
 }  // namespace pdsl::shapley

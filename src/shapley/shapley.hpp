@@ -5,12 +5,11 @@
 // S-SHAP variance-adaptive sampler (antithetic permutation pairs + a
 // confidence-interval early stop).
 //
-// All estimators take the abstract `Game&` and announce the coalitions they
-// are about to evaluate via Game::prefetch() wherever the evaluation set is
-// known up front (value-independent sampling). On CachedGame the hint is a
-// no-op and the call sequence is unchanged — bit-identical to the historical
-// sequential implementations. On BatchedGame the hint is what enables the
-// one-GEMM-per-layer batched scoring path.
+// All estimators take a `Game&` and announce the coalitions they are about
+// to evaluate via Game::prefetch() wherever the evaluation set is known up
+// front (value-independent sampling), so the game can score them in batches.
+// Announcing changes only WHEN a coalition is scored, never its value or the
+// order in which marginals are accumulated.
 
 #include "common/rng.hpp"
 #include "shapley/game.hpp"

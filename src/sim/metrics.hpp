@@ -43,13 +43,9 @@ struct RoundMetrics {
   // composing one Gaussian-mechanism release per agent per round. 0 when the
   // run is non-private (sigma = 0). Monotonically non-decreasing.
   double epsilon_spent = 0.0;
-  // S-SHAP: where this round's coalition scores came from (all agents). Zero
-  // for algorithms without a Shapley phase; batched/cached/early-stop fields
-  // are zero on the sequential reference path.
+  // S-SHAP: this round's coalition scoring budget (all agents). Zero for
+  // algorithms without a Shapley phase.
   std::size_t shapley_evals = 0;        ///< characteristic evaluations run
-  std::size_t shapley_batched = 0;      ///< coalitions scored via stacked GEMM
-  std::size_t shapley_cache_hits = 0;   ///< coalitions served by the cross-round cache
-  std::size_t shapley_cache_misses = 0; ///< cache lookups that had to evaluate
   std::size_t shapley_early_stops = 0;  ///< agents whose MC sampler CI-stopped early
   // S-RECOV: unreliable-channel transport + crash/recovery activity.
   // Transport counters are cumulative network totals (like messages/bytes);
@@ -73,9 +69,8 @@ std::vector<float> average_model(const fleet::LazyMatrix& models);
 /// Write a metrics series to CSV (columns: round, avg_loss, test_accuracy,
 /// consensus, grad_norm, messages, bytes, dropped, delayed, offline,
 /// stale_reused, fallbacks, byz_active, corrupted, rejected, reclipped,
-/// pi_attacker, pi_honest, epsilon_spent, shapley_evals, shapley_batched,
-/// shapley_cache_hits, shapley_cache_misses, shapley_early_stops, retransmits,
-/// corrupt_detected, dup_dropped, reordered, crashes, resyncs, elapsed_s,
+/// pi_attacker, pi_honest, epsilon_spent, shapley_evals, shapley_early_stops,
+/// retransmits, corrupt_detected, dup_dropped, reordered, crashes, resyncs, elapsed_s,
 /// round_s, then one <phase>_s column per obs::Phase).
 void write_metrics_csv(const std::string& path, const std::string& run_label,
                        const std::vector<RoundMetrics>& series);

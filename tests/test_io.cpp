@@ -273,19 +273,23 @@ TEST(Blob, WrongMagicIsRefused) {
 
 TEST(Blob, UnsupportedFormatVersionIsRefused) {
   const std::string path = "/tmp/pdsl_blob_version.bin";
-  save_blob(path, kTestMagic, sample_body(), "blob-test");
-  // Patch the version word (bytes 8..16) to a future version.
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(8);
-  const std::uint64_t bogus = kCheckpointVersion + 7;
-  f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
-  f.close();
-  try {
-    (void)load_blob(path, kTestMagic, "blob-test");
-    FAIL() << "expected unsupported-version throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
-              std::string::npos);
+  // A future version, and version 2 — whose PDSL state and run-state rows
+  // carried fields version 3 dropped — must both be refused, not misparsed.
+  for (const std::uint64_t bogus : {kCheckpointVersion + 7, std::uint64_t{2}}) {
+    SCOPED_TRACE(bogus);
+    save_blob(path, kTestMagic, sample_body(), "blob-test");
+    // Patch the version word (bytes 8..16).
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
+    f.close();
+    try {
+      (void)load_blob(path, kTestMagic, "blob-test");
+      FAIL() << "expected unsupported-version throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version"),
+                std::string::npos);
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -97,9 +98,6 @@ void expect_same_series(const std::vector<RoundMetrics>& a,
     EXPECT_EQ(a[i].pi_honest, b[i].pi_honest);
     EXPECT_EQ(a[i].epsilon_spent, b[i].epsilon_spent);
     EXPECT_EQ(a[i].shapley_evals, b[i].shapley_evals);
-    EXPECT_EQ(a[i].shapley_batched, b[i].shapley_batched);
-    EXPECT_EQ(a[i].shapley_cache_hits, b[i].shapley_cache_hits);
-    EXPECT_EQ(a[i].shapley_cache_misses, b[i].shapley_cache_misses);
     EXPECT_EQ(a[i].shapley_early_stops, b[i].shapley_early_stops);
     EXPECT_EQ(a[i].retransmits, b[i].retransmits);
     EXPECT_EQ(a[i].corrupt_detected, b[i].corrupt_detected);
@@ -475,31 +473,53 @@ TEST(RecoveryTest, ChaosPlusRecoveryGate) {
 // ---------------------------------------------------------------------------
 
 TEST(ResumeTest, KillAndResumeIsBitIdenticalToTheUninterruptedRun) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    auto base = tiny_cfg();
-    base.rounds = 8;
-    base.threads = threads;
-    const auto uninterrupted = core::run_experiment(base);
+  // Kill after every round k of a small run and resume. Checkpoints fire on
+  // multiples of checkpoint_every and never after the final round, so the
+  // run killed at k is configured with rounds = min(2k, R) and
+  // checkpoint_every = k: its last cursor on disk is k. Every row of it, and
+  // of its resumed continuation, must equal the uninterrupted R-round run's.
+  constexpr std::size_t kRounds = 6;
+  const auto prefix = [](const std::vector<RoundMetrics>& s, std::size_t n) {
+    return std::vector<RoundMetrics>(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  for (const char* eval : {"linear", "sequential"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(eval) + " threads=" + std::to_string(threads));
+      auto base = tiny_cfg();
+      base.rounds = kRounds;
+      base.threads = threads;
+      base.hp.shapley_eval = eval;
+      const auto uninterrupted = core::run_experiment(base);
+      ASSERT_EQ(uninterrupted.series.size(), kRounds);
 
-    const std::string ck = "/tmp/pdsl_resume_t" + std::to_string(threads) + ".bin";
-    std::remove(ck.c_str());
-    auto first = base;
-    first.checkpoint_every = 3;
-    first.checkpoint_path = ck;
-    const auto full = core::run_experiment(first);
-    // The checkpointed run itself matches (checkpointing is observation-free).
-    expect_same_series(uninterrupted.series, full.series, "checkpointed run");
+      for (std::size_t kill = 1; kill < kRounds; ++kill) {
+        SCOPED_TRACE("kill after round " + std::to_string(kill));
+        const std::string ck = "/tmp/pdsl_resume_t" + std::to_string(threads) + "_" + eval +
+                               "_k" + std::to_string(kill) + ".bin";
+        std::remove(ck.c_str());
+        auto first = base;
+        first.rounds = std::min(2 * kill, kRounds);
+        first.checkpoint_every = kill;
+        first.checkpoint_path = ck;
+        const auto full = core::run_experiment(first);
+        // Checkpointing is observation-free.
+        expect_same_series(prefix(uninterrupted.series, first.rounds), full.series,
+                           "checkpointed run");
 
-    auto second = base;
-    second.resume_from = ck;  // latest cursor on disk: round 6 of 8
-    const auto resumed = core::run_experiment(second);
-    EXPECT_EQ(resumed.resumed_from_round, 6u);
-    expect_same_series(uninterrupted.series, resumed.series, "resumed run");
-    EXPECT_EQ(uninterrupted.final_accuracy, resumed.final_accuracy);
-    ASSERT_EQ(uninterrupted.average_model.size(), resumed.average_model.size());
-    for (std::size_t i = 0; i < resumed.average_model.size(); ++i) {
-      EXPECT_EQ(uninterrupted.average_model[i], resumed.average_model[i]) << i;
+        auto second = first;
+        second.checkpoint_every = 0;
+        second.checkpoint_path.clear();
+        second.resume_from = ck;
+        const auto resumed = core::run_experiment(second);
+        EXPECT_EQ(resumed.resumed_from_round, kill);
+        expect_same_series(prefix(uninterrupted.series, first.rounds), resumed.series,
+                           "resumed run");
+        EXPECT_EQ(full.average_model, resumed.average_model);
+        if (first.rounds == kRounds) {
+          EXPECT_EQ(uninterrupted.final_accuracy, resumed.final_accuracy);
+          EXPECT_EQ(uninterrupted.average_model, resumed.average_model);
+        }
+      }
     }
   }
 }
@@ -516,6 +536,14 @@ TEST(ResumeTest, ResumeRefusesAMismatchedConfig) {
   other.resume_from = ck;
   other.hp.gamma = 0.07;  // different trajectory -> different identity hash
   EXPECT_THROW(core::run_experiment(other), std::runtime_error);
+
+  // The coalition scoring path is part of the identity too: resuming a
+  // linear-mode checkpoint in sequential mode is refused.
+  auto flipped = tiny_cfg();
+  flipped.resume_from = ck;
+  ASSERT_EQ(flipped.hp.shapley_eval, "linear");
+  flipped.hp.shapley_eval = "sequential";
+  EXPECT_THROW(core::run_experiment(flipped), std::runtime_error);
 
   // Volatile knobs are scrubbed from the identity: changing threads resumes.
   auto same = tiny_cfg();

@@ -1,19 +1,19 @@
 // Shapley values: the classical axioms on the exact solver, Monte Carlo
 // convergence (Algorithm 2), the normalization/weighting pipeline
-// (Eqs. 19-20), and the S-SHAP hot path (BatchedGame, the cross-round
-// ValueCache, adaptive antithetic Monte Carlo, CoalitionBatchEvaluator).
+// (Eqs. 19-20), and the S-SHAP hot path (the game's prefetch batching,
+// adaptive antithetic Monte Carlo, CoalitionBatchEvaluator).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "data/synthetic.hpp"
 #include "nn/model_zoo.hpp"
 #include "shapley/game.hpp"
 #include "shapley/shapley.hpp"
-#include "shapley/value_cache.hpp"
 #include "shapley/weighting.hpp"
 #include "sim/evaluate.hpp"
 
@@ -22,8 +22,23 @@ using namespace pdsl::shapley;
 
 namespace {
 
+/// v(S) of one coalition, passed as its ascending member list.
+using CoalitionFn = std::function<double(const std::vector<std::size_t>& coalition)>;
+
+/// Wrap a per-coalition characteristic as a batch fn (loop over masks),
+/// counting how many batch calls were made.
+BatchCharacteristicFn batch_of(CoalitionFn fn, std::size_t* batch_calls = nullptr) {
+  return [fn = std::move(fn), batch_calls](const std::vector<std::uint64_t>& masks) {
+    if (batch_calls != nullptr) ++*batch_calls;
+    std::vector<double> out;
+    out.reserve(masks.size());
+    for (const auto m : masks) out.push_back(fn(Game::members(m)));
+    return out;
+  };
+}
+
 /// Additive game: v(S) = sum of per-player worths -> phi_i = worth_i.
-CharacteristicFn additive_game(std::vector<double> worth) {
+CoalitionFn additive_game(std::vector<double> worth) {
   return [worth = std::move(worth)](const std::vector<std::size_t>& coalition) {
     double v = 0.0;
     for (std::size_t p : coalition) v += worth[p];
@@ -32,7 +47,7 @@ CharacteristicFn additive_game(std::vector<double> worth) {
 }
 
 /// Symmetric "majority" game: v(S) = 1 if |S| >= quota else 0.
-CharacteristicFn majority_game(std::size_t quota) {
+CoalitionFn majority_game(std::size_t quota) {
   return [quota](const std::vector<std::size_t>& coalition) {
     return coalition.size() >= quota ? 1.0 : 0.0;
   };
@@ -40,12 +55,12 @@ CharacteristicFn majority_game(std::size_t quota) {
 
 }  // namespace
 
-TEST(CachedGame, MemoizesAndCounts) {
+TEST(Game, MemoizesAndCounts) {
   std::size_t calls = 0;
-  CachedGame game(3, [&](const std::vector<std::size_t>& c) {
+  Game game(3, batch_of([&](const std::vector<std::size_t>& c) {
     ++calls;
     return static_cast<double>(c.size());
-  });
+  }));
   EXPECT_DOUBLE_EQ(game.value(0b101), 2.0);
   EXPECT_DOUBLE_EQ(game.value(0b101), 2.0);
   EXPECT_EQ(calls, 1u);
@@ -54,22 +69,24 @@ TEST(CachedGame, MemoizesAndCounts) {
   EXPECT_EQ(calls, 1u);
 }
 
-TEST(CachedGame, MembersRoundTrip) {
-  EXPECT_EQ(CachedGame::members(0b1011), (std::vector<std::size_t>{0, 1, 3}));
-  EXPECT_TRUE(CachedGame::members(0).empty());
+TEST(Game, MembersRoundTrip) {
+  EXPECT_EQ(Game::members(0b1011), (std::vector<std::size_t>{0, 1, 3}));
+  EXPECT_TRUE(Game::members(0).empty());
 }
 
-TEST(CachedGame, Validation) {
-  EXPECT_THROW(CachedGame(0, additive_game({})), std::invalid_argument);
-  EXPECT_THROW(CachedGame(64, additive_game(std::vector<double>(64, 1.0))),
+TEST(Game, Validation) {
+  EXPECT_THROW(Game(0, batch_of(additive_game({}))), std::invalid_argument);
+  EXPECT_THROW(Game(64, batch_of(additive_game(std::vector<double>(64, 1.0)))),
                std::invalid_argument);
-  CachedGame g(2, additive_game({1, 2}));
+  EXPECT_THROW(Game(3, nullptr), std::invalid_argument);
+  Game g(2, batch_of(additive_game({1, 2})));
   EXPECT_THROW(g.value(0b100), std::out_of_range);
+  EXPECT_THROW(g.prefetch({0b100}), std::out_of_range);
 }
 
 TEST(ExactShapley, AdditivityAxiom) {
   // For additive games the Shapley value is each player's own worth.
-  CachedGame game(4, additive_game({1.0, -2.0, 0.5, 3.0}));
+  Game game(4, batch_of(additive_game({1.0, -2.0, 0.5, 3.0})));
   const auto phi = exact_shapley(game);
   EXPECT_NEAR(phi[0], 1.0, 1e-12);
   EXPECT_NEAR(phi[1], -2.0, 1e-12);
@@ -79,27 +96,27 @@ TEST(ExactShapley, AdditivityAxiom) {
 
 TEST(ExactShapley, EfficiencyAxiom) {
   // Balance: payoffs sum to v(grand coalition).
-  CachedGame game(5, majority_game(3));
+  Game game(5, batch_of(majority_game(3)));
   const auto phi = exact_shapley(game);
   const double total = std::accumulate(phi.begin(), phi.end(), 0.0);
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
 TEST(ExactShapley, SymmetryAxiom) {
-  CachedGame game(5, majority_game(3));
+  Game game(5, batch_of(majority_game(3)));
   const auto phi = exact_shapley(game);
   for (std::size_t i = 1; i < 5; ++i) EXPECT_NEAR(phi[i], phi[0], 1e-12);
 }
 
 TEST(ExactShapley, NullPlayerAxiom) {
   // Player 2 contributes nothing to any coalition.
-  CachedGame game(3, [](const std::vector<std::size_t>& c) {
+  Game game(3, batch_of([](const std::vector<std::size_t>& c) {
     double v = 0.0;
     for (std::size_t p : c) {
       if (p != 2) v += 1.0;
     }
     return v;
-  });
+  }));
   const auto phi = exact_shapley(game);
   EXPECT_NEAR(phi[2], 0.0, 1e-12);
   EXPECT_NEAR(phi[0], 1.0, 1e-12);
@@ -108,14 +125,14 @@ TEST(ExactShapley, NullPlayerAxiom) {
 TEST(ExactShapley, GloveGameKnownValues) {
   // Classic 3-player glove game: players {0,1} hold left gloves, {2} right.
   // v(S) = 1 iff S contains player 2 and at least one of {0,1}.
-  CachedGame game(3, [](const std::vector<std::size_t>& c) {
+  Game game(3, batch_of([](const std::vector<std::size_t>& c) {
     bool right = false, left = false;
     for (std::size_t p : c) {
       if (p == 2) right = true;
       else left = true;
     }
     return (right && left) ? 1.0 : 0.0;
-  });
+  }));
   const auto phi = exact_shapley(game);
   EXPECT_NEAR(phi[0], 1.0 / 6.0, 1e-12);
   EXPECT_NEAR(phi[1], 1.0 / 6.0, 1e-12);
@@ -123,23 +140,23 @@ TEST(ExactShapley, GloveGameKnownValues) {
 }
 
 TEST(ExactShapley, RefusesLargeGames) {
-  CachedGame game(21, majority_game(5));
+  Game game(21, batch_of(majority_game(5)));
   EXPECT_THROW(exact_shapley(game), std::invalid_argument);
 }
 
 TEST(MonteCarloShapley, EfficiencyHoldsPerEstimate) {
   // Every permutation telescopes to v(full) - v(empty), so even the MC
   // estimate is exactly efficient.
-  CachedGame game(6, majority_game(4));
+  Game game(6, batch_of(majority_game(4)));
   Rng rng(1);
   const auto phi = monte_carlo_shapley(game, 20, rng);
   EXPECT_NEAR(std::accumulate(phi.begin(), phi.end(), 0.0), 1.0, 1e-9);
 }
 
 TEST(MonteCarloShapley, ConvergesToExact) {
-  CachedGame game_a(6, additive_game({0.1, 0.9, 0.3, 0.5, 0.7, 0.2}));
+  Game game_a(6, batch_of(additive_game({0.1, 0.9, 0.3, 0.5, 0.7, 0.2})));
   const auto exact = exact_shapley(game_a);
-  CachedGame game_b(6, additive_game({0.1, 0.9, 0.3, 0.5, 0.7, 0.2}));
+  Game game_b(6, batch_of(additive_game({0.1, 0.9, 0.3, 0.5, 0.7, 0.2})));
   Rng rng(2);
   const auto mc = monte_carlo_shapley(game_b, 3000, rng);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(mc[i], exact[i], 0.05);
@@ -155,11 +172,11 @@ TEST_P(McAccuracy, ErrorShrinksWithMorePermutations) {
     for (std::size_t p : c) v += static_cast<double>(p + 1);
     return v * v / 100.0;
   };
-  CachedGame exact_game(5, fn);
+  Game exact_game(5, batch_of(fn));
   const auto exact = exact_shapley(exact_game);
   double err = 0.0;
   for (std::uint64_t s = 0; s < 5; ++s) {
-    CachedGame g(5, fn);
+    Game g(5, batch_of(fn));
     Rng rng(100 + s);
     const auto mc = monte_carlo_shapley(g, R, rng);
     for (std::size_t i = 0; i < 5; ++i) err += std::abs(mc[i] - exact[i]);
@@ -173,10 +190,10 @@ INSTANTIATE_TEST_SUITE_P(PermutationSweep, McAccuracy,
                                            std::size_t{256}));
 
 TEST(ShapleyAuto, PicksExactForTinyGames) {
-  CachedGame g(3, majority_game(2));
+  Game g(3, batch_of(majority_game(2)));
   Rng rng(3);
   const auto phi = shapley_auto(g, 1000, rng);
-  CachedGame g2(3, majority_game(2));
+  Game g2(3, batch_of(majority_game(2)));
   const auto exact = exact_shapley(g2);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(phi[i], exact[i], 1e-12);
 }
@@ -185,7 +202,7 @@ TEST(TruncatedMc, MatchesMcWhenNothingTruncates) {
   // With tolerance 0 (and a strictly increasing game) no truncation happens,
   // so TMC equals plain MC on the same rng stream.
   auto fn = additive_game({0.3, 0.1, 0.4, 0.2});
-  CachedGame a(4, fn), b(4, fn);
+  Game a(4, batch_of(fn)), b(4, batch_of(fn));
   Rng r1(5), r2(5);
   const auto mc = monte_carlo_shapley(a, 50, r1);
   TruncatedMcOptions opts;
@@ -198,10 +215,10 @@ TEST(TruncatedMc, MatchesMcWhenNothingTruncates) {
 TEST(TruncatedMc, SavesEvaluationsOnSaturatingGames) {
   // v saturates at 1 once any two players join: deep prefixes are skipped.
   auto fn = majority_game(2);
-  CachedGame full_game(10, fn);
+  Game full_game(10, batch_of(fn));
   Rng r1(6);
   (void)monte_carlo_shapley(full_game, 30, r1);
-  CachedGame trunc_game(10, fn);
+  Game trunc_game(10, batch_of(fn));
   Rng r2(6);
   TruncatedMcOptions opts;
   opts.num_permutations = 30;
@@ -214,7 +231,7 @@ TEST(TruncatedMc, SavesEvaluationsOnSaturatingGames) {
 }
 
 TEST(TruncatedMc, Validation) {
-  CachedGame g(3, majority_game(2));
+  Game g(3, batch_of(majority_game(2)));
   Rng rng(7);
   TruncatedMcOptions opts;
   opts.num_permutations = 0;
@@ -226,7 +243,7 @@ TEST(TruncatedMc, Validation) {
 
 TEST(Stratified, ConvergesToExactOnAdditiveGame) {
   auto fn = additive_game({0.5, -0.2, 0.8, 0.1, 0.3});
-  CachedGame g(5, fn);
+  Game g(5, batch_of(fn));
   Rng rng(8);
   const auto phi = stratified_shapley(g, 40, rng);
   // Additive games: stratified estimator is unbiased with zero variance in
@@ -241,16 +258,16 @@ TEST(Stratified, ApproximatesExactOnInteractionGame) {
     for (std::size_t p : c) v += static_cast<double>(p + 1);
     return v * v / 50.0;
   };
-  CachedGame exact_g(5, fn);
+  Game exact_g(5, batch_of(fn));
   const auto exact = exact_shapley(exact_g);
-  CachedGame strat_g(5, fn);
+  Game strat_g(5, batch_of(fn));
   Rng rng(9);
   const auto strat = stratified_shapley(strat_g, 200, rng);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(strat[i], exact[i], 0.08);
 }
 
 TEST(Stratified, Validation) {
-  CachedGame g(3, majority_game(2));
+  Game g(3, batch_of(majority_game(2)));
   Rng rng(10);
   EXPECT_THROW(stratified_shapley(g, 0, rng), std::invalid_argument);
 }
@@ -309,29 +326,17 @@ TEST(Weighting, NormalizedShares) {
 }
 
 // ---------------------------------------------------------------------------
-// S-SHAP: BatchedGame
+// S-SHAP: prefetch batching
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Wrap a sequential characteristic as a batch fn (loop over masks), counting
-/// how many batch calls were made.
-BatchCharacteristicFn batch_of(CharacteristicFn fn, std::size_t* batch_calls = nullptr) {
-  return [fn = std::move(fn), batch_calls](const std::vector<std::uint64_t>& masks) {
-    if (batch_calls != nullptr) ++*batch_calls;
-    std::vector<double> out;
-    out.reserve(masks.size());
-    for (const auto m : masks) out.push_back(fn(Game::members(m)));
-    return out;
-  };
-}
 
 /// Quadratic game v(S) = (sum of member worths)^2. Player i's marginal to a
 /// prefix with mass W is w_i^2 + 2 w_i W; over an antithetic pair (a
 /// permutation and its reversal) the prefix masses sum to W_total - w_i, so
 /// the pair-averaged marginal is CONSTANT — antithetic sampling is exact here
 /// while independent sampling is not.
-CharacteristicFn quadratic_game(std::vector<double> worth) {
+CoalitionFn quadratic_game(std::vector<double> worth) {
   return [worth = std::move(worth)](const std::vector<std::size_t>& c) {
     double v = 0.0;
     for (std::size_t p : c) v += worth[p];
@@ -339,192 +344,103 @@ CharacteristicFn quadratic_game(std::vector<double> worth) {
   };
 }
 
+/// Like batch_of, but scores each chunk back to front — as a stacked
+/// evaluator may — while returning the values in mask order.
+BatchCharacteristicFn reversed_batch_of(CoalitionFn fn) {
+  return [fn = std::move(fn)](const std::vector<std::uint64_t>& masks) {
+    std::vector<double> out(masks.size());
+    for (std::size_t q = masks.size(); q-- > 0;) out[q] = fn(Game::members(masks[q]));
+    return out;
+  };
+}
+
 }  // namespace
 
-TEST(BatchedGame, MatchesCachedGameBitIdentical) {
-  // Same estimator + same RNG stream on CachedGame vs BatchedGame must give
-  // bit-identical phi: the game layer only changes WHEN values are computed,
-  // never what is computed or in which order it is accumulated.
+TEST(Game, EstimatesDoNotDependOnScoringOrder) {
+  // Same estimator + same RNG stream over two scorers that visit a chunk's
+  // coalitions in opposite orders must give bit-identical phi and the same
+  // evaluation count: the game only changes WHEN values are computed, never
+  // which value a mask gets or the order marginals are accumulated in.
   auto fn = [](const std::vector<std::size_t>& c) {
     double v = 0.0;
     for (std::size_t p : c) v += static_cast<double>(p + 1);
     return v * v / 50.0;
   };
   {
-    CachedGame seq(5, fn);
-    BatchedGame bat(5, batch_of(fn));
-    const auto a = exact_shapley(seq);
-    const auto b = exact_shapley(bat);
+    Game fwd(5, batch_of(fn)), rev(5, reversed_batch_of(fn));
+    const auto a = exact_shapley(fwd);
+    const auto b = exact_shapley(rev);
     for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(a[i], b[i]);
-    EXPECT_EQ(seq.evaluations(), bat.evaluations());
+    EXPECT_EQ(fwd.evaluations(), 31u);
+    EXPECT_EQ(rev.evaluations(), 31u);
   }
   {
-    CachedGame seq(6, fn);
-    BatchedGame bat(6, batch_of(fn));
+    Game fwd(6, batch_of(fn)), rev(6, reversed_batch_of(fn));
     Rng r1(42), r2(42);
-    const auto a = monte_carlo_shapley(seq, 12, r1);
-    const auto b = monte_carlo_shapley(bat, 12, r2);
+    const auto a = monte_carlo_shapley(fwd, 12, r1);
+    const auto b = monte_carlo_shapley(rev, 12, r2);
     for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a[i], b[i]);
+    EXPECT_EQ(fwd.evaluations(), rev.evaluations());
   }
   {
-    CachedGame seq(5, fn);
-    BatchedGame bat(5, batch_of(fn));
+    Game fwd(5, batch_of(fn)), rev(5, reversed_batch_of(fn));
     Rng r1(43), r2(43);
-    const auto a = stratified_shapley(seq, 10, r1);
-    const auto b = stratified_shapley(bat, 10, r2);
+    const auto a = stratified_shapley(fwd, 10, r1);
+    const auto b = stratified_shapley(rev, 10, r2);
     for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(a[i], b[i]);
   }
   {
-    CachedGame seq(6, fn);
-    BatchedGame bat(6, batch_of(fn));
+    Game fwd(6, batch_of(fn)), rev(6, reversed_batch_of(fn));
     Rng r1(44), r2(44);
     AdaptiveMcOptions opts;
-    const auto a = adaptive_monte_carlo_shapley(seq, opts, r1);
-    const auto b = adaptive_monte_carlo_shapley(bat, opts, r2);
+    const auto a = adaptive_monte_carlo_shapley(fwd, opts, r1);
+    const auto b = adaptive_monte_carlo_shapley(rev, opts, r2);
     EXPECT_EQ(a.permutations_used, b.permutations_used);
     EXPECT_EQ(a.early_stopped, b.early_stopped);
     for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(a.phi[i], b.phi[i]);
   }
 }
 
-TEST(BatchedGame, PrefetchBatchesAndDedupes) {
+TEST(Game, PrefetchBatchesAndDedupes) {
   std::size_t batch_calls = 0;
-  BatchedGame game(4, batch_of(additive_game({1, 2, 3, 4}), &batch_calls));
+  Game game(4, batch_of(additive_game({1, 2, 3, 4}), &batch_calls));
   game.prefetch({0b0011, 0b0101, 0b0011, 0});  // dup + empty are dropped
   EXPECT_EQ(batch_calls, 1u);
   EXPECT_EQ(game.evaluations(), 2u);
-  EXPECT_EQ(game.stats().coalitions_batched, 2u);
   // Prefetched values come from the memo; no further batch calls.
   EXPECT_DOUBLE_EQ(game.value(0b0011), 3.0);
   EXPECT_DOUBLE_EQ(game.value(0b0101), 4.0);
   EXPECT_EQ(batch_calls, 1u);
-  // A mask that was never announced falls back to a singleton batch.
+  // A mask that was never announced is scored alone.
   EXPECT_DOUBLE_EQ(game.value(0b1000), 4.0);
   EXPECT_EQ(batch_calls, 2u);
   EXPECT_EQ(game.evaluations(), 3u);
-  EXPECT_EQ(game.stats().coalitions_batched, 2u);  // the fallback was not batched
   // Re-announcing known masks is a no-op.
   game.prefetch({0b0011, 0b1000});
   EXPECT_EQ(batch_calls, 2u);
 }
 
-TEST(BatchedGame, Validation) {
-  BatchedGame game(3, batch_of(additive_game({1, 2, 3})));
-  EXPECT_DOUBLE_EQ(game.value(0), 0.0);
-  EXPECT_THROW(game.value(0b1000), std::out_of_range);
-  EXPECT_THROW(game.prefetch({0b1000}), std::out_of_range);
-  EXPECT_THROW(BatchedGame(3, nullptr), std::invalid_argument);
-  EXPECT_THROW(BatchedGame(64, batch_of(additive_game(std::vector<double>(64, 1.0)))),
-               std::invalid_argument);
+TEST(Game, PrefetchChunksAtMost512Masks) {
+  // Exact enumeration over 10 players announces all 1023 non-empty
+  // coalitions at once; they are scored in announcement order, in chunks of
+  // at most 512, each exactly once.
+  std::vector<std::size_t> chunk_sizes;
+  std::vector<std::uint64_t> scored;
+  Game game(10, [&](const std::vector<std::uint64_t>& masks) {
+    chunk_sizes.push_back(masks.size());
+    scored.insert(scored.end(), masks.begin(), masks.end());
+    return std::vector<double>(masks.size(), 1.0);
+  });
+  (void)exact_shapley(game);
+  EXPECT_EQ(chunk_sizes, (std::vector<std::size_t>{512, 511}));
+  ASSERT_EQ(scored.size(), 1023u);
+  for (std::size_t k = 0; k < scored.size(); ++k) EXPECT_EQ(scored[k], k + 1);
+  EXPECT_EQ(game.evaluations(), 1023u);
 }
 
-// ---------------------------------------------------------------------------
-// S-SHAP: cross-round ValueCache
-// ---------------------------------------------------------------------------
-
-TEST(ValueCache, HitsOnUnchangedContentAcrossRounds) {
-  ValueCache cache;
-  cache.begin_round(0, /*context=*/7, {11, 22, 33});
-  double v = 0.0;
-  EXPECT_FALSE(cache.lookup(0b011, v));
-  cache.store(0b011, 1.25);
-  EXPECT_TRUE(cache.lookup(0b011, v));
-  EXPECT_EQ(v, 1.25);
-  // Next round, same content hashes: still a hit (this is the cross-round
-  // case — e.g. both members' virtual models were frozen/stale).
-  cache.begin_round(1, 7, {11, 22, 33});
-  v = 0.0;
-  EXPECT_TRUE(cache.lookup(0b011, v));
-  EXPECT_EQ(v, 1.25);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(ValueCache, MemberContentChangeInvalidates) {
-  ValueCache cache;
-  cache.begin_round(0, 7, {11, 22, 33});
-  cache.store(0b011, 1.25);
-  cache.store(0b100, 2.5);
-  // Player 0's virtual model changed: coalitions containing it miss, the
-  // coalition without it still hits.
-  cache.begin_round(1, 7, {99, 22, 33});
-  double v = 0.0;
-  EXPECT_FALSE(cache.lookup(0b011, v));
-  EXPECT_TRUE(cache.lookup(0b100, v));
-  EXPECT_EQ(v, 2.5);
-}
-
-TEST(ValueCache, ContextChangeInvalidates) {
-  ValueCache cache;
-  cache.begin_round(0, 7, {11, 22});
-  cache.store(0b01, 0.5);
-  // New validation batch (different context hash): everything misses.
-  cache.begin_round(1, 8, {11, 22});
-  double v = 0.0;
-  EXPECT_FALSE(cache.lookup(0b01, v));
-}
-
-TEST(ValueCache, AgeEviction) {
-  ValueCache cache(/*max_age_rounds=*/2);
-  cache.begin_round(0, 7, {11, 22});
-  cache.store(0b01, 0.5);
-  cache.begin_round(1, 7, {11, 22});
-  cache.begin_round(2, 7, {11, 22});
-  EXPECT_EQ(cache.size(), 1u);  // age 2 == max_age: still alive
-  cache.begin_round(3, 7, {11, 22});
-  EXPECT_EQ(cache.size(), 0u);  // age 3 > max_age: evicted
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  double v = 0.0;
-  EXPECT_FALSE(cache.lookup(0b01, v));
-}
-
-TEST(ValueCache, LookupRefreshesAge) {
-  ValueCache cache(/*max_age_rounds=*/2);
-  cache.begin_round(0, 7, {11, 22});
-  cache.store(0b01, 0.5);
-  double v = 0.0;
-  cache.begin_round(2, 7, {11, 22});
-  EXPECT_TRUE(cache.lookup(0b01, v));  // touched at round 2
-  cache.begin_round(4, 7, {11, 22});
-  EXPECT_TRUE(cache.lookup(0b01, v));  // age 2 from the touch, still alive
-}
-
-TEST(ValueCache, Validation) {
-  EXPECT_THROW(ValueCache(0), std::invalid_argument);
-  ValueCache cache;
-  cache.begin_round(0, 7, {11, 22});
-  double v = 0.0;
-  EXPECT_THROW(cache.lookup(0, v), std::out_of_range);
-  EXPECT_THROW(cache.lookup(0b100, v), std::out_of_range);
-  EXPECT_THROW(cache.store(0b100, 1.0), std::out_of_range);
-}
-
-TEST(ValueCache, ServesBatchedGameAcrossRounds) {
-  auto fn = additive_game({1.0, 2.0, 3.0});
-  ValueCache cache;
-  cache.begin_round(0, 7, {11, 22, 33});
-  double first_val = 0.0;
-  {
-    std::size_t calls = 0;
-    BatchedGame game(3, batch_of(fn, &calls), &cache);
-    game.prefetch({0b011, 0b111});
-    first_val = game.value(0b011);
-    EXPECT_EQ(calls, 1u);
-    EXPECT_EQ(game.stats().cache_misses, 2u);
-    EXPECT_EQ(game.stats().cache_hits, 0u);
-  }
-  // Next round, unchanged member contents: a fresh game resolves both
-  // coalitions from the cache and never calls the evaluator.
-  cache.begin_round(1, 7, {11, 22, 33});
-  {
-    std::size_t calls = 0;
-    BatchedGame game(3, batch_of(fn, &calls), &cache);
-    game.prefetch({0b011, 0b111});
-    EXPECT_EQ(calls, 0u);
-    EXPECT_EQ(game.evaluations(), 0u);
-    EXPECT_EQ(game.stats().cache_hits, 2u);
-    EXPECT_EQ(game.value(0b011), first_val);  // the stored double, verbatim
-  }
+TEST(Game, WrongValueCountIsALogicError) {
+  Game game(3, [](const std::vector<std::uint64_t>&) { return std::vector<double>{}; });
+  EXPECT_THROW(game.value(0b001), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +449,7 @@ TEST(ValueCache, ServesBatchedGameAcrossRounds) {
 
 TEST(AdaptiveMc, EfficiencyHoldsPerEstimate) {
   // Pair-averaged permutation walks still telescope to v(full) - v(empty).
-  CachedGame game(6, majority_game(4));
+  Game game(6, batch_of(majority_game(4)));
   Rng rng(21);
   AdaptiveMcOptions opts;
   const auto res = adaptive_monte_carlo_shapley(game, opts, rng);
@@ -549,10 +465,10 @@ TEST(AdaptiveMc, AntitheticIsExactOnQuadraticGames) {
   // form.
   const std::vector<double> worth = {0.4, 1.1, 0.25, 0.8, 0.6};
   auto fn = quadratic_game(worth);
-  CachedGame exact_g(5, fn);
+  Game exact_g(5, batch_of(fn));
   const auto exact = exact_shapley(exact_g);
 
-  CachedGame anti_g(5, fn);
+  Game anti_g(5, batch_of(fn));
   Rng r1(77);
   AdaptiveMcOptions opts;
   opts.min_permutations = 4;
@@ -562,7 +478,7 @@ TEST(AdaptiveMc, AntitheticIsExactOnQuadraticGames) {
   for (std::size_t i = 0; i < 5; ++i) anti_err += std::abs(anti.phi[i] - exact[i]);
   EXPECT_LT(anti_err, 1e-9);
 
-  CachedGame plain_g(5, fn);
+  Game plain_g(5, batch_of(fn));
   Rng r2(77);
   const auto plain = monte_carlo_shapley(plain_g, 8, r2);
   for (std::size_t i = 0; i < 5; ++i) plain_err += std::abs(plain[i] - exact[i]);
@@ -573,7 +489,7 @@ TEST(AdaptiveMc, AntitheticReducesErrorAtFixedBudget) {
   // Statistical version across seeds on an interaction game: mean absolute
   // error with antithetic pairs <= without, at the same permutation budget.
   auto fn = quadratic_game({0.3, 0.9, 0.5, 0.7, 0.2, 0.6});
-  CachedGame exact_g(6, fn);
+  Game exact_g(6, batch_of(fn));
   const auto exact = exact_shapley(exact_g);
   AdaptiveMcOptions anti_opts;
   anti_opts.min_permutations = anti_opts.max_permutations = 16;  // no early stop
@@ -581,7 +497,7 @@ TEST(AdaptiveMc, AntitheticReducesErrorAtFixedBudget) {
   plain_opts.antithetic = false;
   double anti_err = 0.0, plain_err = 0.0;
   for (std::uint64_t s = 0; s < 10; ++s) {
-    CachedGame ga(6, fn), gp(6, fn);
+    Game ga(6, batch_of(fn)), gp(6, batch_of(fn));
     Rng ra(300 + s), rp(300 + s);
     const auto a = adaptive_monte_carlo_shapley(ga, anti_opts, ra);
     const auto p = adaptive_monte_carlo_shapley(gp, plain_opts, rp);
@@ -599,12 +515,12 @@ TEST(AdaptiveMc, EarlyStopsAndPreservesTopPlayer) {
   // One dominant player: the CI gap opens quickly, sampling stops early, and
   // the argmax matches both the exact value and a full-budget run.
   auto fn = quadratic_game({0.1, 0.15, 2.0, 0.12, 0.08});
-  CachedGame exact_g(5, fn);
+  Game exact_g(5, batch_of(fn));
   const auto exact = exact_shapley(exact_g);
   const auto top_exact = static_cast<std::size_t>(
       std::max_element(exact.begin(), exact.end()) - exact.begin());
 
-  CachedGame g(5, fn);
+  Game g(5, batch_of(fn));
   Rng rng(55);
   AdaptiveMcOptions opts;
   opts.min_permutations = 4;
@@ -616,7 +532,7 @@ TEST(AdaptiveMc, EarlyStopsAndPreservesTopPlayer) {
       std::max_element(res.phi.begin(), res.phi.end()) - res.phi.begin());
   EXPECT_EQ(top_adaptive, top_exact);
 
-  CachedGame g_full(5, fn);
+  Game g_full(5, batch_of(fn));
   Rng rng_full(55);
   AdaptiveMcOptions full_opts = opts;
   full_opts.min_permutations = full_opts.max_permutations;  // disable the stop
@@ -628,7 +544,7 @@ TEST(AdaptiveMc, EarlyStopsAndPreservesTopPlayer) {
 }
 
 TEST(AdaptiveMc, Validation) {
-  CachedGame g(3, majority_game(2));
+  Game g(3, batch_of(majority_game(2)));
   Rng rng(1);
   AdaptiveMcOptions opts;
   opts.max_permutations = 0;

@@ -483,14 +483,9 @@ int cmd_run(int argc, const char* const* argv) {
                                 : static_cast<double>(clipped) /
                                       static_cast<double>(clip_total),
                 reg.gauge("dp.sigma").value());
-    std::printf(
-        "shapley.coalitions_batched=%llu  cache_hits=%llu  cache_misses=%llu  "
-        "permutations_early_stopped=%llu\n",
-        static_cast<unsigned long long>(reg.counter("shapley.coalitions_batched").value()),
-        static_cast<unsigned long long>(reg.counter("shapley.cache_hits").value()),
-        static_cast<unsigned long long>(reg.counter("shapley.cache_misses").value()),
-        static_cast<unsigned long long>(
-            reg.counter("shapley.permutations_early_stopped").value()));
+    std::printf("shapley.permutations_early_stopped=%llu\n",
+                static_cast<unsigned long long>(
+                    reg.counter("shapley.permutations_early_stopped").value()));
   }
   if (!cfg.trace_out.empty()) {
     std::printf("trace written to %s (%zu events; load in chrome://tracing)\n",

@@ -17,8 +17,8 @@ Usage:
 
 A/B mode builds the older rev in a temporary git worktree so speedups are
 measured against a real binary, not remembered numbers. Only benches whose
-binary already emitted JSON at the old rev participate; legacy (pre-envelope)
-schemas are extracted tolerantly.
+binary exists at the old rev participate, and each must write a schema-v1
+envelope: any other output fails the run, naming the file.
 """
 
 import argparse
@@ -453,47 +453,22 @@ def render_report(docs, history, ab_section):
 # A/B mode
 # ---------------------------------------------------------------------------
 
-def legacy_metrics(doc):
-    """Tolerant metric extraction from pre-envelope bench JSON schemas.
+class NotAnEnvelope(Exception):
+    """An A/B old-rev bench wrote something other than a schema-v1 envelope."""
 
-    Mirrors the new envelope's semantics: when a legacy file has several rows
-    for the same metric name (e.g. one per attacker fraction), the extracted
-    value is the median over rows — the same reduction BenchEnvelope applies
-    to its per-process samples.
-    """
-    if isinstance(doc.get("metrics"), dict) and "schema_version" in doc:
-        return {k: m["median"] for k, m in doc["metrics"].items()}
-    acc = {}
 
-    def put(name, value):
-        if isinstance(value, (int, float)):
-            acc.setdefault(name, []).append(value)
-
-    bench = doc.get("bench", "")
-    runs = doc.get("runs", [])
-    if bench == "bench_threads_scaling":
-        for row in runs:
-            t = row.get("threads")
-            if t is not None:
-                put(f"threads{int(t)}.total_s", row.get("total_s"))
-                put(f"threads{int(t)}.speedup_total", row.get("speedup_total"))
-    elif bench == "bench_micro_kernels":
-        for row in runs:
-            name = row.get("name")
-            if name:
-                put(f"{name}.naive_ms", row.get("naive_ms"))
-                put(f"{name}.blocked_ms", row.get("blocked_ms"))
-                put(f"{name}.speedup", row.get("speedup"))
-                put(f"{name}.vec_ms", row.get("vec_ms"))
-                put(f"{name}.vec_speedup", row.get("vec_speedup"))
-        put("cifar_conv_min_speedup", doc.get("cifar_conv_min_speedup"))
-        put("square_gemm_vec_min_speedup", doc.get("square_gemm_vec_min_speedup"))
-    elif bench == "bench_byzantine":
-        for row in runs:
-            algo = row.get("algorithm")
-            if algo:
-                put(f"{algo}.final_accuracy", row.get("final_accuracy"))
-    return {k: statistics.median(v) for k, v in acc.items()}
+def envelope_medians(path):
+    """Per-metric medians of the schema-v1 envelope at `path`; raises
+    NotAnEnvelope naming the file when it is not one."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise NotAnEnvelope(f"{path}: not a JSON document ({e})") from e
+    errs = validate_envelope(doc, path) if isinstance(doc, dict) else [f"{path}: not an object"]
+    if errs:
+        raise NotAnEnvelope("; ".join(errs))
+    return {k: m["median"] for k, m in doc["metrics"].items()}
 
 
 def run_ab(ref, benches, build_jobs, repeats, quick):
@@ -539,27 +514,18 @@ def run_ab(ref, benches, build_jobs, repeats, quick):
                     if not os.path.exists(spec_binary):
                         raise FileNotFoundError(spec_binary)
                     with tempfile.TemporaryDirectory() as scratch:
-                        out = os.path.join(scratch, "out.json")
+                        out = os.path.join(scratch, f"{spec['binary']}@{old_rev}.json")
                         env = dict(os.environ, PDSL_GIT_REV=old_rev)
                         proc = subprocess.run([spec_binary] + args + ["--out", out],
                                               cwd=scratch, env=env,
                                               capture_output=True, text=True)
-                        # Old revs may reject newer flags; retry with --out
-                        # only, then bare (picking up the default-named JSON).
+                        # Old revs may reject newer flags; retry with --out only.
                         if proc.returncode != 0 and not os.path.exists(out):
-                            proc = subprocess.run([spec_binary, "--out", out],
-                                                  cwd=scratch, env=env,
-                                                  capture_output=True, text=True)
-                        if proc.returncode != 0 and not os.path.exists(out):
-                            subprocess.run([spec_binary], cwd=scratch, env=env,
-                                           capture_output=True, text=True)
-                            found = glob.glob(os.path.join(scratch, "BENCH_*.json"))
-                            if found:
-                                out = found[0]
+                            subprocess.run([spec_binary, "--out", out], cwd=scratch,
+                                           env=env, capture_output=True, text=True)
                         if not os.path.exists(out):
                             raise RuntimeError(f"no JSON from {spec['binary']}@{old_rev}")
-                        with open(out) as f:
-                            old_envs.append(legacy_metrics(json.load(f)))
+                        old_envs.append(envelope_medians(out))
             except (FileNotFoundError, RuntimeError) as e:
                 log(f"A/B: skipping {bench}: {e}")
                 lines.append(f"| {bench} | (skipped: old rev has no comparable "
@@ -650,7 +616,11 @@ def main():
 
     ab_section = []
     if args.git_commit:
-        ab_section = run_ab(args.git_commit, subset, args.jobs, repeats, args.quick)
+        try:
+            ab_section = run_ab(args.git_commit, subset, args.jobs, repeats, args.quick)
+        except NotAnEnvelope as e:
+            log(f"A/B: not a schema-v1 envelope: {e}")
+            sys.exit(1)
 
     report = render_report(docs, history, ab_section)
     with open(os.path.join(REPO, "BENCH_REPORT.md"), "w") as f:
