@@ -9,11 +9,8 @@
 //     naive at every tb shape, gated at >= 2.4x, and the vectorized speedup
 //     at the square GEMM shapes, gated at >= 1.3x (S-VEC). A `dp_noise` row
 //     times dp::add_gaussian_noise against the per-coordinate Rng::normal
-//     loop on one 25,450-float gradient, gated at >= 3x. `--threads N`
-//     additionally times the blocked backend at an intra-op width of N
-//     (top-level kernels only; inside the round loop's per-agent phases
-//     kernels stay sequential).
-//     Flags: --out <path> --reps <n> --threads <n>
+//     loop on one 25,450-float gradient, gated at >= 3x.
+//     Flags: --out <path> --reps <n>
 //
 //  2. The original google-benchmark suite (matmul, model gradients, DP
 //     mechanism, Shapley, QP, gossip): pass --gbench to run it (with
@@ -39,7 +36,6 @@
 #include "nn/conv2d.hpp"
 #include "nn/model_zoo.hpp"
 #include "optim/qp.hpp"
-#include "runtime/parallel_for.hpp"
 #include "shapley/game.hpp"
 #include "shapley/shapley.hpp"
 #include "tensor/ops.hpp"
@@ -77,28 +73,19 @@ struct SweepRow {
   std::string shape;  // human-readable
   double naive_ms = 0.0;
   double blocked_ms = 0.0;
-  double vec_ms = 0.0;         // S-VEC register-tiled backend
-  double blocked_mt_ms = 0.0;  // blocked at --threads width (0 = not run)
+  double vec_ms = 0.0;  // S-VEC register-tiled backend
 };
 
 /// Fills the row's timings: `fn` on the naive, blocked and vectorized
-/// backends single-threaded, plus blocked at an intra-op width of `threads`
-/// when that is above 1.
+/// backends.
 template <typename F>
-void time_backends(SweepRow& row, std::size_t reps, std::size_t threads, F&& fn) {
-  runtime::set_global_threads(1);
+void time_backends(SweepRow& row, std::size_t reps, F&& fn) {
   kernels::set_backend(kernels::Backend::kNaive);
   row.naive_ms = time_ms(reps, fn);
   kernels::set_backend(kernels::Backend::kBlocked);
   row.blocked_ms = time_ms(reps, fn);
   kernels::set_backend(kernels::Backend::kVectorized);
   row.vec_ms = time_ms(reps, fn);
-  if (threads > 1) {
-    kernels::set_backend(kernels::Backend::kBlocked);
-    runtime::set_global_threads(threads);
-    row.blocked_mt_ms = time_ms(reps, fn);
-    runtime::set_global_threads(1);
-  }
 }
 
 struct GemmShape {
@@ -151,7 +138,7 @@ double run_gemm_once(const GemmShape& s, const std::vector<float>& a,
   return static_cast<double>(c[0]);
 }
 
-SweepRow sweep_gemm(const GemmShape& s, std::size_t reps, std::size_t threads) {
+SweepRow sweep_gemm(const GemmShape& s, std::size_t reps) {
   const auto a = random_vec(s.m * s.k, 1);
   const auto b = random_vec(s.k * s.n, 2);
   std::vector<float> c(s.m * s.n);
@@ -161,12 +148,11 @@ SweepRow sweep_gemm(const GemmShape& s, std::size_t reps, std::size_t threads) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%zux%zux%zu", s.m, s.k, s.n);
   row.shape = buf;
-  time_backends(row, reps, threads,
-                [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
+  time_backends(row, reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
   return row;
 }
 
-SweepRow sweep_tb(const TbShape& s, std::size_t reps, std::size_t threads) {
+SweepRow sweep_tb(const TbShape& s, std::size_t reps) {
   const auto a = random_vec(s.m * s.n, 1);
   const auto b = random_vec(s.k * s.n, 2);
   std::vector<float> c(s.m * s.k);
@@ -180,11 +166,11 @@ SweepRow sweep_tb(const TbShape& s, std::size_t reps, std::size_t threads) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%zux%zu->%zu%s", s.m, s.n, s.k, s.accumulate ? " acc" : "");
   row.shape = buf;
-  time_backends(row, reps, threads, call);
+  time_backends(row, reps, call);
   return row;
 }
 
-SweepRow sweep_conv(const ConvShape& s, std::size_t reps, std::size_t threads) {
+SweepRow sweep_conv(const ConvShape& s, std::size_t reps) {
   nn::Conv2D conv(s.in_ch, s.out_ch, s.k, s.pad);
   Rng rng(3);
   conv.init(rng);
@@ -207,7 +193,7 @@ SweepRow sweep_conv(const ConvShape& s, std::size_t reps, std::size_t threads) {
   std::snprintf(buf, sizeof(buf), "b%zu %zux%zux%zu k%zu p%zu -> %zuch", s.batch, s.in_ch,
                 s.image, s.image, s.k, s.pad, s.out_ch);
   row.shape = buf;
-  time_backends(row, reps, threads, step);
+  time_backends(row, reps, step);
   return row;
 }
 
@@ -224,7 +210,6 @@ NoiseRow time_dp_noise(std::size_t reps) {
   constexpr double kSigma = 0.1;
   std::vector<float> g(kDim, 0.0f);
   Rng rng(7);
-  runtime::set_global_threads(1);
   NoiseRow row;
   row.reference_ms = time_ms(reps, [&] {
     for (auto& v : g) v += static_cast<float>(rng.normal(0.0, kSigma));
@@ -240,27 +225,23 @@ NoiseRow time_dp_noise(std::size_t reps) {
 int run_kernel_sweep(const CliArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernels.json");
   const auto reps = static_cast<std::size_t>(args.get_int("reps", 20));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const kernels::Backend entry_backend = kernels::backend();
 
-  std::printf(
-      "==== bench_micro_kernels: naive vs blocked vs vectorized (reps=%zu, threads=%zu) "
-      "====\n",
-      reps, threads);
+  std::printf("==== bench_micro_kernels: naive vs blocked vs vectorized (reps=%zu) ====\n",
+              reps);
   std::printf("%-16s %-24s %12s %12s %12s %9s %9s\n", "kernel", "shape", "naive_ms",
               "blocked_ms", "vec_ms", "blk_spd", "vec_spd");
 
   std::vector<SweepRow> rows;
-  for (const auto& s : kGemmShapes) rows.push_back(sweep_gemm(s, reps, threads));
-  for (const auto& s : kTbShapes) rows.push_back(sweep_tb(s, reps, threads));
-  for (const auto& s : kConvShapes) rows.push_back(sweep_conv(s, reps, threads));
+  for (const auto& s : kGemmShapes) rows.push_back(sweep_gemm(s, reps));
+  for (const auto& s : kTbShapes) rows.push_back(sweep_tb(s, reps));
+  for (const auto& s : kConvShapes) rows.push_back(sweep_conv(s, reps));
   kernels::set_backend(entry_backend);
 
   pdsl::bench::BenchEnvelope env("kernels", "micro");
   {
     pdsl::json::Object c;
     c["reps"] = reps;
-    c["threads"] = threads;
     c["conv_unit"] = std::string("forward+backward per batch");
     env.set_config(std::move(c));
   }
@@ -294,10 +275,6 @@ int run_kernel_sweep(const CliArgs& args) {
     o["vec_ms"] = r.vec_ms;
     o["speedup"] = speedup;
     o["vec_speedup"] = vec_speedup;
-    if (r.blocked_mt_ms > 0) {
-      o["blocked_mt_ms"] = r.blocked_mt_ms;
-      o["speedup_mt_vs_naive"] = r.naive_ms / r.blocked_mt_ms;
-    }
     env.add_run(std::move(o));
   }
   env.add_metric_sample("cifar_conv_min_speedup", "x", cifar_conv_min_speedup);
@@ -477,7 +454,7 @@ static void BM_GossipMix(benchmark::State& state) {
 BENCHMARK(BM_GossipMix)->Arg(10)->Arg(50)->Arg(200);
 
 int main(int argc, char** argv) {
-  const CliArgs args(argc, argv, {"out", "reps", "threads", "gbench"});
+  const CliArgs args(argc, argv, {"out", "reps", "gbench"});
   const int rc = run_kernel_sweep(args);
   if (rc != 0) return rc;
   if (args.get_bool("gbench", false)) {

@@ -26,10 +26,11 @@
 //     JSON config key) overrides both, pinning a specific backend past the
 //     dispatcher.
 //
-// Determinism: within one backend, results are bit-identical at every
-// --threads width (the vectorized tier partitions output rows exactly like
-// the blocked one). Across backends, naive == blocked bitwise for the GEMM
-// family; vectorized agrees only within tolerance bands.
+// Determinism: within one backend, results are a pure function of the
+// inputs — the kernels are single-threaded, so --threads (which only sets
+// how many agents run at once) never changes them. Across backends, naive ==
+// blocked bitwise for the GEMM family; vectorized agrees only within
+// tolerance bands.
 
 #include <cstddef>
 #include <string>

@@ -1,12 +1,10 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 #include "kernels/backend.hpp"
 #include "kernels/microkernel.hpp"
-#include "runtime/parallel_for.hpp"
 
 namespace pdsl::kernels {
 
@@ -20,35 +18,13 @@ constexpr std::size_t kRowTile = 4;
 // one B-row segment per tile row stays L1-resident while the reduction runs.
 constexpr std::size_t kColBlock = 256;
 
-/// Run body(lo, hi) over a static partition of [0, rows). Sequential when the
-/// configured width is 1, when there is nothing to split, or when the caller
-/// already sits inside a parallel_for body (nested parallelism is rejected by
-/// the runtime). The partition is a pure function of (rows, width) and every
-/// output row is produced by exactly one chunk, so results are bit-identical
-/// at every width.
-void for_row_range(std::size_t rows, const std::function<void(std::size_t, std::size_t)>& body) {
-  if (rows == 0) return;
-  const std::size_t width = runtime::global_threads();
-  const std::size_t chunks = std::min(width, rows);
-  if (chunks <= 1 || runtime::in_parallel_region()) {
-    body(0, rows);
-    return;
-  }
-  const std::size_t grain = (rows + chunks - 1) / chunks;
-  runtime::parallel_for(0, chunks, 1, [&](std::size_t c) {
-    const std::size_t lo = c * grain;
-    const std::size_t hi = std::min(rows, lo + grain);
-    if (lo < hi) body(lo, hi);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // C(m,n) = A(m,k) * B(k,n)
 // ---------------------------------------------------------------------------
 
-void naive_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::size_t n,
-                      const float* a, const float* b, float* c) {
-  for (std::size_t i = i_begin; i < i_end; ++i) {
+void naive_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                 float* c) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     for (std::size_t p = 0; p < k; ++p) {
@@ -59,12 +35,12 @@ void naive_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std
   }
 }
 
-void blocked_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::size_t n,
-                        const float* a, const float* b, float* c) {
+void blocked_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                   float* c) {
   for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t i = i_begin;
-    for (; i + kRowTile <= i_end; i += kRowTile) {
+    std::size_t i = 0;
+    for (; i + kRowTile <= m; i += kRowTile) {
       const float* __restrict__ a0 = a + (i + 0) * k;
       const float* __restrict__ a1 = a + (i + 1) * k;
       const float* __restrict__ a2 = a + (i + 2) * k;
@@ -85,7 +61,7 @@ void blocked_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, s
         }
       }
     }
-    for (; i < i_end; ++i) {
+    for (; i < m; ++i) {
       const float* __restrict__ arow = a + i * k;
       float* __restrict__ crow = c + i * n;
       for (std::size_t p = 0; p < k; ++p) {
@@ -101,12 +77,12 @@ void blocked_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, s
 // C(k,n) = A(m,k)^T * B(m,n) — output row p of C gathers column p of A.
 // ---------------------------------------------------------------------------
 
-void naive_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, std::size_t k,
-                         std::size_t n, const float* a, const float* b, float* c) {
+void naive_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                    float* c) {
   for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     const float* brow = b + i * n;
-    for (std::size_t p = p_begin; p < p_end; ++p) {
+    for (std::size_t p = 0; p < k; ++p) {
       const float av = arow[p];
       float* crow = c + p * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
@@ -114,12 +90,12 @@ void naive_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, 
   }
 }
 
-void blocked_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, std::size_t k,
-                           std::size_t n, const float* a, const float* b, float* c) {
+void blocked_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                      const float* b, float* c) {
   for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t p = p_begin;
-    for (; p + kRowTile <= p_end; p += kRowTile) {
+    std::size_t p = 0;
+    for (; p + kRowTile <= k; p += kRowTile) {
       float* __restrict__ c0 = c + (p + 0) * n;
       float* __restrict__ c1 = c + (p + 1) * n;
       float* __restrict__ c2 = c + (p + 2) * n;
@@ -137,7 +113,7 @@ void blocked_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m
         }
       }
     }
-    for (; p < p_end; ++p) {
+    for (; p < k; ++p) {
       float* __restrict__ crow = c + p * n;
       for (std::size_t i = 0; i < m; ++i) {
         const float av = a[i * k + p];
@@ -153,9 +129,9 @@ void blocked_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m
 // (matches the original matmul_transpose_b numerics exactly).
 // ---------------------------------------------------------------------------
 
-void naive_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                         const float* a, const float* b, float* c, bool accumulate) {
-  for (std::size_t i = i_begin; i < i_end; ++i) {
+void naive_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
+                    float* c, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * n;
     for (std::size_t j = 0; j < k; ++j) {
       const float* brow = b + j * n;
@@ -231,32 +207,33 @@ __attribute__((noinline)) void tb_tile(std::size_t n, const float* a, const doub
 }
 
 template <std::size_t V>
-void tb_panel_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                   std::size_t j0, std::size_t lanes, const float* a, const double* panel,
-                   float* c, bool accumulate) {
-  std::size_t i = i_begin;
-  for (; i + kTbRowTile <= i_end; i += kTbRowTile) {
+void tb_panel_rows(std::size_t m, std::size_t n, std::size_t k, std::size_t j0,
+                   std::size_t lanes, const float* a, const double* panel, float* c,
+                   bool accumulate) {
+  std::size_t i = 0;
+  for (; i + kTbRowTile <= m; i += kTbRowTile) {
     tb_tile<kTbRowTile, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
   }
   static_assert(kTbRowTile == 3, "the 1- and 2-row remainders are spelled out");
-  if (i_end - i == 2) tb_tile<2, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
-  if (i_end - i == 1) tb_tile<1, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
+  if (m - i == 2) tb_tile<2, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
+  if (m - i == 1) tb_tile<1, V>(n, a + i * n, panel, lanes, c + i * k + j0, k, accumulate);
 }
 
-void blocked_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                           const float* a, const float* b, float* c, bool accumulate) {
+void blocked_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                      const float* b, float* c, bool accumulate) {
   static_assert(kTbPanel == 8, "one panel width per lane-pair count 1..4 below");
   constexpr decltype(&tb_panel_rows<1>) kPanelRows[] = {tb_panel_rows<1>, tb_panel_rows<2>,
                                                          tb_panel_rows<3>, tb_panel_rows<4>};
-  // Per-thread, grow-only: concurrent for_row_range chunks each pack their
-  // own copy, and steady-state calls allocate nothing.
+  // Per-thread, grow-only: agents calling the kernels concurrently from a
+  // parallel_for body each pack their own copy, and steady-state calls
+  // allocate nothing.
   thread_local std::vector<double> panel;
   if (panel.size() < n * kTbPanel) panel.resize(n * kTbPanel);
   for (std::size_t j0 = 0; j0 < k; j0 += kTbPanel) {
     const std::size_t lanes = std::min(kTbPanel, k - j0);
     const std::size_t pairs = (lanes + 1) / 2;  // a ragged panel narrows to whole lane pairs
     pack_tb_panel(b, n, j0, lanes, 2 * pairs, panel.data());
-    kPanelRows[pairs - 1](i_begin, i_end, n, k, j0, lanes, a, panel.data(), c, accumulate);
+    kPanelRows[pairs - 1](m, n, k, j0, lanes, a, panel.data(), c, accumulate);
   }
 }
 
@@ -265,45 +242,39 @@ void blocked_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n
 void sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
            float* c, bool accumulate) {
   const Backend be = resolve_backend(backend(), m, k, n);
-  for_row_range(m, [&](std::size_t lo, std::size_t hi) {
-    if (!accumulate) std::fill(c + lo * n, c + hi * n, 0.0f);
-    if (be == Backend::kVectorized) {
-      vec_sgemm_rows(lo, hi, k, n, a, b, c);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_rows(lo, hi, k, n, a, b, c);
-    } else {
-      naive_sgemm_rows(lo, hi, k, n, a, b, c);
-    }
-  });
+  if (!accumulate) std::fill(c, c + m * n, 0.0f);
+  if (be == Backend::kVectorized) {
+    vec_sgemm(m, k, n, a, b, c);
+  } else if (be == Backend::kBlocked) {
+    blocked_sgemm(m, k, n, a, b, c);
+  } else {
+    naive_sgemm(m, k, n, a, b, c);
+  }
 }
 
 void sgemm_transpose_a(std::size_t m, std::size_t k, std::size_t n, const float* a,
                        const float* b, float* c, bool accumulate) {
   const Backend be = resolve_backend(backend(), k, m, n);
-  for_row_range(k, [&](std::size_t lo, std::size_t hi) {
-    if (!accumulate) std::fill(c + lo * n, c + hi * n, 0.0f);
-    if (be == Backend::kVectorized) {
-      vec_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
-    } else {
-      naive_sgemm_ta_rows(lo, hi, m, k, n, a, b, c);
-    }
-  });
+  if (!accumulate) std::fill(c, c + k * n, 0.0f);
+  if (be == Backend::kVectorized) {
+    vec_sgemm_ta(m, k, n, a, b, c);
+  } else if (be == Backend::kBlocked) {
+    blocked_sgemm_ta(m, k, n, a, b, c);
+  } else {
+    naive_sgemm_ta(m, k, n, a, b, c);
+  }
 }
 
 void sgemm_transpose_b(std::size_t m, std::size_t n, std::size_t k, const float* a,
                        const float* b, float* c, bool accumulate) {
   const Backend be = resolve_backend(backend(), m, n, k);
-  for_row_range(m, [&](std::size_t lo, std::size_t hi) {
-    if (be == Backend::kVectorized) {
-      vec_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
-    } else if (be == Backend::kBlocked) {
-      blocked_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
-    } else {
-      naive_sgemm_tb_rows(lo, hi, n, k, a, b, c, accumulate);
-    }
-  });
+  if (be == Backend::kVectorized) {
+    vec_sgemm_tb(m, n, k, a, b, c, accumulate);
+  } else if (be == Backend::kBlocked) {
+    blocked_sgemm_tb(m, n, k, a, b, c, accumulate);
+  } else {
+    naive_sgemm_tb(m, n, k, a, b, c, accumulate);
+  }
 }
 
 }  // namespace pdsl::kernels

@@ -19,13 +19,12 @@
 // reduction order, so their results are bit-identical. The vectorized path
 // (microkernel.hpp) keeps accumulator tiles register-resident and reduces in
 // fixed float lanes — deterministic but only tolerance-banded against the
-// reference. Every path's optional intra-op parallelism partitions complete
-// output rows, so results are bit-identical at every --threads width.
+// reference.
 //
-// Intra-op parallelism engages only when runtime::global_threads() > 1 and
-// the caller is NOT already inside a runtime::parallel_for body (the round
-// loop's per-agent phases); nested parallelism is rejected by the runtime, so
-// the kernels degrade to sequential there.
+// Every call runs single-threaded on the calling thread; parallelism lives
+// one level up, where runtime::parallel_for runs agents concurrently. The
+// kernels are safe to call from concurrent agents: the only per-call scratch
+// (the sgemm_transpose_b panel) is thread_local.
 
 #include <cstddef>
 

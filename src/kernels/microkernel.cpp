@@ -149,8 +149,8 @@ void tile1_tail(std::size_t depth, const float* pa, std::size_t astep, const flo
 // l, l + kVecLanes, l + 2*kVecLanes, ... of the stride-1 chunked prefix; the
 // ragged tail continues into lanes 0..(tail-1). The assignment and the
 // balanced fold below depend only on the reduction length, never on the tile
-// position or thread partition — that is the fixed reduction tree of the
-// fast-math tier's determinism contract.
+// position — that is the fixed reduction tree of the fast-math tier's
+// determinism contract.
 // ---------------------------------------------------------------------------
 
 float lane_fold(v4 lo, v4 hi) {
@@ -221,10 +221,10 @@ float dot1(const float* arow, const float* brow, std::size_t n) {
 
 }  // namespace
 
-void vec_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::size_t n,
-                    const float* a, const float* b, float* c) {
-  std::size_t i = i_begin;
-  for (; i + kVecRowTile <= i_end; i += kVecRowTile) {
+void vec_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+               float* c) {
+  std::size_t i = 0;
+  for (; i + kVecRowTile <= m; i += kVecRowTile) {
     const float* a0 = a + (i + 0) * k;
     const float* a1 = a + (i + 1) * k;
     const float* a2 = a + (i + 2) * k;
@@ -242,7 +242,7 @@ void vec_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::
                  n - j0);
     }
   }
-  for (; i < i_end; ++i) {
+  for (; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;
     std::size_t j0 = 0;
@@ -253,10 +253,10 @@ void vec_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::
   }
 }
 
-void vec_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, std::size_t k,
-                       std::size_t n, const float* a, const float* b, float* c) {
-  std::size_t p = p_begin;
-  for (; p + kVecRowTile <= p_end; p += kVecRowTile) {
+void vec_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                  float* c) {
+  std::size_t p = 0;
+  for (; p + kVecRowTile <= k; p += kVecRowTile) {
     // Broadcast elements walk column p+r of A: start a[0*k + (p+r)], stride k.
     const float* a0 = a + (p + 0);
     const float* a1 = a + (p + 1);
@@ -275,7 +275,7 @@ void vec_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, st
                  n - j0);
     }
   }
-  for (; p < p_end; ++p) {
+  for (; p < k; ++p) {
     const float* acol = a + p;
     float* crow = c + p * n;
     std::size_t j0 = 0;
@@ -286,9 +286,9 @@ void vec_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, st
   }
 }
 
-void vec_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                       const float* a, const float* b, float* c, bool accumulate) {
-  for (std::size_t i = i_begin; i < i_end; ++i) {
+void vec_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
+                  float* c, bool accumulate) {
+  for (std::size_t i = 0; i < m; ++i) {
     const float* arow = a + i * n;
     float* crow = c + i * k;
     std::size_t j = 0;

@@ -23,14 +23,11 @@
 //     sums (lane l takes elements l, l+kVecLanes, l+2*kVecLanes, ... of the
 //     reduction) folded by a fixed balanced reduction tree. The lane split
 //     and the tree are pure functions of the reduction length — never of the
-//     thread count, tile position or neighbours — so results are
-//     deterministic and bit-stable across --threads widths, just not equal
-//     to the double-accumulated reference.
+//     tile position or neighbours — so results are deterministic, just not
+//     equal to the double-accumulated reference.
 //
-// Every function below works on the same row-range contract as the blocked
-// kernels in gemm.cpp: the caller zero-fills C rows when not accumulating
-// (sgemm/transpose_a add into C unconditionally), and partitions complete
-// output rows across threads, so any partition yields the same bits.
+// vec_sgemm and vec_sgemm_ta add into C unconditionally: the caller
+// (gemm.cpp) zero-fills C first when not accumulating.
 //
 // These kernels are plain pragma-vectorized C++ (no intrinsics): the tile
 // sizes are chosen so -O3 keeps the accumulators in vector registers at
@@ -51,16 +48,16 @@ inline constexpr std::size_t kVecColTile = 8;
 /// Fixed partial-sum lanes for the dot-product kernel (sgemm_transpose_b).
 inline constexpr std::size_t kVecLanes = 8;
 
-/// C(m,n) += A(m,k) * B(k,n) over output rows [i_begin, i_end).
-void vec_sgemm_rows(std::size_t i_begin, std::size_t i_end, std::size_t k, std::size_t n,
-                    const float* a, const float* b, float* c);
+/// C(m,n) += A(m,k) * B(k,n).
+void vec_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+               float* c);
 
-/// C(k,n) += A(m,k)^T * B(m,n) over output rows [p_begin, p_end).
-void vec_sgemm_ta_rows(std::size_t p_begin, std::size_t p_end, std::size_t m, std::size_t k,
-                       std::size_t n, const float* a, const float* b, float* c);
+/// C(k,n) += A(m,k)^T * B(m,n).
+void vec_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                  float* c);
 
-/// C(m,k) = (or +=) A(m,n) * B(k,n)^T over output rows [i_begin, i_end).
-void vec_sgemm_tb_rows(std::size_t i_begin, std::size_t i_end, std::size_t n, std::size_t k,
-                       const float* a, const float* b, float* c, bool accumulate);
+/// C(m,k) = (or +=) A(m,n) * B(k,n)^T.
+void vec_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a, const float* b,
+                  float* c, bool accumulate);
 
 }  // namespace pdsl::kernels

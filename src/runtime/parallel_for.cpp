@@ -57,7 +57,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
     return;
   }
   // Sequential fallback under the same region guard as the pool's chunks,
-  // so nesting rejection and in_parallel_region() do not depend on width.
+  // so nesting rejection does not depend on width.
   detail::ParallelRegion region;
   for (std::size_t i = begin; i < end; ++i) body(i);
 }

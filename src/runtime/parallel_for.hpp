@@ -8,6 +8,8 @@
 // Configuration is plumbed from `--threads N` (CLI, JSON configs, benches):
 //   1 = sequential (default), 0 = auto-detect (hardware_concurrency),
 //   N = fixed pool of N threads.
+// This is the codebase's only level of parallelism: --threads sets how many
+// agents run at once, and the kernels under each agent are single-threaded.
 // set_global_threads is meant for startup / between runs; it must not race
 // with an in-flight parallel_for.
 
@@ -17,11 +19,6 @@
 #include "runtime/thread_pool.hpp"
 
 namespace pdsl::runtime {
-
-/// Execution-width knob carried by experiment configs.
-struct RuntimeConfig {
-  std::size_t threads = 1;  ///< 1 = sequential, 0 = hardware_concurrency
-};
 
 /// Resolve a requested width: 0 -> hardware_concurrency (at least 1),
 /// anything else unchanged.

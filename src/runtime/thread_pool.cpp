@@ -10,24 +10,22 @@ namespace pdsl::runtime {
 namespace {
 // Guards against nested parallelism, which the engine does not support (and
 // which would deadlock a fully-busy pool). Only this translation unit touches
-// it: everyone else goes through in_parallel_region() and ParallelRegion.
-thread_local bool t_in_parallel_region = false;
+// it: everyone else goes through ParallelRegion.
+thread_local bool t_inside_parallel_body = false;
 
 void reject_nested() {
-  if (t_in_parallel_region) {
+  if (t_inside_parallel_body) {
     throw std::logic_error("parallel_for: nested call from inside a parallel_for body");
   }
 }
 }  // namespace
 
-bool in_parallel_region() noexcept { return t_in_parallel_region; }
-
 detail::ParallelRegion::ParallelRegion() {
   reject_nested();
-  t_in_parallel_region = true;
+  t_inside_parallel_body = true;
 }
 
-detail::ParallelRegion::~ParallelRegion() { t_in_parallel_region = false; }
+detail::ParallelRegion::~ParallelRegion() { t_inside_parallel_body = false; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) throw std::invalid_argument("ThreadPool: at least one worker required");

@@ -19,18 +19,13 @@
 
 namespace pdsl::runtime {
 
-/// True while the calling thread is inside a parallel_for body (at any
-/// configured width). Layers that offer optional intra-op parallelism — the
-/// S-KER kernels — consult this to run sequentially instead of tripping the
-/// nested-call rejection. The flag behind it is private to thread_pool.cpp.
-[[nodiscard]] bool in_parallel_region() noexcept;
-
 namespace detail {
 /// Marks the calling thread as inside a parallel_for body for the guard's
 /// lifetime. Both the pool's chunks and the width-1 inline path in
-/// runtime::parallel_for run their bodies under one, so nesting rejection and
-/// in_parallel_region() behave the same at every width. Throws
-/// std::logic_error when the thread is already inside a body.
+/// runtime::parallel_for run their bodies under one, so nesting rejection
+/// behaves the same at every width. Throws std::logic_error when the thread
+/// is already inside a body. The flag behind it is private to
+/// thread_pool.cpp.
 class ParallelRegion {
  public:
   ParallelRegion();

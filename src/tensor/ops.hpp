@@ -2,9 +2,10 @@
 // Numeric kernels on Tensors: matmul (plus transposed variants used by the
 // Linear layer backward pass), reductions, and softmax. The matmul family is
 // a shape-checked facade over the S-KER layer (src/kernels/gemm.hpp), which
-// owns the naive/blocked backend split and intra-op parallelism. Convolution
-// kernels live inside the Conv2D layer because they need its geometry
-// bookkeeping; its blocked path is im2col + these GEMMs.
+// owns the naive/blocked/vectorized backend split; every call runs
+// single-threaded on the caller's thread. Convolution kernels live inside the
+// Conv2D layer because they need its geometry bookkeeping; its blocked path
+// is im2col + these GEMMs.
 
 #include "tensor/tensor.hpp"
 

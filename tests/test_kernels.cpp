@@ -2,18 +2,19 @@
 // (bit-identical — the blocked kernels preserve the naive accumulation order)
 // and the im2col convolution (tight tolerance — the reduction associates
 // differently), NaN/Inf propagation regressions for the removed zero-skip
-// shortcuts, and the intra-op determinism contract (bit-identical results at
-// any --threads width, including a full PDSL round loop on the blocked
-// backend with a CNN model). The lane-parallel blocked sgemm_transpose_b is
-// also checked on order-sensitive (cancelling) inputs, with NaN/Inf at every
-// panel lane offset, and against canaries past C and NaN rows past A and B,
-// so a padded lane or row whose result reaches C shows up.
+// shortcuts, and the concurrency contract (kernels called from concurrent
+// parallel_for bodies give the sequential bits, and a full PDSL round loop on
+// the blocked backend with a CNN model is bit-identical at any --threads
+// width). The lane-parallel blocked sgemm_transpose_b is also checked on
+// order-sensitive (cancelling) inputs, with NaN/Inf at every panel lane
+// offset, and against canaries past C and NaN rows past A and B, so a padded
+// lane or row whose result reaches C shows up.
 //
 // S-VEC additions: randomized-shape fuzz of the vectorized tier against naive
 // within the documented tolerance band (plus ragged tails, unit/empty dims,
-// NaN/Inf propagation), bit-stability of the vectorized tier across --threads
-// widths and across reruns, and table-driven unit tests pinning the
-// resolve_backend() auto-dispatch thresholds.
+// NaN/Inf propagation), bit-stability of the vectorized tier across reruns,
+// and table-driven unit tests pinning the resolve_backend() auto-dispatch
+// thresholds.
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,24 @@ void expect_backends_bit_identical(RawGemm fn, std::size_t m, std::size_t k, std
   fn(m, k, n, a.data(), b.data(), c_blocked.data(), accumulate);
   EXPECT_EQ(c_naive, c_blocked) << "m=" << m << " k=" << k << " n=" << n
                                 << " accumulate=" << accumulate;
+}
+
+/// sgemm, sgemm_transpose_a and sgemm_transpose_b on one odd shape (ragged
+/// row tiles, column blocks and tb panels) with inputs drawn from `seed`, on
+/// the current backend; the three results concatenated.
+std::vector<float> all_three_gemms(std::uint64_t seed) {
+  const std::size_t m = 37, k = 53, n = 41;
+  const auto a = random_vec(m * k, seed);
+  const auto b = random_vec(k * n, seed + 100);
+  std::vector<float> c(m * n);
+  kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
+  std::vector<float> ct(k * n);
+  kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
+  std::vector<float> cb(m * m);
+  kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
+  c.insert(c.end(), ct.begin(), ct.end());
+  c.insert(c.end(), cb.begin(), cb.end());
+  return c;
 }
 
 }  // namespace
@@ -169,6 +188,8 @@ TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
   // The workload shapes: Linear forward 32x784->32, the stacked Shapley
   // first layer 64x784->64, and the CIFAR conv weight gradients.
   shapes.insert(shapes.end(), {{32, 784, 32}, {64, 784, 64}, {8, 144, 75}, {16, 36, 200}});
+  // Rows straddle the row tile and columns the panels (27: 8, 8, 8, 3).
+  shapes.push_back({37, 50, 27});
   // Panel (8 output columns) and row-tile (3 rows) edges.
   for (const std::size_t cols : {1, 7, 8, 9, 15, 17}) {
     for (std::size_t rows = 1; rows <= 5; ++rows) shapes.push_back({rows, 13, cols});
@@ -410,68 +431,26 @@ TEST(Kernels, ArenaReusesBuffersAcrossBatches) {
   EXPECT_EQ(y1.vec(), y.vec());
 }
 
-TEST(Kernels, IntraOpGemmBitIdenticalAcrossWidths) {
+// Agents call the kernels concurrently from parallel_for bodies, each on its
+// own inputs; the thread_local sgemm_transpose_b panel keeps every caller's
+// packing private. Each concurrent result must equal the same call made
+// sequentially, on the bit-identical tier and on the fast-math one.
+TEST(Kernels, ConcurrentCallersInsideParallelForMatchSequential) {
   KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kBlocked);
-  const std::size_t m = 37, k = 53, n = 41;
-  const auto a = random_vec(m * k, 51);
-  const auto b = random_vec(k * n, 53);
-  std::vector<std::vector<float>> results;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    runtime::set_global_threads(width);
-    std::vector<float> c(m * n);
-    kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
-    std::vector<float> ct(k * n);
-    kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
-    std::vector<float> cb(m * m);
-    kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
-    c.insert(c.end(), ct.begin(), ct.end());
-    c.insert(c.end(), cb.begin(), cb.end());
-    results.push_back(std::move(c));
-  }
-  EXPECT_EQ(results[0], results[1]);
-}
-
-// Intra-op tb at width 4 splits 37 rows into chunks of 10 that pack their
-// panels concurrently; rows straddle chunk, row-tile and panel (k = 27: 8, 8,
-// 8, 3) boundaries. Every width must give the naive bits.
-TEST(Kernels, SgemmTransposeBIntraOpChunksMatchNaiveAcrossWidths) {
-  KernelEnvGuard guard;
-  const std::size_t m = 37, n = 50, k = 27;
-  const auto a = random_vec(m * n, 131);
-  const auto b = random_vec(k * n, 137);
-  const auto c_seed = random_vec(m * k, 139);
-  for (const bool acc : {false, true}) {
-    kernels::set_backend(kernels::Backend::kNaive);
+  constexpr std::size_t kCallers = 8;
+  for (const auto be : {kernels::Backend::kBlocked, kernels::Backend::kVectorized}) {
+    kernels::set_backend(be);
     runtime::set_global_threads(1);
-    std::vector<float> want = c_seed;
-    kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), want.data(), acc);
-    kernels::set_backend(kernels::Backend::kBlocked);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-      runtime::set_global_threads(width);
-      std::vector<float> got = c_seed;
-      kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), got.data(), acc);
-      EXPECT_EQ(got, want) << "width=" << width << " accumulate=" << acc;
+    std::vector<std::vector<float>> want(kCallers);
+    for (std::size_t i = 0; i < kCallers; ++i) want[i] = all_three_gemms(61 + i);
+    runtime::set_global_threads(4);
+    std::vector<std::vector<float>> got(kCallers);
+    runtime::parallel_for(0, kCallers, 1,
+                          [&](std::size_t i) { got[i] = all_three_gemms(61 + i); });
+    for (std::size_t i = 0; i < kCallers; ++i) {
+      EXPECT_EQ(got[i], want[i]) << kernels::backend_name(be) << " caller " << i;
     }
   }
-}
-
-TEST(Kernels, KernelsInsideParallelForDegradeToSequential) {
-  KernelEnvGuard guard;
-  kernels::set_backend(kernels::Backend::kBlocked);
-  runtime::set_global_threads(4);
-  const std::size_t m = 16, k = 8, n = 8;
-  const auto a = random_vec(m * k, 61);
-  const auto b = random_vec(k * n, 67);
-  std::vector<float> reference(m * n);
-  kernels::sgemm(m, k, n, a.data(), b.data(), reference.data());
-  // From inside a parallel_for body the kernel must not attempt nested
-  // parallelism (which throws) and must produce the same bits.
-  std::vector<std::vector<float>> per_slot(4, std::vector<float>(m * n));
-  runtime::parallel_for(0, 4, 1, [&](std::size_t i) {
-    kernels::sgemm(m, k, n, a.data(), b.data(), per_slot[i].data());
-  });
-  for (const auto& c : per_slot) EXPECT_EQ(c, reference);
 }
 
 TEST(Kernels, PdslRoundLoopBitIdenticalAcrossWidthsOnBlockedBackend) {
@@ -610,30 +589,12 @@ TEST(KernelsVec, FixedShapeTableWithinBandOfNaive) {
 }
 
 // Determinism contract of the fast-math tier: banded against the reference,
-// but bit-identical to ITSELF across reruns and across --threads widths (the
-// lane split and reduction tree depend only on the reduction length, and the
-// intra-op partition hands out complete output rows).
-TEST(KernelsVec, VectorizedBitIdenticalAcrossWidthsAndReruns) {
+// but bit-identical to ITSELF across reruns (the lane split and reduction
+// tree depend only on the reduction length).
+TEST(KernelsVec, VectorizedBitIdenticalAcrossReruns) {
   KernelEnvGuard guard;
   kernels::set_backend(kernels::Backend::kVectorized);
-  const std::size_t m = 37, k = 53, n = 41;
-  const auto a = random_vec(m * k, 71);
-  const auto b = random_vec(k * n, 73);
-  std::vector<std::vector<float>> results;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{1}, std::size_t{4}}) {
-    runtime::set_global_threads(width);
-    std::vector<float> c(m * n);
-    kernels::sgemm(m, k, n, a.data(), b.data(), c.data());
-    std::vector<float> ct(k * n);
-    kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
-    std::vector<float> cb(m * m);
-    kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
-    c.insert(c.end(), ct.begin(), ct.end());
-    c.insert(c.end(), cb.begin(), cb.end());
-    results.push_back(std::move(c));
-  }
-  EXPECT_EQ(results[0], results[1]) << "rerun at width 1";
-  EXPECT_EQ(results[0], results[2]) << "width 1 vs width 4";
+  EXPECT_EQ(all_three_gemms(71), all_three_gemms(71));
 }
 
 // Inf * 0 and NaN must survive the lane fold and the register tiles: seed a

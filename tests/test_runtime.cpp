@@ -116,42 +116,28 @@ TEST(RuntimeTest, GlobalParallelForAtEveryWidth) {
   }
 }
 
-TEST(RuntimeTest, InlinePathRejectsNestingToo) {
+TEST(RuntimeTest, NestingRejectedAndRecoveredAtEveryWidth) {
   WidthGuard guard;
   // Width 1 runs inline, but must enforce the same contract as the pool so
   // nesting bugs surface in sequential CI runs, not only at --threads N.
-  runtime::set_global_threads(1);
-  EXPECT_THROW(
-      runtime::parallel_for(0, 3, 1,
-                            [](std::size_t) {
-                              runtime::parallel_for(0, 2, 1, [](std::size_t) {});
-                            }),
-      std::logic_error);
-  // And it recovers: the guard flag is cleared on the error path.
-  std::size_t n = 0;
-  runtime::parallel_for(0, 5, 1, [&n](std::size_t) { ++n; });
-  EXPECT_EQ(n, 5u);
-}
-
-TEST(RuntimeTest, InParallelRegionTracksBodiesAtEveryWidth) {
-  WidthGuard guard;
-  for (std::size_t w : {1u, 2u, 4u}) {
-    runtime::set_global_threads(w);
-    EXPECT_FALSE(runtime::in_parallel_region());
-    std::vector<int> inside(8, 0);
-    runtime::parallel_for(0, inside.size(), 1, [&inside](std::size_t i) {
-      inside[i] = runtime::in_parallel_region() ? 1 : 0;
+  auto nested = [] {
+    runtime::parallel_for(0, 3, 1, [](std::size_t) {
+      runtime::parallel_for(0, 2, 1, [](std::size_t) {});
     });
-    for (std::size_t i = 0; i < inside.size(); ++i) EXPECT_EQ(inside[i], 1) << "width " << w;
-    // A throwing body leaves no thread flagged: the region guard unwinds.
+  };
+  for (std::size_t w : {1u, 2u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(w));
+    runtime::set_global_threads(w);
+    EXPECT_THROW(nested(), std::logic_error);
+    // A throwing body leaves no thread flagged: the region guard unwinds, so
+    // nesting is still rejected and the next parallel_for runs every index.
     EXPECT_THROW(runtime::parallel_for(0, 4, 1,
                                        [](std::size_t) { throw std::runtime_error("boom"); }),
                  std::runtime_error);
-    EXPECT_FALSE(runtime::in_parallel_region());
+    EXPECT_THROW(nested(), std::logic_error);
     std::vector<int> after(8, 0);
-    runtime::parallel_for(0, after.size(), 1,
-                          [&after](std::size_t i) { after[i] = 1; });
-    EXPECT_EQ(std::accumulate(after.begin(), after.end(), 0), 8) << "width " << w;
+    runtime::parallel_for(0, after.size(), 1, [&after](std::size_t i) { after[i] = 1; });
+    EXPECT_EQ(std::accumulate(after.begin(), after.end(), 0), 8);
   }
 }
 
@@ -237,14 +223,27 @@ TEST(RuntimeDeterminism, PdslBitIdenticalAcrossWidths) {
   expect_bit_identical(seq, par);
 }
 
+// dp_dpsgd runs its per-agent phases in parallel_for; async_dp_gossip's wake
+// events run sequentially on the caller at every width, with only the
+// metrics loop fanned out, so its CNN GEMMs run outside any parallel body.
 TEST(RuntimeDeterminism, BaselineBitIdenticalAcrossWidths) {
   WidthGuard guard;
-  auto cfg = det_config("dp_dpsgd");
-  cfg.threads = 1;
-  const auto seq = core::run_experiment(cfg);
-  cfg.threads = 4;
-  const auto par = core::run_experiment(cfg);
-  expect_bit_identical(seq, par);
+  auto async_cnn = det_config("async_dp_gossip");
+  async_cnn.dataset = "cifar_like";
+  async_cnn.model = "cifar_cnn";
+  async_cnn.image = 8;
+  async_cnn.agents = 4;
+  async_cnn.rounds = 2;
+  async_cnn.train_samples = 160;
+  async_cnn.hp.gamma = 0.01;
+  for (auto cfg : {det_config("dp_dpsgd"), async_cnn}) {
+    SCOPED_TRACE(cfg.algorithm);
+    cfg.threads = 1;
+    const auto seq = core::run_experiment(cfg);
+    cfg.threads = 4;
+    const auto par = core::run_experiment(cfg);
+    expect_bit_identical(seq, par);
+  }
 }
 
 TEST(RuntimeDeterminism, AutoDetectWidthAlsoMatches) {
