@@ -48,9 +48,8 @@ int main(int argc, char** argv) {
               "sigma_thm1", "sigma_dpsgd", "rho", "omega_min", "T*eps basic", "T eps adv");
   for (const std::string topo_name : {"full", "bipartite", "ring"}) {
     for (const auto m : agent_counts) {
-      const auto topo = graph::Topology::make(graph::topology_from_string(topo_name),
-                                              static_cast<std::size_t>(m));
-      const auto w = graph::MixingMatrix::metropolis(topo);
+      const auto topo = graph::Graph::make(topo_name, static_cast<std::size_t>(m));
+      const auto w = graph::Metropolis(topo);
       const auto info = graph::analyze(w);
       for (const double eps : epsilons) {
         dp::Theorem1Params p;

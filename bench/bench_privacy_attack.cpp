@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
   std::printf("\n-- membership inference vs PDSL's final model --\n");
   std::printf("%8s %8s %12s %14s %14s\n", "sigma", "auc", "advantage", "member_loss",
               "holdout_loss");
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 5);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::full(5);
+  const auto mixing = graph::Metropolis(topo);
   Rng part_rng = rng.split(2);
   data::PartitionOptions popts;
   popts.mu = 0.25;

@@ -46,8 +46,8 @@ namespace {
 /// one-hidden-layer mlp, fully connected graph (largest neighborhoods).
 struct Bed {
   data::Dataset train, validation, test;
-  graph::Topology topo;
-  graph::MixingMatrix mixing;
+  graph::Graph topo;
+  graph::Metropolis mixing;
   nn::Model model;
   std::vector<std::vector<std::size_t>> partition;
 
@@ -56,8 +56,8 @@ struct Bed {
     auto pool = data::make_synthetic_images(data::mnist_like_spec(1200, 10, seed));
     auto [rest, test] = data::split_off(pool, 200, rng);
     auto [train, validation] = data::split_off(rest, 150, rng);
-    auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, agents);
-    auto mixing = graph::MixingMatrix::metropolis(topo);
+    auto topo = graph::Graph::full(agents);
+    auto mixing = graph::Metropolis(topo);
     nn::Model model = nn::make_mlp(100, 24, 10);
     Rng part_rng = rng.split(1);
     data::PartitionOptions popts;

@@ -150,8 +150,8 @@ std::string display_name(const std::string& algo_key) {
 }
 
 json::Value fault_config_json(const core::ExperimentConfig& cfg) {
-  // Report the plan a Network built from this config would actually run
-  // (the legacy drop_prob alias folded in), not the raw struct.
+  // Report the plan run_experiment actually runs (the legacy drop_prob
+  // alias folded in), not the raw struct.
   sim::FaultPlan plan = cfg.faults;
   if (plan.drop_prob == 0.0) plan.drop_prob = cfg.drop_prob;
   return sim::fault_plan_to_json(plan);

@@ -17,7 +17,7 @@ using namespace pdsl;
 
 namespace {
 
-algos::Env make_env(const graph::Topology& topo, const graph::MixingMatrix& mixing,
+algos::Env make_env(const graph::Graph& topo, const graph::Metropolis& mixing,
                     const data::Dataset& train, const data::Dataset& validation,
                     const nn::Model& model,
                     const std::vector<std::vector<std::size_t>>& partition) {
@@ -55,8 +55,8 @@ int main() {
   auto pool = data::make_synthetic_images(data::mnist_like_spec(1200, 10, 5));
   auto [rest, test] = data::split_off(pool, 200, rng);
   auto [train, validation] = data::split_off(rest, 150, rng);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 5);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::full(5);
+  const auto mixing = graph::Metropolis(topo);
   const nn::Model model = nn::make_mlp(100, 32, 10);
   data::PartitionOptions popts;
   popts.mu = 0.25;

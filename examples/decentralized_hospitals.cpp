@@ -45,8 +45,8 @@ int main() {
               data::heterogeneity_index(dists));
 
   // 2. Communication: hospitals are connected in a ring (regional peering).
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, kHospitals);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::ring(kHospitals);
+  const auto mixing = graph::Metropolis(topo);
 
   // 3. Model + privacy calibration: per-round Gaussian mechanism on clipped
   // mini-batch gradients.

@@ -88,8 +88,8 @@ std::size_t auto_cache_cap(const fleet::FleetOptions& fleet, std::size_t m) {
 
 Algorithm::Algorithm(const Env& env)
     : env_(env),
-      net_(*env.topo, sim::Network::Options{env.drop_prob, splitmix64(env.seed ^ 0xAEAE),
-                                            true, env.compressor, env.faults, env.adversary,
+      net_(*env.topo, sim::Network::Options{splitmix64(env.seed ^ 0xAEAE), true, env.compressor,
+                                            env.faults, env.adversary,
                                             env.fleet.wire_roundtrip, env.channel}) {
   validate_env(env);
   // Sanitization defaults to "exactly when it could matter": an adversary in
@@ -106,8 +106,6 @@ Algorithm::Algorithm(const Env& env)
   participation_seed_ = fleet::resolve_participation_seed(env.fleet.participation, env.seed);
   // Round-keyed batch draws decouple a worker's samples from how often it was
   // touched, which is what makes sampling and lazy eviction deterministic.
-  // Sparse-only fleet runs keep the historical stateful draws so the golden
-  // fixtures replay bit-identical through SparseGraph.
   stateless_draws_ = env.fleet.stateless_batches();
   Rng root(env.seed);
 
@@ -430,20 +428,6 @@ void Algorithm::mix_exchange(
   for (unsigned char r : renorm) fault_stats_.mix_renormalized += r;
 }
 
-std::vector<std::vector<float>> Algorithm::mix_vectors(const std::vector<std::vector<float>>& in,
-                                                       const std::string& tag,
-                                                       sim::Channel channel) {
-  const std::size_t m = num_agents();
-  if (in.size() != m) throw std::invalid_argument("mix_vectors: arity mismatch");
-  std::vector<std::vector<float>> out(m);
-  mix_exchange([&in](std::size_t i) -> const std::vector<float>& { return in[i]; }, tag, channel,
-               out);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!active(i)) out[i] = in[i];  // offline agents freeze their value
-  }
-  return out;
-}
-
 std::vector<std::vector<float>> Algorithm::mix_vectors(const fleet::LazyMatrix& in,
                                                        const std::string& tag,
                                                        sim::Channel channel) {
@@ -453,7 +437,7 @@ std::vector<std::vector<float>> Algorithm::mix_vectors(const fleet::LazyMatrix& 
   mix_exchange([&in](std::size_t i) -> const std::vector<float>& { return in[i]; }, tag, channel,
                out);
   for (std::size_t i = 0; i < m; ++i) {
-    if (!active(i)) out[i] = in[i];
+    if (!active(i)) out[i] = in[i];  // offline agents freeze their value
   }
   return out;
 }

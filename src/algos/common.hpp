@@ -21,9 +21,8 @@
 #include "obs/ledger.hpp"
 #include "obs/phase.hpp"
 #include "data/dataset.hpp"
+#include "graph/graph.hpp"
 #include "graph/mixing.hpp"
-#include "graph/topology.hpp"
-#include "graph/view.hpp"
 #include "nn/model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -100,8 +99,8 @@ struct DefenseOptions {
 /// Borrowed views of everything one experiment run shares across algorithms.
 /// All pointers must outlive the Algorithm.
 struct Env {
-  const graph::TopologyView* topo = nullptr;
-  const graph::MixingView* mixing = nullptr;
+  const graph::Graph* topo = nullptr;
+  const graph::Metropolis* mixing = nullptr;
   const data::Dataset* train = nullptr;
   const data::Dataset* validation = nullptr;  ///< Q; required by PDSL only
   const nn::Model* model_template = nullptr;
@@ -112,7 +111,6 @@ struct Env {
   /// (RoundMetrics::epsilon_spent). Only the report changes with it — the
   /// noise itself is hp.sigma, calibrated upstream.
   double dp_delta = 1e-3;
-  double drop_prob = 0.0;  ///< legacy alias for faults.drop_prob
   const compress::Compressor* compressor = nullptr;  ///< optional lossy channel
   sim::FaultPlan faults;  ///< S-FAULT: drop/delay/churn/staleness injection
   sim::AdversaryPlan adversary;  ///< S-BYZ: Byzantine roles (empty = honest fleet)
@@ -319,9 +317,6 @@ class Algorithm {
   /// only — no re-clip; see DefenseOptions), and when robust_agg is set the
   /// W-average is replaced by a coordinate-wise trimmed-mean/median over
   /// {self} + arrivals.
-  std::vector<std::vector<float>> mix_vectors(
-      const std::vector<std::vector<float>>& in, const std::string& tag,
-      sim::Channel channel = sim::Channel::kContribution);
   std::vector<std::vector<float>> mix_vectors(
       const fleet::LazyMatrix& in, const std::string& tag,
       sim::Channel channel = sim::Channel::kContribution);

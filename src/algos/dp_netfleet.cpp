@@ -10,7 +10,7 @@ namespace pdsl::algos {
 
 DpNetFleet::DpNetFleet(const Env& env) : Algorithm(env) {
   const std::size_t d = models_.dim();
-  tracker_.assign(num_agents(), std::vector<float>(d, 0.0f));
+  tracker_.reset(num_agents(), std::vector<float>(d, 0.0f));
   prev_grad_.assign(num_agents(), std::vector<float>(d, 0.0f));
 }
 
@@ -28,7 +28,7 @@ void DpNetFleet::round_impl(std::size_t t) {
       if (!active(i)) return;  // tracker stays 0 until the agent comes back
       prev_grad_[i] = dp::privatize(workers_[i].gradient(models_[i]), env_.hp.clip,
                                     env_.hp.sigma, agent_rngs_[i]);
-      tracker_[i] = prev_grad_[i];
+      tracker_.set(i, prev_grad_[i]);
     });
     first_round_ = false;
   }
@@ -69,7 +69,7 @@ void DpNetFleet::round_impl(std::size_t t) {
 
     // NET-FLEET model update: x_i <- sum_j w_ij x_j - gamma * y_i.
     axpy(mixed_model[i], y, static_cast<float>(-env_.hp.gamma));
-    tracker_[i] = std::move(y);
+    tracker_.set(i, std::move(y));
     models_.set(i, std::move(mixed_model[i]));
   });
 }

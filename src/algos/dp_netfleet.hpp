@@ -22,7 +22,7 @@ class DpNetFleet final : public Algorithm {
   void round_impl(std::size_t t) override;
 
  private:
-  std::vector<std::vector<float>> tracker_;    ///< y_i
+  fleet::LazyMatrix tracker_;                  ///< y_i (COW rows share the zero vector)
   std::vector<std::vector<float>> prev_grad_;  ///< g_i at the previous round's model
   bool first_round_ = true;
 };

@@ -18,7 +18,6 @@
 #include "data/synthetic.hpp"
 #include "dp/calibration.hpp"
 #include "dp/mechanism.hpp"
-#include "fleet/sparse_graph.hpp"
 #include "kernels/backend.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
@@ -49,9 +48,9 @@ std::size_t dataset_channels(const ExperimentConfig& cfg) {
   return cfg.dataset == "cifar_like" ? 3 : 1;
 }
 
-/// `w` may be null on sparse fleet runs (the N x N matrix is never built);
-/// only the "theorem1" mode needs it and throws loudly without it.
-double calibrate_sigma_impl(const ExperimentConfig& cfg, const graph::MixingMatrix* w) {
+}  // namespace
+
+double calibrate_sigma(const ExperimentConfig& cfg, const graph::Metropolis& w) {
   if (cfg.sigma_mode == "none") return 0.0;
   if (cfg.sigma_mode == "fixed") return cfg.hp.sigma;
   if (cfg.sigma_mode == "dpsgd") {
@@ -61,25 +60,14 @@ double calibrate_sigma_impl(const ExperimentConfig& cfg, const graph::MixingMatr
     return dp::gaussian_sigma(sensitivity, cfg.epsilon, cfg.delta);
   }
   if (cfg.sigma_mode == "theorem1") {
-    if (w == nullptr) {
-      throw std::invalid_argument(
-          "run_experiment: sigma_mode 'theorem1' needs the dense mixing matrix and is not "
-          "available with fleet.sparse; use 'dpsgd', 'fixed' or 'none'");
-    }
     dp::Theorem1Params p;
     p.epsilon = cfg.epsilon;
     p.delta = cfg.delta;
     p.clip = cfg.hp.clip;
     p.phi_hat_min = cfg.phi_hat_min;
-    return dp::theorem1_sigma(*w, p);
+    return dp::theorem1_sigma(w, p);
   }
   throw std::invalid_argument("run_experiment: unknown sigma_mode '" + cfg.sigma_mode + "'");
-}
-
-}  // namespace
-
-double calibrate_sigma(const ExperimentConfig& cfg, const graph::MixingMatrix& w) {
-  return calibrate_sigma_impl(cfg, &w);
 }
 
 std::unique_ptr<algos::Algorithm> make_algorithm(const std::string& name,
@@ -190,51 +178,19 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
        cfg.algorithm == "async_dp_gossip")) {
     throw std::invalid_argument("run_experiment: algorithm '" + cfg.algorithm +
                                 "' does not support fleet mode (participation sampling / "
-                                "lazy state / sparse graphs)");
+                                "lazy state / wire round-trip)");
   }
   cfg.fleet.validate(cfg.agents);
 
-  // Communication graph + mixing matrix. The sparse fleet path never builds
-  // the N x N Topology/MixingMatrix; both paths present the same views.
-  const bool sparse_only_topology = cfg.topology == "regular" || cfg.topology == "geometric";
-  if (sparse_only_topology && !cfg.fleet.sparse) {
-    throw std::invalid_argument("run_experiment: topology '" + cfg.topology +
-                                "' is generated on demand and requires fleet.sparse "
-                                "(--sparse)");
-  }
-  std::optional<graph::Topology> dense_topo;
-  std::optional<graph::MixingMatrix> dense_mixing;
-  std::optional<fleet::SparseGraph> sparse_topo;
-  std::optional<fleet::SparseMetropolis> sparse_mixing;
-  const graph::TopologyView* topo_v = nullptr;
-  const graph::MixingView* mix_v = nullptr;
-  if (cfg.fleet.sparse) {
-    if (cfg.topology == "ring") {
-      sparse_topo.emplace(fleet::SparseGraph::ring(cfg.agents));
-    } else if (cfg.topology == "regular") {
-      sparse_topo.emplace(fleet::SparseGraph::regular(cfg.agents, cfg.fleet.degree));
-    } else if (cfg.topology == "geometric") {
-      sparse_topo.emplace(
-          fleet::SparseGraph::random_geometric(cfg.agents, cfg.fleet.radius, cfg.seed));
-    } else {
-      // Equivalence path: snapshot the dense generator's adjacency so every
-      // historical topology can be replayed through the CSR views.
-      Rng topo_rng = rng.split(0x70B0);
-      const auto dense = graph::Topology::make(graph::topology_from_string(cfg.topology),
-                                               cfg.agents, &topo_rng);
-      sparse_topo.emplace(fleet::SparseGraph::from_topology(dense));
-    }
-    sparse_mixing.emplace(*sparse_topo);
-    topo_v = &*sparse_topo;
-    mix_v = &*sparse_mixing;
-  } else {
-    Rng topo_rng = rng.split(0x70B0);
-    dense_topo.emplace(
-        graph::Topology::make(graph::topology_from_string(cfg.topology), cfg.agents, &topo_rng));
-    dense_mixing.emplace(graph::MixingMatrix::metropolis(*dense_topo));
-    topo_v = &*dense_topo;
-    mix_v = &*dense_mixing;
-  }
+  // Communication graph + Metropolis weights.
+  Rng topo_rng = rng.split(0x70B0);
+  graph::GraphParams gp;
+  gp.rng = &topo_rng;
+  gp.degree = cfg.fleet.degree;
+  gp.radius = cfg.fleet.radius;
+  gp.seed = cfg.seed;
+  const graph::Graph topo = graph::Graph::make(cfg.topology, cfg.agents, gp);
+  const graph::Metropolis mixing(topo);
 
   // Model template.
   const nn::Model model_template =
@@ -243,12 +199,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   // Noise calibration.
   algos::HyperParams hp = cfg.hp;
-  hp.sigma = calibrate_sigma_impl(cfg, dense_mixing ? &*dense_mixing : nullptr);
+  hp.sigma = calibrate_sigma(cfg, mixing);
   if (cfg.sigma_mode != "none") hp.sigma *= cfg.noise_scale;
 
   algos::Env env;
-  env.topo = topo_v;
-  env.mixing = mix_v;
+  env.topo = &topo;
+  env.mixing = &mixing;
   env.train = &train;
   env.validation = &validation;
   env.model_template = &model_template;
@@ -256,8 +212,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   env.hp = hp;
   env.seed = cfg.seed;
   env.dp_delta = cfg.delta;
-  env.drop_prob = cfg.drop_prob;
   env.faults = cfg.faults;
+  // Legacy drop_prob knob: folded into the fault plan unless the plan sets
+  // its own drop probability.
+  if (cfg.drop_prob < 0.0 || cfg.drop_prob >= 1.0) {
+    throw std::invalid_argument("run_experiment: drop_prob must be in [0,1)");
+  }
+  if (env.faults.drop_prob == 0.0) env.faults.drop_prob = cfg.drop_prob;
   env.faults.validate();
   env.adversary = cfg.adversary;
   // Legacy byzantine_agents knob: explicit sign_flip roles at the historical
@@ -369,9 +330,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   res.final_accuracy = series.empty() ? 0.0 : series.back().test_accuracy;
   res.sigma = hp.sigma;
   res.heterogeneity = data::heterogeneity_index(dists);
-  // Spectral analysis needs the dense W; sparse fleet runs report zeros
-  // rather than materializing an N x N matrix just for the diagnostics.
-  if (dense_mixing) res.spectral = graph::analyze(*dense_mixing);
+  // fleet.sparse skips the O(M^3) spectral report and leaves it zero.
+  if (!cfg.fleet.sparse) res.spectral = graph::analyze(mixing);
   res.model_dim = model_template.num_params();
   res.messages = alg->network().messages_sent();
   res.bytes = alg->network().bytes_sent();

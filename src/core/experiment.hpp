@@ -19,8 +19,8 @@ struct ExperimentConfig {
                                    ///< dp_cga | dp_netfleet | dpsgd | dmsgd
   std::string dataset = "mnist_like";  ///< mnist_like | cifar_like | gaussian
   std::string model = "mlp";           ///< mlp | mnist_cnn | cifar_cnn | logistic
-  std::string topology = "full";       ///< full | ring | bipartite | star | torus | er
-                                       ///< + sparse-only (fleet.sparse): regular | geometric
+  std::string topology = "full";       ///< full | ring | bipartite | star | torus | er |
+                                       ///< regular | geometric (graph::Graph::make)
 
   std::size_t agents = 10;
   std::size_t rounds = 50;
@@ -167,9 +167,7 @@ struct ExperimentResult {
 };
 
 /// Resolve the noise level for a config (exposed for the sigma ablation).
-/// The "theorem1" mode needs the dense mixing matrix; sparse fleet runs use
-/// the other modes (run_experiment throws loudly on the combination).
-double calibrate_sigma(const ExperimentConfig& cfg, const graph::MixingMatrix& w);
+double calibrate_sigma(const ExperimentConfig& cfg, const graph::Metropolis& w);
 
 /// Build the algorithm by name over a prepared Env (PDSL lives here; baselines
 /// come from pdsl_algos). Adversary/defense wiring rides in env.

@@ -46,8 +46,8 @@ Pdsl::Pdsl(const algos::Env& env, Options options)
         "Pdsl: a closed neighborhood has " + std::to_string(max_hood) +
         " members, but Shapley coalitions are uint64_t bitmasks (<= 63 players). "
         "With " + std::to_string(num_agents()) +
-        " agents, use a sparse topology with bounded degree "
-        "(--sparse --degree <= 62) so every closed neighborhood fits.");
+        " agents, use a bounded-degree topology "
+        "(--topology regular --degree <= 62) so every closed neighborhood fits.");
   }
   stack_coalitions_ = env.hp.shapley_eval != "sequential" &&
                       sim::CoalitionBatchEvaluator::batchable(*env.model_template);

@@ -16,7 +16,7 @@ void validate(const Theorem1Params& p) {
 }
 }  // namespace
 
-double theorem1_sigma_for_agent(const graph::MixingMatrix& w, std::size_t agent,
+double theorem1_sigma_for_agent(const graph::Metropolis& w, std::size_t agent,
                                 const Theorem1Params& p) {
   validate(p);
   if (agent >= w.size()) throw std::out_of_range("theorem1_sigma_for_agent: bad agent");
@@ -34,7 +34,7 @@ double theorem1_sigma_for_agent(const graph::MixingMatrix& w, std::size_t agent,
   return numerator / denominator;
 }
 
-double theorem1_sigma(const graph::MixingMatrix& w, const Theorem1Params& p) {
+double theorem1_sigma(const graph::Metropolis& w, const Theorem1Params& p) {
   double mx = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) {
     mx = std::max(mx, theorem1_sigma_for_agent(w, i, p));
@@ -42,7 +42,7 @@ double theorem1_sigma(const graph::MixingMatrix& w, const Theorem1Params& p) {
   return mx;
 }
 
-double theorem1_sensitivity(const graph::MixingMatrix& w, double clip) {
+double theorem1_sensitivity(const graph::Metropolis& w, double clip) {
   if (clip <= 0.0) throw std::invalid_argument("theorem1_sensitivity: clip must be positive");
   const double w_min = w.min_positive_weight();
   double worst = 0.0;

@@ -19,14 +19,14 @@ struct Theorem1Params {
 };
 
 /// Per-agent sigma bound (the expression inside Theorem 1's max).
-double theorem1_sigma_for_agent(const graph::MixingMatrix& w, std::size_t agent,
+double theorem1_sigma_for_agent(const graph::Metropolis& w, std::size_t agent,
                                 const Theorem1Params& p);
 
 /// The Theorem-1 bound: max over agents.
-double theorem1_sigma(const graph::MixingMatrix& w, const Theorem1Params& p);
+double theorem1_sigma(const graph::Metropolis& w, const Theorem1Params& p);
 
 /// Effective L2 sensitivity bound from the Theorem-1 proof (Eq. 41):
 /// Delta_2 q <= 2C/w_min + sum_{j in M_i} 2C/w_ij (for the worst agent).
-double theorem1_sensitivity(const graph::MixingMatrix& w, double clip);
+double theorem1_sensitivity(const graph::Metropolis& w, double clip);
 
 }  // namespace pdsl::dp

@@ -47,13 +47,11 @@ void FleetOptions::validate(std::size_t agents) const {
   if (participation.mode == ParticipationMode::kWalk && agents < 2) {
     throw std::invalid_argument("participation mode 'walk' needs at least 2 agents");
   }
-  // degree/radius are only consumed by the sparse-only "regular"/"geometric"
-  // generators, which range-check against the fleet size themselves; here we
-  // only reject values that are invalid for every topology.
-  if (sparse && degree == 0) {
-    throw std::invalid_argument("fleet.degree must be positive for sparse topologies");
-  }
-  if (sparse && !(radius > 0.0)) {
+  // degree/radius are only consumed by the "regular"/"geometric" generators,
+  // which range-check against the fleet size themselves; here we only reject
+  // values that are invalid for every fleet size.
+  if (degree == 0) throw std::invalid_argument("fleet.degree must be positive");
+  if (!(radius > 0.0)) {
     throw std::invalid_argument("fleet.radius must be positive, got " + std::to_string(radius));
   }
 }

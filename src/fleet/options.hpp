@@ -1,8 +1,9 @@
 #pragma once
 // S-SCALE fleet configuration: sampled/random-walk participation, lazy agent
-// state, sparse topologies and the wire-format round-trip mode. All defaults
-// are "off", in which case every algorithm behaves bit-identically to the
-// pre-fleet code paths (the golden fixtures enforce this).
+// state, the wire-format round-trip mode and the fleet-scale graph
+// generators' parameters. All defaults are "off", in which case every
+// algorithm behaves bit-identically to the pre-fleet code paths (the golden
+// fixtures enforce this).
 
 #include <cstddef>
 #include <cstdint>
@@ -49,22 +50,21 @@ struct FleetOptions {
   /// Encode + decode + verify every sim::Network message through the
   /// versioned wire format (proves bit-identical serialization on every send).
   bool wire_roundtrip = false;
-  /// Route the topology through fleet::SparseGraph / SparseMetropolis (CSR
-  /// neighbor views, no N x N matrix). Bit-identical to the dense path.
+  /// Skip the O(M^3) spectral report (ExperimentResult::spectral stays zero),
+  /// which would dominate setup at fleet sizes. The trajectory is unchanged.
   bool sparse = false;
-  /// Degree for the sparse "regular" (circulant) topology generator.
+  /// Degree for the "regular" (circulant) topology generator.
   std::size_t degree = 4;
-  /// Connection radius for the sparse "geometric" topology generator.
+  /// Connection radius for the "geometric" topology generator.
   double radius = 0.25;
 
   /// Any fleet machinery engaged at all?
   [[nodiscard]] bool enabled() const {
-    return participation.enabled() || lazy_state || wire_roundtrip || sparse;
+    return participation.enabled() || lazy_state || wire_roundtrip;
   }
   /// Stateless (round-keyed) mini-batch draws are required whenever workers
   /// can be evicted or skipped, so a re-materialized worker draws exactly the
-  /// batches it would have drawn had it stayed resident. Sparse-only runs
-  /// keep the historical stateful sampler (golden equivalence).
+  /// batches it would have drawn had it stayed resident.
   [[nodiscard]] bool stateless_batches() const {
     return participation.enabled() || lazy_state;
   }

@@ -22,7 +22,7 @@ std::uint64_t resolve_participation_seed(const ParticipationPlan& plan,
   return plan.seed != 0 ? plan.seed : splitmix64(experiment_seed ^ 0xF1EE7A6EULL);
 }
 
-std::size_t walk_position(const graph::TopologyView& topo, std::size_t round,
+std::size_t walk_position(const graph::Graph& topo, std::size_t round,
                           std::uint64_t seed) {
   if (round == 0) throw std::invalid_argument("walk_position: rounds are 1-based");
   std::size_t pos = static_cast<std::size_t>(splitmix64(seed ^ 0x57A2757EULL) % topo.size());
@@ -36,7 +36,7 @@ std::size_t walk_position(const graph::TopologyView& topo, std::size_t round,
 }
 
 std::vector<unsigned char> participation_mask(const ParticipationPlan& plan,
-                                              const graph::TopologyView& topo,
+                                              const graph::Graph& topo,
                                               std::size_t round, std::uint64_t seed) {
   const std::size_t n = topo.size();
   switch (plan.mode) {

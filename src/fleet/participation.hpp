@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "fleet/options.hpp"
-#include "graph/view.hpp"
+#include "graph/graph.hpp"
 
 namespace pdsl::fleet {
 
@@ -23,8 +23,8 @@ namespace pdsl::fleet {
 ///   (p_0 := p_1), so each step is a handoff along a graph edge.
 /// `seed` must already be resolved (non-zero); use resolve_participation_seed.
 std::vector<unsigned char> participation_mask(const ParticipationPlan& plan,
-                                              const graph::TopologyView& topo,
-                                              std::size_t round, std::uint64_t seed);
+                                              const graph::Graph& topo, std::size_t round,
+                                              std::uint64_t seed);
 
 /// Resolve the plan's hash seed: plan.seed when non-zero, else derived from
 /// the experiment seed.
@@ -32,7 +32,7 @@ std::vector<unsigned char> participation_mask(const ParticipationPlan& plan,
                                                        std::uint64_t experiment_seed);
 
 /// Walker position at round t (exposed for tests; round >= 1).
-[[nodiscard]] std::size_t walk_position(const graph::TopologyView& topo, std::size_t round,
+[[nodiscard]] std::size_t walk_position(const graph::Graph& topo, std::size_t round,
                                         std::uint64_t seed);
 
 }  // namespace pdsl::fleet

@@ -1,102 +1,52 @@
 #include "graph/mixing.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <utility>
 
 namespace pdsl::graph {
 
-MixingMatrix MixingMatrix::metropolis(const Topology& topo) {
-  const std::size_t n = topo.size();
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
+namespace {
+// Weights at or below this count as zero (support, omega_min).
+constexpr double kZero = 1e-12;
+
+double edge_weight(const Graph& g, std::size_t i, std::size_t j) {
+  return 1.0 / (1.0 + static_cast<double>(std::max(g.degree(i), g.degree(j))));
+}
+}  // namespace
+
+Metropolis::Metropolis(Graph g) : graph_(std::move(g)), diag_(graph_.size()) {
+  // Accumulate the off-diagonal weights in ascending-neighbor order, then
+  // complement: the diagonal's rounding is part of the golden fixtures.
+  for (std::size_t i = 0; i < graph_.size(); ++i) {
     double off = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!topo.has_edge(i, j)) continue;
-      w[i][j] = 1.0 / (1.0 + static_cast<double>(std::max(topo.degree(i), topo.degree(j))));
-      off += w[i][j];
-    }
-    w[i][i] = 1.0 - off;
+    for (std::size_t j : graph_.neighbors(i)) off += edge_weight(graph_, i, j);
+    diag_[i] = 1.0 - off;
   }
-  return MixingMatrix(std::move(w));
 }
 
-MixingMatrix MixingMatrix::uniform_neighborhood(const Topology& topo) {
-  const std::size_t n = topo.size();
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double share = 1.0 / static_cast<double>(topo.degree(i) + 1);
-    w[i][i] = share;
-    for (std::size_t j : topo.neighbors(i)) w[i][j] = share;
-  }
-  MixingMatrix m(std::move(w));
-  if (!m.is_doubly_stochastic(1e-9)) {
-    throw std::invalid_argument("uniform_neighborhood: graph is not regular");
-  }
-  return m;
+double Metropolis::operator()(std::size_t i, std::size_t j) const {
+  if (i == j) return diag_[i];
+  if (!graph_.has_edge(i, j)) return 0.0;
+  return edge_weight(graph_, i, j);
 }
 
-MixingMatrix MixingMatrix::from_dense(std::vector<std::vector<double>> w) {
-  MixingMatrix m(std::move(w));
-  const std::size_t n = m.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (m.w_[i].size() != n) throw std::invalid_argument("from_dense: non-square");
-    for (std::size_t j = 0; j < n; ++j) {
-      if (m.w_[i][j] < -1e-12) throw std::invalid_argument("from_dense: negative weight");
-    }
-  }
-  if (!m.is_symmetric()) throw std::invalid_argument("from_dense: not symmetric");
-  if (!m.is_doubly_stochastic()) throw std::invalid_argument("from_dense: not doubly stochastic");
-  return m;
-}
-
-double MixingMatrix::min_positive_weight() const {
+double Metropolis::min_positive_weight() const {
   double mn = 1.0;
-  for (const auto& row : w_) {
-    for (double v : row) {
-      if (v > 1e-12) mn = std::min(mn, v);
+  for (std::size_t i = 0; i < size(); ++i) {
+    for (std::size_t j : graph_.closed_neighborhood(i)) {
+      const double v = (*this)(i, j);
+      if (v > kZero) mn = std::min(mn, v);
     }
   }
   return mn;
 }
 
-std::vector<std::size_t> MixingMatrix::support(std::size_t i) const {
-  std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < w_.size(); ++j) {
-    if (w_[i][j] > 1e-12) out.push_back(j);
-  }
+std::vector<std::size_t> Metropolis::support(std::size_t i) const {
+  std::vector<std::size_t> out = graph_.closed_neighborhood(i);
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](std::size_t j) { return !((*this)(i, j) > kZero); }),
+            out.end());
   return out;
-}
-
-std::vector<double> MixingMatrix::apply(const std::vector<double>& x) const {
-  if (x.size() != size()) throw std::invalid_argument("MixingMatrix::apply: size mismatch");
-  std::vector<double> y(size(), 0.0);
-  for (std::size_t i = 0; i < size(); ++i) {
-    for (std::size_t j = 0; j < size(); ++j) y[i] += w_[i][j] * x[j];
-  }
-  return y;
-}
-
-bool MixingMatrix::is_symmetric(double tol) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    for (std::size_t j = i + 1; j < size(); ++j) {
-      if (std::abs(w_[i][j] - w_[j][i]) > tol) return false;
-    }
-  }
-  return true;
-}
-
-bool MixingMatrix::is_doubly_stochastic(double tol) const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    double row = 0.0, col = 0.0;
-    for (std::size_t j = 0; j < size(); ++j) {
-      row += w_[i][j];
-      col += w_[j][i];
-      if (w_[i][j] < -tol) return false;
-    }
-    if (std::abs(row - 1.0) > tol || std::abs(col - 1.0) > tol) return false;
-  }
-  return true;
 }
 
 }  // namespace pdsl::graph

@@ -1,54 +1,39 @@
 #pragma once
-// Symmetric doubly stochastic mixing matrices W over a Topology, satisfying
-// the paper's Assumption 3. Metropolis–Hastings weights are the default:
+// Metropolis–Hastings mixing weights over a Graph, satisfying the paper's
+// Assumption 3 (symmetric, doubly stochastic):
 //   w_ij = 1 / (1 + max(deg_i, deg_j))    for edges (i,j)
 //   w_ii = 1 - sum_{j != i} w_ij
 // For the fully connected graph this reduces to w_ij = 1/M, matching the
-// uniform averaging the paper implies.
+// uniform averaging the paper implies. Besides its own copy of the graph,
+// only the M diagonal entries are stored; off-diagonal weights are computed
+// on demand from degrees, so the storage is O(M + E) and no M x M matrix
+// exists.
 
 #include <cstddef>
 #include <vector>
 
-#include "graph/topology.hpp"
-#include "graph/view.hpp"
+#include "graph/graph.hpp"
 
 namespace pdsl::graph {
 
-class MixingMatrix final : public MixingView {
+class Metropolis {
  public:
-  /// Metropolis–Hastings weights on `topo`.
-  static MixingMatrix metropolis(const Topology& topo);
+  explicit Metropolis(Graph g);
 
-  /// Uniform weights 1/|M_i| on the closed neighborhood — only doubly
-  /// stochastic for regular graphs; the constructor validates and throws
-  /// otherwise. Provided because several baselines assume regular rings.
-  static MixingMatrix uniform_neighborhood(const Topology& topo);
-
-  /// From an explicit matrix (validated: symmetric, doubly stochastic,
-  /// non-negative, zero where topo has no edge).
-  static MixingMatrix from_dense(std::vector<std::vector<double>> w);
-
-  [[nodiscard]] std::size_t size() const override { return w_.size(); }
-  [[nodiscard]] double weight(std::size_t i, std::size_t j) const override { return w_[i][j]; }
-  [[nodiscard]] double operator()(std::size_t i, std::size_t j) const { return w_[i][j]; }
-  [[nodiscard]] const std::vector<std::vector<double>>& dense() const { return w_; }
+  [[nodiscard]] std::size_t size() const { return graph_.size(); }
+  /// w_ij: the stored diagonal, the Metropolis weight on an edge, else 0.
+  [[nodiscard]] double operator()(std::size_t i, std::size_t j) const;
 
   /// Smallest positive weight (the paper's omega_min, over j in M_i).
   [[nodiscard]] double min_positive_weight() const;
 
-  /// Closed neighborhood under W: {j : w_ij > 0} (includes i when w_ii > 0).
+  /// Closed neighborhood under W: {j : w_ij > 0}, ascending (includes i when
+  /// w_ii > 0).
   [[nodiscard]] std::vector<std::size_t> support(std::size_t i) const;
 
-  /// y = W x for a vector of per-agent scalars (used in tests).
-  [[nodiscard]] std::vector<double> apply(const std::vector<double>& x) const;
-
-  /// Validation helpers (also used by the property tests).
-  [[nodiscard]] bool is_symmetric(double tol = 1e-9) const;
-  [[nodiscard]] bool is_doubly_stochastic(double tol = 1e-9) const;
-
  private:
-  explicit MixingMatrix(std::vector<std::vector<double>> w) : w_(std::move(w)) {}
-  std::vector<std::vector<double>> w_;
+  Graph graph_;
+  std::vector<double> diag_;
 };
 
 }  // namespace pdsl::graph

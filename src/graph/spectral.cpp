@@ -49,8 +49,17 @@ std::vector<double> symmetric_eigenvalues(const std::vector<std::vector<double>>
   return eig;
 }
 
-SpectralInfo analyze(const MixingMatrix& w) {
-  const auto eig = symmetric_eigenvalues(w.dense());
+std::vector<double> eigenvalues(const Metropolis& w) {
+  const std::size_t n = w.size();
+  std::vector<std::vector<double>> dense(n, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) dense[i][j] = w(i, j);
+  }
+  return symmetric_eigenvalues(dense);
+}
+
+SpectralInfo analyze(const Metropolis& w) {
+  const auto eig = eigenvalues(w);
   SpectralInfo info;
   info.lambda1 = eig.front();
   info.lambda2 = eig.size() > 1 ? eig[1] : eig[0];

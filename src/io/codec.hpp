@@ -65,6 +65,7 @@ class ByteReader {
     if (pos_ + n > buf_->size()) {
       throw std::runtime_error(std::string(who_) + ": truncated reading " + what);
     }
+    if (n == 0) return;  // an empty vector's data() may be null, which memcpy forbids
     std::memcpy(out, buf_->data() + pos_, n);
     pos_ += n;
   }

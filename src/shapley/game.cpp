@@ -12,8 +12,8 @@ Game::Game(std::size_t num_players, BatchCharacteristicFn batch_v)
   if (n_ > 63) {
     throw std::invalid_argument(
         "shapley::Game: at most 63 players — coalitions are uint64_t bitmasks. "
-        "Dense neighborhoods of a large fleet exceed this; use a sparse topology "
-        "(--sparse with bounded degree) so every closed neighborhood stays <= 63.");
+        "Dense neighborhoods of a large fleet exceed this; use a bounded-degree "
+        "topology (--topology regular) so every closed neighborhood stays <= 63.");
   }
   if (!batch_v_) throw std::invalid_argument("shapley::Game: null characteristic function");
 }

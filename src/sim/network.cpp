@@ -8,15 +8,10 @@
 
 namespace pdsl::sim {
 
-Network::Network(const graph::TopologyView& topo, Options opts)
-    : topo_(topo.clone()), opts_(std::move(opts)) {
-  if (opts_.drop_prob < 0.0 || opts_.drop_prob >= 1.0) {
-    throw std::invalid_argument("Network: drop_prob must be in [0,1)");
-  }
-  // Fold the legacy scalar knobs into the plan so there is exactly one source
-  // of truth for fault decisions. Plan fields win when set; the fallback to
-  // opts_.seed keeps the historical drop stream for drop_prob-only configs.
-  if (opts_.faults.drop_prob == 0.0) opts_.faults.drop_prob = opts_.drop_prob;
+Network::Network(graph::Graph topo, Options opts)
+    : topo_(std::move(topo)), opts_(std::move(opts)) {
+  // The fallback to opts_.seed keeps the historical drop stream for configs
+  // that leave faults.seed unset.
   if (opts_.faults.seed == 0) opts_.faults.seed = opts_.seed;
   opts_.faults.validate();
   // S-BYZ: the adversary's noise streams default to the same seed family as
@@ -54,12 +49,12 @@ std::vector<LateMessage> Network::begin_round(std::size_t t) {
 
 bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
                    std::vector<float> payload, Channel channel) {
-  if (src >= topo_->size() || dst >= topo_->size()) {
+  if (src >= topo_.size() || dst >= topo_.size()) {
     throw std::out_of_range("Network::send: agent id out of range");
   }
   if (src == dst) {
     if (!opts_.allow_self_send) throw std::invalid_argument("Network::send: self send disabled");
-  } else if (!topo_->has_edge(src, dst)) {
+  } else if (!topo_.has_edge(src, dst)) {
     throw std::invalid_argument("Network::send: (" + std::to_string(src) + "," +
                                 std::to_string(dst) + ") is not an edge");
   }
@@ -136,7 +131,7 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
     // what matures later). Every decision is a pure function of the plan and
     // the message identity, so attack traces are interleaving-independent.
     if (channel == Channel::kContribution && opts_.adversary.any()) {
-      const ByzRole role = opts_.adversary.role(src, topo_->size(), clock_);
+      const ByzRole role = opts_.adversary.role(src, topo_.size(), clock_);
       bool hit = false;
       if (role.mode == ByzMode::kStaleReplay) {
         const auto at = tag.find('@');

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -30,8 +29,7 @@
 
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
-#include "graph/topology.hpp"
-#include "graph/view.hpp"
+#include "graph/graph.hpp"
 #include "io/codec.hpp"
 #include "sim/faults.hpp"
 
@@ -51,10 +49,6 @@ enum class Channel {
 };
 
 struct NetworkOptions {
-  /// Legacy alias for faults.drop_prob (kept so existing call sites and
-  /// configs keep working); merged into `faults` by the constructor when
-  /// faults.drop_prob is unset.
-  double drop_prob = 0.0;
   std::uint64_t seed = 7;  ///< fault decision seed (faults.seed = 0 uses this)
   bool allow_self_send = true;
   /// Optional lossy channel compression (borrowed; must outlive the
@@ -93,9 +87,8 @@ class Network {
  public:
   using Options = NetworkOptions;
 
-  /// Accepts any topology view (dense graph::Topology or fleet::SparseGraph)
-  /// and stores a clone, so callers may pass temporaries.
-  explicit Network(const graph::TopologyView& topo, Options opts = {});
+  /// Stores a copy of `topo`, so callers may pass temporaries.
+  explicit Network(graph::Graph topo, Options opts = {});
 
   /// Advance the round clock to `t` (1-indexed) and collect every delayed
   /// message that matures by round t, in deterministic (src, dst, tag,
@@ -147,8 +140,7 @@ class Network {
   [[nodiscard]] std::size_t retry_exhausted() const;      ///< messages lost after all retries
   [[nodiscard]] std::size_t duplicates_dropped() const;   ///< in-flight dup copies deduped
   [[nodiscard]] std::size_t reorders() const;             ///< deliveries that jumped the queue
-  [[nodiscard]] const graph::TopologyView& topology() const { return *topo_; }
-  /// The merged fault plan actually in effect (legacy drop_prob folded in).
+  /// The fault plan actually in effect (seed fallback folded in).
   [[nodiscard]] const FaultPlan& faults() const { return opts_.faults; }
   /// The adversary plan actually in effect (seed fallback folded in).
   [[nodiscard]] const AdversaryPlan& adversary() const { return opts_.adversary; }
@@ -224,7 +216,7 @@ class Network {
     std::size_t round = 0;  ///< the round the recorded payload was sent in
   };
 
-  std::unique_ptr<const graph::TopologyView> topo_;  ///< owned clone
+  graph::Graph topo_;
   Options opts_;
   mutable std::mutex mu_;  ///< guards boxes_, pending_ and every counter below
   // Mailboxes are deques (not queues) so the S-RECOV reorder impairment can

@@ -28,8 +28,8 @@ namespace {
 struct Fixture {
   data::Dataset train;
   data::Dataset test;
-  graph::Topology topo;
-  graph::MixingMatrix mixing;
+  graph::Graph topo;
+  graph::Metropolis mixing;
   nn::Model model;
   std::vector<std::vector<std::size_t>> partition;
   data::Dataset validation;
@@ -40,8 +40,8 @@ struct Fixture {
     auto pool = data::make_gaussian_mixture(700, 4, 6, 2.5, 0.5, 21);
     auto [rest, test] = data::split_off(pool, 100, rng);
     auto [train, validation] = data::split_off(rest, 100, rng);
-    auto topo = graph::Topology::make(graph::topology_from_string(topology), agents, &rng);
-    auto mixing = graph::MixingMatrix::metropolis(topo);
+    auto topo = graph::Graph::make(topology, agents, {&rng});
+    auto mixing = graph::Metropolis(topo);
     nn::Model model = nn::make_mlp(6, 12, 4);
     std::vector<std::vector<std::size_t>> partition;
     if (iid) {
@@ -190,7 +190,7 @@ TEST(Baselines, GossipAveragingConvergesToConsensus) {
 TEST(Baselines, DropoutLinksDoNotCrash) {
   const auto fx = Fixture::make(5, 0.0);
   Env env = fx.env(0.1);
-  env.drop_prob = 0.3;
+  env.faults.drop_prob = 0.3;
   DpCga alg(env);
   for (std::size_t t = 1; t <= 5; ++t) alg.run_round(t);
   for (const auto& m : alg.models()) {

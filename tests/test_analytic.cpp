@@ -21,9 +21,9 @@ TEST(Analytic, RingMetropolisEigenvalues) {
   // Ring with Metropolis weights: w = 1/3 on self and both neighbors, a
   // circulant matrix with eigenvalues (1 + 2 cos(2 pi k / n)) / 3.
   const std::size_t n = 8;
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, n);
-  const auto w = graph::MixingMatrix::metropolis(topo);
-  const auto eig = graph::symmetric_eigenvalues(w.dense());
+  const auto topo = graph::Graph::ring(n);
+  const auto w = graph::Metropolis(topo);
+  const auto eig = graph::eigenvalues(w);
   std::vector<double> expected;
   for (std::size_t k = 0; k < n; ++k) {
     expected.push_back(
@@ -37,8 +37,8 @@ TEST(Analytic, RingMetropolisEigenvalues) {
 
 TEST(Analytic, FullGraphMetropolisEigenvalues) {
   // W = (1/M) 1 1^T: eigenvalues are 1 and 0 (multiplicity M-1).
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 7);
-  const auto eig = graph::symmetric_eigenvalues(graph::MixingMatrix::metropolis(topo).dense());
+  const auto topo = graph::Graph::full(7);
+  const auto eig = graph::eigenvalues(graph::Metropolis(topo));
   EXPECT_NEAR(eig[0], 1.0, 1e-9);
   for (std::size_t i = 1; i < 7; ++i) EXPECT_NEAR(eig[i], 0.0, 1e-9);
 }
@@ -48,8 +48,8 @@ TEST(Analytic, BipartiteMetropolisSpectrum) {
   // w_self = 1/(h+1). Eigenvalues: 1, (two blocks of) 1/(h+1) with
   // multiplicity 2(h-1), and -(h-1)/(h+1).
   const std::size_t h = 4;
-  const auto topo = graph::Topology::make(graph::TopologyKind::kBipartite, 2 * h);
-  const auto eig = graph::symmetric_eigenvalues(graph::MixingMatrix::metropolis(topo).dense());
+  const auto topo = graph::Graph::bipartite(2 * h);
+  const auto eig = graph::eigenvalues(graph::Metropolis(topo));
   EXPECT_NEAR(eig.front(), 1.0, 1e-9);
   EXPECT_NEAR(eig.back(), -(static_cast<double>(h) - 1.0) / (static_cast<double>(h) + 1.0),
               1e-9);
@@ -121,8 +121,8 @@ TEST(Analytic, Theorem1ClosedFormOnRing) {
   // Ring: every positive weight is 1/3, closed neighborhood size 3.
   // numerator = 2C (3 + 9) sqrt(2 ln(1.25/delta)); denominator =
   // phimin * eps * sqrt(3 * 9).
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, 10);
-  const auto w = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::ring(10);
+  const auto w = graph::Metropolis(topo);
   dp::Theorem1Params p;
   p.epsilon = 0.2;
   p.delta = 1e-4;

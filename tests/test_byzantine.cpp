@@ -235,7 +235,7 @@ TEST(CorruptPayload, HashTagIsStableAndSensitive) {
 // ---------------------------------------------------------------------------
 
 TEST(NetworkByzantine, StateChannelIsNeverCorrupted) {
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 3);
+  const auto topo = graph::Graph::full(3);
   NetworkOptions opts;
   opts.adversary.frac = 0.4;  // agent 0 attacks
   opts.adversary.mode = ByzMode::kSignFlip;
@@ -250,7 +250,7 @@ TEST(NetworkByzantine, StateChannelIsNeverCorrupted) {
 }
 
 TEST(NetworkByzantine, HonestSendersAreUntouchedOnEveryChannel) {
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 3);
+  const auto topo = graph::Graph::full(3);
   NetworkOptions opts;
   opts.adversary.frac = 0.4;  // agent 0 attacks; 1 and 2 are honest
   opts.adversary.mode = ByzMode::kSignFlip;
@@ -263,7 +263,7 @@ TEST(NetworkByzantine, HonestSendersAreUntouchedOnEveryChannel) {
 }
 
 TEST(NetworkByzantine, StaleReplayResendsTheFirstRecordedPayload) {
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 2);
+  const auto topo = graph::Graph::full(2);
   NetworkOptions opts;
   opts.adversary.roles.push_back(
       ByzRole{0, ByzMode::kStaleReplay, 1.0, 1, sim::kNoRoundLimit});
@@ -417,7 +417,7 @@ TEST(NetworkByzantine, CorruptedPayloadMaturesThroughTheDelayBuffer) {
   // wire, so the checksum sees a consistent frame and the transport carries
   // the poisoned payload faithfully — including through the pending-delay
   // buffer and around any bit-flip/retransmit cycles the channel injects.
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 2);
+  const auto topo = graph::Graph::full(2);
   NetworkOptions opts;
   opts.adversary.frac = 0.5;  // agent 0 attacks
   opts.adversary.mode = ByzMode::kSignFlip;

@@ -106,7 +106,7 @@ TEST(Factory, ParsesSpecs) {
 }
 
 TEST(NetworkChannel, CompressorIsAppliedAndBytesShrink) {
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, 4);
+  const auto topo = graph::Graph::ring(4);
   TopKCompressor comp(0.1);
   sim::Network::Options opts;
   opts.compressor = &comp;
@@ -125,7 +125,7 @@ TEST(NetworkChannel, CompressorIsAppliedAndBytesShrink) {
 }
 
 TEST(NetworkChannel, SelfSendsBypassCompression) {
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, 4);
+  const auto topo = graph::Graph::ring(4);
   TopKCompressor comp(0.01);
   sim::Network::Options opts;
   opts.compressor = &comp;

@@ -118,12 +118,11 @@ TEST(Privatize, ClipsThenPerturbs) {
 }
 
 namespace {
-graph::MixingMatrix full_w(std::size_t m) {
-  return graph::MixingMatrix::metropolis(
-      graph::Topology::make(graph::TopologyKind::kFullyConnected, m));
+graph::Metropolis full_w(std::size_t m) {
+  return graph::Metropolis(graph::Graph::full(m));
 }
-graph::MixingMatrix ring_w(std::size_t m) {
-  return graph::MixingMatrix::metropolis(graph::Topology::make(graph::TopologyKind::kRing, m));
+graph::Metropolis ring_w(std::size_t m) {
+  return graph::Metropolis(graph::Graph::ring(m));
 }
 }  // namespace
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "core/experiment.hpp"
 #include "core/pdsl.hpp"
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
@@ -38,8 +39,8 @@ struct Fixture {
   data::Dataset train;
   data::Dataset validation;
   data::Dataset test;
-  graph::Topology topo;
-  graph::MixingMatrix mixing;
+  graph::Graph topo;
+  graph::Metropolis mixing;
   nn::Model model;
   std::vector<std::vector<std::size_t>> partition;
 
@@ -49,8 +50,8 @@ struct Fixture {
     auto pool = data::make_gaussian_mixture(600, 4, 6, 2.5, 0.5, seed);
     auto [rest, test] = data::split_off(pool, 100, rng);
     auto [train, validation] = data::split_off(rest, 100, rng);
-    auto topo = graph::Topology::make(graph::topology_from_string(topology), agents, &rng);
-    auto mixing = graph::MixingMatrix::metropolis(topo);
+    auto topo = graph::Graph::make(topology, agents, {&rng});
+    auto mixing = graph::Metropolis(topo);
     nn::Model model = nn::make_mlp(6, 10, 4);
     auto partition = data::iid_partition(train, agents, rng);
     return Fixture{std::move(train), std::move(validation), std::move(test),
@@ -201,38 +202,43 @@ TEST(FaultPlan, DecisionsArePureFunctionsOfIdentity) {
 }
 
 TEST(FaultPlan, LegacyDropKnobReproducesHistoricDropStream) {
-  // NetworkOptions{drop_prob, seed} predates FaultPlan; the constructor folds
-  // it into faults.drop_prob/faults.seed and must reproduce the same drop set
-  // as a FaultPlan configured directly.
-  Rng rng(3);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 4, &rng);
+  // ExperimentConfig::drop_prob predates FaultPlan; run_experiment folds it
+  // into faults.drop_prob, so the legacy knob must reproduce the run a
+  // FaultPlan configured directly makes, bit for bit.
+  core::ExperimentConfig legacy;
+  legacy.model = "logistic";
+  legacy.image = 6;
+  legacy.agents = 4;
+  legacy.rounds = 3;
+  legacy.train_samples = 160;
+  legacy.test_samples = 40;
+  legacy.validation_samples = 40;
+  legacy.hp.batch = 8;
+  legacy.hp.shapley_permutations = 2;
+  legacy.hp.validation_batch = 16;
+  legacy.sigma_mode = "none";
+  legacy.metrics.eval_every = 0;
+  core::ExperimentConfig modern = legacy;
+  legacy.drop_prob = 0.3;
+  modern.faults.drop_prob = 0.3;
+  const auto a = core::run_experiment(legacy);
+  const auto b = core::run_experiment(modern);
+  EXPECT_GT(a.dropped, 0u);
+  EXPECT_LT(a.dropped, a.messages);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.average_model, b.average_model);
 
-  NetworkOptions legacy;
-  legacy.drop_prob = 0.4;
-  legacy.seed = 21;
-  Network a(topo, legacy);
+  // A plan that sets its own drop probability wins over the legacy knob.
+  legacy.faults.drop_prob = 0.1;
+  modern.faults.drop_prob = 0.1;
+  const auto c = core::run_experiment(legacy);
+  const auto d = core::run_experiment(modern);
+  EXPECT_EQ(c.dropped, d.dropped);
+  EXPECT_EQ(c.average_model, d.average_model);
 
-  NetworkOptions modern;
-  modern.faults.drop_prob = 0.4;
-  modern.faults.seed = 21;
-  Network b(topo, modern);
-
-  std::vector<int> fates_a, fates_b;
-  for (std::size_t t = 1; t <= 3; ++t) {
-    a.begin_round(t);
-    b.begin_round(t);
-    for (std::size_t i = 0; i < 4; ++i)
-      for (std::size_t j = 0; j < 4; ++j) {
-        if (i == j) continue;
-        fates_a.push_back(a.send(i, j, "x", {1.0f}) ? 1 : 0);
-        fates_b.push_back(b.send(i, j, "x", {1.0f}) ? 1 : 0);
-      }
-    a.clear();
-    b.clear();
-  }
-  EXPECT_EQ(fates_a, fates_b);
-  EXPECT_GT(a.messages_dropped(), 0u);
-  EXPECT_LT(a.messages_dropped(), a.messages_sent());
+  legacy.drop_prob = 1.0;  // the knob keeps its [0,1) range
+  EXPECT_THROW((void)core::run_experiment(legacy), std::invalid_argument);
 }
 
 TEST(FaultPlan, ChurnIsConstantWithinAnIntervalAndRehashedAcross) {
@@ -277,8 +283,7 @@ TEST(FaultPlan, ChurnIsConstantWithinAnIntervalAndRehashedAcross) {
 // ---------------------------------------------------------------------------
 
 TEST(NetworkFaults, DelayedMessagesMatureInDeterministicOrder) {
-  Rng rng(5);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 3, &rng);
+  const auto topo = graph::Graph::full(3);
   NetworkOptions opts;
   opts.faults.delay_prob = 0.9;
   opts.faults.delay_rounds = 2;
@@ -324,8 +329,7 @@ TEST(NetworkFaults, DelayedMessagesMatureInDeterministicOrder) {
 }
 
 TEST(NetworkFaults, ChurnDropsTrafficToAndFromOfflineAgents) {
-  Rng rng(5);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 6, &rng);
+  const auto topo = graph::Graph::full(6);
   NetworkOptions opts;
   opts.faults.churn_prob = 0.4;
   opts.faults.churn_interval = 2;
@@ -550,8 +554,7 @@ TEST(NetworkFaults, ChannelCorruptionCountsExactlyOnceAndNeverLeaks) {
   // as delivered, in flight, faulted away, or lost to retry exhaustion, and
   // a detected corruption is answered by exactly one retransmission or one
   // exhaustion — a corrupted frame never reaches a mailbox.
-  Rng rng(4);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 2, &rng);
+  const auto topo = graph::Graph::full(2);
   NetworkOptions opts;
   opts.seed = 13;
   opts.faults.drop_prob = 0.2;

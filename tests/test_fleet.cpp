@@ -1,7 +1,7 @@
-// S-SCALE unit tests: sparse CSR topologies vs the dense graph/ classes,
-// deterministic participation sampling, the wire codec, LazyMatrix COW
-// semantics, and the end-to-end bit-identity contracts (dense vs sparse,
-// eager vs lazy, wire on vs off, sampled reruns and thread widths).
+// S-SCALE unit tests: deterministic participation sampling, the wire codec,
+// LazyMatrix COW semantics, and the end-to-end bit-identity contracts
+// (fleet.sparse on vs off, eager vs lazy, wire on vs off, sampled reruns and
+// thread widths).
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,8 @@
 #include "fleet/lazy_matrix.hpp"
 #include "fleet/options.hpp"
 #include "fleet/participation.hpp"
-#include "fleet/sparse_graph.hpp"
 #include "fleet/wire.hpp"
-#include "graph/mixing.hpp"
-#include "graph/topology.hpp"
+#include "graph/graph.hpp"
 
 namespace {
 
@@ -27,113 +25,15 @@ using pdsl::fleet::FleetOptions;
 using pdsl::fleet::LazyMatrix;
 using pdsl::fleet::ParticipationMode;
 using pdsl::fleet::ParticipationPlan;
-using pdsl::fleet::SparseGraph;
-using pdsl::fleet::SparseMetropolis;
 using pdsl::fleet::WireMessage;
-using pdsl::graph::MixingMatrix;
-using pdsl::graph::Topology;
-using pdsl::graph::TopologyKind;
-
-void expect_same_graph(const pdsl::graph::TopologyView& a,
-                       const pdsl::graph::TopologyView& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.num_edges(), b.num_edges());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.degree(i), b.degree(i)) << "degree of " << i;
-    EXPECT_EQ(a.neighbors(i), b.neighbors(i)) << "neighbors of " << i;
-    EXPECT_EQ(a.closed_neighborhood(i), b.closed_neighborhood(i));
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a.has_edge(i, j), b.has_edge(i, j)) << i << "," << j;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SparseGraph vs dense Topology
-// ---------------------------------------------------------------------------
-
-TEST(SparseGraph, FromTopologyMatchesDense) {
-  for (const auto kind : {TopologyKind::kFullyConnected, TopologyKind::kRing,
-                          TopologyKind::kBipartite, TopologyKind::kStar}) {
-    const Topology dense = Topology::make(kind, 8);
-    const SparseGraph sparse = SparseGraph::from_topology(dense);
-    expect_same_graph(dense, sparse);
-  }
-}
-
-TEST(SparseGraph, RingGeneratorMatchesDenseRing) {
-  const Topology dense = Topology::make(TopologyKind::kRing, 12);
-  const SparseGraph sparse = SparseGraph::ring(12);
-  expect_same_graph(dense, sparse);
-}
-
-TEST(SparseGraph, RegularGeneratorProperties) {
-  const SparseGraph g = SparseGraph::regular(12, 4);
-  ASSERT_EQ(g.size(), 12u);
-  EXPECT_TRUE(g.is_connected());
-  EXPECT_EQ(g.num_edges(), 12u * 4u / 2u);
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    EXPECT_EQ(g.degree(i), 4u);
-    for (const auto j : g.neighbors(i)) {
-      EXPECT_TRUE(g.has_edge(j, i)) << "asymmetric edge " << i << "," << j;
-    }
-  }
-  EXPECT_THROW(SparseGraph::regular(12, 3), std::invalid_argument);   // odd
-  EXPECT_THROW(SparseGraph::regular(12, 0), std::invalid_argument);
-  EXPECT_THROW(SparseGraph::regular(4, 4), std::invalid_argument);    // >= n
-}
-
-TEST(SparseGraph, GeometricGeneratorConnectedAndDeterministic) {
-  const SparseGraph a = SparseGraph::random_geometric(32, 0.05, 7);
-  const SparseGraph b = SparseGraph::random_geometric(32, 0.05, 7);
-  EXPECT_TRUE(a.is_connected());  // radius auto-grows until connected
-  expect_same_graph(a, b);
-}
-
-TEST(SparseGraph, CloneIsDeepAndEqual) {
-  const SparseGraph g = SparseGraph::regular(8, 2);
-  const auto copy = g.clone();
-  expect_same_graph(g, *copy);
-}
-
-// ---------------------------------------------------------------------------
-// SparseMetropolis vs MixingMatrix::metropolis — bitwise
-// ---------------------------------------------------------------------------
-
-TEST(SparseMetropolis, BitwiseEqualsDenseMetropolis) {
-  for (const auto kind : {TopologyKind::kFullyConnected, TopologyKind::kRing,
-                          TopologyKind::kBipartite, TopologyKind::kStar}) {
-    const Topology dense = Topology::make(kind, 8);
-    const MixingMatrix w = MixingMatrix::metropolis(dense);
-    const SparseGraph sparse = SparseGraph::from_topology(dense);
-    const SparseMetropolis sw(sparse);
-    ASSERT_EQ(sw.size(), w.size());
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      for (std::size_t j = 0; j < w.size(); ++j) {
-        // EXPECT_EQ, not NEAR: the sparse view must replay the dense FP
-        // accumulation order exactly (the golden-equivalence contract).
-        EXPECT_EQ(sw.weight(i, j), w.weight(i, j)) << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST(SparseMetropolis, RowsSumToOne) {
-  const SparseGraph g = SparseGraph::regular(16, 4);
-  const SparseMetropolis w(g);
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < g.size(); ++j) row += w.weight(i, j);
-    EXPECT_NEAR(row, 1.0, 1e-12);
-  }
-}
+using pdsl::graph::Graph;
 
 // ---------------------------------------------------------------------------
 // Participation sampling
 // ---------------------------------------------------------------------------
 
 TEST(Participation, FullModeIsAllOnes) {
-  const SparseGraph g = SparseGraph::ring(8);
+  const Graph g = Graph::ring(8);
   ParticipationPlan plan;  // kFull
   const auto mask = pdsl::fleet::participation_mask(plan, g, 1, 42);
   ASSERT_EQ(mask.size(), 8u);
@@ -141,7 +41,7 @@ TEST(Participation, FullModeIsAllOnes) {
 }
 
 TEST(Participation, SampledExactlyKDeterministicAndRoundVarying) {
-  const SparseGraph g = SparseGraph::regular(64, 4);
+  const Graph g = Graph::regular(64, 4);
   ParticipationPlan plan;
   plan.mode = ParticipationMode::kSampled;
   plan.active = 8;
@@ -172,7 +72,7 @@ TEST(Participation, RateResolvesToCeil) {
 }
 
 TEST(Participation, WalkIsAnEdgeHandoffChain) {
-  const SparseGraph g = SparseGraph::ring(9);
+  const Graph g = Graph::ring(9);
   ParticipationPlan plan;
   plan.mode = ParticipationMode::kWalk;
   const std::uint64_t seed = 99;
@@ -448,19 +348,32 @@ TEST(FleetContract, WalkModeRunsWithTinyActiveSet) {
   EXPECT_EQ(res.average_model, again.average_model);
 }
 
-TEST(FleetContract, SparseOnlyTopologyRequiresSparseFlag) {
+TEST(FleetContract, FleetScaleTopologiesRunWithoutSparseFlag) {
   ExperimentConfig cfg = tiny_config();
-  cfg.topology = "regular";  // sparse-only generator without fleet.sparse
-  EXPECT_THROW((void)pdsl::core::run_experiment(cfg), std::invalid_argument);
-  cfg.fleet.sparse = true;
-  EXPECT_NO_THROW((void)pdsl::core::run_experiment(cfg));
+  for (const char* topology : {"regular", "geometric"}) {
+    SCOPED_TRACE(topology);
+    cfg.topology = topology;
+    cfg.fleet.sparse = false;
+    const ExperimentResult dense = pdsl::core::run_experiment(cfg);
+    EXPECT_GT(dense.messages, 0u);
+    EXPECT_LT(dense.spectral.sqrt_rho, 1.0);  // spectral report computed
+    cfg.fleet.sparse = true;
+    const ExperimentResult sparse = pdsl::core::run_experiment(cfg);
+    EXPECT_EQ(sparse.average_model, dense.average_model);
+    EXPECT_EQ(sparse.spectral.rho, 0.0);  // fleet.sparse only skips the report
+  }
 }
 
-TEST(FleetContract, Theorem1SigmaRejectedOnSparseRuns) {
+TEST(FleetContract, Theorem1SigmaUnchangedBySparseFlag) {
   ExperimentConfig cfg = tiny_config();
-  cfg.fleet.sparse = true;
   cfg.sigma_mode = "theorem1";
-  EXPECT_THROW((void)pdsl::core::run_experiment(cfg), std::invalid_argument);
+  cfg.rounds = 1;
+  const ExperimentResult plain = pdsl::core::run_experiment(cfg);
+  cfg.fleet.sparse = true;
+  const ExperimentResult sparse = pdsl::core::run_experiment(cfg);
+  EXPECT_GT(plain.sigma, 0.0);
+  EXPECT_EQ(sparse.sigma, plain.sigma);
+  EXPECT_EQ(sparse.average_model, plain.average_model);
 }
 
 }  // namespace

@@ -303,17 +303,10 @@ TEST(GoldenRegression, BandedFixturesWithinSpec) {
   }
 }
 
-// S-SCALE: every fixture re-run with the topology routed through
-// fleet::SparseGraph / SparseMetropolis must reproduce the SAME bytes as the
-// dense path — the sparse views are a storage change, not a numerics change.
+// fleet.sparse only skips the spectral report: every fixture re-run with it
+// must reproduce the SAME bytes — the flag changes no trajectory.
 TEST(GoldenRegression, SparseTopologyPathMatchesSameFixtures) {
   for (Scenario s : scenarios()) {
-    // Centralized/event-driven baselines reject fleet mode by design
-    // (run_experiment throws); the mixing-based algorithms are the contract.
-    if (s.cfg.algorithm == "fedavg" || s.cfg.algorithm == "dp_fedavg" ||
-        s.cfg.algorithm == "async_dp_gossip") {
-      continue;
-    }
     SCOPED_TRACE(s.name + " (fleet.sparse)");
     s.cfg.fleet.sparse = true;
     const std::string golden = golden_path(s.name);

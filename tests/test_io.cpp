@@ -181,8 +181,8 @@ TEST(Checkpoint, WarmStartRestoresAlgorithmFleet) {
   Rng rng(7);
   auto pool = data::make_gaussian_mixture(300, 3, 4, 2.0, 0.5, 8);
   auto [train, validation] = data::split_off(pool, 60, rng);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, 4);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::ring(4);
+  const auto mixing = graph::Metropolis(topo);
   const nn::Model model = nn::make_logistic(4, 3);
   const auto partition = data::iid_partition(train, 4, rng);
   algos::Env env;

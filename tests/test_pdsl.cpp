@@ -21,8 +21,8 @@ struct Fixture {
   data::Dataset train;
   data::Dataset validation;
   data::Dataset test;
-  graph::Topology topo;
-  graph::MixingMatrix mixing;
+  graph::Graph topo;
+  graph::Metropolis mixing;
   nn::Model model;
   std::vector<std::vector<std::size_t>> partition;
 
@@ -32,8 +32,8 @@ struct Fixture {
     auto pool = data::make_gaussian_mixture(800, 4, 6, 2.5, 0.5, seed);
     auto [rest, test] = data::split_off(pool, 120, rng);
     auto [train, validation] = data::split_off(rest, 120, rng);
-    auto topo = graph::Topology::make(graph::topology_from_string(topology), agents, &rng);
-    auto mixing = graph::MixingMatrix::metropolis(topo);
+    auto topo = graph::Graph::make(topology, agents, {&rng});
+    auto mixing = graph::Metropolis(topo);
     nn::Model model = nn::make_mlp(6, 12, 4);
     std::vector<std::vector<std::size_t>> partition;
     if (heterogeneous) {
@@ -193,7 +193,7 @@ TEST(Pdsl, DeterministicGivenSeed) {
 TEST(Pdsl, SurvivesMessageLoss) {
   const auto fx = Fixture::make(5, "full", true);
   Env env = fx.env(0.05);
-  env.drop_prob = 0.25;
+  env.faults.drop_prob = 0.25;
   Pdsl alg(env);
   for (std::size_t t = 1; t <= 6; ++t) alg.run_round(t);
   for (const auto& m : alg.models()) {

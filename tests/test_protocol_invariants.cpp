@@ -20,7 +20,7 @@ using namespace pdsl;
 
 namespace {
 
-algos::Env make_env(const graph::Topology& topo, const graph::MixingMatrix& mixing,
+algos::Env make_env(const graph::Graph& topo, const graph::Metropolis& mixing,
                     const data::Dataset& train, const data::Dataset& validation,
                     const nn::Model& model,
                     const std::vector<std::vector<std::size_t>>& partition, double sigma) {
@@ -95,8 +95,8 @@ TEST(ProtocolInvariants, PdslMessageCountPerRoundIsExact) {
   Rng rng(1);
   auto pool = data::make_gaussian_mixture(260, 3, 4, 2.0, 0.5, 2);
   auto [train, validation] = data::split_off(pool, 60, rng);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kRing, 5);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::ring(5);
+  const auto mixing = graph::Metropolis(topo);
   const nn::Model model = nn::make_logistic(4, 3);
   const auto partition = data::iid_partition(train, 5, rng);
   auto env = make_env(topo, mixing, train, validation, model, partition, 0.0);
@@ -114,8 +114,8 @@ TEST(ProtocolInvariants, GossipPreservesParameterMean) {
   Rng rng(3);
   auto pool = data::make_gaussian_mixture(260, 3, 4, 2.0, 0.5, 4);
   auto [train, validation] = data::split_off(pool, 60, rng);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kBipartite, 6);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::bipartite(6);
+  const auto mixing = graph::Metropolis(topo);
   const nn::Model model = nn::make_logistic(4, 3);
   const auto partition = data::iid_partition(train, 6, rng);
   auto env = make_env(topo, mixing, train, validation, model, partition, 0.0);
@@ -163,8 +163,8 @@ TEST(ProtocolInvariants, MomentumStaysBoundedUnderClippedGradients) {
   Rng rng(9);
   auto pool = data::make_gaussian_mixture(300, 3, 4, 2.0, 0.5, 10);
   auto [train, validation] = data::split_off(pool, 60, rng);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, 5);
-  const auto mixing = graph::MixingMatrix::metropolis(topo);
+  const auto topo = graph::Graph::full(5);
+  const auto mixing = graph::Metropolis(topo);
   const nn::Model model = nn::make_logistic(4, 3);
   const auto partition = data::iid_partition(train, 5, rng);
   auto env = make_env(topo, mixing, train, validation, model, partition, 1.0);  // heavy noise

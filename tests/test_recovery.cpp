@@ -20,7 +20,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
-#include "graph/topology.hpp"
+#include "graph/graph.hpp"
 #include "io/checkpoint.hpp"
 #include "io/codec.hpp"
 #include "recovery/recovery.hpp"
@@ -40,8 +40,7 @@ std::vector<float> payload_of(float base, std::size_t n = 8) {
 }
 
 Network make_net(std::size_t agents, ChannelPlan channel, FaultPlan faults = {}) {
-  Rng rng(5);
-  const auto topo = graph::Topology::make(graph::TopologyKind::kFullyConnected, agents, &rng);
+  const auto topo = graph::Graph::full(agents);
   NetworkOptions opts;
   opts.seed = 77;
   opts.faults = std::move(faults);

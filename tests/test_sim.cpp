@@ -14,7 +14,7 @@ using namespace pdsl;
 using namespace pdsl::sim;
 
 namespace {
-graph::Topology ring(std::size_t n) { return graph::Topology::make(graph::TopologyKind::kRing, n); }
+graph::Graph ring(std::size_t n) { return graph::Graph::ring(n); }
 }  // namespace
 
 TEST(Network, DeliversFifoPerChannel) {
@@ -55,7 +55,7 @@ TEST(Network, CountsMessagesAndBytes) {
 
 TEST(Network, DropInjectionLosesRoughlyTheRequestedFraction) {
   Network::Options opts;
-  opts.drop_prob = 0.3;
+  opts.faults.drop_prob = 0.3;
   opts.seed = 5;
   Network net(ring(4), opts);
   int delivered = 0;
@@ -69,7 +69,7 @@ TEST(Network, DropInjectionLosesRoughlyTheRequestedFraction) {
 
 TEST(Network, SelfSendsAreNeverDropped) {
   Network::Options opts;
-  opts.drop_prob = 0.9;
+  opts.faults.drop_prob = 0.9;
   Network net(ring(4), opts);
   for (int i = 0; i < 50; ++i) EXPECT_TRUE(net.send(2, 2, "s", {1.0f}));
 }

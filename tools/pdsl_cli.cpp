@@ -63,8 +63,9 @@ int usage() {
       "                    --participation full|sampled|walk --active K\n"
       "                      --participation-rate R (S-SCALE: k of N agents\n"
       "                      per round, or a single random walker)\n"
-      "                    --sparse --degree D (CSR graphs; enables the\n"
-      "                      regular/geometric topologies at fleet scale)\n"
+      "                    --degree D --radius R (the regular/geometric\n"
+      "                      topologies' degree and connection radius)\n"
+      "                    --sparse (skip the O(M^3) spectral report; rho = 0)\n"
       "                    --lazy-state --worker-cache N (materialize agent\n"
       "                      state on demand, LRU-evict above N)\n"
       "                    --wire-roundtrip (encode+decode+verify every\n"
@@ -378,14 +379,13 @@ int cmd_run(int argc, const char* const* argv) {
   // The Shapley characteristic function keys coalitions by a 64-bit mask, so a
   // dense PDSL game is capped at 63 players (an agent plus its neighbors).
   // Catch the 1024-agent-fleet-on-full-graph mistake here, before any data is
-  // generated; sparse graphs keep neighborhoods small and stay fine.
-  if (cfg.algorithm.rfind("pdsl", 0) == 0 && cfg.topology == "full" &&
-      !cfg.fleet.sparse && cfg.agents > 63) {
+  // generated; bounded-degree graphs keep neighborhoods small and stay fine.
+  if (cfg.algorithm.rfind("pdsl", 0) == 0 && cfg.topology == "full" && cfg.agents > 63) {
     throw std::invalid_argument(
         "--agents " + std::to_string(cfg.agents) +
         " on a full graph gives every agent a " + std::to_string(cfg.agents) +
         "-player Shapley game, above the 63-player uint64 coalition-mask cap; "
-        "use --sparse --degree <= 62 (or a ring/torus topology) at this scale");
+        "use --topology regular --degree <= 62 (or a ring/torus topology) at this scale");
   }
   cfg.metrics.metric_agents = nonneg(
       "metric-agents",
@@ -519,9 +519,10 @@ int cmd_topology(int argc, const char* const* argv) {
   for (const std::string name : {"full", "bipartite", "torus", "ring", "star", "er"}) {
     for (const auto m : counts) {
       try {
-        const auto topo = graph::Topology::make(graph::topology_from_string(name),
-                                                static_cast<std::size_t>(m), &rng);
-        const auto w = graph::MixingMatrix::metropolis(topo);
+        graph::GraphParams gp;
+        gp.rng = &rng;
+        const auto topo = graph::Graph::make(name, static_cast<std::size_t>(m), gp);
+        const graph::Metropolis w(topo);
         const auto info = graph::analyze(w);
         std::printf("%-16s %4lld %6zu %8.4f %8.4f %10.4f %10s\n", name.c_str(),
                     static_cast<long long>(m), topo.num_edges(), info.rho, info.spectral_gap,
@@ -548,8 +549,10 @@ int cmd_calibrate(int argc, const char* const* argv) {
   const double phimin = args.get_double("phimin", 0.1);
 
   Rng rng(1);
-  const auto topo = graph::Topology::make(graph::topology_from_string(topology), m, &rng);
-  const auto w = graph::MixingMatrix::metropolis(topo);
+  graph::GraphParams gp;
+  gp.rng = &rng;
+  const auto topo = graph::Graph::make(topology, m, gp);
+  const graph::Metropolis w(topo);
   const double sens = 2.0 * clip / static_cast<double>(batch);
   const double sigma_dpsgd = dp::gaussian_sigma(sens, eps, delta);
   dp::Theorem1Params p;
