@@ -6,8 +6,10 @@
 //     BENCH_kernels.json (override with --out). Acceptance signals, all
 //     single-thread and none waivable: the blocked conv forward+backward
 //     speedup at the CIFAR-CNN shapes (S-KER), the blocked tb speedup over
-//     naive at every tb shape, gated at >= 2.4x, and the vectorized speedup
-//     at the square GEMM shapes, gated at >= 1.3x (S-VEC). A `dp_noise` row
+//     naive at every tb shape, gated at >= 2.4x, the blocked sgemm and
+//     sgemm_transpose_a speedup over naive at the CIFAR-CNN conv GEMM
+//     shapes, gated at >= 1.3x, and the vectorized speedup at the square
+//     GEMM shapes, gated at >= 1.3x (S-VEC). A `dp_noise` row
 //     times dp::add_gaussian_noise against the per-coordinate Rng::normal
 //     loop on one 25,450-float gradient, gated at >= 3x.
 //     Flags: --out <path> --reps <n>
@@ -125,6 +127,18 @@ const TbShape kTbShapes[] = {
     {"tb_cifar_dw_l2", 16, 36, 200, true},    // conv2 8->16 k5, 6x6
 };
 
+// sgemm and sgemm_transpose_a (m, k, n) at the CIFAR CNN's conv GEMMs: the
+// per-image forward Y = W * cols of conv1 (8x75x144 at 12x12 inputs,
+// 8x75x1024 at 32x32) and conv2 (16x200x36, 16x200x256). sgemm_transpose_a
+// runs the same call arguments; 16x200x36 is conv2's column gradient
+// dcol = W^T * dY at 12x12.
+const GemmShape kConvGemmShapes[] = {
+    {"sgemm_cifar_l1_12", 8, 75, 144},
+    {"sgemm_cifar_l2_12", 16, 200, 36},
+    {"sgemm_cifar_l1_32", 8, 75, 1024},
+    {"sgemm_cifar_l2_32", 16, 200, 256},
+};
+
 const ConvShape kConvShapes[] = {
     {"conv_mnist_l1", 32, 1, 8, 3, 1, 14},   // make_mnist_cnn(14): conv1
     {"conv_mnist_l2", 32, 8, 16, 3, 1, 7},   // conv2 after pool
@@ -132,23 +146,27 @@ const ConvShape kConvShapes[] = {
     {"conv_cifar_l2", 32, 8, 16, 5, 2, 8},   // conv2 after pool
 };
 
-double run_gemm_once(const GemmShape& s, const std::vector<float>& a,
-                     const std::vector<float>& b, std::vector<float>& c) {
-  kernels::sgemm(s.m, s.k, s.n, a.data(), b.data(), c.data());
-  return static_cast<double>(c[0]);
-}
-
-SweepRow sweep_gemm(const GemmShape& s, std::size_t reps) {
+/// One row of sgemm (transpose_a = false) or sgemm_transpose_a at (m, k, n);
+/// a transpose_a row is named "<shape name>_ta".
+SweepRow sweep_gemm(const GemmShape& s, std::size_t reps, bool transpose_a = false) {
   const auto a = random_vec(s.m * s.k, 1);
-  const auto b = random_vec(s.k * s.n, 2);
-  std::vector<float> c(s.m * s.n);
+  const auto b = random_vec((transpose_a ? s.m : s.k) * s.n, 2);
+  std::vector<float> c((transpose_a ? s.k : s.m) * s.n);
+  auto call = [&] {
+    if (transpose_a) {
+      kernels::sgemm_transpose_a(s.m, s.k, s.n, a.data(), b.data(), c.data());
+    } else {
+      kernels::sgemm(s.m, s.k, s.n, a.data(), b.data(), c.data());
+    }
+    benchmark::DoNotOptimize(c[0]);
+  };
   SweepRow row;
-  row.name = s.name;
-  row.kind = "gemm";
+  row.name = std::string(s.name) + (transpose_a ? "_ta" : "");
+  row.kind = transpose_a ? "gemm_ta" : "gemm";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%zux%zux%zu", s.m, s.k, s.n);
   row.shape = buf;
-  time_backends(row, reps, [&] { benchmark::DoNotOptimize(run_gemm_once(s, a, b, c)); });
+  time_backends(row, reps, call);
   return row;
 }
 
@@ -234,6 +252,9 @@ int run_kernel_sweep(const CliArgs& args) {
 
   std::vector<SweepRow> rows;
   for (const auto& s : kGemmShapes) rows.push_back(sweep_gemm(s, reps));
+  for (const bool transpose_a : {false, true}) {
+    for (const auto& s : kConvGemmShapes) rows.push_back(sweep_gemm(s, reps, transpose_a));
+  }
   for (const auto& s : kTbShapes) rows.push_back(sweep_tb(s, reps));
   for (const auto& s : kConvShapes) rows.push_back(sweep_conv(s, reps));
   kernels::set_backend(entry_backend);
@@ -249,6 +270,7 @@ int run_kernel_sweep(const CliArgs& args) {
   double cifar_conv_min_speedup = 1e30;
   double square_gemm_vec_min_speedup = 1e30;
   double tb_blocked_min_speedup = 1e30;
+  double sgemm_blocked_min_speedup = 1e30;
   for (const auto& r : rows) {
     const double speedup = r.blocked_ms > 0 ? r.naive_ms / r.blocked_ms : 0.0;
     const double vec_speedup = r.vec_ms > 0 ? r.naive_ms / r.vec_ms : 0.0;
@@ -259,6 +281,9 @@ int run_kernel_sweep(const CliArgs& args) {
       square_gemm_vec_min_speedup = std::min(square_gemm_vec_min_speedup, vec_speedup);
     }
     if (r.kind == "gemm_tb") tb_blocked_min_speedup = std::min(tb_blocked_min_speedup, speedup);
+    if (r.name.rfind("sgemm_", 0) == 0) {
+      sgemm_blocked_min_speedup = std::min(sgemm_blocked_min_speedup, speedup);
+    }
     std::printf("%-16s %-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx\n", r.name.c_str(),
                 r.shape.c_str(), r.naive_ms, r.blocked_ms, r.vec_ms, speedup, vec_speedup);
     env.add_metric_sample(r.name + ".naive_ms", "ms", r.naive_ms);
@@ -280,6 +305,7 @@ int run_kernel_sweep(const CliArgs& args) {
   env.add_metric_sample("cifar_conv_min_speedup", "x", cifar_conv_min_speedup);
   env.add_metric_sample("square_gemm_vec_min_speedup", "x", square_gemm_vec_min_speedup);
   env.add_metric_sample("tb_blocked_min_speedup", "x", tb_blocked_min_speedup);
+  env.add_metric_sample("sgemm_blocked_min_speedup", "x", sgemm_blocked_min_speedup);
 
   const NoiseRow noise = time_dp_noise(reps);
   const double noise_speedup = noise.ziggurat_ms > 0 ? noise.reference_ms / noise.ziggurat_ms : 0.0;
@@ -300,29 +326,37 @@ int run_kernel_sweep(const CliArgs& args) {
     env.add_run(std::move(o));
   }
 
-  // Four acceptance contracts, each timed on one thread so the host's core
+  // Five acceptance contracts, each timed on one thread so the host's core
   // count does not enter, and none waivable. S-KER: blocked conv must beat
-  // naive at the CIFAR-CNN shapes, and the blocked sgemm_transpose_b must
-  // clear 2.4x over naive at every tb shape. S-VEC: the register-tiled
-  // backend must clear 1.3x over naive on the square GEMM shapes. DP noise:
-  // the ziggurat must clear 3x over the Rng::normal loop.
+  // naive at the CIFAR-CNN shapes, the blocked sgemm_transpose_b must clear
+  // 2.4x over naive at every tb shape, and the blocked sgemm and
+  // sgemm_transpose_a must clear 1.3x over naive at every conv GEMM shape.
+  // S-VEC: the register-tiled backend must clear 1.3x over naive on the
+  // square GEMM shapes. DP noise: the ziggurat must clear 3x over the
+  // Rng::normal loop.
   const bool tb_gate_met = tb_blocked_min_speedup >= 2.4;
+  const bool sgemm_gate_met = sgemm_blocked_min_speedup >= 1.3;
   const bool vec_gate_met = square_gemm_vec_min_speedup >= 1.3;
   const bool noise_gate_met = noise_speedup >= 3.0;
   pdsl::json::Object gate;
   gate["cifar_conv_min_speedup"] = cifar_conv_min_speedup;
   gate["tb_blocked_min_speedup"] = tb_blocked_min_speedup;
   gate["tb_blocked_threshold"] = 2.4;
+  gate["sgemm_blocked_min_speedup"] = sgemm_blocked_min_speedup;
+  gate["sgemm_blocked_threshold"] = 1.3;
   gate["square_gemm_vec_min_speedup"] = square_gemm_vec_min_speedup;
   gate["square_gemm_vec_threshold"] = 1.3;
   gate["dp_noise_speedup"] = noise_speedup;
   gate["dp_noise_threshold"] = 3.0;
-  gate["passed"] = cifar_conv_min_speedup > 1.0 && tb_gate_met && vec_gate_met && noise_gate_met;
+  gate["passed"] = cifar_conv_min_speedup > 1.0 && tb_gate_met && sgemm_gate_met &&
+                   vec_gate_met && noise_gate_met;
   env.set_acceptance(std::move(gate));
   if (!env.write(out_path)) return 1;
   std::printf("cifar conv min speedup: %.2fx\n", cifar_conv_min_speedup);
   std::printf("tb blocked min speedup: %.2fx (gate >=2.4x: %s)\n", tb_blocked_min_speedup,
               tb_gate_met ? "passed" : "FAILED");
+  std::printf("sgemm blocked min speedup: %.2fx (gate >=1.3x: %s)\n", sgemm_blocked_min_speedup,
+              sgemm_gate_met ? "passed" : "FAILED");
   std::printf("square gemm vectorized min speedup: %.2fx (gate >=1.3x: %s)\n",
               square_gemm_vec_min_speedup, vec_gate_met ? "passed" : "FAILED");
   std::printf("dp noise ziggurat speedup: %.2fx (gate >=3x: %s)\n", noise_speedup,

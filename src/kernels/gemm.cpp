@@ -10,16 +10,13 @@ namespace pdsl::kernels {
 
 namespace {
 
-// Output rows per register tile: small enough that the tile's accumulator
-// rows stay in registers / L1 across the reduction, large enough to amortize
-// each load of the shared operand row four ways.
-constexpr std::size_t kRowTile = 4;
-// Column block (floats) for the axpy-style kernels: one C-row segment plus
-// one B-row segment per tile row stays L1-resident while the reduction runs.
-constexpr std::size_t kColBlock = 256;
-
 // ---------------------------------------------------------------------------
-// C(m,n) = A(m,k) * B(k,n)
+// C(m,n) = A(m,k) * B(k,n)        and        C(k,n) = A(m,k)^T * B(m,n)
+//
+// Both are the same axpy-shaped product: output row r, reduction step t adds
+// A(r, t) * B row t to C row r. They differ only in where A(r, t) lives —
+// a[r * k + t] for sgemm, a[t * k + r] for the transpose — so one register
+// tile, parameterized by A's two strides, serves both.
 // ---------------------------------------------------------------------------
 
 void naive_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
@@ -35,48 +32,6 @@ void naive_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, co
   }
 }
 
-void blocked_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
-                   float* c) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-    const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t i = 0;
-    for (; i + kRowTile <= m; i += kRowTile) {
-      const float* __restrict__ a0 = a + (i + 0) * k;
-      const float* __restrict__ a1 = a + (i + 1) * k;
-      const float* __restrict__ a2 = a + (i + 2) * k;
-      const float* __restrict__ a3 = a + (i + 3) * k;
-      float* __restrict__ c0 = c + (i + 0) * n;
-      float* __restrict__ c1 = c + (i + 1) * n;
-      float* __restrict__ c2 = c + (i + 2) * n;
-      float* __restrict__ c3 = c + (i + 3) * n;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-        const float* __restrict__ brow = b + p * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float bv = brow[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const float* __restrict__ arow = a + i * k;
-      float* __restrict__ crow = c + i * n;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* __restrict__ brow = b + p * n;
-        for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// C(k,n) = A(m,k)^T * B(m,n) — output row p of C gathers column p of A.
-// ---------------------------------------------------------------------------
-
 void naive_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
                     float* c) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -90,38 +45,104 @@ void naive_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a,
   }
 }
 
-void blocked_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a,
-                      const float* b, float* c) {
-  for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-    const std::size_t j1 = std::min(n, j0 + kColBlock);
-    std::size_t p = 0;
-    for (; p + kRowTile <= k; p += kRowTile) {
-      float* __restrict__ c0 = c + (p + 0) * n;
-      float* __restrict__ c1 = c + (p + 1) * n;
-      float* __restrict__ c2 = c + (p + 2) * n;
-      float* __restrict__ c3 = c + (p + 3) * n;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float* acol = a + i * k + p;
-        const float av0 = acol[0], av1 = acol[1], av2 = acol[2], av3 = acol[3];
-        const float* __restrict__ brow = b + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float bv = brow[j];
-          c0[j] += av0 * bv;
-          c1[j] += av1 * bv;
-          c2[j] += av2 * bv;
-          c3[j] += av3 * bv;
-        }
-      }
+// The blocked kernels sweep C in panels of kAxpyRows output rows and, within
+// a panel, in tiles of kAxpyV float4 vectors (12 columns). A tile loads its
+// C block once, keeps it in registers for the whole reduction and stores it
+// once. Each lane is one C element's own chain c += a * b, in ascending
+// reduction index, starting from C's value: the additions of the naive loops
+// in the same order, so the two backends agree bit for bit. Nothing here may
+// be contracted to an FMA (this file builds with -ffp-contract=off).
+constexpr std::size_t kAxpyRows = 4;
+constexpr std::size_t kAxpyV = 3;
+
+typedef float f4 __attribute__((vector_size(16)));
+
+inline f4 load_f4(const float* p) {
+  f4 v;
+  __builtin_memcpy(&v, p, sizeof(f4));
+  return v;
+}
+
+inline void store_f4(float* p, f4 v) { __builtin_memcpy(p, &v, sizeof(f4)); }
+
+/// R x (4V) register tile over `depth` reduction steps: row r, step t reads
+/// a[r * a_row + t * a_step] and B row t at b + t * ld; C rows are ld apart.
+/// Kept out of line so the R*V accumulators stay register-resident (see
+/// microkernel.cpp).
+template <std::size_t R, std::size_t V>
+__attribute__((noinline)) void axpy_tile(std::size_t depth, const float* a, std::size_t a_row,
+                                         std::size_t a_step, const float* b, float* c,
+                                         std::size_t ld) {
+  f4 acc[R][V];
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) acc[r][v] = load_f4(c + r * ld + 4 * v);
+  }
+  for (std::size_t t = 0; t < depth; ++t) {
+    f4 bv[V];
+    for (std::size_t v = 0; v < V; ++v) bv[v] = load_f4(b + 4 * v);
+    for (std::size_t r = 0; r < R; ++r) {
+      const float av = a[r * a_row];
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] += av * bv[v];
     }
-    for (; p < k; ++p) {
-      float* __restrict__ crow = c + p * n;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float av = a[i * k + p];
-        const float* __restrict__ brow = b + i * n;
-        for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-      }
+    a += a_step;
+    b += ld;
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < V; ++v) store_f4(c + r * ld + 4 * v, acc[r][v]);
+  }
+}
+
+/// One panel of R rows: full strips of 4 * kAxpyV columns, one narrower
+/// strip for the next whole vectors, then the last n % 4 columns one chain
+/// at a time.
+template <std::size_t R>
+void axpy_rows(std::size_t depth, std::size_t n, const float* a, std::size_t a_row,
+               std::size_t a_step, const float* b, float* c) {
+  static_assert(kAxpyV == 3, "the 1- and 2-vector strips are spelled out");
+  std::size_t j = 0;
+  for (; j + 4 * kAxpyV <= n; j += 4 * kAxpyV) {
+    axpy_tile<R, kAxpyV>(depth, a, a_row, a_step, b + j, c + j, n);
+  }
+  if (n - j >= 8) {
+    axpy_tile<R, 2>(depth, a, a_row, a_step, b + j, c + j, n);
+    j += 8;
+  } else if (n - j >= 4) {
+    axpy_tile<R, 1>(depth, a, a_row, a_step, b + j, c + j, n);
+    j += 4;
+  }
+  for (; j < n; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      float acc = c[r * n + j];
+      for (std::size_t t = 0; t < depth; ++t) acc += a[r * a_row + t * a_step] * b[t * n + j];
+      c[r * n + j] = acc;
     }
   }
+}
+
+/// C(rows, n) += A * B(depth, n), where output row r at step t reads
+/// a[r * a_row + t * a_step].
+void blocked_axpy(std::size_t rows, std::size_t depth, std::size_t n, const float* a,
+                  std::size_t a_row, std::size_t a_step, const float* b, float* c) {
+  std::size_t i = 0;
+  for (; i + kAxpyRows <= rows; i += kAxpyRows) {
+    axpy_rows<kAxpyRows>(depth, n, a + i * a_row, a_row, a_step, b, c + i * n);
+  }
+  static_assert(kAxpyRows == 4, "the 1- to 3-row remainders are spelled out");
+  const float* ai = a + i * a_row;
+  float* ci = c + i * n;
+  if (rows - i == 3) axpy_rows<3>(depth, n, ai, a_row, a_step, b, ci);
+  if (rows - i == 2) axpy_rows<2>(depth, n, ai, a_row, a_step, b, ci);
+  if (rows - i == 1) axpy_rows<1>(depth, n, ai, a_row, a_step, b, ci);
+}
+
+void blocked_sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
+                   float* c) {
+  blocked_axpy(m, k, n, a, /*a_row=*/k, /*a_step=*/1, b, c);
+}
+
+void blocked_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                      const float* b, float* c) {
+  blocked_axpy(k, m, n, a, /*a_row=*/1, /*a_step=*/k, b, c);
 }
 
 // ---------------------------------------------------------------------------

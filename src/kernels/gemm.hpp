@@ -12,11 +12,12 @@
 // Each entry point dispatches on kernels::backend() (resolved per shape when
 // the backend is kAuto — see backend.hpp): the naive path is the original
 // triple loop (zero-skip shortcuts removed — they silently dropped NaN/Inf
-// propagation from the other operand); the blocked path register-tiles output
-// rows and blocks columns so the inner loops stream contiguously and
-// vectorize (sgemm_transpose_b: packed B panels, one double chain per SIMD
-// lane). Naive and blocked accumulate every output element in the same
-// reduction order, so their results are bit-identical. The vectorized path
+// propagation from the other operand); the blocked path keeps register tiles
+// of C for the whole reduction, one chain per SIMD lane (sgemm and
+// sgemm_transpose_a: one 4x12 float tile that differs only in A's strides;
+// sgemm_transpose_b: packed B panels of double chains). Naive and blocked
+// accumulate every output element in the same reduction order, so their
+// results are bit-identical. The vectorized path
 // (microkernel.hpp) keeps accumulator tiles register-resident and reduces in
 // fixed float lanes — deterministic but only tolerance-banded against the
 // reference.

@@ -3,6 +3,8 @@
 // provided for the smooth-objective convergence tests (Assumption 1 requires
 // L-smoothness, which ReLU networks only satisfy piecewise).
 
+#include <cstdint>
+
 #include "nn/layer.hpp"
 
 namespace pdsl::nn {
@@ -16,7 +18,8 @@ class ReLU final : public Layer {
   [[nodiscard]] Shape output_shape(const Shape& input) const override { return input; }
 
  private:
-  std::vector<bool> mask_;
+  std::vector<std::uint64_t> mask_;  // bit i of word w: element 64w + i was > 0
+  std::size_t mask_len_ = 0;         // elements in the last forward
 };
 
 class Tanh final : public Layer {

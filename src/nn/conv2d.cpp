@@ -48,14 +48,23 @@ Tensor Conv2D::forward(const Tensor& input) {
 }
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
+  Tensor grad_input(cached_input_.shape());
+  backward_into(grad_output, grad_input.data());
+  return grad_input;
+}
+
+void Conv2D::backward_params(const Tensor& grad_output) { backward_into(grad_output, nullptr); }
+
+void Conv2D::backward_into(const Tensor& grad_output, float* gx) {
   const Shape out_shape = output_shape(cached_input_.shape());
   if (grad_output.shape() != out_shape) {
     throw std::invalid_argument("Conv2D::backward: bad grad shape");
   }
   if (kernels::backend() != kernels::Backend::kNaive) {
-    return backward_im2col(grad_output, out_shape);
+    backward_im2col(grad_output, out_shape, gx);
+  } else {
+    backward_direct(grad_output, out_shape, gx);
   }
-  return backward_direct(grad_output, out_shape);
 }
 
 // ---------------------------------------------------------------------------
@@ -63,6 +72,7 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
 //   forward:  Y_b(out_ch, oh*ow)  = W(out_ch, ickk) * col_b  (rows seeded
 //             with the bias, GEMM accumulates on top)
 //   backward: dW += dY_b * col_b^T ; dcol = W^T * dY_b ; dX_b = col2im(dcol)
+//             (the last two only when the input gradient is wanted)
 // ---------------------------------------------------------------------------
 
 Tensor Conv2D::forward_im2col(const Tensor& input, const Shape& out_shape) {
@@ -86,19 +96,17 @@ Tensor Conv2D::forward_im2col(const Tensor& input, const Shape& out_shape) {
   return out;
 }
 
-Tensor Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape) {
+void Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape, float* gx) {
   const Shape in_shape = cached_input_.shape();
   const std::size_t n = in_shape[0], ih = in_shape[2], iw = in_shape[3];
   const std::size_t oh = out_shape[2], ow = out_shape[3];
   const std::size_t npix = oh * ow;
   const std::size_t ickk = in_ch_ * k_ * k_;
-  Tensor grad_input(in_shape);
   float* col = scratch_.buffer(0, ickk * npix);
-  float* dcol = scratch_.buffer(1, ickk * npix);
+  float* dcol = gx != nullptr ? scratch_.buffer(1, ickk * npix) : nullptr;
   const float* x = cached_input_.data();
   const float* w = weight_.value.data();
   const float* gy = grad_output.data();
-  float* gx = grad_input.data();
   float* gw = weight_.grad.data();
 
   for (std::size_t b = 0; b < n; ++b) {
@@ -114,11 +122,11 @@ Tensor Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape
     kernels::im2col(x + b * in_ch_ * ih * iw, in_ch_, ih, iw, k_, pad_, col);
     // dW(out_ch, ickk) += dY_b(out_ch, npix) * col(ickk, npix)^T.
     kernels::sgemm_transpose_b(out_ch_, npix, ickk, gy_b, col, gw, /*accumulate=*/true);
+    if (gx == nullptr) continue;
     // dcol(ickk, npix) = W(out_ch, ickk)^T * dY_b(out_ch, npix).
     kernels::sgemm_transpose_a(out_ch_, ickk, npix, w, gy_b, dcol);
     kernels::col2im(dcol, in_ch_, ih, iw, k_, pad_, gx + b * in_ch_ * ih * iw);
   }
-  return grad_input;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,15 +174,13 @@ Tensor Conv2D::forward_direct(const Tensor& input, const Shape& out_shape) {
   return out;
 }
 
-Tensor Conv2D::backward_direct(const Tensor& grad_output, const Shape& out_shape) {
+void Conv2D::backward_direct(const Tensor& grad_output, const Shape& out_shape, float* gx) {
   const Shape in_shape = cached_input_.shape();
   const std::size_t n = in_shape[0], ih = in_shape[2], iw = in_shape[3];
   const std::size_t oh = out_shape[2], ow = out_shape[3];
-  Tensor grad_input(in_shape);
   const float* x = cached_input_.data();
   const float* w = weight_.value.data();
   const float* gy = grad_output.data();
-  float* gx = grad_input.data();
   float* gw = weight_.grad.data();
 
   for (std::size_t b = 0; b < n; ++b) {
@@ -186,7 +192,7 @@ Tensor Conv2D::backward_direct(const Tensor& grad_output, const Shape& out_shape
       for (std::size_t ic = 0; ic < in_ch_; ++ic) {
         const float* xmap = x + ((b * in_ch_ + ic) * ih) * iw;
         const float* wmap = w + ((oc * in_ch_ + ic) * k_) * k_;
-        float* gxmap = gx + ((b * in_ch_ + ic) * ih) * iw;
+        float* gxmap = gx != nullptr ? gx + ((b * in_ch_ + ic) * ih) * iw : nullptr;
         float* gwmap = gw + ((oc * in_ch_ + ic) * k_) * k_;
         for (std::size_t r = 0; r < oh; ++r) {
           for (std::size_t c = 0; c < ow; ++c) {
@@ -202,7 +208,7 @@ Tensor Conv2D::backward_direct(const Tensor& grad_output, const Shape& out_shape
                 const std::size_t xi = static_cast<std::size_t>(xr) * iw +
                                        static_cast<std::size_t>(xc);
                 gwmap[kr * k_ + kc] += g * xmap[xi];
-                gxmap[xi] += g * wmap[kr * k_ + kc];
+                if (gxmap != nullptr) gxmap[xi] += g * wmap[kr * k_ + kc];
               }
             }
           }
@@ -210,7 +216,6 @@ Tensor Conv2D::backward_direct(const Tensor& grad_output, const Shape& out_shape
       }
     }
   }
-  return grad_input;
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {

@@ -20,6 +20,7 @@ class Conv2D final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init(Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -29,8 +30,11 @@ class Conv2D final : public Layer {
  private:
   Tensor forward_direct(const Tensor& input, const Shape& out_shape);
   Tensor forward_im2col(const Tensor& input, const Shape& out_shape);
-  Tensor backward_direct(const Tensor& grad_output, const Shape& out_shape);
-  Tensor backward_im2col(const Tensor& grad_output, const Shape& out_shape);
+  // The backward paths write the input gradient to gx (zero-filled, the
+  // input's shape) or, when gx is null, accumulate parameter grads only.
+  void backward_into(const Tensor& grad_output, float* gx);
+  void backward_direct(const Tensor& grad_output, const Shape& out_shape, float* gx);
+  void backward_im2col(const Tensor& grad_output, const Shape& out_shape, float* gx);
 
   std::size_t in_ch_;
   std::size_t out_ch_;

@@ -33,6 +33,11 @@ class Layer {
   /// returns the gradient w.r.t. the layer input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without the input gradient: accumulates parameter grads
+  /// only. Model::backward calls it on its lowest parametrized layer, whose
+  /// input gradient nothing reads. Layers that can skip work override it.
+  virtual void backward_params(const Tensor& grad_output) { (void)backward(grad_output); }
+
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param*> params() { return {}; }
 

@@ -46,11 +46,17 @@ Tensor Linear::forward(const Tensor& input) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  return matmul(grad_output, weight_.value);
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
   if (grad_output.rank() != 2 || grad_output.dim(1) != out_) {
     throw std::invalid_argument("Linear::backward: bad grad shape");
   }
-  // dW += dY^T X ; db += column sums of dY ; dX = dY W. The weight gradient
-  // accumulates straight into the param buffer — no (out,in) temporary.
+  // dW += dY^T X ; db += column sums of dY (backward adds dX = dY W). The
+  // weight gradient accumulates straight into the param buffer — no (out,in)
+  // temporary.
   const std::size_t n = grad_output.dim(0);
   kernels::sgemm_transpose_a(n, out_, in_, grad_output.data(), cached_input_.data(),
                              weight_.grad.data(), /*accumulate=*/true);
@@ -58,7 +64,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
     const float* row = grad_output.data() + r * out_;
     for (std::size_t c = 0; c < out_; ++c) bias_.grad[c] += row[c];
   }
-  return matmul(grad_output, weight_.value);
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

@@ -11,6 +11,7 @@ class Linear final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init(Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

@@ -33,8 +33,15 @@ Tensor Model::forward(const Tensor& input) {
 }
 
 void Model::backward(const Tensor& grad_output) {
+  // The model's input gradient is never read, so backward stops at the
+  // lowest layer with parameters and skips its input gradient; the
+  // parameter-free layers below it (e.g. a leading Flatten) never run.
+  auto lowest = layers_.begin();
+  while (lowest != layers_.end() && (*lowest)->params().empty()) ++lowest;
+  if (lowest == layers_.end()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) g = (*it)->backward(g);
+  for (auto it = layers_.end() - 1; it != lowest; --it) g = (*it)->backward(g);
+  (*lowest)->backward_params(g);
 }
 
 void Model::zero_grad() {

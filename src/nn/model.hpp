@@ -33,7 +33,8 @@ class Model {
   /// Forward pass through all layers.
   Tensor forward(const Tensor& input);
 
-  /// Backward pass; accumulates parameter gradients.
+  /// Backward pass; accumulates parameter gradients. Stops at the lowest
+  /// layer with parameters: the model's own input gradient is not computed.
   void backward(const Tensor& grad_output);
 
   void zero_grad();

@@ -32,6 +32,9 @@ Tensor MaxPool2D::forward(const Tensor& input) {
     // Fast path for the 2x2 window every model in the zoo uses: the four
     // candidates are compared in the same (dr, dc) order as the generic loop
     // with the same strict `>`, so results and argmax ties are bit-identical.
+    // Each window starts from its first element, so any finite or infinite
+    // maximum is found; a NaN first element wins the window (no `x > NaN`
+    // holds), a NaN elsewhere never does.
     for (std::size_t b = 0; b < n; ++b) {
       for (std::size_t c = 0; c < ch; ++c) {
         const std::size_t plane = (b * ch + c) * ih * iw;
@@ -41,11 +44,8 @@ Tensor MaxPool2D::forward(const Tensor& input) {
           const std::size_t base = plane + (2 * r) * iw;
           for (std::size_t col = 0; col < ow; ++col, ++oi) {
             const std::size_t c0 = 2 * col;
-            float best = -1e30f;
+            float best = row0[c0];
             std::size_t best_idx = base + c0;
-            if (row0[c0] > best) {
-              best = row0[c0];
-            }
             if (row0[c0 + 1] > best) {
               best = row0[c0 + 1];
               best_idx = base + c0 + 1;
@@ -71,8 +71,8 @@ Tensor MaxPool2D::forward(const Tensor& input) {
       const std::size_t plane = (b * ch + c) * ih * iw;
       for (std::size_t r = 0; r < oh; ++r) {
         for (std::size_t col = 0; col < ow; ++col, ++oi) {
-          float best = -1e30f;
           std::size_t best_idx = plane + (r * win_) * iw + col * win_;
+          float best = x[best_idx];
           for (std::size_t dr = 0; dr < win_; ++dr) {
             for (std::size_t dc = 0; dc < win_; ++dc) {
               const std::size_t idx = plane + (r * win_ + dr) * iw + (col * win_ + dc);

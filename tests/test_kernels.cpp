@@ -5,10 +5,12 @@
 // shortcuts, and the concurrency contract (kernels called from concurrent
 // parallel_for bodies give the sequential bits, and a full PDSL round loop on
 // the blocked backend with a CNN model is bit-identical at any --threads
-// width). The lane-parallel blocked sgemm_transpose_b is also checked on
-// order-sensitive (cancelling) inputs, with NaN/Inf at every panel lane
-// offset, and against canaries past C and NaN rows past A and B, so a padded
-// lane or row whose result reaches C shows up.
+// width). The register-tiled blocked kernels (the 4x12 float tile of sgemm
+// and sgemm_transpose_a, the lane-parallel sgemm_transpose_b) are also
+// checked at the workload shapes and every tile edge, on order-sensitive
+// (cancelling) inputs, with NaN/Inf at every lane offset, and against
+// canaries past C (and, for sgemm_transpose_b, NaN rows past A and B), so a
+// reordered chain or a padded lane or row whose result reaches C shows up.
 //
 // S-VEC additions: randomized-shape fuzz of the vectorized tier against naive
 // within the documented tolerance band (plus ragged tails, unit/empty dims,
@@ -88,7 +90,7 @@ void expect_backends_bit_identical(RawGemm fn, std::size_t m, std::size_t k, std
 }
 
 /// sgemm, sgemm_transpose_a and sgemm_transpose_b on one odd shape (ragged
-/// row tiles, column blocks and tb panels) with inputs drawn from `seed`, on
+/// row panels, column tiles and tb panels) with inputs drawn from `seed`, on
 /// the current backend; the three results concatenated.
 std::vector<float> all_three_gemms(std::uint64_t seed) {
   const std::size_t m = 37, k = 53, n = 41;
@@ -118,26 +120,6 @@ TEST(Kernels, BackendRegistry) {
                         kernels::Backend::kVectorized, kernels::Backend::kAuto}) {
     kernels::set_backend(be);
     EXPECT_EQ(kernels::backend_from_string(kernels::backend_name(kernels::backend())), be);
-  }
-}
-
-TEST(Kernels, SgemmBlockedBitIdenticalToNaive) {
-  KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
-    for (const bool acc : {false, true}) {
-      expect_backends_bit_identical(kernels::sgemm, s.m, s.k, s.n, s.m * s.k, s.k * s.n,
-                                    s.m * s.n, acc);
-    }
-  }
-}
-
-TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
-  KernelEnvGuard guard;
-  for (const auto& s : kShapes) {
-    for (const bool acc : {false, true}) {
-      expect_backends_bit_identical(kernels::sgemm_transpose_a, s.m, s.k, s.n, s.m * s.k,
-                                    s.m * s.n, s.k * s.n, acc);
-    }
   }
 }
 
@@ -179,7 +161,174 @@ void expect_tb_blocked_matches_naive(std::size_t m, std::size_t n, std::size_t k
   }
 }
 
+/// sgemm and sgemm_transpose_a by output geometry: C(rows, cols) accumulates
+/// A(row, t) * B(t, col) over t < depth. sgemm stores A as (rows, depth) and
+/// sgemm_transpose_a as (depth, rows); both store B as (depth, cols).
+struct AxpyKernel {
+  bool transpose_a;
+
+  void call(std::size_t rows, std::size_t depth, std::size_t cols, const float* a,
+            const float* b, float* c, bool accumulate) const {
+    if (transpose_a) {
+      kernels::sgemm_transpose_a(depth, rows, cols, a, b, c, accumulate);
+    } else {
+      kernels::sgemm(rows, depth, cols, a, b, c, accumulate);
+    }
+  }
+  [[nodiscard]] std::size_t a_index(std::size_t rows, std::size_t depth, std::size_t r,
+                                    std::size_t t) const {
+    return transpose_a ? t * rows + r : r * depth + t;
+  }
+  [[nodiscard]] const char* name() const { return transpose_a ? "sgemm_ta" : "sgemm"; }
+};
+
+constexpr AxpyKernel kSgemm{false};
+constexpr AxpyKernel kSgemmTa{true};
+
+struct AxpyShape {
+  std::size_t rows, depth, cols;
+};
+
+/// C on `be` into a buffer with a canary tail after C(rows, cols): a tile
+/// that stored past the last column or row would land there.
+std::vector<float> axpy_with_canary(const AxpyKernel& kern, kernels::Backend be,
+                                    const AxpyShape& s, const std::vector<float>& a,
+                                    const std::vector<float>& b, bool accumulate) {
+  std::vector<float> c = random_vec(s.rows * s.cols, 97);
+  c.resize(s.rows * s.cols + 16, kCanary);
+  kernels::set_backend(be);
+  kern.call(s.rows, s.depth, s.cols, a.data(), b.data(), c.data(), accumulate);
+  return c;
+}
+
+void expect_axpy_blocked_matches_naive(const AxpyKernel& kern, const AxpyShape& s,
+                                       const std::vector<float>& a,
+                                       const std::vector<float>& b, const std::string& what) {
+  for (const bool acc : {false, true}) {
+    const auto want = axpy_with_canary(kern, kernels::Backend::kNaive, s, a, b, acc);
+    const auto got = axpy_with_canary(kern, kernels::Backend::kBlocked, s, a, b, acc);
+    for (std::size_t e = 0; e < got.size(); ++e) {
+      ASSERT_TRUE(same_bits_or_both_nan(got[e], want[e]))
+          << kern.name() << " " << what << " accumulate=" << acc << " element " << e
+          << ": blocked " << got[e] << " naive " << want[e];
+    }
+    for (std::size_t e = s.rows * s.cols; e < got.size(); ++e) {
+      ASSERT_EQ(got[e], kCanary) << kern.name() << " " << what;
+    }
+  }
+}
+
+/// The shapes both axpy kernels are checked at, as output geometry.
+std::vector<AxpyShape> axpy_shapes(const AxpyKernel& kern) {
+  std::vector<AxpyShape> shapes;
+  // The odd shapes of kShapes and the workload shapes, as (m, k, n) call
+  // arguments: the CIFAR CNN conv forward GEMMs at 12x12 and 32x32 (conv1
+  // 8x75x144 / 8x75x1024, conv2 16x200x36 / 16x200x256; sgemm_transpose_a
+  // 16x200x36 is conv2's column gradient) and the 32x32x784 Linear shapes.
+  std::vector<GemmShape> calls = kShapes;
+  calls.insert(calls.end(),
+               {{8, 75, 144}, {16, 200, 36}, {8, 75, 1024}, {16, 200, 256}, {32, 32, 784}});
+  for (const auto& g : calls) {
+    shapes.push_back(kern.transpose_a ? AxpyShape{g.k, g.m, g.n} : AxpyShape{g.m, g.k, g.n});
+  }
+  // Tile edges: 4-row panels, 12-column tiles, the 8- and 4-column strips
+  // after them and the scalar columns after those.
+  for (const std::size_t cols : {1, 3, 4, 5, 11, 12, 13, 16, 17}) {
+    for (const std::size_t rows : {1, 2, 3, 4, 5, 7, 8, 9}) shapes.push_back({rows, 13, cols});
+  }
+  return shapes;
+}
+
+void check_axpy_blocked_bit_identical(const AxpyKernel& kern) {
+  for (const auto& s : axpy_shapes(kern)) {
+    const std::string what = "rows=" + std::to_string(s.rows) +
+                             " depth=" + std::to_string(s.depth) +
+                             " cols=" + std::to_string(s.cols);
+    expect_axpy_blocked_matches_naive(kern, s, random_vec(s.rows * s.depth, 11),
+                                      random_vec(s.depth * s.cols, 23), what);
+    if (s.depth < 2) continue;
+    // Random data hides a changed summation order. +-2^40 products at the
+    // first two reduction indices make every chain's bits depend on it: in
+    // ascending order they cancel before the other products are added, in
+    // any order that adds them later they swallow those products. (Unlike
+    // the double chains of sgemm_transpose_b, a float chain keeps nothing
+    // of what is added between +-2^40, so the pair cannot sit at the ends.)
+    auto a = random_vec(s.rows * s.depth, 141);
+    auto b = random_vec(s.depth * s.cols, 143);
+    for (std::size_t r = 0; r < s.rows; ++r) {
+      a[kern.a_index(s.rows, s.depth, r, 0)] = 0x1p40f;
+      a[kern.a_index(s.rows, s.depth, r, 1)] = -0x1p40f;
+    }
+    for (std::size_t j = 0; j < s.cols; ++j) b[j] = b[s.cols + j] = 1.0f;
+    expect_axpy_blocked_matches_naive(kern, s, a, b, "cancelling " + what);
+  }
+}
+
+/// A NaN or Inf in B column j lands in output column j only, at every lane
+/// offset of a 12-column tile, the 4-column strip and the scalar columns
+/// (cols = 19: 12, 4, 3); one in A row r poisons exactly row r, in the full
+/// 4-row panel and the ragged last one (rows = 5).
+void check_axpy_blocked_propagates_nan_and_inf(const AxpyKernel& kern) {
+  const AxpyShape s{5, 11, 19};
+  for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
+    for (std::size_t j = 0; j < s.cols; ++j) {
+      const auto a = random_vec(s.rows * s.depth, 101);
+      auto b = random_vec(s.depth * s.cols, 103);
+      b[4 * s.cols + j] = poison;
+      expect_axpy_blocked_matches_naive(kern, s, a, b, "B poison col " + std::to_string(j));
+      const auto c = axpy_with_canary(kern, kernels::Backend::kBlocked, s, a, b, false);
+      for (std::size_t r = 0; r < s.rows; ++r) {
+        for (std::size_t jj = 0; jj < s.cols; ++jj) {
+          EXPECT_EQ(std::isfinite(c[r * s.cols + jj]), jj != j)
+              << kern.name() << " r=" << r << " j=" << jj;
+        }
+      }
+    }
+    for (std::size_t r = 0; r < s.rows; ++r) {
+      auto a = random_vec(s.rows * s.depth, 107);
+      const auto b = random_vec(s.depth * s.cols, 109);
+      a[kern.a_index(s.rows, s.depth, r, 7)] = poison;
+      expect_axpy_blocked_matches_naive(kern, s, a, b, "A poison row " + std::to_string(r));
+      const auto c = axpy_with_canary(kern, kernels::Backend::kBlocked, s, a, b, false);
+      for (std::size_t rr = 0; rr < s.rows; ++rr) {
+        for (std::size_t j = 0; j < s.cols; ++j) {
+          EXPECT_EQ(std::isfinite(c[rr * s.cols + j]), rr != r)
+              << kern.name() << " r=" << rr << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
+
+TEST(Kernels, SgemmBlockedBitIdenticalToNaive) {
+  KernelEnvGuard guard;
+  for (const auto& s : kShapes) {
+    for (const bool acc : {false, true}) {
+      expect_backends_bit_identical(kernels::sgemm, s.m, s.k, s.n, s.m * s.k, s.k * s.n,
+                                    s.m * s.n, acc);
+    }
+  }
+  check_axpy_blocked_bit_identical(kSgemm);
+}
+
+TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
+  KernelEnvGuard guard;
+  for (const auto& s : kShapes) {
+    for (const bool acc : {false, true}) {
+      expect_backends_bit_identical(kernels::sgemm_transpose_a, s.m, s.k, s.n, s.m * s.k,
+                                    s.m * s.n, s.k * s.n, acc);
+    }
+  }
+  check_axpy_blocked_bit_identical(kSgemmTa);
+}
+
+TEST(Kernels, SgemmBlockedPropagatesNanAndInfAtEveryLaneOffset) {
+  KernelEnvGuard guard;
+  check_axpy_blocked_propagates_nan_and_inf(kSgemm);
+  check_axpy_blocked_propagates_nan_and_inf(kSgemmTa);
+}
 
 TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
   KernelEnvGuard guard;

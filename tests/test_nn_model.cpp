@@ -1,15 +1,27 @@
 // Model-level behaviour: flat parameter views, cloning, the loss head, and
-// end-to-end learning on a separable toy problem.
+// end-to-end learning on a separable toy problem. Also: Model::backward's
+// parameter gradients against a full layer-by-layer chain (it stops at the
+// lowest parametrized layer), the packed-mask ReLU against the reference
+// semantics on special values, and MaxPool2D windows below -1e30.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "data/synthetic.hpp"
+#include "kernels/backend.hpp"
 #include "nn/activations.hpp"
+#include "nn/flatten.hpp"
 #include "nn/layernorm.hpp"
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/pooling.hpp"
 
 using namespace pdsl;
 using namespace pdsl::nn;
@@ -164,4 +176,154 @@ TEST(ModelZoo, FactoryDispatchAndErrors) {
   EXPECT_EQ(logistic.num_params(), 64u * 10 + 10);
 
   EXPECT_THROW(make_model("vit", 8, 1, 10), std::invalid_argument);
+}
+
+namespace {
+
+std::vector<std::uint32_t> bits_of(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  return out;
+}
+
+/// Parameter gradients of a layer-by-layer chain over clones of m's layers
+/// that runs every layer's full backward, the first layer's input gradient
+/// included, and then drops that gradient.
+std::vector<float> full_chain_grads(const Model& m, const Tensor& x, const std::vector<int>& y) {
+  std::vector<std::unique_ptr<Layer>> layers;
+  for (std::size_t i = 0; i < m.num_layers(); ++i) layers.push_back(m.layer(i).clone());
+  Tensor h = x;
+  for (auto& l : layers) h = l->forward(h);
+  SoftmaxCrossEntropy loss;
+  loss.forward(h, y);
+  Tensor g = loss.backward();
+  for (auto it = layers.rbegin(); it != layers.rend(); ++it) g = (*it)->backward(g);
+  EXPECT_EQ(g.shape(), x.shape());  // the input gradient Model::backward skips
+  std::vector<float> flat;
+  for (auto& l : layers) {
+    for (const Param* p : l->params()) {
+      flat.insert(flat.end(), p->grad.vec().begin(), p->grad.vec().end());
+    }
+  }
+  return flat;
+}
+
+}  // namespace
+
+TEST(Model, BackwardParamGradsMatchFullChainBitForBit) {
+  const kernels::Backend entry = kernels::backend();
+  Model tanh_head;
+  tanh_head.emplace<Flatten>();
+  tanh_head.emplace<Linear>(64, 10);
+  tanh_head.emplace<Tanh>();
+  const std::vector<std::pair<std::string, Model>> models = {
+      {"mnist_cnn", make_mnist_cnn(8, 1, 10)},
+      {"cifar_cnn", make_cifar_cnn(12, 3, 10)},
+      {"mlp", make_mlp(64, 16, 10)},
+      {"logistic", make_logistic(64, 10)},
+      {"flatten_linear_tanh", tanh_head},
+  };
+  const std::vector<int> labels = {0, 3, 7, 9};
+  for (const auto& [name, proto] : models) {
+    const Shape in_shape = name == "cifar_cnn" ? Shape{4, 3, 12, 12} : Shape{4, 1, 8, 8};
+    Rng rng(31);
+    Model m = proto;
+    m.init(rng);
+    Tensor x(in_shape);
+    rng.fill_normal(x.vec(), 0.0, 1.0);
+    for (const auto be : {kernels::Backend::kNaive, kernels::Backend::kBlocked}) {
+      kernels::set_backend(be);
+      const std::vector<float> want = full_chain_grads(m, x, labels);
+      m.loss_and_backward(x, labels);
+      EXPECT_EQ(bits_of(m.flat_grad()), bits_of(want))
+          << name << " on " << kernels::backend_name(be);
+    }
+  }
+  kernels::set_backend(entry);
+}
+
+TEST(Model, BackwardWithoutParametersIsANoOp) {
+  Tensor x(Shape{2, 1, 1, 3}, {0.5f, -1.0f, 2.0f, 1.0f, 0.0f, -3.0f});
+  Model relu_only;
+  relu_only.emplace<Flatten>();
+  relu_only.emplace<ReLU>();
+  EXPECT_NO_THROW(relu_only.loss_and_backward(x, {2, 0}));
+  EXPECT_TRUE(relu_only.flat_grad().empty());
+  Model empty;
+  const Tensor logits(Shape{2, 3}, {0.5f, -1.0f, 2.0f, 1.0f, 0.0f, -3.0f});
+  EXPECT_NO_THROW(empty.loss_and_backward(logits, {2, 0}));
+  EXPECT_EQ(empty.num_params(), 0u);
+}
+
+// The packed-mask ReLU against the semantics it replaced: forward
+// out = x > 0 ? x : +0 (NaN and -0 become +0), backward passes the gradient
+// bits unchanged exactly where x > 0 and writes +0 elsewhere. Lengths cover
+// one partial word, a word minus/plus one element, and the 36,864-float conv1
+// output of the 12x12 CIFAR CNN at batch 32.
+TEST(ReLU, MatchesReferenceOnSpecialValuesAtEveryMaskTail) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {nan,     -nan,     0.0f,      -0.0f,   inf,
+                                       -inf,    denorm,   -denorm,   1e-39f,  -1e-39f,
+                                       FLT_MIN, -FLT_MIN, FLT_MAX,   -FLT_MAX, 1.5f,
+                                       -2.5f,   0x1p-126f, 3.0f};
+  for (const std::size_t n : {1, 63, 64, 65, 36864}) {
+    Rng rng(n);
+    std::vector<float> x(n), g(n);
+    rng.fill_normal(x, 0.0, 1.0);
+    rng.fill_normal(g, 0.0, 1.0);
+    for (std::size_t i = 0; i < n; i += 3) x[i] = specials[(i / 3) % specials.size()];
+    for (std::size_t i = 1; i < n; i += 4) g[i] = specials[(i / 4 + 5) % specials.size()];
+    std::vector<float> want_y(n), want_g(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want_y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+      want_g[i] = x[i] > 0.0f ? g[i] : 0.0f;
+    }
+    ReLU relu;
+    const Tensor y = relu.forward(Tensor(Shape{n}, x));
+    const Tensor gx = relu.backward(Tensor(Shape{n}, g));
+    EXPECT_EQ(bits_of(y.vec()), bits_of(want_y)) << "n=" << n;
+    EXPECT_EQ(bits_of(gx.vec()), bits_of(want_g)) << "n=" << n;
+    EXPECT_THROW(relu.backward(Tensor(Shape{n + 1})), std::invalid_argument);
+  }
+}
+
+// Each pooling window starts from its own first element. The old -1e30
+// sentinel returned -1e30 for windows whose values are all below it (or all
+// -Inf) and routed their gradient to the first slot. NaN, as observed: a NaN
+// first element wins its window (no x > NaN holds), a NaN elsewhere never
+// does.
+TEST(MaxPool2D, WindowsBelowTheOldSentinelKeepTheirMaximum) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    std::size_t win;
+    std::vector<float> window;  // row-major, win x win
+    float max;
+    std::size_t argmax;
+  };
+  const std::vector<Case> cases = {
+      {2, {-3e30f, -2e30f, -5e30f, -4e30f}, -2e30f, 1},
+      {2, {-inf, -inf, -inf, -inf}, -inf, 0},
+      {2, {-inf, -inf, -FLT_MAX, -inf}, -FLT_MAX, 2},
+      {2, {-5e30f, -4e30f, -3e30f, -2e30f}, -2e30f, 3},
+      {2, {nan, 1.0f, 2.0f, 3.0f}, nan, 0},
+      {2, {1.0f, nan, 3.0f, 2.0f}, 3.0f, 2},
+      {3, {-9e30f, -8e30f, -7e30f, -6e30f, -2e30f, -5e30f, -4e30f, -3e30f, -9e30f}, -2e30f, 4},
+      {3, std::vector<float>(9, -inf), -inf, 0},
+      {3, {nan, 1, 2, 3, 4, 5, 6, 7, 8}, nan, 0},
+      {3, {0, 1, 2, 3, nan, 5, 6, 7, 8}, 8.0f, 8},
+  };
+  for (const auto& c : cases) {
+    MaxPool2D pool(c.win);
+    const Tensor y = pool.forward(Tensor(Shape{1, 1, c.win, c.win}, c.window));
+    ASSERT_EQ(y.numel(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(y[0]), std::bit_cast<std::uint32_t>(c.max))
+        << "window " << c.win << " argmax " << c.argmax << ": got " << y[0];
+    const Tensor gx = pool.backward(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+    for (std::size_t i = 0; i < gx.numel(); ++i) {
+      EXPECT_EQ(gx[i], i == c.argmax ? 1.0f : 0.0f) << "window " << c.win << " slot " << i;
+    }
+  }
 }
