@@ -28,7 +28,7 @@ namespace {
 const std::vector<std::string> kFlags = {
     "scale",  "agents", "eps",        "rounds", "seed",  "train", "image",
     "batch",  "model",  "mc_perms",   "valbatch", "out", "gamma", "alpha",
-    "print_every", "noise_scale", "profile", "trace-out", "trace_out", "threads"};
+    "print_every", "noise_scale", "profile", "trace-out", "threads"};
 
 constexpr const char* kOutDir = "bench_results";
 
@@ -356,7 +356,7 @@ ParsedCommon parse_common(const CliArgs& args, SweepSpec& spec) {
   pc.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   pc.threads = static_cast<std::size_t>(args.get_int("threads", 1));
   pc.profile = args.get_bool("profile", false);
-  pc.trace_out = args.get_string("trace-out", args.get_string("trace_out", ""));
+  pc.trace_out = args.get_string("trace-out", "");
   if (!pc.trace_out.empty()) obs::TraceRecorder::global().enable(true);
   return pc;
 }

@@ -7,8 +7,10 @@
 namespace pdsl {
 
 namespace {
-bool is_allowed(const std::vector<std::string>& allowed, const std::string& name) {
-  return std::find(allowed.begin(), allowed.end(), name) != allowed.end();
+/// The key a flag name is stored and looked up under: '-' folded to '_'.
+std::string canonical(std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
 }
 }  // namespace
 
@@ -33,39 +35,41 @@ CliArgs::CliArgs(int argc, const char* const* argv, const std::vector<std::strin
         value = "true";  // bare flag
       }
     }
-    if (!is_allowed(allowed, name)) {
+    const std::string key = canonical(name);
+    if (std::none_of(allowed.begin(), allowed.end(),
+                     [&](const std::string& a) { return canonical(a) == key; })) {
       throw std::invalid_argument("CliArgs: unknown flag --" + name);
     }
-    values_[name] = value;
+    values_[key] = value;
   }
 }
 
-bool CliArgs::has(const std::string& name) const { return values_.count(name) > 0; }
+bool CliArgs::has(const std::string& name) const { return values_.count(canonical(name)) > 0; }
 
 std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   return it == values_.end() ? fallback : it->second;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name, std::int64_t fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   return it == values_.end() ? fallback : std::stoll(it->second);
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   return it == values_.end() ? fallback : std::stod(it->second);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 std::vector<double> CliArgs::get_double_list(const std::string& name,
                                              std::vector<double> fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   if (it == values_.end()) return fallback;
   std::vector<double> out;
   std::stringstream ss(it->second);
@@ -76,7 +80,7 @@ std::vector<double> CliArgs::get_double_list(const std::string& name,
 
 std::vector<std::int64_t> CliArgs::get_int_list(const std::string& name,
                                                 std::vector<std::int64_t> fallback) const {
-  const auto it = values_.find(name);
+  const auto it = values_.find(canonical(name));
   if (it == values_.end()) return fallback;
   std::vector<std::int64_t> out;
   std::stringstream ss(it->second);

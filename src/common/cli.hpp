@@ -1,7 +1,9 @@
 #pragma once
 // Tiny command-line flag parser shared by bench/example binaries.
 // Supports "--name value" and "--name=value"; unknown flags are an error so
-// typos in sweep scripts fail loudly.
+// typos in sweep scripts fail loudly. '-' and '_' in flag names are the same
+// character: --trace-out and --trace_out name one flag, whichever spelling
+// the allowed list and the lookups use.
 
 #include <cstdint>
 #include <map>
@@ -12,7 +14,8 @@ namespace pdsl {
 
 class CliArgs {
  public:
-  /// Parse argv. `allowed` lists every accepted flag name (without "--").
+  /// Parse argv. `allowed` lists every accepted flag name (without "--"),
+  /// one spelling each. When a flag is given twice, the last value wins.
   CliArgs(int argc, const char* const* argv, const std::vector<std::string>& allowed);
 
   [[nodiscard]] bool has(const std::string& name) const;

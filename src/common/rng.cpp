@@ -110,18 +110,6 @@ bool Rng::bernoulli(double p) {
   return dist(engine_);
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  if (weights.empty()) throw std::invalid_argument("categorical: empty weights");
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0.0) throw std::invalid_argument("categorical: non-positive total weight");
-  double r = uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  return weights.size() - 1;  // numerical fallthrough
-}
-
 double Rng::gamma(double shape) {
   std::gamma_distribution<double> dist(shape, 1.0);
   return dist(engine_);

@@ -46,9 +46,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
 
-  /// Sample an index from an (unnormalized, non-negative) weight vector.
-  std::size_t categorical(const std::vector<double>& weights);
-
   /// Sample from Gamma(shape, 1). Used to build Dirichlet draws.
   double gamma(double shape);
 

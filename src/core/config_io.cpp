@@ -127,9 +127,7 @@ ExperimentConfig config_from_json(const json::Value& v) {
   auto num = [&](const char* k, double& dst) {
     if (v.contains(k)) dst = v.at(k).as_number();
   };
-  auto idx = [&](const char* k, std::size_t& dst) {
-    if (v.contains(k)) dst = static_cast<std::size_t>(v.at(k).as_int());
-  };
+  auto idx = [&](const char* k, std::size_t& dst) { dst = v.size_or(k, dst); };
   str("algorithm", cfg.algorithm);
   str("dataset", cfg.dataset);
   str("model", cfg.model);

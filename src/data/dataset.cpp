@@ -58,12 +58,6 @@ std::vector<int> Dataset::batch_labels(const std::vector<std::size_t>& idx) cons
   return out;
 }
 
-Tensor Dataset::all_features() const {
-  std::vector<std::size_t> idx(size());
-  for (std::size_t i = 0; i < size(); ++i) idx[i] = i;
-  return batch_features(idx);
-}
-
 Dataset Dataset::subset(const std::vector<std::size_t>& idx) const {
   const std::size_t per = sample_numel();
   std::vector<float> feats(idx.size() * per);
@@ -74,12 +68,6 @@ Dataset Dataset::subset(const std::vector<std::size_t>& idx) const {
     labs[b] = labels_[idx[b]];
   }
   return Dataset(sample_shape_, std::move(feats), std::move(labs));
-}
-
-std::vector<std::size_t> Dataset::class_histogram() const {
-  std::vector<std::size_t> hist(num_classes(), 0);
-  for (int y : labels_) ++hist[static_cast<std::size_t>(y)];
-  return hist;
 }
 
 std::pair<Dataset, Dataset> split_off(const Dataset& ds, std::size_t held_out_count, Rng& rng) {

@@ -36,14 +36,8 @@ class Dataset {
   [[nodiscard]] Tensor batch_features(const std::vector<std::size_t>& idx) const;
   [[nodiscard]] std::vector<int> batch_labels(const std::vector<std::size_t>& idx) const;
 
-  /// The whole dataset as one batch (use on small validation/test sets only).
-  [[nodiscard]] Tensor all_features() const;
-
   /// Copy a subset.
   [[nodiscard]] Dataset subset(const std::vector<std::size_t>& idx) const;
-
-  /// Per-class sample counts (length = num_classes()).
-  [[nodiscard]] std::vector<std::size_t> class_histogram() const;
 
  private:
   Shape sample_shape_;

@@ -24,22 +24,4 @@ std::pair<Tensor, std::vector<int>> BatchSampler::sample_with(Rng& rng) const {
   return {ds_->batch_features(pick), ds_->batch_labels(pick)};
 }
 
-std::pair<Tensor, std::vector<int>> BatchSampler::next_epoch_batch() {
-  if (epoch_order_.empty()) {
-    epoch_order_ = indices_;
-    rng_.shuffle(epoch_order_);
-    epoch_pos_ = 0;
-  }
-  std::vector<std::size_t> pick;
-  pick.reserve(batch_);
-  for (std::size_t k = 0; k < batch_; ++k) {
-    if (epoch_pos_ >= epoch_order_.size()) {
-      rng_.shuffle(epoch_order_);
-      epoch_pos_ = 0;
-    }
-    pick.push_back(epoch_order_[epoch_pos_++]);
-  }
-  return {ds_->batch_features(pick), ds_->batch_labels(pick)};
-}
-
 }  // namespace pdsl::data

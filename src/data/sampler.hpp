@@ -1,7 +1,6 @@
 #pragma once
 // Mini-batch sampling over an agent's local index set. The paper samples
-// ξ_{i,t} uniformly from D_i each round (with replacement); an epoch-style
-// without-replacement sampler is also provided for the examples.
+// ξ_{i,t} uniformly from D_i each round (with replacement).
 
 #include <cstddef>
 #include <vector>
@@ -25,9 +24,6 @@ class BatchSampler {
   /// and re-materialized draws exactly the batches it would have resident).
   [[nodiscard]] std::pair<Tensor, std::vector<int>> sample_with(Rng& rng) const;
 
-  /// Sequential epoch sampling; reshuffles when the epoch is exhausted.
-  [[nodiscard]] std::pair<Tensor, std::vector<int>> next_epoch_batch();
-
   [[nodiscard]] std::size_t local_size() const { return indices_.size(); }
   [[nodiscard]] std::size_t batch_size() const { return batch_; }
 
@@ -41,8 +37,6 @@ class BatchSampler {
   std::vector<std::size_t> indices_;
   std::size_t batch_;
   Rng rng_;
-  std::vector<std::size_t> epoch_order_;
-  std::size_t epoch_pos_ = 0;
 };
 
 }  // namespace pdsl::data

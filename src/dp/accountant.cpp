@@ -45,14 +45,4 @@ double PrivacyAccountant::advanced_epsilon(double delta_prime) const {
          k * eps * (std::exp(eps) - 1.0);
 }
 
-double PrivacyAccountant::advanced_delta(double delta_prime) const {
-  return sum_delta_ + delta_prime;
-}
-
-double PrivacyAccountant::best_epsilon(double delta_prime) const {
-  if (rounds_ == 0) return 0.0;
-  if (per_round_epsilon_ < 0.0) return basic_epsilon();
-  return std::min(basic_epsilon(), advanced_epsilon(delta_prime));
-}
-
 }  // namespace pdsl::dp

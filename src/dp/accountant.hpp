@@ -29,10 +29,6 @@ class PrivacyAccountant {
   /// at total delta = k*delta + delta'. Only valid when all recorded rounds
   /// used identical budgets (checked).
   [[nodiscard]] double advanced_epsilon(double delta_prime) const;
-  [[nodiscard]] double advanced_delta(double delta_prime) const;
-
-  /// Tighter of basic vs advanced composition at the given slack.
-  [[nodiscard]] double best_epsilon(double delta_prime) const;
 
  private:
   std::size_t rounds_ = 0;

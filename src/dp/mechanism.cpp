@@ -28,12 +28,6 @@ double clip_l2(std::vector<float>& g, double threshold) {
   return norm;
 }
 
-std::vector<float> clipped_l2(const std::vector<float>& g, double threshold) {
-  std::vector<float> out = g;
-  clip_l2(out, threshold);
-  return out;
-}
-
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng) {
   if (sigma < 0.0) throw std::invalid_argument("add_gaussian_noise: negative sigma");
   if (sigma == 0.0) return;

@@ -13,9 +13,6 @@ namespace pdsl::dp {
 /// g <- g / max(1, ||g|| / C). Returns the pre-clip norm.
 double clip_l2(std::vector<float>& g, double threshold);
 
-/// Out-of-place variant.
-[[nodiscard]] std::vector<float> clipped_l2(const std::vector<float>& g, double threshold);
-
 /// Add i.i.d. N(0, sigma^2) noise to every coordinate (Eq. 11), drawn with
 /// Rng::ziggurat_normal. sigma == 0 draws nothing.
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng);

@@ -91,15 +91,15 @@ FleetOptions fleet_options_from_json(const json::Value& v) {
       }
     }
     f.participation.mode = participation_mode_from_string(p.string_or("mode", "full"));
-    f.participation.active = static_cast<std::size_t>(p.number_or("active", 0));
+    f.participation.active = p.size_or("active", 0);
     f.participation.rate = p.number_or("rate", 0.0);
     f.participation.seed = static_cast<std::uint64_t>(p.number_or("seed", 0));
   }
   f.lazy_state = v.bool_or("lazy_state", false);
-  f.worker_cache = static_cast<std::size_t>(v.number_or("worker_cache", 0));
+  f.worker_cache = v.size_or("worker_cache", 0);
   f.wire_roundtrip = v.bool_or("wire_roundtrip", false);
   f.sparse = v.bool_or("sparse", false);
-  f.degree = static_cast<std::size_t>(v.number_or("degree", 4));
+  f.degree = v.size_or("degree", 4);
   f.radius = v.number_or("radius", 0.25);
   return f;
 }

@@ -20,12 +20,26 @@ std::uint64_t read_u64(std::ifstream& in, const char* what) {
   return v;
 }
 
+/// Throws unless `count` items of `item_bytes` bytes each fit between the
+/// read position and the end of the file. Every length word passes this check
+/// before anything is allocated from it, so a corrupted or hostile file fails
+/// as truncated, not with bad_alloc.
+void check_fits(std::ifstream& in, std::uint64_t count, std::uint64_t item_bytes,
+                const std::string& who, const std::string& what) {
+  const auto pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto left = static_cast<std::uint64_t>(in.tellg() - pos);
+  in.seekg(pos);
+  if (count > left / item_bytes) throw std::runtime_error(who + ": truncated reading " + what);
+}
+
 void write_floats(std::ofstream& out, const std::vector<float>& v) {
   out.write(reinterpret_cast<const char*>(v.data()),
             static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
-std::vector<float> read_floats(std::ifstream& in, std::size_t n) {
+std::vector<float> read_floats(std::ifstream& in, std::uint64_t n) {
+  check_fits(in, n, sizeof(float), "checkpoint", "parameters");
   std::vector<float> v(n);
   in.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(float)));
   if (!in) throw std::runtime_error("checkpoint: truncated reading parameters");
@@ -102,6 +116,10 @@ std::vector<std::vector<float>> load_fleet(const std::string& path) {
   check_version(in, "load_fleet", path);
   const auto count = read_u64(in, "count");
   const auto dim = read_u64(in, "dimension");
+  // Bounding dim first keeps the per-model size below from overflowing.
+  check_fits(in, dim, sizeof(float), "load_fleet", "parameters of " + path);
+  check_fits(in, count, sizeof(std::uint64_t) + dim * sizeof(float), "load_fleet",
+             "models of " + path);
   std::vector<std::vector<float>> models;
   models.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -137,6 +155,7 @@ ByteBuffer load_blob(const std::string& path, std::uint64_t magic, const char* w
   check_version(in, who, path);
   const auto size = read_u64(in, "size");
   const auto checksum = read_u64(in, "checksum");
+  check_fits(in, size, 1, who, "body of " + path);
   ByteBuffer body(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(body.data()), static_cast<std::streamsize>(body.size()));
   if (!in) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -97,26 +96,5 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 }
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }
-
-Tensor Tanh::forward(const Tensor& input) {
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::tanh(out[i]);
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  if (!grad_output.same_shape(cached_output_)) {
-    throw std::invalid_argument("Tanh::backward: grad does not match last forward");
-  }
-  Tensor grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input.numel(); ++i) {
-    const float y = cached_output_[i];
-    grad_input[i] *= (1.0f - y * y);
-  }
-  return grad_input;
-}
-
-std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(); }
 
 }  // namespace pdsl::nn

@@ -1,7 +1,5 @@
 #pragma once
-// Stateless activation layers. ReLU is what the paper's CNNs use; Tanh is
-// provided for the smooth-objective convergence tests (Assumption 1 requires
-// L-smoothness, which ReLU networks only satisfy piecewise).
+// The ReLU activation layer, the only activation the paper's models use.
 
 #include <cstdint>
 
@@ -20,18 +18,6 @@ class ReLU final : public Layer {
  private:
   std::vector<std::uint64_t> mask_;  // bit i of word w: element 64w + i was > 0
   std::size_t mask_len_ = 0;         // elements in the last forward
-};
-
-class Tanh final : public Layer {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-  [[nodiscard]] Shape output_shape(const Shape& input) const override { return input; }
-
- private:
-  Tensor cached_output_;
 };
 
 }  // namespace pdsl::nn

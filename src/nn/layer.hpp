@@ -44,9 +44,6 @@ class Layer {
   /// Initialize parameters (no-op for stateless layers).
   virtual void init(Rng& /*rng*/) {}
 
-  /// Toggle training-mode behaviour (dropout etc.); default no-op.
-  virtual void set_training(bool /*training*/) {}
-
   /// Deep copy, including current parameter values.
   [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
 
@@ -55,8 +52,5 @@ class Layer {
   /// Shape of the output given an input shape (batch dim included).
   [[nodiscard]] virtual Shape output_shape(const Shape& input) const = 0;
 };
-
-/// Sum of parameter element counts.
-std::size_t param_count(const std::vector<Param*>& params);
 
 }  // namespace pdsl::nn

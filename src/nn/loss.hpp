@@ -20,9 +20,6 @@ class SoftmaxCrossEntropy {
   /// Fraction of rows whose argmax equals the label (uses last forward()).
   [[nodiscard]] double accuracy() const;
 
-  /// Per-sample correctness of the last forward() (for Shapley's per-sample J).
-  [[nodiscard]] const std::vector<bool>& correct() const { return correct_; }
-
   /// Per-sample cross-entropy of the last forward() (membership-inference
   /// attacks threshold these).
   [[nodiscard]] const std::vector<double>& per_sample_losses() const { return sample_losses_; }

@@ -48,10 +48,6 @@ void Model::zero_grad() {
   for (auto* p : all_params()) p->grad.zero();
 }
 
-void Model::set_training(bool training) {
-  for (auto& l : layers_) l->set_training(training);
-}
-
 std::vector<Param*> Model::all_params() {
   std::vector<Param*> out;
   for (auto& l : layers_) {
@@ -109,11 +105,9 @@ std::vector<float> Model::flat_grad() const {
 
 double Model::loss_and_backward(const Tensor& batch_x, const std::vector<int>& batch_y) {
   zero_grad();
-  set_training(true);
   const Tensor logits = forward(batch_x);
   const double value = loss_.forward(logits, batch_y);
   backward(loss_.backward());
-  set_training(false);
   return value;
 }
 
@@ -126,13 +120,6 @@ double Model::accuracy(const Tensor& batch_x, const std::vector<int>& batch_y) {
   const Tensor logits = forward(batch_x);
   loss_.forward(logits, batch_y);
   return loss_.accuracy();
-}
-
-std::vector<bool> Model::per_sample_correct(const Tensor& batch_x,
-                                            const std::vector<int>& batch_y) {
-  const Tensor logits = forward(batch_x);
-  loss_.forward(logits, batch_y);
-  return loss_.correct();
 }
 
 std::vector<double> Model::per_sample_losses(const Tensor& batch_x,

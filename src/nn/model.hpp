@@ -39,11 +39,6 @@ class Model {
 
   void zero_grad();
 
-  /// Toggle training mode on every layer (dropout etc.). loss_and_backward
-  /// enables it around its forward/backward pair automatically; evaluation
-  /// entry points run in eval mode.
-  void set_training(bool training);
-
   /// ----- flat parameter view -----
   [[nodiscard]] std::size_t num_params() const;
   [[nodiscard]] std::vector<float> flat_params() const;
@@ -60,10 +55,6 @@ class Model {
 
   /// Classification accuracy on a batch.
   double accuracy(const Tensor& batch_x, const std::vector<int>& batch_y);
-
-  /// Per-sample correctness on a batch (Shapley's characteristic function
-  /// needs per-sample accuracy J(ξ; x), Eq. 16).
-  std::vector<bool> per_sample_correct(const Tensor& batch_x, const std::vector<int>& batch_y);
 
   /// Per-sample losses on a batch (for membership-inference evaluation).
   std::vector<double> per_sample_losses(const Tensor& batch_x, const std::vector<int>& batch_y);

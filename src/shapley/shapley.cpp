@@ -264,14 +264,4 @@ AdaptiveMcResult adaptive_monte_carlo_shapley(Game& game, const AdaptiveMcOption
   return res;
 }
 
-std::vector<double> shapley_auto(Game& game, std::size_t num_permutations, Rng& rng) {
-  const std::size_t n = game.num_players();
-  // Exact costs 2^n - 1 evaluations; Monte Carlo costs at most R*n distinct
-  // prefixes (usually fewer after caching). Choose the cheaper.
-  const double exact_cost = (n <= 20) ? std::pow(2.0, static_cast<double>(n)) : 1e30;
-  const double mc_cost = static_cast<double>(num_permutations) * static_cast<double>(n);
-  if (exact_cost <= mc_cost) return exact_shapley(game);
-  return monte_carlo_shapley(game, num_permutations, rng);
-}
-
 }  // namespace pdsl::shapley

@@ -28,10 +28,6 @@ std::vector<double> exact_shapley(Game& game);
 std::vector<double> monte_carlo_shapley(Game& game, std::size_t num_permutations,
                                         Rng& rng);
 
-/// Auto: exact when 2^n coalition evaluations are cheaper than the Monte
-/// Carlo budget would be, Monte Carlo otherwise.
-std::vector<double> shapley_auto(Game& game, std::size_t num_permutations, Rng& rng);
-
 /// Truncated Monte Carlo ("TMC-Shapley", Ghorbani & Zou style): scan each
 /// permutation but stop appending players once the running coalition's value
 /// is within `tolerance` of the grand coalition's — the remaining marginals

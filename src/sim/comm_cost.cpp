@@ -15,16 +15,8 @@ double CommCostModel::transfer_time(std::size_t messages, std::size_t bytes) con
   return per_link_messages * latency_s + per_link_bits / bandwidth_bps;
 }
 
-CommCostModel datacenter_network(std::size_t parallel_links) {
-  return CommCostModel{1e-4, 1e9, parallel_links};
-}
-
 CommCostModel wan_network(std::size_t parallel_links) {
   return CommCostModel{2e-2, 1e8, parallel_links};
-}
-
-CommCostModel lorawan_like(std::size_t parallel_links) {
-  return CommCostModel{0.5, 5e4, parallel_links};
 }
 
 }  // namespace pdsl::sim

@@ -25,9 +25,7 @@ struct CommCostModel {
   }
 };
 
-/// Presets.
-CommCostModel datacenter_network(std::size_t parallel_links);  ///< 1 Gbps, 0.1 ms
-CommCostModel wan_network(std::size_t parallel_links);         ///< 100 Mbps, 20 ms
-CommCostModel lorawan_like(std::size_t parallel_links);        ///< 50 kbps, 500 ms
+/// Wide-area preset: 100 Mbps, 20 ms.
+CommCostModel wan_network(std::size_t parallel_links);
 
 }  // namespace pdsl::sim

@@ -90,12 +90,12 @@ bool CoalitionBatchEvaluator::batchable(const nn::Model& model) {
     const std::string name = model.layer(i).name();
     if (name == "Linear") {
       has_linear = true;
-    } else if (name == "ReLU" || name == "Tanh") {
+    } else if (name == "ReLU") {
       // The stacked-GEMM plan applies the first Linear directly to the raw
       // input, so an activation BEFORE the first Linear is unsupported.
       if (!has_linear) return false;
     } else if (name != "Flatten") {
-      return false;  // Conv2D / MaxPool2D / Dropout: sequential fallback
+      return false;  // Conv2D / MaxPool2D: sequential fallback
     }
   }
   return has_linear;
@@ -109,7 +109,7 @@ CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const F
   }
   if (!batchable(model)) {
     throw std::invalid_argument(
-        "CoalitionBatchEvaluator: model has layers outside {Flatten, Linear, ReLU, Tanh}");
+        "CoalitionBatchEvaluator: model has layers outside {Flatten, Linear, ReLU}");
   }
   if (val.x.rank() == 0 || val.x.dim(0) == 0) {
     throw std::invalid_argument("CoalitionBatchEvaluator: empty validation batch");
@@ -138,10 +138,8 @@ CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const F
       steps_.push_back(Step{Op::kLinear, linears_.size()});
       linears_.push_back(l);
       width = l.out;
-    } else if (name == "ReLU") {
+    } else {  // ReLU
       steps_.push_back(Step{Op::kRelu, 0});
-    } else {  // Tanh
-      steps_.push_back(Step{Op::kTanh, 0});
     }
   }
   num_params_ = off;
@@ -185,9 +183,6 @@ std::vector<double> CoalitionBatchEvaluator::scores(
         for (float& v : *cur) {
           if (!(v > 0.0f)) v = 0.0f;
         }
-        break;
-      case Op::kTanh:
-        for (float& v : *cur) v = std::tanh(v);
         break;
       case Op::kLinear: {
         const Lin& l = linears_[step.linear];
@@ -336,9 +331,6 @@ double CoalitionBatchEvaluator::score_single(const float* flat, bool want_loss) 
     switch (step.op) {
       case Op::kRelu:
         for (float& v : *cur) v = std::max(v, 0.0f);
-        break;
-      case Op::kTanh:
-        for (float& v : *cur) v = std::tanh(v);
         break;
       case Op::kLinear: {
         const Lin& l = linears_[step.linear];

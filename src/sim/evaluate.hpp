@@ -49,7 +49,7 @@ double loss_on(nn::Model& workspace, const std::vector<float>& params, const Fix
 /// elementwise, so accuracies()/losses() equal accuracy_on()/loss_on()
 /// exactly, not approximately.
 ///
-/// Supports models that are a chain of {Flatten, Linear, ReLU, Tanh}
+/// Supports models that are a chain of {Flatten, Linear, ReLU}
 /// (the zoo's mlp and logistic). For anything else — the CNNs —
 /// batchable() is false and callers fall back to sequential scoring.
 class CoalitionBatchEvaluator {
@@ -90,7 +90,7 @@ class CoalitionBatchEvaluator {
   std::vector<double> coalition_losses(const std::vector<std::uint64_t>& masks);
 
  private:
-  enum class Op { kLinear, kRelu, kTanh };
+  enum class Op { kLinear, kRelu };
   struct Step {
     Op op;
     std::size_t linear = 0;  ///< index into linears_ when op == kLinear

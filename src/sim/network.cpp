@@ -349,12 +349,6 @@ std::vector<Network::EdgeTraffic> Network::edge_traffic() const {
   return out;
 }
 
-std::size_t Network::bytes_between(std::size_t src, std::size_t dst) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = edge_counts_.find({src, dst});
-  return it == edge_counts_.end() ? 0 : it->second.bytes;
-}
-
 void Network::publish_edge_metrics(const std::string& prefix) const {
   const auto edges = edge_traffic();  // snapshot under the lock, publish outside
   auto& reg = obs::MetricsRegistry::global();

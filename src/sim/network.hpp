@@ -172,9 +172,6 @@ class Network {
   /// All edges with traffic, ordered by (src, dst).
   [[nodiscard]] std::vector<EdgeTraffic> edge_traffic() const;
 
-  /// Wire bytes sent on the directed edge src->dst (0 if never used).
-  [[nodiscard]] std::size_t bytes_between(std::size_t src, std::size_t dst) const;
-
   /// Fold per-edge byte totals into `obs::MetricsRegistry::global()` as
   /// counters named `net.bytes{edge=src->dst}` (plus `net.msgs{edge=...}`).
   void publish_edge_metrics(const std::string& prefix = "net") const;

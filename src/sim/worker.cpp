@@ -41,7 +41,7 @@ void LocalWorker::draw_batch(std::uint64_t salt) {
 }
 
 void LocalWorker::ensure_batch() const {
-  if (!has_batch_) throw std::logic_error("LocalWorker: draw_batch() before gradient/loss");
+  if (!has_batch_) throw std::logic_error("LocalWorker: draw_batch() before gradient");
 }
 
 std::vector<float> LocalWorker::gradient(const std::vector<float>& params) {
@@ -51,20 +51,9 @@ std::vector<float> LocalWorker::gradient(const std::vector<float>& params) {
   return model_.flat_grad();
 }
 
-double LocalWorker::batch_loss(const std::vector<float>& params) {
-  ensure_batch();
-  model_.set_flat_params(params);
-  return model_.loss(batch_x_, batch_y_);
-}
-
 double LocalWorker::local_eval_loss(const std::vector<float>& params) {
   model_.set_flat_params(params);
   return model_.loss(eval_x_, eval_y_);
-}
-
-double LocalWorker::local_eval_accuracy(const std::vector<float>& params) {
-  model_.set_flat_params(params);
-  return model_.accuracy(eval_x_, eval_y_);
 }
 
 }  // namespace pdsl::sim

@@ -32,15 +32,9 @@ class LocalWorker {
   /// grad F_i(x; xi_{i,t}) on the batch drawn by the last draw_batch().
   std::vector<float> gradient(const std::vector<float>& params);
 
-  /// Loss F_i(x; xi_{i,t}) on the current batch (no gradient).
-  double batch_loss(const std::vector<float>& params);
-
   /// Loss of x on a fixed, deterministic subset of the local data (for the
   /// per-round "average loss" metric; stable across rounds).
   double local_eval_loss(const std::vector<float>& params);
-
-  /// Accuracy of x on the same fixed local subset.
-  double local_eval_accuracy(const std::vector<float>& params);
 
   [[nodiscard]] std::size_t dim() const { return dim_; }
   [[nodiscard]] std::size_t local_size() const { return sampler_.local_size(); }

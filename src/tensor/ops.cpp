@@ -40,16 +40,6 @@ Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
-  require_2d(a, "matmul_transpose_b");
-  require_2d(b, "matmul_transpose_b");
-  const std::size_t m = a.dim(0), n = a.dim(1), k = b.dim(0);
-  if (b.dim(1) != n) throw std::invalid_argument("matmul_transpose_b: dimension mismatch");
-  Tensor c(Shape{m, k});
-  kernels::sgemm_transpose_b(m, n, k, a.data(), b.data(), c.data());
-  return c;
-}
-
 Tensor softmax_rows(const Tensor& logits) {
   require_2d(logits, "softmax_rows");
   const std::size_t rows = logits.dim(0), cols = logits.dim(1);
@@ -69,36 +59,11 @@ Tensor softmax_rows(const Tensor& logits) {
   return out;
 }
 
-double sum(const Tensor& t) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < t.numel(); ++i) acc += t[i];
-  return acc;
-}
-
 std::size_t argmax_row(const Tensor& t, std::size_t r) {
   require_2d(t, "argmax_row");
   const std::size_t cols = t.dim(1);
   const float* row = t.data() + r * cols;
   return static_cast<std::size_t>(std::max_element(row, row + cols) - row);
-}
-
-double frobenius_norm(const Tensor& t) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < t.numel(); ++i) acc += static_cast<double>(t[i]) * t[i];
-  return std::sqrt(acc);
-}
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  if (!a.same_shape(b)) throw std::invalid_argument("add: shape mismatch");
-  Tensor out = a;
-  out += b;
-  return out;
-}
-
-Tensor scaled(const Tensor& a, float s) {
-  Tensor out = a;
-  out *= s;
-  return out;
 }
 
 }  // namespace pdsl

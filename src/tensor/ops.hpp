@@ -1,11 +1,10 @@
 #pragma once
-// Numeric kernels on Tensors: matmul (plus transposed variants used by the
-// Linear layer backward pass), reductions, and softmax. The matmul family is
-// a shape-checked facade over the S-KER layer (src/kernels/gemm.hpp), which
-// owns the naive/blocked/vectorized backend split; every call runs
-// single-threaded on the caller's thread. Convolution kernels live inside the
-// Conv2D layer because they need its geometry bookkeeping; its blocked path
-// is im2col + these GEMMs.
+// Numeric kernels on Tensors: matmul, matmul_transpose_a, row argmax and
+// softmax. The matmul pair is a shape-checked facade over the S-KER layer
+// (src/kernels/gemm.hpp), which owns the naive/blocked/vectorized backend
+// split; every call runs single-threaded on the caller's thread. Convolution
+// kernels live inside the Conv2D layer because they need its geometry
+// bookkeeping; its blocked path is im2col + the kernels' GEMMs.
 
 #include "tensor/tensor.hpp"
 
@@ -17,25 +16,10 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// C = A^T(MxK->KxM... ) i.e. C(KxN) = A(MxK)^T * B(MxN)
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
 
-/// C(MxK) = A(MxN) * B(KxN)^T
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-
 /// Row-wise softmax of a 2-D tensor (numerically stabilized).
 Tensor softmax_rows(const Tensor& logits);
 
-/// Sum over all elements.
-double sum(const Tensor& t);
-
 /// Index of the max element in row r of a 2-D tensor.
 std::size_t argmax_row(const Tensor& t, std::size_t r);
-
-/// Frobenius norm.
-double frobenius_norm(const Tensor& t);
-
-/// out = a + b (elementwise, same shape).
-Tensor add(const Tensor& a, const Tensor& b);
-
-/// out = a * s
-Tensor scaled(const Tensor& a, float s);
 
 }  // namespace pdsl

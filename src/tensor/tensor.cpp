@@ -87,12 +87,6 @@ Tensor& Tensor::operator+=(const Tensor& rhs) {
   return *this;
 }
 
-Tensor& Tensor::operator-=(const Tensor& rhs) {
-  if (!same_shape(rhs)) throw std::invalid_argument("Tensor-=: shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::operator*=(float s) {
   for (auto& v : data_) v *= s;
   return *this;

@@ -58,7 +58,6 @@ class Tensor {
 
   /// Elementwise in-place updates.
   Tensor& operator+=(const Tensor& rhs);
-  Tensor& operator-=(const Tensor& rhs);
   Tensor& operator*=(float s);
 
   [[nodiscard]] bool same_shape(const Tensor& rhs) const { return shape_ == rhs.shape_; }

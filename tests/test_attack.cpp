@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "attack/label_inference.hpp"
 #include "attack/membership.hpp"
 #include "data/synthetic.hpp"
@@ -16,12 +18,19 @@ using namespace pdsl::attack;
 
 namespace {
 
+/// The whole dataset as one batch.
+Tensor all_features(const data::Dataset& ds) {
+  std::vector<std::size_t> idx(ds.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  return ds.batch_features(idx);
+}
+
 /// A model trained a little so gradients carry label structure.
 nn::Model trained_model(const data::Dataset& ds, int steps, std::uint64_t seed) {
   Rng rng(seed);
   nn::Model m = nn::make_mlp(ds.sample_numel(), 16, ds.num_classes());
   m.init(rng);
-  const Tensor x = ds.all_features();
+  const Tensor x = all_features(ds);
   const auto y = ds.labels();
   for (int s = 0; s < steps; ++s) {
     m.loss_and_backward(x, y);
@@ -93,7 +102,7 @@ TEST(Membership, OverfitModelLeaksMembership) {
   const auto nonmembers = data::make_gaussian_mixture(60, 4, 6, 1.2, 1.2, 12);
   nn::Model m = nn::make_mlp(6, 32, 4);
   m.init(rng);
-  const Tensor x = members.all_features();
+  const Tensor x = all_features(members);
   const auto y = members.labels();
   for (int s = 0; s < 300; ++s) {
     m.loss_and_backward(x, y);

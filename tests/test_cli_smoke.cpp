@@ -135,6 +135,19 @@ TEST(CliSmoke, ByzantineRunReportsDefenseCounters) {
   EXPECT_NE(output.find("corrupted="), std::string::npos) << output;
 }
 
+TEST(CliSmoke, DashAndUnderscoreSpellTheSameFlag) {
+  // CliArgs folds '-' into '_' in flag names, so both spellings are accepted
+  // and reach the same setting, including its range check.
+  for (const std::string flag : {"--drop-prob", "--drop_prob"}) {
+    SCOPED_TRACE(flag);
+    std::string output;
+    ASSERT_EQ(run_cli(flag + " 0.3", &output), 0) << output;
+    EXPECT_NE(output.find("faults: dropped="), std::string::npos) << output;
+    EXPECT_NE(run_cli(flag + " 1.5", &output), 0);
+    EXPECT_NE(output.find("--drop-prob must be in [0,1)"), std::string::npos) << output;
+  }
+}
+
 TEST(CliSmoke, RecoveryFlagsAreValidatedWithTheFlagName) {
   const struct {
     const char* flags;

@@ -76,6 +76,17 @@ TEST(Cli, UnknownFlagThrows) {
   EXPECT_THROW(parse({"positional"}, {"rounds"}), std::invalid_argument);
 }
 
+TEST(Cli, DashAndUnderscoreAreOneCharacter) {
+  for (const char* flag : {"--trace-out", "--trace_out"}) {
+    SCOPED_TRACE(flag);
+    const auto args = parse({flag, "t.json"}, {"trace-out"});
+    EXPECT_TRUE(args.has("trace_out"));
+    EXPECT_EQ(args.get_string("trace-out", ""), "t.json");
+    EXPECT_EQ(args.get_string("trace_out", ""), "t.json");
+  }
+  EXPECT_THROW(parse({"--traceout", "x"}, {"trace-out"}), std::invalid_argument);
+}
+
 TEST(VecMath, AxpyDotNorm) {
   std::vector<float> a = {1.0f, 2.0f};
   axpy(a, {1.0f, 1.0f}, 2.0f);

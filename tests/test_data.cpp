@@ -29,14 +29,12 @@ TEST(Dataset, BatchMaterialization) {
   EXPECT_EQ(ds.batch_labels({2, 0}), (std::vector<int>{0, 0}));
 }
 
-TEST(Dataset, SubsetAndHistogram) {
+TEST(Dataset, Subset) {
   Dataset ds(Shape{1, 1, 1}, {0, 1, 2, 3}, {0, 1, 1, 1});
   const Dataset sub = ds.subset({1, 3});
   EXPECT_EQ(sub.size(), 2u);
   EXPECT_EQ(sub.label(0), 1);
-  const auto hist = ds.class_histogram();
-  EXPECT_EQ(hist[0], 1u);
-  EXPECT_EQ(hist[1], 3u);
+  EXPECT_FLOAT_EQ(*sub.sample(1), 3.0f);
 }
 
 TEST(Dataset, SplitOffIsAPartition) {
@@ -230,22 +228,6 @@ TEST(Sampler, WithReplacementDrawsFromOwnShardOnly) {
       EXPECT_TRUE(found);
     }
   }
-}
-
-TEST(Sampler, EpochBatchesCycleThroughShard) {
-  const auto ds = make_gaussian_mixture(40, 4, 2, 1.0, 0.5, 12);
-  std::vector<std::size_t> shard;
-  for (std::size_t i = 0; i < 12; ++i) shard.push_back(i);
-  BatchSampler sampler(ds, shard, 4, Rng(13));
-  // 3 batches = 1 epoch: all 12 shard samples appear exactly once.
-  std::multiset<int> labels_seen;
-  for (int b = 0; b < 3; ++b) {
-    auto [x, y] = sampler.next_epoch_batch();
-    labels_seen.insert(y.begin(), y.end());
-  }
-  std::multiset<int> expected;
-  for (std::size_t i : shard) expected.insert(ds.label(i));
-  EXPECT_EQ(labels_seen, expected);
 }
 
 TEST(Sampler, RejectsEmptyShard) {

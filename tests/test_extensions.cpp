@@ -1,5 +1,5 @@
-// Extension modules: FedAvg reference, Dropout layer (training-mode
-// semantics), and the communication cost model.
+// Extension modules: FedAvg reference, compression sweeps, paper-scale
+// models and the communication cost model.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,6 @@
 
 #include "algos/fedavg.hpp"
 #include "core/experiment.hpp"
-#include "nn/dropout.hpp"
-#include "nn/linear.hpp"
-#include "nn/model.hpp"
 #include "sim/comm_cost.hpp"
 
 using namespace pdsl;
@@ -61,69 +58,6 @@ TEST(FedAvg, DpVariantIsNamedAndNoisier) {
   cfg.sigma_mode = "none";
   const auto clean = core::run_experiment(cfg);
   EXPECT_LE(clean.final_loss, noisy.final_loss + 0.2);
-}
-
-TEST(Dropout, IdentityInEvalMode) {
-  nn::Dropout drop(0.5);
-  Tensor x(Shape{2, 4}, 1.0f);
-  const Tensor out = drop.forward(x);  // default: eval mode
-  for (std::size_t i = 0; i < out.numel(); ++i) EXPECT_FLOAT_EQ(out[i], 1.0f);
-  // Backward in eval mode is identity too.
-  const Tensor g = drop.backward(x);
-  for (std::size_t i = 0; i < g.numel(); ++i) EXPECT_FLOAT_EQ(g[i], 1.0f);
-}
-
-TEST(Dropout, TrainingModeZeroesAndRescales) {
-  nn::Dropout drop(0.5, 42);
-  drop.set_training(true);
-  Tensor x(Shape{1, 2000}, 1.0f);
-  const Tensor out = drop.forward(x);
-  std::size_t zeros = 0;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(out[i], 2.0f);  // inverted dropout scale 1/(1-0.5)
-      sum += out[i];
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / out.numel(), 0.5, 0.05);
-  EXPECT_NEAR(sum / out.numel(), 1.0, 0.1);  // expectation preserved
-}
-
-TEST(Dropout, BackwardMatchesMask) {
-  nn::Dropout drop(0.3, 7);
-  drop.set_training(true);
-  Tensor x(Shape{1, 100}, 1.0f);
-  const Tensor out = drop.forward(x);
-  Tensor gout(Shape{1, 100}, 1.0f);
-  const Tensor gin = drop.backward(gout);
-  for (std::size_t i = 0; i < 100; ++i) EXPECT_FLOAT_EQ(gin[i], out[i]);
-}
-
-TEST(Dropout, ModelTogglesTrainingAutomatically) {
-  Rng rng(1);
-  nn::Model m;
-  m.emplace<nn::Linear>(4, 8);
-  m.emplace<nn::Dropout>(0.5, 3);
-  m.emplace<nn::Linear>(8, 2);
-  m.init(rng);
-  Tensor x(Shape{4, 4}, 0.5f);
-  const std::vector<int> y = {0, 1, 0, 1};
-  // Evaluation is deterministic (dropout off).
-  EXPECT_DOUBLE_EQ(m.loss(x, y), m.loss(x, y));
-  // Training passes differ across calls (dropout masks differ).
-  const double a = m.loss_and_backward(x, y);
-  const double b = m.loss_and_backward(x, y);
-  EXPECT_NE(a, b);
-  // And the model is back in eval mode after loss_and_backward.
-  EXPECT_DOUBLE_EQ(m.loss(x, y), m.loss(x, y));
-}
-
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(nn::Dropout(1.0), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(-0.1), std::invalid_argument);
 }
 
 class CompressionSweep
@@ -224,15 +158,6 @@ TEST(CommCost, TransferTimeFormula) {
   EXPECT_NEAR(model.transfer_time(10, 1000000), 4.05, 1e-9);
   model.bandwidth_bps = 0.0;
   EXPECT_THROW(model.transfer_time(1, 1), std::invalid_argument);
-}
-
-TEST(CommCost, PresetsAreOrdered) {
-  const auto dc = sim::datacenter_network(1);
-  const auto wan = sim::wan_network(1);
-  const auto lora = sim::lorawan_like(1);
-  const std::size_t msgs = 100, bytes = 1 << 20;
-  EXPECT_LT(dc.transfer_time(msgs, bytes), wan.transfer_time(msgs, bytes));
-  EXPECT_LT(wan.transfer_time(msgs, bytes), lora.transfer_time(msgs, bytes));
 }
 
 TEST(CommCost, SparserGraphsTradeTimeForRounds) {

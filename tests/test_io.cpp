@@ -144,6 +144,31 @@ TEST(Checkpoint, ShortHeaderDetected) {
   EXPECT_THROW(load_fleet(path), std::runtime_error);
 }
 
+TEST(Checkpoint, HugeLengthWordThrowsBeforeAllocating) {
+  // Each loader's length words, patched to 2^60 in an otherwise valid file,
+  // must be refused as truncation: allocating from them first fails with
+  // std::bad_alloc in this binary.
+  const std::string path = "/tmp/pdsl_ckpt_huge_len.bin";
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  auto patch = [&](std::streamoff offset) {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(offset);
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  };
+  save_params(path, random_vec(8, 1));
+  patch(16);  // dimension
+  EXPECT_THROW((void)load_params(path), std::runtime_error);
+  for (const std::streamoff offset : {16, 24}) {  // count, dimension
+    save_fleet(path, {random_vec(8, 2), random_vec(8, 3)});
+    patch(offset);
+    EXPECT_THROW((void)load_fleet(path), std::runtime_error) << "offset " << offset;
+  }
+  constexpr std::uint64_t kMagic = 0x5044534C54455354ULL;  // "PDSLTEST"
+  save_blob(path, kMagic, io::ByteBuffer(16, 7), "blob-test");
+  patch(16);  // body size
+  EXPECT_THROW((void)load_blob(path, kMagic, "blob-test"), std::runtime_error);
+}
+
 TEST(Checkpoint, FleetRoundTrip) {
   const std::string path = "/tmp/pdsl_ckpt_fleet.bin";
   std::vector<std::vector<float>> fleet;

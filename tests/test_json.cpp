@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/config_io.hpp"
@@ -128,6 +131,32 @@ TEST(ConfigIo, PartialConfigKeepsDefaults) {
 
 TEST(ConfigIo, UnknownKeysAreRejected) {
   EXPECT_THROW(core::config_from_json(parse(R"({"agentz": 9})")), std::invalid_argument);
+}
+
+TEST(ConfigIo, SizeKeysRejectOutOfRangeValuesNamingTheKey) {
+  // A negative value used to wrap to a huge size_t (or, in the fleet block,
+  // hit an undefined double -> size_t cast) and run or fail far from its key.
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {R"({"validation_batch": -1})", "\"validation_batch\""},
+      {R"({"agents": -1})", "\"agents\""},
+      {R"({"rounds": -3})", "\"rounds\""},
+      {R"({"threads": 1e30})", "\"threads\""},
+      {R"({"batch": 2.5})", "\"batch\""},
+      {R"({"fleet": {"degree": -2}})", "\"degree\""},
+      {R"({"fleet": {"worker_cache": -1}})", "\"worker_cache\""},
+      {R"({"fleet": {"participation": {"mode": "sampled", "active": -1}}})", "\"active\""},
+  };
+  for (const auto& [text, key] : cases) {
+    try {
+      (void)core::config_from_json(parse(text));
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << text << ": " << e.what();
+    }
+  }
+  const auto cfg = core::config_from_json(parse(R"({"agents": 0, "fleet": {"degree": 6}})"));
+  EXPECT_EQ(cfg.agents, 0u);
+  EXPECT_EQ(cfg.fleet.degree, 6u);
 }
 
 TEST(ConfigIo, LoadFromFile) {

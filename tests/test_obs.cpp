@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
@@ -253,26 +252,6 @@ TEST(Phase, FormatTableListsEveryPhaseAndTotal) {
     EXPECT_NE(table.find(name), std::string::npos) << name;
   }
   EXPECT_NE(table.find("total"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Logging helpers (monotonic stamp + span helper)
-
-TEST(Logging, UptimeIsMonotonic) {
-  const double a = log_uptime_seconds();
-  const double b = log_uptime_seconds();
-  EXPECT_GE(b, a);
-  EXPECT_GE(a, 0.0);
-}
-
-TEST(Logging, ScopedLogSpanDoesNotThrow) {
-  const LogLevel prev = log_level();
-  set_log_level(LogLevel::kOff);
-  {
-    ScopedLogSpan span("unit_test_span");
-    log_span("direct", 0.001);
-  }
-  set_log_level(prev);
 }
 
 // ---------------------------------------------------------------------------

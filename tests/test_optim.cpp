@@ -1,42 +1,12 @@
-// Optimizers, the min-norm QP solver (DP-CGA's projection) and LR schedules.
+// The min-norm QP solver and simplex projection (DP-CGA's projection).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.hpp"
-#include "common/vec_math.hpp"
-#include "optim/adam.hpp"
 #include "optim/qp.hpp"
-#include "optim/schedule.hpp"
-#include "optim/sgd.hpp"
 
 using namespace pdsl;
 using namespace pdsl::optim;
-
-TEST(Sgd, PlainStep) {
-  std::vector<float> x = {1.0f, 2.0f};
-  sgd_step(x, {0.5f, -0.5f}, 0.1);
-  EXPECT_FLOAT_EQ(x[0], 0.95f);
-  EXPECT_FLOAT_EQ(x[1], 2.05f);
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  std::vector<float> x = {0.0f};
-  std::vector<float> u = {0.0f};
-  momentum_step(x, u, {1.0f}, 1.0, 0.5);
-  EXPECT_FLOAT_EQ(u[0], 1.0f);
-  EXPECT_FLOAT_EQ(x[0], -1.0f);
-  momentum_step(x, u, {1.0f}, 1.0, 0.5);
-  EXPECT_FLOAT_EQ(u[0], 1.5f);
-  EXPECT_FLOAT_EQ(x[0], -2.5f);
-}
-
-TEST(Sgd, WeightDecayShrinksParams) {
-  std::vector<float> x = {10.0f};
-  sgd_step_weight_decay(x, {0.0f}, 0.1, 0.5);
-  EXPECT_FLOAT_EQ(x[0], 9.5f);
-}
 
 TEST(SimplexProjection, AlreadyOnSimplexIsFixed) {
   const auto p = project_to_simplex({0.2, 0.3, 0.5});
@@ -119,81 +89,4 @@ TEST(MinNorm, GramValidation) {
   MinNormSolver solver;
   EXPECT_THROW(solver.solve({}), std::invalid_argument);
   EXPECT_THROW(solver.solve_gram({{1.0, 0.0}}), std::invalid_argument);
-}
-
-TEST(AdamW, ConvergesOnQuadratic) {
-  // Minimize f(x) = 0.5 ||x - target||^2.
-  const std::vector<float> target = {1.0f, -2.0f, 3.0f};
-  std::vector<float> x = {0.0f, 0.0f, 0.0f};
-  AdamW::Config cfg;
-  cfg.lr = 0.05;
-  AdamW opt(3, cfg);
-  for (int it = 0; it < 500; ++it) {
-    std::vector<float> g(3);
-    for (std::size_t i = 0; i < 3; ++i) g[i] = x[i] - target[i];
-    opt.step(x, g);
-  }
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], target[i], 0.05);
-  EXPECT_EQ(opt.steps_taken(), 500u);
-}
-
-TEST(AdamW, DecoupledWeightDecayShrinks) {
-  std::vector<float> x = {10.0f};
-  AdamW::Config cfg;
-  cfg.lr = 0.1;
-  cfg.weight_decay = 0.1;
-  AdamW opt(1, cfg);
-  for (int it = 0; it < 100; ++it) opt.step(x, {0.0f});
-  EXPECT_LT(std::abs(x[0]), 5.0f);  // decays toward 0 with zero gradient
-}
-
-TEST(AdamW, ResetAndValidation) {
-  AdamW opt(2);
-  std::vector<float> x = {1.0f, 1.0f};
-  opt.step(x, {1.0f, 1.0f});
-  opt.reset();
-  EXPECT_EQ(opt.steps_taken(), 0u);
-  std::vector<float> bad = {1.0f};
-  EXPECT_THROW(opt.step(bad, {1.0f}), std::invalid_argument);
-  AdamW::Config cfg;
-  cfg.lr = 0.0;
-  EXPECT_THROW(AdamW(2, cfg), std::invalid_argument);
-  cfg = {};
-  cfg.beta1 = 1.0;
-  EXPECT_THROW(AdamW(2, cfg), std::invalid_argument);
-}
-
-TEST(Schedule, ConstantAndInverseSqrt) {
-  ConstantLr c(0.1);
-  EXPECT_DOUBLE_EQ(c.at(0), 0.1);
-  EXPECT_DOUBLE_EQ(c.at(1000), 0.1);
-  InverseSqrtLr inv(1.0);
-  EXPECT_DOUBLE_EQ(inv.at(0), 1.0);
-  EXPECT_NEAR(inv.at(3), 0.5, 1e-12);
-  EXPECT_GT(inv.at(10), inv.at(20));
-}
-
-TEST(Schedule, StepDecay) {
-  StepDecayLr s(1.0, 10, 0.5);
-  EXPECT_DOUBLE_EQ(s.at(9), 1.0);
-  EXPECT_DOUBLE_EQ(s.at(10), 0.5);
-  EXPECT_DOUBLE_EQ(s.at(25), 0.25);
-}
-
-TEST(Schedule, CosineEndpoints) {
-  CosineLr c(1.0, 0.1, 100);
-  EXPECT_NEAR(c.at(0), 1.0, 1e-12);
-  EXPECT_NEAR(c.at(100), 0.1, 1e-12);
-  EXPECT_GT(c.at(25), c.at(75));
-}
-
-TEST(Schedule, FactoryAndValidation) {
-  EXPECT_NO_THROW(make_schedule("constant", 0.1, 100));
-  EXPECT_NO_THROW(make_schedule("inv_sqrt", 0.1, 100));
-  EXPECT_NO_THROW(make_schedule("step", 0.1, 100));
-  EXPECT_NO_THROW(make_schedule("cosine", 0.1, 100));
-  EXPECT_THROW(make_schedule("warmup", 0.1, 100), std::invalid_argument);
-  EXPECT_THROW(ConstantLr(0.0), std::invalid_argument);
-  EXPECT_THROW(StepDecayLr(1.0, 0, 0.5), std::invalid_argument);
-  EXPECT_THROW(CosineLr(1.0, 2.0, 10), std::invalid_argument);
 }

@@ -123,21 +123,6 @@ TEST(Rng, PermutationsVary) {
   EXPECT_NE(a, b);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng r(11);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 4000; ++i) ++counts[r.categorical(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.5);
-}
-
-TEST(Rng, CategoricalRejectsBadInput) {
-  Rng r(12);
-  EXPECT_THROW(r.categorical({}), std::invalid_argument);
-  EXPECT_THROW(r.categorical({0.0, 0.0}), std::invalid_argument);
-}
-
 TEST(Rng, FillNormalFills) {
   Rng r(13);
   std::vector<float> buf(1000, 0.0f);

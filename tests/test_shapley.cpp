@@ -189,15 +189,6 @@ INSTANTIATE_TEST_SUITE_P(PermutationSweep, McAccuracy,
                          ::testing::Values(std::size_t{4}, std::size_t{16}, std::size_t{64},
                                            std::size_t{256}));
 
-TEST(ShapleyAuto, PicksExactForTinyGames) {
-  Game g(3, batch_of(majority_game(2)));
-  Rng rng(3);
-  const auto phi = shapley_auto(g, 1000, rng);
-  Game g2(3, batch_of(majority_game(2)));
-  const auto exact = exact_shapley(g2);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(phi[i], exact[i], 1e-12);
-}
-
 TEST(TruncatedMc, MatchesMcWhenNothingTruncates) {
   // With tolerance 0 (and a strictly increasing game) no truncation happens,
   // so TMC equals plain MC on the same rng stream.

@@ -54,10 +54,8 @@ TEST(Tensor, ElementwiseOps) {
   Tensor b = Tensor::from({4, 5, 6});
   a += b;
   EXPECT_FLOAT_EQ(a[2], 9.0f);
-  a -= b;
-  EXPECT_FLOAT_EQ(a[2], 3.0f);
   a *= 2.0f;
-  EXPECT_FLOAT_EQ(a[0], 2.0f);
+  EXPECT_FLOAT_EQ(a[0], 10.0f);
   Tensor c(Shape{4});
   EXPECT_THROW(a += c, std::invalid_argument);
 }
@@ -78,7 +76,7 @@ TEST(Ops, MatmulShapeChecks) {
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
 }
 
-TEST(Ops, TransposedMatmulsAgreeWithExplicit) {
+TEST(Ops, TransposedMatmulAgreesWithExplicit) {
   // A: 3x2, B: 3x4 -> A^T B : 2x4
   Tensor a(Shape{3, 2}, {1, 2, 3, 4, 5, 6});
   Tensor b(Shape{3, 4}, {1, 0, 2, 1, 0, 1, 1, 2, 3, 1, 0, 1});
@@ -88,14 +86,6 @@ TEST(Ops, TransposedMatmulsAgreeWithExplicit) {
   const Tensor expect = matmul(at, b);
   ASSERT_EQ(c.shape(), expect.shape());
   for (std::size_t i = 0; i < c.numel(); ++i) EXPECT_FLOAT_EQ(c[i], expect[i]);
-
-  // D: 2x3, E: 4x3 -> D E^T : 2x4
-  Tensor d(Shape{2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor e(Shape{4, 3}, {1, 0, 1, 2, 1, 0, 0, 1, 1, 1, 1, 1});
-  const Tensor f = matmul_transpose_b(d, e);
-  Tensor et(Shape{3, 4}, {1, 2, 0, 1, 0, 1, 1, 1, 1, 0, 1, 1});
-  const Tensor expect2 = matmul(d, et);
-  for (std::size_t i = 0; i < f.numel(); ++i) EXPECT_FLOAT_EQ(f[i], expect2[i]);
 }
 
 TEST(Ops, SoftmaxRowsIsNormalizedAndStable) {
@@ -110,20 +100,8 @@ TEST(Ops, SoftmaxRowsIsNormalizedAndStable) {
   EXPECT_GT(p.at2(1, 2), p.at2(1, 1));
 }
 
-TEST(Ops, SumArgmaxNorm) {
+TEST(Ops, ArgmaxRow) {
   Tensor t(Shape{2, 3}, {1, 5, 2, 0, -1, 4});
-  EXPECT_DOUBLE_EQ(sum(t), 11.0);
   EXPECT_EQ(argmax_row(t, 0), 1u);
   EXPECT_EQ(argmax_row(t, 1), 2u);
-  Tensor v = Tensor::from({3, 4});
-  EXPECT_DOUBLE_EQ(frobenius_norm(v), 5.0);
-}
-
-TEST(Ops, AddAndScaled) {
-  Tensor a = Tensor::from({1, 2});
-  Tensor b = Tensor::from({3, 4});
-  const Tensor c = add(a, b);
-  EXPECT_FLOAT_EQ(c[1], 6.0f);
-  const Tensor s = scaled(a, 3.0f);
-  EXPECT_FLOAT_EQ(s[0], 3.0f);
 }

@@ -120,31 +120,17 @@ int cmd_run(int argc, const char* const* argv) {
                       "rounds",    "train",    "image",   "mu",          "partition",
                       "batch",     "gamma",    "alpha",   "clip",        "eps",
                       "delta",     "sigma_mode", "noise_scale", "seed",  "seeds",
-                      "compression", "drop_prob", "drop-prob", "corrupt", "csv",
-                      "save_model",
+                      "compression", "drop-prob", "corrupt", "csv", "save_model",
                       "mc_perms",  "valbatch", "hidden",  "config",      "json",
-                      "shapley-eval", "shapley_eval", "shapley-method", "shapley_method",
-                      "shapley-min-perms", "shapley_min_perms",
-                      "shapley-ci-z", "shapley_ci_z",
-                      "threads",   "backend",  "profile",  "trace-out", "trace_out",
-                      "metrics-out", "metrics_out", "ledger-out", "ledger_out",
-                      "delay-rounds", "delay_rounds", "delay-prob", "delay_prob",
-                      "churn", "churn-interval", "churn_interval",
-                      "staleness",
-                      "byz-frac", "byz_frac", "byz-mode", "byz_mode",
-                      "byz-scale", "byz_scale", "byz-onset", "byz_onset",
-                      "robust-agg", "robust_agg", "sanitize",
-                      "participation", "active", "participation-rate", "participation_rate",
-                      "sparse", "degree", "radius", "lazy-state", "lazy_state",
-                      "worker-cache", "worker_cache", "wire-roundtrip", "wire_roundtrip",
-                      "metric-agents", "metric_agents",
-                      "corrupt-prob", "corrupt_prob", "dup-prob", "dup_prob",
-                      "reorder-prob", "reorder_prob", "max-retries", "max_retries",
-                      "crash-prob", "crash_prob", "snapshot-every", "snapshot_every",
-                      "recovery-dir", "recovery_dir",
-                      "checkpoint-every", "checkpoint_every",
-                      "checkpoint-path", "checkpoint_path",
-                      "resume-from", "resume_from"});
+                      "shapley-eval", "shapley-method", "shapley-min-perms", "shapley-ci-z",
+                      "threads",   "backend",  "profile",  "trace-out", "metrics-out",
+                      "ledger-out", "delay-rounds", "delay-prob", "churn", "churn-interval",
+                      "staleness", "byz-frac", "byz-mode", "byz-scale", "byz-onset",
+                      "robust-agg", "sanitize", "participation", "active", "participation-rate",
+                      "sparse", "degree", "radius", "lazy-state", "worker-cache",
+                      "wire-roundtrip", "metric-agents", "corrupt-prob", "dup-prob",
+                      "reorder-prob", "max-retries", "crash-prob", "snapshot-every",
+                      "recovery-dir", "checkpoint-every", "checkpoint-path", "resume-from"});
   core::ExperimentConfig cfg;
   if (args.has("config")) {
     cfg = core::load_config(args.get_string("config", ""));
@@ -212,16 +198,14 @@ int cmd_run(int argc, const char* const* argv) {
       args.get_int("valbatch", static_cast<std::int64_t>(cfg.hp.validation_batch)));
   // S-SHAP scoring knobs. Validated loudly here (naming the flag) in addition
   // to the Pdsl constructor, so a typo fails before any dataset is generated.
-  cfg.hp.shapley_eval = args.get_string(
-      "shapley-eval", args.get_string("shapley_eval", cfg.hp.shapley_eval));
+  cfg.hp.shapley_eval = args.get_string("shapley-eval", cfg.hp.shapley_eval);
   if (cfg.hp.shapley_eval != "sequential" && cfg.hp.shapley_eval != "batched" &&
       cfg.hp.shapley_eval != "linear") {
     throw std::invalid_argument(
         "--shapley-eval must be 'sequential', 'batched' or 'linear', got '" +
         cfg.hp.shapley_eval + "'");
   }
-  cfg.hp.shapley_method = args.get_string(
-      "shapley-method", args.get_string("shapley_method", cfg.hp.shapley_method));
+  cfg.hp.shapley_method = args.get_string("shapley-method", cfg.hp.shapley_method);
   if (cfg.hp.shapley_method != "mc" && cfg.hp.shapley_method != "exact" &&
       cfg.hp.shapley_method != "tmc" && cfg.hp.shapley_method != "stratified" &&
       cfg.hp.shapley_method != "adaptive") {
@@ -232,10 +216,8 @@ int cmd_run(int argc, const char* const* argv) {
   cfg.hp.shapley_min_permutations = positive(
       "shapley-min-perms",
       args.get_int("shapley-min-perms",
-                   args.get_int("shapley_min_perms",
-                                static_cast<std::int64_t>(cfg.hp.shapley_min_permutations))));
-  cfg.hp.shapley_ci_z =
-      args.get_double("shapley-ci-z", args.get_double("shapley_ci_z", cfg.hp.shapley_ci_z));
+                   static_cast<std::int64_t>(cfg.hp.shapley_min_permutations)));
+  cfg.hp.shapley_ci_z = args.get_double("shapley-ci-z", cfg.hp.shapley_ci_z);
   if (cfg.hp.shapley_ci_z < 0.0) {
     throw std::invalid_argument("--shapley-ci-z must be >= 0, got " +
                                 std::to_string(cfg.hp.shapley_ci_z));
@@ -245,17 +227,12 @@ int cmd_run(int argc, const char* const* argv) {
   cfg.sigma_mode = args.get_string("sigma_mode", cfg.sigma_mode);
   cfg.noise_scale = args.get_double("noise_scale", cfg.noise_scale);
   cfg.compression = args.get_string("compression", cfg.compression);
-  cfg.drop_prob = prob("drop-prob",
-                       args.get_double("drop-prob", args.get_double("drop_prob", cfg.drop_prob)),
-                       /*hi_excl=*/1.0);
-  // S-FAULT knobs (dash and underscore spellings accepted, like trace-out).
+  cfg.drop_prob = prob("drop-prob", args.get_double("drop-prob", cfg.drop_prob), /*hi_excl=*/1.0);
+  // S-FAULT knobs.
   cfg.faults.delay_rounds = nonneg(
       "delay-rounds",
-      args.get_int("delay-rounds",
-                   args.get_int("delay_rounds", static_cast<std::int64_t>(cfg.faults.delay_rounds))));
-  cfg.faults.delay_prob = prob(
-      "delay-prob",
-      args.get_double("delay-prob", args.get_double("delay_prob", cfg.faults.delay_prob)));
+      args.get_int("delay-rounds", static_cast<std::int64_t>(cfg.faults.delay_rounds)));
+  cfg.faults.delay_prob = prob("delay-prob", args.get_double("delay-prob", cfg.faults.delay_prob));
   // --delay-rounds without --delay-prob gets a visible default rate, so the
   // single-flag quickstart actually injects delays.
   if (cfg.faults.delay_rounds > 0 && cfg.faults.delay_prob == 0.0) {
@@ -264,66 +241,48 @@ int cmd_run(int argc, const char* const* argv) {
   cfg.faults.churn_prob = prob("churn", args.get_double("churn", cfg.faults.churn_prob));
   cfg.faults.churn_interval = nonneg(
       "churn-interval",
-      args.get_int("churn-interval",
-                   args.get_int("churn_interval", static_cast<std::int64_t>(cfg.faults.churn_interval))));
+      args.get_int("churn-interval", static_cast<std::int64_t>(cfg.faults.churn_interval)));
   cfg.faults.staleness_rounds = nonneg(
       "staleness",
       args.get_int("staleness", static_cast<std::int64_t>(cfg.faults.staleness_rounds)));
   cfg.faults.validate();
   // S-RECOV unreliable-channel transport + crash/recovery flags.
   cfg.channel.corrupt_prob = prob(
-      "corrupt-prob",
-      args.get_double("corrupt-prob", args.get_double("corrupt_prob", cfg.channel.corrupt_prob)),
-      /*hi_excl=*/1.0);
+      "corrupt-prob", args.get_double("corrupt-prob", cfg.channel.corrupt_prob), /*hi_excl=*/1.0);
   cfg.channel.duplicate_prob = prob(
-      "dup-prob", args.get_double("dup-prob", args.get_double("dup_prob", cfg.channel.duplicate_prob)),
-      /*hi_excl=*/1.0);
+      "dup-prob", args.get_double("dup-prob", cfg.channel.duplicate_prob), /*hi_excl=*/1.0);
   cfg.channel.reorder_prob = prob(
-      "reorder-prob",
-      args.get_double("reorder-prob", args.get_double("reorder_prob", cfg.channel.reorder_prob)),
-      /*hi_excl=*/1.0);
+      "reorder-prob", args.get_double("reorder-prob", cfg.channel.reorder_prob), /*hi_excl=*/1.0);
   cfg.channel.max_retries = nonneg(
       "max-retries",
-      args.get_int("max-retries",
-                   args.get_int("max_retries", static_cast<std::int64_t>(cfg.channel.max_retries))));
+      args.get_int("max-retries", static_cast<std::int64_t>(cfg.channel.max_retries)));
   cfg.channel.validate();
-  cfg.crash.crash_prob = prob(
-      "crash-prob", args.get_double("crash-prob", args.get_double("crash_prob", cfg.crash.crash_prob)),
-      /*hi_excl=*/1.0);
+  cfg.crash.crash_prob =
+      prob("crash-prob", args.get_double("crash-prob", cfg.crash.crash_prob), /*hi_excl=*/1.0);
   cfg.crash.snapshot_every = nonneg(
       "snapshot-every",
-      args.get_int("snapshot-every",
-                   args.get_int("snapshot_every", static_cast<std::int64_t>(cfg.crash.snapshot_every))));
+      args.get_int("snapshot-every", static_cast<std::int64_t>(cfg.crash.snapshot_every)));
   cfg.crash.validate();
-  cfg.recovery_dir =
-      args.get_string("recovery-dir", args.get_string("recovery_dir", cfg.recovery_dir));
+  cfg.recovery_dir = args.get_string("recovery-dir", cfg.recovery_dir);
   cfg.checkpoint_every = nonneg(
       "checkpoint-every",
-      args.get_int("checkpoint-every",
-                   args.get_int("checkpoint_every", static_cast<std::int64_t>(cfg.checkpoint_every))));
-  cfg.checkpoint_path =
-      args.get_string("checkpoint-path", args.get_string("checkpoint_path", cfg.checkpoint_path));
-  cfg.resume_from =
-      args.get_string("resume-from", args.get_string("resume_from", cfg.resume_from));
+      args.get_int("checkpoint-every", static_cast<std::int64_t>(cfg.checkpoint_every)));
+  cfg.checkpoint_path = args.get_string("checkpoint-path", cfg.checkpoint_path);
+  cfg.resume_from = args.get_string("resume-from", cfg.resume_from);
   if (cfg.checkpoint_every > 0 && cfg.checkpoint_path.empty()) {
     throw std::invalid_argument("--checkpoint-every needs --checkpoint-path <file>");
   }
   // S-BYZ adversary + defense flags.
-  cfg.adversary.frac =
-      prob("byz-frac", args.get_double("byz-frac", args.get_double("byz_frac", cfg.adversary.frac)));
-  if (args.has("byz-mode") || args.has("byz_mode")) {
-    cfg.adversary.mode = sim::byz_mode_from_string(
-        args.get_string("byz-mode", args.get_string("byz_mode", "sign_flip")));
+  cfg.adversary.frac = prob("byz-frac", args.get_double("byz-frac", cfg.adversary.frac));
+  if (args.has("byz-mode")) {
+    cfg.adversary.mode = sim::byz_mode_from_string(args.get_string("byz-mode", "sign_flip"));
   }
-  cfg.adversary.scale =
-      args.get_double("byz-scale", args.get_double("byz_scale", cfg.adversary.scale));
+  cfg.adversary.scale = args.get_double("byz-scale", cfg.adversary.scale);
   cfg.adversary.onset = nonneg(
-      "byz-onset",
-      args.get_int("byz-onset", args.get_int("byz_onset", static_cast<std::int64_t>(cfg.adversary.onset))));
+      "byz-onset", args.get_int("byz-onset", static_cast<std::int64_t>(cfg.adversary.onset)));
   cfg.adversary.validate();
-  if (args.has("robust-agg") || args.has("robust_agg")) {
-    cfg.defense.robust_agg = algos::robust_agg_from_string(
-        args.get_string("robust-agg", args.get_string("robust_agg", "none")));
+  if (args.has("robust-agg")) {
+    cfg.defense.robust_agg = algos::robust_agg_from_string(args.get_string("robust-agg", "none"));
   }
   if (args.has("sanitize")) {
     cfg.defense.sanitize = algos::sanitize_from_string(args.get_string("sanitize", "auto"));
@@ -348,8 +307,7 @@ int cmd_run(int argc, const char* const* argv) {
                                 ") exceeds --agents (" + std::to_string(cfg.agents) + ")");
   }
   cfg.fleet.participation.rate =
-      args.get_double("participation-rate",
-                      args.get_double("participation_rate", cfg.fleet.participation.rate));
+      args.get_double("participation-rate", cfg.fleet.participation.rate);
   if (cfg.fleet.participation.rate < 0.0 || cfg.fleet.participation.rate > 1.0) {
     throw std::invalid_argument("--participation-rate must be in (0,1], got " +
                                 std::to_string(cfg.fleet.participation.rate));
@@ -367,14 +325,11 @@ int cmd_run(int argc, const char* const* argv) {
                                 ") must be below --agents (" + std::to_string(cfg.agents) + ")");
   }
   cfg.fleet.radius = args.get_double("radius", cfg.fleet.radius);
-  cfg.fleet.lazy_state =
-      args.get_bool("lazy-state", args.get_bool("lazy_state", cfg.fleet.lazy_state));
+  cfg.fleet.lazy_state = args.get_bool("lazy-state", cfg.fleet.lazy_state);
   cfg.fleet.worker_cache = nonneg(
       "worker-cache",
-      args.get_int("worker-cache",
-                   args.get_int("worker_cache", static_cast<std::int64_t>(cfg.fleet.worker_cache))));
-  cfg.fleet.wire_roundtrip =
-      args.get_bool("wire-roundtrip", args.get_bool("wire_roundtrip", cfg.fleet.wire_roundtrip));
+      args.get_int("worker-cache", static_cast<std::int64_t>(cfg.fleet.worker_cache)));
+  cfg.fleet.wire_roundtrip = args.get_bool("wire-roundtrip", cfg.fleet.wire_roundtrip);
   cfg.fleet.validate(cfg.agents);
   // The Shapley characteristic function keys coalitions by a 64-bit mask, so a
   // dense PDSL game is capped at 63 players (an agent plus its neighbors).
@@ -389,16 +344,12 @@ int cmd_run(int argc, const char* const* argv) {
   }
   cfg.metrics.metric_agents = nonneg(
       "metric-agents",
-      args.get_int("metric-agents",
-                   args.get_int("metric_agents", static_cast<std::int64_t>(cfg.metrics.metric_agents))));
+      args.get_int("metric-agents", static_cast<std::int64_t>(cfg.metrics.metric_agents)));
   if (cfg.metrics.eval_every == 1) cfg.metrics.eval_every = 5;
   cfg.profile = args.get_bool("profile", cfg.profile);
-  cfg.trace_out =
-      args.get_string("trace-out", args.get_string("trace_out", cfg.trace_out));
-  cfg.ledger_out =
-      args.get_string("ledger-out", args.get_string("ledger_out", cfg.ledger_out));
-  const std::string metrics_out =
-      args.get_string("metrics-out", args.get_string("metrics_out", ""));
+  cfg.trace_out = args.get_string("trace-out", cfg.trace_out);
+  cfg.ledger_out = args.get_string("ledger-out", cfg.ledger_out);
+  const std::string metrics_out = args.get_string("metrics-out", "");
 
   if (args.has("seeds")) {
     const auto seed_ints = args.get_int_list("seeds", {1, 2, 3});
