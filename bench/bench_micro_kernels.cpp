@@ -11,7 +11,10 @@
 //     shapes, gated at >= 1.3x, and the vectorized speedup at the square
 //     GEMM shapes, gated at >= 1.3x (S-VEC). A `dp_noise` row
 //     times dp::add_gaussian_noise against the per-coordinate Rng::normal
-//     loop on one 25,450-float gradient, gated at >= 3x.
+//     loop on one 25,450-float gradient, gated at >= 3x. Every blocked
+//     timing is also taken at each ISA level the host runs (blocked_ms is
+//     the widest, which the default dispatch picks), and an mlp_l1_ta row
+//     times the Table I MLP's first-layer weight gradient.
 //     Flags: --out <path> --reps <n>
 //
 //  2. The original google-benchmark suite (matmul, model gradients, DP
@@ -69,23 +72,39 @@ double time_ms(std::size_t reps, F&& fn) {
   return best;
 }
 
+/// The ISA levels this host runs, baseline first: the blocked kernels are
+/// timed at each.
+std::vector<kernels::Isa> supported_isas() {
+  std::vector<kernels::Isa> levels;
+  for (const auto level : {kernels::Isa::kBaseline, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+    if (level <= kernels::host_isa()) levels.push_back(level);
+  }
+  return levels;
+}
+
 struct SweepRow {
   std::string name;
   std::string kind;   // "gemm" | "conv"
   std::string shape;  // human-readable
   double naive_ms = 0.0;
-  double blocked_ms = 0.0;
+  double blocked_ms = 0.0;  // at the widest level, which the default dispatch runs
+  std::vector<double> blocked_isa_ms;  // per level of supported_isas()
   double vec_ms = 0.0;  // S-VEC register-tiled backend
 };
 
-/// Fills the row's timings: `fn` on the naive, blocked and vectorized
-/// backends.
+/// Fills the row's timings: `fn` on the naive backend, the blocked backend
+/// at every supported ISA level, and the vectorized backend.
 template <typename F>
 void time_backends(SweepRow& row, std::size_t reps, F&& fn) {
   kernels::set_backend(kernels::Backend::kNaive);
   row.naive_ms = time_ms(reps, fn);
   kernels::set_backend(kernels::Backend::kBlocked);
-  row.blocked_ms = time_ms(reps, fn);
+  for (const auto level : supported_isas()) {
+    kernels::set_isa_cap(level);
+    row.blocked_isa_ms.push_back(time_ms(reps, fn));
+  }
+  kernels::set_isa_cap(kernels::Isa::kAvx512);
+  row.blocked_ms = row.blocked_isa_ms.back();
   kernels::set_backend(kernels::Backend::kVectorized);
   row.vec_ms = time_ms(reps, fn);
 }
@@ -137,6 +156,13 @@ const GemmShape kConvGemmShapes[] = {
     {"sgemm_cifar_l2_12", 16, 200, 36},
     {"sgemm_cifar_l1_32", 8, 75, 1024},
     {"sgemm_cifar_l2_32", 16, 200, 256},
+};
+
+// The Table I MLP's first-layer weight gradient dW = dY^T * X, batch 32:
+// sgemm_transpose_a at (32, 32, 784). Not gated; timed per ISA level like
+// every row.
+const GemmShape kMlpGemmShapes[] = {
+    {"mlp_l1", 32, 32, 784},
 };
 
 const ConvShape kConvShapes[] = {
@@ -245,16 +271,25 @@ int run_kernel_sweep(const CliArgs& args) {
   const auto reps = static_cast<std::size_t>(args.get_int("reps", 20));
   const kernels::Backend entry_backend = kernels::backend();
 
+  const std::vector<kernels::Isa> levels = supported_isas();
+
   std::printf("==== bench_micro_kernels: naive vs blocked vs vectorized (reps=%zu) ====\n",
               reps);
-  std::printf("%-16s %-24s %12s %12s %12s %9s %9s\n", "kernel", "shape", "naive_ms",
+  std::printf("blocked runs at the widest level (%s); blk_<level> columns time each level\n",
+              kernels::isa_name(kernels::host_isa()));
+  std::printf("%-16s %-24s %12s %12s %12s %9s %9s", "kernel", "shape", "naive_ms",
               "blocked_ms", "vec_ms", "blk_spd", "vec_spd");
+  for (const auto level : levels) {
+    std::printf(" %12s", ("blk_" + std::string(kernels::isa_name(level))).c_str());
+  }
+  std::printf("\n");
 
   std::vector<SweepRow> rows;
   for (const auto& s : kGemmShapes) rows.push_back(sweep_gemm(s, reps));
   for (const bool transpose_a : {false, true}) {
     for (const auto& s : kConvGemmShapes) rows.push_back(sweep_gemm(s, reps, transpose_a));
   }
+  for (const auto& s : kMlpGemmShapes) rows.push_back(sweep_gemm(s, reps, true));
   for (const auto& s : kTbShapes) rows.push_back(sweep_tb(s, reps));
   for (const auto& s : kConvShapes) rows.push_back(sweep_conv(s, reps));
   kernels::set_backend(entry_backend);
@@ -284,10 +319,18 @@ int run_kernel_sweep(const CliArgs& args) {
     if (r.name.rfind("sgemm_", 0) == 0) {
       sgemm_blocked_min_speedup = std::min(sgemm_blocked_min_speedup, speedup);
     }
-    std::printf("%-16s %-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx\n", r.name.c_str(),
+    std::printf("%-16s %-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx", r.name.c_str(),
                 r.shape.c_str(), r.naive_ms, r.blocked_ms, r.vec_ms, speedup, vec_speedup);
+    for (const double ms : r.blocked_isa_ms) std::printf(" %12.4f", ms);
+    std::printf("\n");
     env.add_metric_sample(r.name + ".naive_ms", "ms", r.naive_ms);
     env.add_metric_sample(r.name + ".blocked_ms", "ms", r.blocked_ms);
+    pdsl::json::Object by_isa;
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const std::string isa = kernels::isa_name(levels[l]);
+      env.add_metric_sample(r.name + ".blocked_" + isa + "_ms", "ms", r.blocked_isa_ms[l]);
+      by_isa[isa] = r.blocked_isa_ms[l];
+    }
     env.add_metric_sample(r.name + ".vec_ms", "ms", r.vec_ms);
     env.add_metric_sample(r.name + ".speedup", "x", speedup);
     env.add_metric_sample(r.name + ".vec_speedup", "x", vec_speedup);
@@ -297,6 +340,7 @@ int run_kernel_sweep(const CliArgs& args) {
     o["shape"] = r.shape;
     o["naive_ms"] = r.naive_ms;
     o["blocked_ms"] = r.blocked_ms;
+    o["blocked_isa_ms"] = pdsl::json::Value(std::move(by_isa));
     o["vec_ms"] = r.vec_ms;
     o["speedup"] = speedup;
     o["vec_speedup"] = vec_speedup;

@@ -17,6 +17,7 @@
 
 #include "common/csv.hpp"
 #include "common/stopwatch.hpp"
+#include "kernels/backend.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
@@ -190,6 +191,9 @@ json::Value host_info_json() {
   json::Object h;
   h["hardware_concurrency"] =
       static_cast<std::size_t>(std::thread::hardware_concurrency());
+  // The blocked kernels run at the host's vector width: timings from hosts
+  // of different widths are not comparable.
+  h["kernels_isa"] = std::string(kernels::isa_name());
   return json::Value(std::move(h));
 }
 

@@ -1,5 +1,6 @@
 #include "kernels/backend.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +30,46 @@ std::atomic<Backend>& state() {
   return backend;
 }
 
+Isa detect_isa() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();  // host_isa() may first run from a static initializer
+  // __builtin_cpu_supports also checks that the OS saves the wider register
+  // state (XGETBV), not only the CPUID bit.
+  if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
+  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
+#endif
+  return Isa::kBaseline;
+}
+
+std::atomic<Isa>& isa_cap() {
+  static std::atomic<Isa> cap{Isa::kAvx512};
+  return cap;
+}
+
 }  // namespace
+
+Isa host_isa() noexcept {
+  static const Isa detected = detect_isa();
+  return detected;
+}
+
+Isa isa() noexcept { return std::min(host_isa(), isa_cap().load(std::memory_order_relaxed)); }
+
+void set_isa_cap(Isa cap) noexcept { isa_cap().store(cap, std::memory_order_relaxed); }
+
+const char* isa_name(Isa level) noexcept {
+  switch (level) {
+    case Isa::kBaseline:
+      return "baseline";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kAvx512:
+      return "avx512f";
+  }
+  return "baseline";
+}
+
+const char* isa_name() noexcept { return isa_name(isa()); }
 
 Backend backend() noexcept { return state().load(std::memory_order_relaxed); }
 

@@ -81,4 +81,35 @@ void set_backend(Backend b) noexcept;
 /// Inverse of backend_from_string.
 [[nodiscard]] const char* backend_name(Backend b) noexcept;
 
+// S-ISA: the blocked GEMM tiles are compiled three times, at the float
+// vector width of each x86-64 level (gemm.cpp), and each call runs the widest
+// clone the host supports. The level is detected once, on first use, with
+// __builtin_cpu_supports; no flag, config key or environment variable
+// changes it. Every clone gives each output element the same chain as the
+// naive loop, so the level never changes a result bit.
+
+enum class Isa {
+  kBaseline,  ///< x86-64 baseline (SSE2): 4 floats / 2 doubles per vector
+  kAvx2,      ///< AVX2 without FMA: 8 floats / 4 doubles
+  kAvx512,    ///< AVX-512F without FMA contraction: 16 floats / 8 doubles
+};
+
+/// The widest level this host runs (detected once).
+[[nodiscard]] Isa host_isa() noexcept;
+
+/// The level the blocked kernels dispatch to: host_isa(), lowered to the cap
+/// set by set_isa_cap.
+[[nodiscard]] Isa isa() noexcept;
+
+/// Caps the dispatched level at `cap` (kAvx512 removes the cap). For tests
+/// and benches that time or check each level; a cap above host_isa() has no
+/// effect.
+void set_isa_cap(Isa cap) noexcept;
+
+/// "baseline" | "avx2" | "avx512f".
+[[nodiscard]] const char* isa_name(Isa level) noexcept;
+
+/// Name of the dispatched level, isa_name(isa()).
+[[nodiscard]] const char* isa_name() noexcept;
+
 }  // namespace pdsl::kernels

@@ -29,10 +29,13 @@
 // vec_sgemm and vec_sgemm_ta add into C unconditionally: the caller
 // (gemm.cpp) zero-fills C first when not accumulating.
 //
-// These kernels are plain pragma-vectorized C++ (no intrinsics): the tile
-// sizes are chosen so -O3 keeps the accumulators in vector registers at
-// baseline x86-64, and -DPDSL_NATIVE=ON widens them to the host ISA
-// (AVX2/AVX-512) without source changes.
+// These kernels are plain C++ on GCC's 16-byte vector extension (no
+// intrinsics): the tile sizes are chosen so -O3 keeps the accumulators in
+// vector registers at baseline x86-64. The width is fixed at 4 floats in
+// every build, so the lane split and the tier's bits do not depend on the
+// ISA (microkernel.cpp); -DPDSL_NATIVE=ON only re-encodes them for the host
+// and lets the compiler contract to FMA. Unlike the blocked tiles, these
+// have no ISA-dispatched clones.
 
 #include <cstddef>
 

@@ -93,6 +93,8 @@ TEST(BenchSchema, EveryCheckedInEnvelopeIsSchemaV1) {
     ASSERT_TRUE(doc.contains("host") && doc.at("host").is_object());
     EXPECT_TRUE(doc.at("host").contains("hardware_concurrency"));
     EXPECT_GE(doc.at("host").at("hardware_concurrency").as_int(), 1);
+    EXPECT_TRUE(doc.at("host").contains("kernels_isa") &&
+                doc.at("host").at("kernels_isa").is_string());
 
     ASSERT_TRUE(doc.contains("repeats") && doc.at("repeats").is_number());
     EXPECT_GE(doc.at("repeats").as_int(), 1);

@@ -71,7 +71,7 @@ TEST(CliSmoke, ProfileAndTraceOnTinyRun) {
   // Phase table and counters made it to stdout.
   const std::string stdout_text = slurp(out);
   for (const char* needle :
-       {"phase", "local_grad", "shapley", "gossip", "total", "shapley.coalition_evals"}) {
+       {"phase", "isa=", "local_grad", "shapley", "gossip", "total", "shapley.coalition_evals"}) {
     EXPECT_NE(stdout_text.find(needle), std::string::npos)
         << "missing '" << needle << "' in:\n" << stdout_text;
   }

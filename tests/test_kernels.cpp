@@ -12,6 +12,11 @@
 // canaries past C (and, for sgemm_transpose_b, NaN rows past A and B), so a
 // reordered chain or a padded lane or row whose result reaches C shows up.
 //
+// The blocked bit-identity tests run at every ISA clone the host supports
+// (KernelsIsa/<level>: baseline, avx2, avx512f), with tile edges and lane
+// offsets derived from that clone's vector width; im2col is checked against
+// its direct-index definition across alternating geometries.
+//
 // S-VEC additions: randomized-shape fuzz of the vectorized tier against naive
 // within the documented tolerance band (plus ragged tails, unit/empty dims,
 // NaN/Inf propagation), bit-stability of the vectorized tier across reruns,
@@ -20,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -218,8 +224,12 @@ void expect_axpy_blocked_matches_naive(const AxpyKernel& kern, const AxpyShape& 
   }
 }
 
-/// The shapes both axpy kernels are checked at, as output geometry.
-std::vector<AxpyShape> axpy_shapes(const AxpyKernel& kern) {
+/// Floats per vector at `level`: 4, 8 or 16.
+std::size_t float_lanes(kernels::Isa level) { return std::size_t{4} << static_cast<int>(level); }
+
+/// The shapes both axpy kernels are checked at, as output geometry, for the
+/// clone with `vf` floats per vector.
+std::vector<AxpyShape> axpy_shapes(const AxpyKernel& kern, std::size_t vf) {
   std::vector<AxpyShape> shapes;
   // The odd shapes of kShapes and the workload shapes, as (m, k, n) call
   // arguments: the CIFAR CNN conv forward GEMMs at 12x12 and 32x32 (conv1
@@ -231,16 +241,20 @@ std::vector<AxpyShape> axpy_shapes(const AxpyKernel& kern) {
   for (const auto& g : calls) {
     shapes.push_back(kern.transpose_a ? AxpyShape{g.k, g.m, g.n} : AxpyShape{g.m, g.k, g.n});
   }
-  // Tile edges: 4-row panels, 12-column tiles, the 8- and 4-column strips
-  // after them and the scalar columns after those.
-  for (const std::size_t cols : {1, 3, 4, 5, 11, 12, 13, 16, 17}) {
-    for (const std::size_t rows : {1, 2, 3, 4, 5, 7, 8, 9}) shapes.push_back({rows, 13, cols});
+  // Tile edges: 4-row panels, tiles of 1, 2 and 3 vectors and the narrower
+  // vectors and scalar columns after them.
+  std::vector<std::size_t> col_counts = {1, 3, 4, 5};
+  for (const std::size_t edge : {vf, 2 * vf, 3 * vf}) {
+    col_counts.insert(col_counts.end(), {edge - 1, edge, edge + 1});
+  }
+  for (const std::size_t cols : col_counts) {
+    for (std::size_t rows = 1; rows <= 9; ++rows) shapes.push_back({rows, 13, cols});
   }
   return shapes;
 }
 
-void check_axpy_blocked_bit_identical(const AxpyKernel& kern) {
-  for (const auto& s : axpy_shapes(kern)) {
+void check_axpy_blocked_bit_identical(const AxpyKernel& kern, std::size_t vf) {
+  for (const auto& s : axpy_shapes(kern, vf)) {
     const std::string what = "rows=" + std::to_string(s.rows) +
                              " depth=" + std::to_string(s.depth) +
                              " cols=" + std::to_string(s.cols);
@@ -265,11 +279,12 @@ void check_axpy_blocked_bit_identical(const AxpyKernel& kern) {
 }
 
 /// A NaN or Inf in B column j lands in output column j only, at every lane
-/// offset of a 12-column tile, the 4-column strip and the scalar columns
-/// (cols = 19: 12, 4, 3); one in A row r poisons exactly row r, in the full
-/// 4-row panel and the ragged last one (rows = 5).
-void check_axpy_blocked_propagates_nan_and_inf(const AxpyKernel& kern) {
-  const AxpyShape s{5, 11, 19};
+/// offset of a 3-vector tile, a 1-vector tile, the narrower vectors and the
+/// scalar columns (cols = 5 vf - 1: 12, 4, 3 at 4 floats per vector); one in
+/// A row r poisons exactly row r, in the full 4-row panel and the ragged last
+/// one (rows = 5).
+void check_axpy_blocked_propagates_nan_and_inf(const AxpyKernel& kern, std::size_t vf) {
+  const AxpyShape s{5, 11, 5 * vf - 1};
   for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
     for (std::size_t j = 0; j < s.cols; ++j) {
       const auto a = random_vec(s.rows * s.depth, 101);
@@ -302,7 +317,61 @@ void check_axpy_blocked_propagates_nan_and_inf(const AxpyKernel& kern) {
 
 }  // namespace
 
-TEST(Kernels, SgemmBlockedBitIdenticalToNaive) {
+namespace pdsl::kernels {
+
+// Names the level in gtest's failure messages.
+void PrintTo(Isa level, std::ostream* os) { *os << isa_name(level); }
+
+}  // namespace pdsl::kernels
+
+namespace {
+
+/// The blocked bit-identity tests run once per ISA clone: the dispatch is
+/// capped at the parameter's level, and a level this host lacks is skipped
+/// by name, so it never passes silently.
+class KernelsIsa : public ::testing::TestWithParam<kernels::Isa> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > kernels::host_isa()) {
+      GTEST_SKIP() << kernels::isa_name(GetParam()) << " is not supported by this host";
+    }
+    kernels::set_isa_cap(GetParam());
+  }
+  void TearDown() override { kernels::set_isa_cap(kernels::Isa::kAvx512); }
+
+  [[nodiscard]] std::size_t vf() const { return float_lanes(GetParam()); }
+  /// Doubles per vector of the sgemm_transpose_b tile.
+  [[nodiscard]] std::size_t tb_lanes() const { return vf() / 2; }
+  /// Output columns per packed sgemm_transpose_b panel: four vectors, at
+  /// most 16.
+  [[nodiscard]] std::size_t tb_panel() const { return std::min<std::size_t>(4 * tb_lanes(), 16); }
+  /// Output rows per sgemm_transpose_b tile: 12 accumulator vectors.
+  [[nodiscard]] std::size_t tb_rows() const { return 12 * tb_lanes() / tb_panel(); }
+};
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(Levels, KernelsIsa,
+                         ::testing::Values(kernels::Isa::kBaseline, kernels::Isa::kAvx2,
+                                           kernels::Isa::kAvx512),
+                         [](const ::testing::TestParamInfo<kernels::Isa>& info) {
+                           return std::string(kernels::isa_name(info.param));
+                         });
+
+TEST(Kernels, IsaCapLowersTheDispatchedLevel) {
+  EXPECT_STREQ(kernels::isa_name(kernels::Isa::kBaseline), "baseline");
+  EXPECT_STREQ(kernels::isa_name(kernels::Isa::kAvx2), "avx2");
+  EXPECT_STREQ(kernels::isa_name(kernels::Isa::kAvx512), "avx512f");
+  EXPECT_EQ(kernels::isa(), kernels::host_isa());
+  EXPECT_STREQ(kernels::isa_name(), kernels::isa_name(kernels::host_isa()));
+  kernels::set_isa_cap(kernels::Isa::kBaseline);
+  EXPECT_EQ(kernels::isa(), kernels::Isa::kBaseline);
+  EXPECT_STREQ(kernels::isa_name(), "baseline");
+  kernels::set_isa_cap(kernels::Isa::kAvx512);
+  EXPECT_EQ(kernels::isa(), kernels::host_isa());
+}
+
+TEST_P(KernelsIsa, SgemmBlockedBitIdenticalToNaive) {
   KernelEnvGuard guard;
   for (const auto& s : kShapes) {
     for (const bool acc : {false, true}) {
@@ -310,10 +379,10 @@ TEST(Kernels, SgemmBlockedBitIdenticalToNaive) {
                                     s.m * s.n, acc);
     }
   }
-  check_axpy_blocked_bit_identical(kSgemm);
+  check_axpy_blocked_bit_identical(kSgemm, vf());
 }
 
-TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
+TEST_P(KernelsIsa, SgemmTransposeABlockedBitIdenticalToNaive) {
   KernelEnvGuard guard;
   for (const auto& s : kShapes) {
     for (const bool acc : {false, true}) {
@@ -321,27 +390,36 @@ TEST(Kernels, SgemmTransposeABlockedBitIdenticalToNaive) {
                                     s.m * s.n, s.k * s.n, acc);
     }
   }
-  check_axpy_blocked_bit_identical(kSgemmTa);
+  check_axpy_blocked_bit_identical(kSgemmTa, vf());
 }
 
-TEST(Kernels, SgemmBlockedPropagatesNanAndInfAtEveryLaneOffset) {
+TEST_P(KernelsIsa, SgemmBlockedPropagatesNanAndInfAtEveryLaneOffset) {
   KernelEnvGuard guard;
-  check_axpy_blocked_propagates_nan_and_inf(kSgemm);
-  check_axpy_blocked_propagates_nan_and_inf(kSgemmTa);
+  check_axpy_blocked_propagates_nan_and_inf(kSgemm, vf());
+  check_axpy_blocked_propagates_nan_and_inf(kSgemmTa, vf());
 }
 
-TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
+TEST_P(KernelsIsa, SgemmTransposeBBlockedBitIdenticalToNaive) {
   KernelEnvGuard guard;
   // sgemm_transpose_b(m, n, k): A(m,n), B(k,n), C(m,k) — here (m, depth, cols).
   std::vector<GemmShape> shapes = kShapes;
   // The workload shapes: Linear forward 32x784->32, the stacked Shapley
   // first layer 64x784->64, and the CIFAR conv weight gradients.
   shapes.insert(shapes.end(), {{32, 784, 32}, {64, 784, 64}, {8, 144, 75}, {16, 36, 200}});
-  // Rows straddle the row tile and columns the panels (27: 8, 8, 8, 3).
-  shapes.push_back({37, 50, 27});
-  // Panel (8 output columns) and row-tile (3 rows) edges.
-  for (const std::size_t cols : {1, 7, 8, 9, 15, 17}) {
-    for (std::size_t rows = 1; rows <= 5; ++rows) shapes.push_back({rows, 13, cols});
+  // Rows straddle the row tile and columns the panels (3 1/2 panels: 27
+  // columns at 8 per panel).
+  shapes.push_back({37, 50, 7 * tb_panel() / 2 - 1});
+  // Vector, panel and row-tile (3 or 6 rows) edges.
+  std::vector<std::size_t> col_counts = {1, 2 * tb_panel() - 1, 2 * tb_panel() + 1};
+  for (std::size_t v = 1; v * tb_lanes() <= tb_panel(); ++v) {
+    col_counts.insert(col_counts.end(),
+                      {v * tb_lanes() - 1, v * tb_lanes(), v * tb_lanes() + 1});
+  }
+  for (const std::size_t cols : col_counts) {
+    if (cols == 0) continue;
+    for (std::size_t rows = 1; rows <= 2 * tb_rows() + 1; ++rows) {
+      shapes.push_back({rows, 13, cols});
+    }
   }
   for (const auto& s : shapes) {
     for (const bool acc : {false, true}) {
@@ -368,12 +446,13 @@ TEST(Kernels, SgemmTransposeBBlockedBitIdenticalToNaive) {
 }
 
 // A NaN or Inf in B row j lands in output column j only, at every lane offset
-// of a full panel and of the ragged last panel (k = 17: panels of 8, 8, 1).
-// A NaN in A row i poisons exactly row i, through every panel and through the
+// of a full panel and of the ragged last panel (k = 2 panels + 1: 8, 8, 1 at
+// 2 doubles per vector). A NaN in A row i poisons exactly row i, in a full
+// row tile and the ragged last one, through every panel and through the
 // padded lanes of the ragged one — which must never be written back.
-TEST(Kernels, SgemmTransposeBBlockedPropagatesNanAndInfAtEveryLaneOffset) {
+TEST_P(KernelsIsa, SgemmTransposeBBlockedPropagatesNanAndInfAtEveryLaneOffset) {
   KernelEnvGuard guard;
-  const std::size_t m = 5, n = 11, k = 17;
+  const std::size_t m = tb_rows() + 2, n = 11, k = 2 * tb_panel() + 1;
   for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
     for (std::size_t j = 0; j < k; ++j) {
       const auto a = random_vec(m * n, 101);
@@ -405,15 +484,16 @@ TEST(Kernels, SgemmTransposeBBlockedPropagatesNanAndInfAtEveryLaneOffset) {
 // row tile or lane would pick up if it read past the matrix — must not reach
 // any written output: every ragged row/column count matches naive with no
 // NaN anywhere.
-TEST(Kernels, SgemmTransposeBBlockedIgnoresNanPastTheEdges) {
+TEST_P(KernelsIsa, SgemmTransposeBBlockedIgnoresNanPastTheEdges) {
   KernelEnvGuard guard;
   const std::size_t n = 9;
-  for (const std::size_t k : {1, 3, 7, 9, 15, 17}) {
-    for (std::size_t m = 1; m <= 5; ++m) {
+  const std::size_t p = tb_panel();
+  for (const std::size_t k : {std::size_t{1}, tb_lanes() + 1, p - 1, p + 1, 2 * p - 1, 2 * p + 1}) {
+    for (std::size_t m = 1; m <= tb_rows() + 2; ++m) {
       auto a = random_vec(m * n, 113);
       auto b = random_vec(k * n, 127);
-      a.resize((m + 3) * n, std::nanf(""));
-      b.resize((k + 8) * n, std::nanf(""));
+      a.resize((m + tb_rows()) * n, std::nanf(""));
+      b.resize((k + p) * n, std::nanf(""));
       const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k);
       expect_tb_blocked_matches_naive(m, n, k, a, b, what);
       const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, true);
@@ -495,6 +575,78 @@ TEST(Kernels, Col2imIsAdjointOfIm2col) {
   for (std::size_t i = 0; i < cols; ++i) lhs += static_cast<double>(gathered[i]) * c[i];
   for (std::size_t i = 0; i < x.size(); ++i) rhs += static_cast<double>(x[i]) * scattered[i];
   EXPECT_NEAR(lhs, rhs, 1e-3 * std::abs(lhs) + 1e-6);
+}
+
+namespace {
+
+/// col(in_ch*k*k, oh*ow) by direct indexing: the im2col definition itself.
+std::vector<float> im2col_reference(const std::vector<float>& x, std::size_t in_ch,
+                                    std::size_t ih, std::size_t iw, std::size_t k,
+                                    std::size_t pad) {
+  const std::size_t oh = ih + 2 * pad - k + 1, ow = iw + 2 * pad - k + 1;
+  std::vector<float> col(in_ch * k * k * oh * ow);
+  std::size_t e = 0;
+  for (std::size_t ic = 0; ic < in_ch; ++ic) {
+    for (std::size_t kr = 0; kr < k; ++kr) {
+      for (std::size_t kc = 0; kc < k; ++kc) {
+        for (std::size_t r = 0; r < oh; ++r) {
+          for (std::size_t c = 0; c < ow; ++c, ++e) {
+            const auto xr = static_cast<std::ptrdiff_t>(r + kr) - static_cast<std::ptrdiff_t>(pad);
+            const auto xc = static_cast<std::ptrdiff_t>(c + kc) - static_cast<std::ptrdiff_t>(pad);
+            const bool inside = xr >= 0 && xc >= 0 && xr < static_cast<std::ptrdiff_t>(ih) &&
+                                xc < static_cast<std::ptrdiff_t>(iw);
+            col[e] = inside ? x[(ic * ih + static_cast<std::size_t>(xr)) * iw +
+                                static_cast<std::size_t>(xc)]
+                            : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+}  // namespace
+
+// im2col against the direct-index definition at the CNN input sizes (square
+// and not), both kernel sizes and every padding, plus outputs narrower than
+// one 4-float move. im2col keeps a per-thread padded plane, so the
+// geometries run alternately on one thread, twice, in orders where each call
+// follows a different geometry: a border left stale by the previous call
+// shows up as a mismatch. Every output element is overwritten from a
+// sentinel.
+TEST(Kernels, Im2colMatchesDirectIndexAcrossAlternatingGeometries) {
+  struct Geometry {
+    std::size_t in_ch, ih, iw, k, pad;
+  };
+  std::vector<Geometry> geos;
+  for (const std::size_t size : {12, 6, 32, 16, 28, 14}) {
+    for (const std::size_t k : {3, 5}) {
+      for (const std::size_t pad : {0, 1, 2}) {
+        geos.push_back({3, size, size, k, pad});
+        geos.push_back({2, size, size / 2 + 3, k, pad});
+      }
+    }
+  }
+  // ow = 1, 2 and 3: every column row is shorter than one move.
+  geos.insert(geos.end(), {{2, 5, 3, 3, 0}, {2, 4, 2, 3, 1}, {1, 3, 1, 3, 2}, {3, 2, 2, 2, 1}});
+  std::vector<std::size_t> order(geos.size());
+  for (std::size_t i = 0; i < geos.size(); ++i) order[i] = i;
+  for (std::size_t i = geos.size(); i-- > 0;) order.push_back(i);
+  for (std::size_t i = 0; i < geos.size(); i += 2) order.push_back(i);
+  for (std::size_t i = 1; i < geos.size(); i += 2) order.push_back(i);
+  for (const std::size_t g : order) {
+    const Geometry& geo = geos[g];
+    const auto x = random_vec(geo.in_ch * geo.ih * geo.iw, 300 + g);
+    const auto want = im2col_reference(x, geo.in_ch, geo.ih, geo.iw, geo.k, geo.pad);
+    std::vector<float> got(want.size() + 4, -777.0f);
+    kernels::im2col(x.data(), geo.in_ch, geo.ih, geo.iw, geo.k, geo.pad, got.data());
+    const std::string what = "in_ch=" + std::to_string(geo.in_ch) + " " +
+                             std::to_string(geo.ih) + "x" + std::to_string(geo.iw) +
+                             " k=" + std::to_string(geo.k) + " pad=" + std::to_string(geo.pad);
+    for (std::size_t e = 0; e < want.size(); ++e) ASSERT_EQ(got[e], want[e]) << what << " @" << e;
+    for (std::size_t e = want.size(); e < got.size(); ++e) ASSERT_EQ(got[e], -777.0f) << what;
+  }
 }
 
 namespace {
@@ -584,7 +736,7 @@ TEST(Kernels, ArenaReusesBuffersAcrossBatches) {
 // own inputs; the thread_local sgemm_transpose_b panel keeps every caller's
 // packing private. Each concurrent result must equal the same call made
 // sequentially, on the bit-identical tier and on the fast-math one.
-TEST(Kernels, ConcurrentCallersInsideParallelForMatchSequential) {
+TEST_P(KernelsIsa, ConcurrentCallersInsideParallelForMatchSequential) {
   KernelEnvGuard guard;
   constexpr std::size_t kCallers = 8;
   for (const auto be : {kernels::Backend::kBlocked, kernels::Backend::kVectorized}) {

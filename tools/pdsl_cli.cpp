@@ -26,6 +26,7 @@
 #include "dp/rdp.hpp"
 #include "graph/spectral.hpp"
 #include "io/checkpoint.hpp"
+#include "kernels/backend.hpp"
 #include "obs/metrics.hpp"
 #include "fleet/options.hpp"
 #include "obs/phase.hpp"
@@ -423,7 +424,8 @@ int cmd_run(int argc, const char* const* argv) {
 
   if (cfg.profile) {
     auto& reg = obs::MetricsRegistry::global();
-    std::printf("\n-- phase breakdown (%zu rounds) --\n%s", cfg.rounds,
+    std::printf("\n-- phase breakdown (%zu rounds; kernels backend=%s isa=%s) --\n%s",
+                cfg.rounds, kernels::backend_name(kernels::backend()), kernels::isa_name(),
                 obs::format_phase_table(res.phase_totals, cfg.rounds).c_str());
     const auto clip_total = reg.counter("grad.clip_total").value();
     const auto clipped = reg.counter("grad.clipped").value();

@@ -207,6 +207,7 @@ def validate_envelope(doc, path="<doc>"):
     host = need(doc, "host", dict, path)
     if host is not None:
         need(host, "hardware_concurrency", (int, float), f"{path}.host")
+        need(host, "kernels_isa", str, f"{path}.host")
     repeats = need(doc, "repeats", (int, float), path)
     if repeats is not None and repeats < 1:
         errs.append(f"{path}: repeats must be >= 1")
