@@ -1,9 +1,36 @@
 #include "fleet/wire.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace pdsl::fleet {
+
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// The v2 frame checksum (wire.hpp): four independent multiply chains over
+/// 8-byte words instead of one chain per byte.
+[[nodiscard]] std::uint64_t wire_checksum(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t h0 = 0xCBF29CE484222325ULL;  // the FNV-1a offset basis
+  std::uint64_t h1 = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t h2 = 0xC2B2AE3D27D4EB4FULL;
+  std::uint64_t h3 = 0x165667B19E3779F9ULL;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    std::uint64_t w[4];
+    std::memcpy(w, data + i, sizeof(w));  // little-endian words, like every codec field
+    h0 = (h0 ^ w[0]) * kFnvPrime;
+    h1 = (h1 ^ w[1]) * kFnvPrime;
+    h2 = (h2 ^ w[2]) * kFnvPrime;
+    h3 = (h3 ^ w[3]) * kFnvPrime;
+  }
+  return io::fnv1a_bytes(data + i, n - i) ^ h0 ^ std::rotl(h1, 17) ^ std::rotl(h2, 31) ^
+         std::rotl(h3, 47);
+}
+
+}  // namespace
 
 io::ByteBuffer wire_encode(const WireMessage& msg) {
   io::ByteBuffer buf;
@@ -16,7 +43,7 @@ io::ByteBuffer wire_encode(const WireMessage& msg) {
   io::append_u8(buf, msg.channel);
   io::append_string(buf, msg.tag);
   io::append_floats(buf, msg.payload);
-  io::append_u64(buf, io::fnv1a_bytes(buf.data(), buf.size()));
+  io::append_u64(buf, wire_checksum(buf.data(), buf.size()));
   return buf;
 }
 
@@ -39,7 +66,7 @@ WireMessage wire_decode(const io::ByteBuffer& buf) {
   const std::size_t body = r.position();
   const auto checksum = r.read_u64("checksum");
   if (!r.exhausted()) throw std::runtime_error("wire_decode: trailing bytes");
-  if (io::fnv1a_bytes(buf.data(), body) != checksum) {
+  if (wire_checksum(buf.data(), body) != checksum) {
     throw std::runtime_error("wire_decode: checksum mismatch");
   }
   return msg;

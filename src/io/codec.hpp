@@ -1,9 +1,11 @@
 #pragma once
 // Shared little-endian binary codec primitives for the io/ persistence layer
 // and the fleet wire format: fixed-width integer and float-payload
-// append/read over byte buffers, plus the FNV-1a checksum used by every
-// on-disk and on-wire frame. Header-only so stream-based (checkpoint) and
-// buffer-based (wire) users share one implementation.
+// append/read over byte buffers, plus byte-wise FNV-1a, the checksum of every
+// on-disk format (model/fleet checkpoints, PDSLSNP1, PDSLRUN1) and the tail
+// step of the wire frame's word-parallel checksum (fleet/wire.hpp).
+// Header-only so stream-based (checkpoint) and buffer-based (wire) users
+// share one implementation.
 
 #include <cstdint>
 #include <cstring>

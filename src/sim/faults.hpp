@@ -170,7 +170,7 @@ struct AdversaryPlan {
 // ---------------------------------------------------------------------------
 // S-RECOV: unreliable-channel + crash axes. ChannelPlan models a *benign*
 // lossy medium underneath the wire codec: bit-flip corruption (caught by the
-// "PDSLWIR1" checksum, answered with bounded retransmission), frame
+// wire frame checksum, answered with bounded retransmission), frame
 // duplication (deduplicated at the transport), and mailbox reordering.
 // CrashPlan models fail-stop agents: a crashed agent loses its in-memory
 // round state and is restored by recovery::RecoveryManager from periodic

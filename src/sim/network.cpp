@@ -71,14 +71,100 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
   // instead of tearing the process down.
   const bool transport = opts_.channel.any() && src != dst;
 
-  std::unique_lock<std::mutex> lock(mu_);
+  // ---- Locked section 1: clock, send counters, the per-edge index, and the
+  // offline / drop / Byzantine decisions. Everything that costs time in
+  // proportion to the payload runs after it, without the lock.
+  std::size_t clock = 0;
+  std::uint64_t edge_index = 0;
+  bool lost = false;                       // offline endpoint or drop
+  std::optional<ByzRole> byz;              // corrupt_payload() to apply
+  std::optional<std::vector<float>> stale; // stale-replay substitute
+  {
+    // Process-wide totals; handles cached so the per-send cost is two
+    // relaxed fetch_adds. Safe without mu_: registry instruments are atomic
+    // and the magic-static initialization is thread-safe.
+    static obs::Counter& msgs = obs::MetricsRegistry::global().counter("net.msgs");
+    static obs::Counter& bytes = obs::MetricsRegistry::global().counter("net.bytes");
+    msgs.add(1);
+    bytes.add(wire_bytes);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    clock = clock_;
+    ++sent_;
+    bytes_ += wire_bytes;
+    auto& edge = edge_counts_[{src, dst}];
+    edge_index = edge.messages;  // nth message on this edge
+    ++edge.messages;
+    edge.bytes += wire_bytes;
+    if (src != dst) {
+      const FaultPlan& plan = opts_.faults;
+      // Churn: traffic to or from an offline agent is lost on the wire. The
+      // decision keys on the round clock, so algorithms that never call
+      // begin_round() (clock 0) see no churn. Drops are a pure function of
+      // (seed, edge, per-edge index): the same messages drop no matter how
+      // concurrent senders interleave, which is what makes fault injection
+      // reproducible across --threads settings.
+      if (plan.offline(src, clock) || plan.offline(dst, clock)) {
+        ++dropped_;
+        static obs::Counter& off = obs::MetricsRegistry::global().counter("net.offline_drops");
+        off.add(1);
+        lost = true;
+      } else if (plan.drop(src, dst, edge_index, clock)) {
+        ++dropped_;
+        static obs::Counter& drops = obs::MetricsRegistry::global().counter("net.dropped");
+        drops.add(1);
+        lost = true;
+      } else if (channel == Channel::kContribution && opts_.adversary.any()) {
+        // S-BYZ: an active Byzantine sender corrupts its contribution payload
+        // at this boundary — after the drop decision (corrupting a lost
+        // message is moot) and before any delay (the attacker sent it
+        // corrupted, so that is what matures later). Every decision is a pure
+        // function of the plan and the message identity, so attack traces are
+        // interleaving-independent.
+        const ByzRole role = opts_.adversary.role(src, topo_.size(), clock);
+        if (role.mode == ByzMode::kStaleReplay) {
+          const auto at = tag.find('@');
+          const ReplayKey key{src, dst, at == std::string::npos ? tag : tag.substr(0, at)};
+          const auto it = replay_.find(key);
+          if (it == replay_.end()) {
+            // First send on this key: record it (and let it through honest) so
+            // there is something old to replay from the next round on.
+            replay_.emplace(key, ReplayEntry{payload, clock});
+          } else if (it->second.round < clock) {
+            stale = it->second.payload;
+          }
+        } else if (role.mode != ByzMode::kNone) {
+          byz = role;
+        }
+        if (stale || byz) {
+          ++corrupted_;
+          static obs::Counter& byz_count =
+              obs::MetricsRegistry::global().counter("net.byz_corrupted");
+          byz_count.add(1);
+        }
+      }
+    }
+  }
+
+  // ---- Unlocked: payload work on the sender's thread, counting into locals
+  // that section 2 folds in.
+  std::size_t frames_sent = 0;
+  std::size_t frame_bytes_sent = 0;
+  std::size_t retransmits = 0;
+  std::size_t corruptions_detected = 0;
+  bool exhausted = false;
+  bool duplicated = false;
+  const auto wire_message = [&](std::vector<float> body) {
+    return fleet::WireMessage{static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
+                              static_cast<std::uint32_t>(clock),
+                              static_cast<std::uint8_t>(channel == Channel::kContribution ? 1 : 0),
+                              tag, std::move(body)};
+  };
   if (opts_.wire_roundtrip && !transport) {
     // S-SCALE: prove the message survives serialization bit-identically and
     // deliver the decoded copy — exactly what a multi-process shard would see.
-    fleet::WireMessage msg{static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
-                          static_cast<std::uint32_t>(clock_),
-                          static_cast<std::uint8_t>(channel == Channel::kContribution ? 1 : 0),
-                          tag, std::move(payload)};
+    const fleet::WireMessage msg = wire_message(std::move(payload));
     const io::ByteBuffer frame = fleet::wire_encode(msg);
     fleet::WireMessage decoded = fleet::wire_decode(frame);
     if (!fleet::wire_equal(msg, decoded)) {
@@ -86,169 +172,112 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
                                std::to_string(src) + "->" + std::to_string(dst) + ", " + tag +
                                ")");
     }
-    ++wire_messages_;
-    wire_bytes_ += frame.size();
+    ++frames_sent;
+    frame_bytes_sent += frame.size();
     payload = std::move(decoded.payload);
   }
-  ++sent_;
-  bytes_ += wire_bytes;
-  auto& edge = edge_counts_[{src, dst}];
-  const std::size_t edge_index = edge.messages;  // nth message on this edge
-  ++edge.messages;
-  edge.bytes += wire_bytes;
-  {
-    // Process-wide totals; handles cached so the per-send cost is two
-    // relaxed fetch_adds. Safe: registry instruments are atomic and the
-    // magic-static initialization is thread-safe.
-    static obs::Counter& msgs = obs::MetricsRegistry::global().counter("net.msgs");
-    static obs::Counter& bytes = obs::MetricsRegistry::global().counter("net.bytes");
-    msgs.add(1);
-    bytes.add(wire_bytes);
-  }
-  if (src != dst) {
-    const FaultPlan& plan = opts_.faults;
-    // Churn: traffic to or from an offline agent is lost on the wire. The
-    // decision keys on the round clock, so algorithms that never call
-    // begin_round() (clock 0) see no churn.
-    if (plan.offline(src, clock_) || plan.offline(dst, clock_)) {
-      ++dropped_;
-      static obs::Counter& off = obs::MetricsRegistry::global().counter("net.offline_drops");
-      off.add(1);
-      return false;
-    }
-    // Drop decision as a pure function of (seed, edge, per-edge index): the
-    // same messages drop no matter how concurrent senders interleave, which
-    // is what makes fault injection reproducible across --threads settings.
-    if (plan.drop(src, dst, edge_index, clock_)) {
-      ++dropped_;
-      static obs::Counter& drops = obs::MetricsRegistry::global().counter("net.dropped");
-      drops.add(1);
-      return false;
-    }
-    // S-BYZ: an active Byzantine sender corrupts its contribution payload at
-    // this boundary — after the drop decision (corrupting a lost message is
-    // moot) and before any delay (the attacker sent it corrupted, so that is
-    // what matures later). Every decision is a pure function of the plan and
-    // the message identity, so attack traces are interleaving-independent.
-    if (channel == Channel::kContribution && opts_.adversary.any()) {
-      const ByzRole role = opts_.adversary.role(src, topo_.size(), clock_);
-      bool hit = false;
-      if (role.mode == ByzMode::kStaleReplay) {
-        const auto at = tag.find('@');
-        const ReplayKey key{src, dst, at == std::string::npos ? tag : tag.substr(0, at)};
-        const auto it = replay_.find(key);
-        if (it == replay_.end()) {
-          // First send on this key: record it (and let it through honest) so
-          // there is something old to replay from the next round on.
-          replay_.emplace(key, ReplayEntry{payload, clock_});
-        } else if (it->second.round < clock_) {
-          payload = it->second.payload;
-          hit = true;
-        }
-      } else if (role.mode != ByzMode::kNone) {
-        corrupt_payload(role, opts_.adversary.seed, src, dst, hash_tag(tag), payload);
-        hit = true;
-      }
-      if (hit) {
-        ++corrupted_;
-        static obs::Counter& byz =
-            obs::MetricsRegistry::global().counter("net.byz_corrupted");
-        byz.add(1);
-      }
-    }
-    // S-RECOV ReliableChannel: wire-encode every attempt; a hash-driven bit
-    // flip is caught by the frame checksum (wire_try_decode -> nullopt), the
-    // receiver NACKs and the sender retransmits, up to channel.max_retries
-    // extra attempts with round-granular exponential backoff. Exhausting the
-    // budget loses the message like a drop — the receiver degrades through
-    // the PR-4 renormalization path. Every decision hashes (seed, edge,
-    // per-edge index, attempt), so retransmission traces are bit-identical
-    // at any --threads width.
-    std::size_t backoff = 0;
+  if (lost && frames_sent == 0) return false;  // nothing left to fold in
+  if (stale) payload = std::move(*stale);
+  if (byz) corrupt_payload(*byz, opts_.adversary.seed, src, dst, hash_tag(tag), payload);
+
+  // S-RECOV ReliableChannel: wire-encode every attempt; a hash-driven bit
+  // flip is caught by the frame checksum (wire_try_decode -> nullopt), the
+  // receiver NACKs and the sender retransmits, up to channel.max_retries
+  // extra attempts with round-granular exponential backoff. Exhausting the
+  // budget loses the message like a drop — the receiver degrades through
+  // the PR-4 renormalization path. Every decision hashes (seed, edge,
+  // per-edge index, attempt), so retransmission traces are bit-identical
+  // at any --threads width.
+  std::size_t backoff = 0;
+  if (transport && !lost) {
+    const ChannelPlan& ch = opts_.channel;
+    fleet::WireMessage msg = wire_message(std::move(payload));
     std::size_t frame_bytes = 0;
-    if (transport) {
-      const ChannelPlan& ch = opts_.channel;
-      fleet::WireMessage msg{static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
-                            static_cast<std::uint32_t>(clock_),
-                            static_cast<std::uint8_t>(channel == Channel::kContribution ? 1 : 0),
-                            tag, std::move(payload)};
-      bool delivered = false;
-      for (std::size_t attempt = 0; attempt <= ch.max_retries; ++attempt) {
-        io::ByteBuffer frame = fleet::wire_encode(msg);
-        frame_bytes = frame.size();
-        ++wire_messages_;
-        wire_bytes_ += frame.size();
-        if (attempt > 0) {
-          ++retransmits_;
-          static obs::Counter& rtx = obs::MetricsRegistry::global().counter("net.retransmits");
-          rtx.add(1);
+    exhausted = true;
+    for (std::size_t attempt = 0; attempt <= ch.max_retries; ++attempt) {
+      io::ByteBuffer frame = fleet::wire_encode(msg);
+      frame_bytes = frame.size();
+      ++frames_sent;
+      frame_bytes_sent += frame.size();
+      if (attempt > 0) {
+        ++retransmits;
+        static obs::Counter& rtx = obs::MetricsRegistry::global().counter("net.retransmits");
+        rtx.add(1);
+      }
+      if (ch.corrupt(src, dst, edge_index, attempt)) {
+        const std::size_t bit = ch.corrupt_bit(src, dst, edge_index, attempt, frame.size());
+        frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        auto decoded = fleet::wire_try_decode(frame);
+        if (!decoded) {
+          ++corruptions_detected;
+          static obs::Counter& cd =
+              obs::MetricsRegistry::global().counter("net.corruptions_detected");
+          cd.add(1);
+          continue;  // NACK: the corrupted frame never reaches a mailbox
         }
-        if (ch.corrupt(src, dst, edge_index, attempt)) {
-          const std::size_t bit = ch.corrupt_bit(src, dst, edge_index, attempt, frame.size());
-          frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-          auto decoded = fleet::wire_try_decode(frame);
-          if (!decoded) {
-            ++corruptions_detected_;
-            static obs::Counter& cd =
-                obs::MetricsRegistry::global().counter("net.corruptions_detected");
-            cd.add(1);
-            continue;  // NACK: the corrupted frame never reaches a mailbox
-          }
-          // The flip survived the checksum (a 2^-64-grade collision, but
-          // deterministic if it ever fires): a real receiver would accept the
-          // frame, so deliver the decoded payload as-is.
-          msg.payload = std::move(decoded->payload);
-          delivered = true;
-          backoff = ChannelPlan::backoff_for(attempt);
-          break;
-        }
-        fleet::WireMessage decoded = fleet::wire_decode(frame);  // clean frame
-        msg.payload = std::move(decoded.payload);
-        delivered = true;
-        backoff = ChannelPlan::backoff_for(attempt);
-        break;
+        // The flip survived the checksum (a 2^-64-grade collision, but
+        // deterministic if it ever fires): a real receiver would accept the
+        // frame, so deliver the decoded payload as-is.
+        msg.payload = std::move(decoded->payload);
+      } else {
+        msg.payload = fleet::wire_decode(frame).payload;  // clean frame
       }
-      if (!delivered) {
-        ++retry_exhausted_;
-        ++dropped_;
-        static obs::Counter& ex =
-            obs::MetricsRegistry::global().counter("net.retry_exhausted");
-        ex.add(1);
-        return false;
-      }
-      payload = std::move(msg.payload);
-      // In-flight duplication: the second copy arrives too, but the
-      // transport's per-edge sequence numbers dedup it — exactly-once
-      // mailbox delivery, while the wire still paid for the extra frame.
-      if (ch.duplicate(src, dst, edge_index)) {
-        ++wire_messages_;
-        wire_bytes_ += frame_bytes;
-        ++duplicates_dropped_;
-        static obs::Counter& dup =
-            obs::MetricsRegistry::global().counter("net.dup_dropped");
-        dup.add(1);
-      }
+      exhausted = false;
+      backoff = ChannelPlan::backoff_for(attempt);
+      break;
     }
-    const std::size_t d = plan.delay(src, dst, edge_index) + backoff;
-    if (d > 0) {
-      ++delayed_;
-      static obs::Counter& late = obs::MetricsRegistry::global().counter("net.delayed");
-      late.add(1);
-      pending_.push_back(Pending{LateMessage{src, dst, tag, std::move(payload), clock_},
-                                 clock_ + d, edge_index});
-      return true;  // sent, just slow — it surfaces via a later begin_round()
+    if (exhausted) {
+      static obs::Counter& ex = obs::MetricsRegistry::global().counter("net.retry_exhausted");
+      ex.add(1);
     }
-    // Reordering: the impairment hash promotes this delivery to the front of
-    // the destination mailbox (older mail is read after it).
-    if (transport && opts_.channel.reorder(src, dst, edge_index)) {
-      ++reorders_;
-      static obs::Counter& ro = obs::MetricsRegistry::global().counter("net.reordered");
-      ro.add(1);
-      boxes_[Key{src, dst, tag}].push_front(std::move(payload));
-      return true;
+    payload = std::move(msg.payload);
+    // In-flight duplication: the second copy arrives too, but the
+    // transport's per-edge sequence numbers dedup it — exactly-once
+    // mailbox delivery, while the wire still paid for the extra frame.
+    if (!exhausted && ch.duplicate(src, dst, edge_index)) {
+      duplicated = true;
+      ++frames_sent;
+      frame_bytes_sent += frame_bytes;
+      static obs::Counter& dup = obs::MetricsRegistry::global().counter("net.dup_dropped");
+      dup.add(1);
     }
   }
-  boxes_[Key{src, dst, tag}].push_back(std::move(payload));
+  const bool delivered = !lost && !exhausted;
+  const std::size_t delay =
+      delivered && src != dst ? opts_.faults.delay(src, dst, edge_index) + backoff : 0;
+  // Reordering: the impairment hash promotes this delivery to the front of
+  // the destination mailbox (older mail is read after it).
+  const bool reorder =
+      delivered && delay == 0 && transport && opts_.channel.reorder(src, dst, edge_index);
+
+  // ---- Locked section 2: fold the tallies in and place the payload.
+  std::lock_guard<std::mutex> lock(mu_);
+  wire_messages_ += frames_sent;
+  wire_bytes_ += frame_bytes_sent;
+  retransmits_ += retransmits;
+  corruptions_detected_ += corruptions_detected;
+  if (duplicated) ++duplicates_dropped_;
+  if (exhausted) {
+    ++retry_exhausted_;
+    ++dropped_;
+  }
+  if (!delivered) return false;
+  if (delay > 0) {
+    ++delayed_;
+    static obs::Counter& late = obs::MetricsRegistry::global().counter("net.delayed");
+    late.add(1);
+    pending_.push_back(
+        Pending{LateMessage{src, dst, tag, std::move(payload), clock}, clock + delay, edge_index});
+    return true;  // sent, just slow — it surfaces via a later begin_round()
+  }
+  if (reorder) {
+    ++reorders_;
+    static obs::Counter& ro = obs::MetricsRegistry::global().counter("net.reordered");
+    ro.add(1);
+    boxes_[Key{src, dst, tag}].push_front(std::move(payload));
+  } else {
+    boxes_[Key{src, dst, tag}].push_back(std::move(payload));
+  }
   return true;
 }
 

@@ -7,16 +7,27 @@
 // links (drops, per-edge schedules), slow links (bounded delay in rounds) and
 // agent churn, all driven by a deterministic FaultPlan.
 //
-// Thread-safety (S-RT): every public member is safe to call concurrently —
-// one mutex guards the mailboxes and all counters, so parallel per-agent
-// phases can send/receive without external locking. Determinism holds at any
-// execution width: each directed edge is written by exactly one agent per
-// phase (so per-mailbox FIFO order is fixed by that agent's own loop), and
-// drop/delay/churn decisions are a pure hash of (seed, identity, index)
-// rather than draws from a shared sequential RNG stream, so the set of
-// faulted messages does not depend on the interleaving of senders.
-// begin_round() sorts matured delayed messages by (src, dst, tag, per-edge
-// index), erasing any trace of concurrent insertion order.
+// Thread-safety (S-RT): every public member is safe to call concurrently.
+// One mutex, mu_, guards the mailboxes, the delayed-message buffer, the
+// stale-replay history, the round clock and every counter. send() holds it
+// only for bookkeeping, in two short sections: the first reads the clock,
+// counts the send, reserves the per-edge message index and makes the
+// offline / drop / Byzantine decisions; the second folds the send's
+// transport counters in and places the payload. The payload work runs on
+// the sender's thread with no lock held: compression before the first
+// section; the Byzantine corruption, the wire round-trip and the whole
+// encode -> corrupt -> decode -> retransmit loop between the two.
+// Determinism holds at any execution width because (a) each directed edge
+// is written by exactly one agent per phase, so the per-edge index sequence
+// and each mailbox's FIFO order are fixed by that agent's own loop even
+// though another sender's sections may interleave between its two, and
+// (b) drop/delay/churn/corruption decisions are a pure hash of (seed,
+// identity, index, attempt) rather than draws from a shared sequential RNG
+// stream, so the set of faulted messages does not depend on the
+// interleaving of senders. Sending on one edge from two threads inside one
+// phase is outside this contract. begin_round() sorts matured delayed
+// messages by (src, dst, tag, per-edge index), erasing any trace of
+// concurrent insertion order.
 
 #include <cstdint>
 #include <deque>
@@ -215,7 +226,7 @@ class Network {
 
   graph::Graph topo_;
   Options opts_;
-  mutable std::mutex mu_;  ///< guards boxes_, pending_ and every counter below
+  mutable std::mutex mu_;  ///< guards everything below (see the thread-safety note)
   // Mailboxes are deques (not queues) so the S-RECOV reorder impairment can
   // push a delivery at the *front*; normal deliveries stay strictly FIFO.
   std::map<Key, std::deque<std::vector<float>>> boxes_;

@@ -194,6 +194,35 @@ TEST(Wire, CorruptionTruncationAndBadHeaderThrow) {
   auto bad_version = buf;
   bad_version[8] ^= 0xFF;  // version field follows the u64 magic
   EXPECT_THROW((void)pdsl::fleet::wire_decode(bad_version), std::runtime_error);
+
+  // A version-1 frame (byte-wise FNV-1a checksum) is refused, not misread.
+  auto v1 = buf;
+  const std::uint32_t old_version = 1;
+  std::memcpy(v1.data() + 8, &old_version, sizeof(old_version));
+  EXPECT_THROW((void)pdsl::fleet::wire_decode(v1), std::runtime_error);
+  EXPECT_FALSE(pdsl::fleet::wire_try_decode(v1).has_value());
+
+  // The v2 checksum of sample_message(), pinned so the format cannot drift
+  // without a version bump.
+  std::uint64_t checksum = 0;
+  std::memcpy(&checksum, buf.data() + buf.size() - sizeof(checksum), sizeof(checksum));
+  EXPECT_EQ(checksum, 0xA138BED4DD7761C2ULL);
+
+  // Every single bit flip is detected: a body of three whole 32-byte checksum
+  // blocks plus a ragged tail, with flips in the header, every lane, the tail
+  // and the checksum field itself.
+  WireMessage big = sample_message();
+  big.payload.resize(20, 0.75f);  // body = 44 header/tag bytes + 80 payload bytes
+  const auto frame = pdsl::fleet::wire_encode(big);
+  const std::size_t body = frame.size() - sizeof(std::uint64_t);
+  ASSERT_GE(body / 32, 3u);
+  ASSERT_NE(body % 32, 0u);
+  ASSERT_TRUE(pdsl::fleet::wire_try_decode(frame).has_value());
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    auto flipped = frame;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(pdsl::fleet::wire_try_decode(flipped).has_value()) << "bit " << bit;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -382,19 +411,39 @@ TEST(FleetContract, WireCorruptionIsDetectedRetransmittedAndDeterministic) {
   // The S-SCALE wire format carries the S-RECOV checksum: with an unreliable
   // channel underneath, every hash-driven bit flip is detected (exactly one
   // counter each), repaired by a retransmission, and the run stays
-  // bit-identical across reruns — corruption never silently changes math.
+  // bit-identical across reruns and execution widths — corruption never
+  // silently changes math, and the transport work that runs outside the
+  // network's lock does not make the result depend on the schedule.
   ExperimentConfig cfg = tiny_config();
   cfg.fleet.wire_roundtrip = true;
   cfg.channel.corrupt_prob = 0.15;
+  cfg.channel.duplicate_prob = 0.2;
+  cfg.channel.reorder_prob = 0.2;
   cfg.channel.max_retries = 16;
   const ExperimentResult a = pdsl::core::run_experiment(cfg);
   EXPECT_GT(a.corruptions_detected, 0u);
   EXPECT_EQ(a.corruptions_detected, a.retransmits + a.retry_exhausted);
   EXPECT_EQ(a.retry_exhausted, 0u);  // the budget covers 0.15^17 comfortably
   EXPECT_GT(a.wire_messages, 0u);
+  EXPECT_GT(a.duplicates_dropped, 0u);
+  EXPECT_GT(a.reordered, 0u);
   EXPECT_TRUE(std::isfinite(a.final_loss));
   const ExperimentResult b = pdsl::core::run_experiment(cfg);
   EXPECT_EQ(a.average_model, b.average_model);
   EXPECT_EQ(a.corruptions_detected, b.corruptions_detected);
   EXPECT_EQ(a.retransmits, b.retransmits);
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    const ExperimentResult c = pdsl::core::run_experiment(cfg);
+    EXPECT_EQ(c.average_model, a.average_model);
+    EXPECT_EQ(c.messages, a.messages);
+    EXPECT_EQ(c.wire_messages, a.wire_messages);
+    EXPECT_EQ(c.wire_bytes, a.wire_bytes);
+    EXPECT_EQ(c.retransmits, a.retransmits);
+    EXPECT_EQ(c.corruptions_detected, a.corruptions_detected);
+    EXPECT_EQ(c.retry_exhausted, a.retry_exhausted);
+    EXPECT_EQ(c.duplicates_dropped, a.duplicates_dropped);
+    EXPECT_EQ(c.reordered, a.reordered);
+  }
 }
