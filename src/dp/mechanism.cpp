@@ -31,7 +31,7 @@ double clip_l2(std::vector<float>& g, double threshold) {
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng) {
   if (sigma < 0.0) throw std::invalid_argument("add_gaussian_noise: negative sigma");
   if (sigma == 0.0) return;
-  for (auto& v : g) v += static_cast<float>(sigma * rng.ziggurat_normal());
+  rng.add_ziggurat_noise(g.data(), g.size(), sigma);
 }
 
 double gaussian_sigma(double l2_sensitivity, double epsilon, double delta) {

@@ -13,8 +13,9 @@ namespace pdsl::dp {
 /// g <- g / max(1, ||g|| / C). Returns the pre-clip norm.
 double clip_l2(std::vector<float>& g, double threshold);
 
-/// Add i.i.d. N(0, sigma^2) noise to every coordinate (Eq. 11), drawn with
-/// Rng::ziggurat_normal. sigma == 0 draws nothing.
+/// Add i.i.d. N(0, sigma^2) noise to every coordinate (Eq. 11): bit for bit
+/// g[i] += float(sigma * rng.ziggurat_normal()) in coordinate order, drawn in
+/// bulk by Rng::add_ziggurat_noise. sigma == 0 draws nothing.
 void add_gaussian_noise(std::vector<float>& g, double sigma, Rng& rng);
 
 /// Standard Gaussian-mechanism noise scale for (epsilon, delta)-DP given L2

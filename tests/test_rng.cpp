@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <random>
+#include <sstream>
+#include <stdexcept>
 
 #include "common/rng.hpp"
+#include "dp/mechanism.hpp"
 
 using pdsl::Rng;
 
@@ -133,6 +138,97 @@ TEST(Rng, FillNormalFills) {
 }
 
 // ---------------------------------------------------------------------------
+// The in-repo MT19937-64 engine against libstdc++'s std::mt19937_64, which is
+// kept in the tree only here, as the oracle.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::string std_blob(std::uint64_t seed, const std::mt19937_64& oracle) {
+  std::ostringstream out;
+  out << seed << ' ' << oracle;
+  return out.str();
+}
+
+/// A valid serialize() blob of `rng` with its read index replaced by `index`.
+std::string with_index(const Rng& rng, const std::string& index) {
+  std::string blob = rng.serialize();
+  return blob.substr(0, blob.rfind(' ') + 1) + index;
+}
+
+}  // namespace
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  const std::uint64_t seeds[] = {Rng().seed(), Rng(7).split(1).seed(), Rng(42).split(0xD5).seed(),
+                                 0, ~std::uint64_t{0}};
+  for (const std::uint64_t seed : seeds) {
+    Rng rng(seed);
+    std::mt19937_64 oracle(seed);
+    // A fresh engine sits at index 312: nothing read, no twist yet.
+    ASSERT_EQ(rng.serialize(), std_blob(seed, oracle)) << "seed " << seed;
+    // Across several twists, stopping at a block end (index 312) and mid-block.
+    for (const int words : {312, 312 * 3, 100, 401}) {
+      for (int i = 0; i < words; ++i) ASSERT_EQ(rng.engine()(), oracle()) << "seed " << seed;
+      ASSERT_EQ(rng.serialize(), std_blob(seed, oracle)) << "seed " << seed;
+    }
+    // The std distributions draw from it exactly as from std::mt19937_64.
+    EXPECT_EQ(rng.uniform(-1.0, 3.0), std::uniform_real_distribution<double>(-1.0, 3.0)(oracle));
+    EXPECT_EQ(rng.normal(0.5, 2.0), std::normal_distribution<double>(0.5, 2.0)(oracle));
+    EXPECT_EQ(rng.uniform_int(-5, 1000), std::uniform_int_distribution<std::int64_t>(-5, 1000)(oracle));
+    EXPECT_EQ(rng.gamma(0.3), std::gamma_distribution<double>(0.3, 1.0)(oracle));
+
+    // Index 0 (a whole twisted block unread) arises only from text: both
+    // engines read the same blob and must write it back and continue alike.
+    const std::string at_zero = with_index(rng, "0");
+    std::istringstream in(at_zero);
+    std::uint64_t blob_seed = 0;
+    in >> blob_seed >> oracle;
+    ASSERT_TRUE(in) << "the oracle refused an index-0 blob";
+    Rng restored = Rng::deserialize(at_zero);
+    EXPECT_EQ(restored.serialize(), std_blob(seed, oracle));
+    for (int i = 0; i < 700; ++i) ASSERT_EQ(restored.engine()(), oracle()) << "seed " << seed;
+  }
+  // A blob written by std::mt19937_64's operator<< continues its stream.
+  for (const int words : {0, 1, 311, 312, 500}) {
+    std::mt19937_64 oracle(2024);
+    for (int i = 0; i < words; ++i) oracle();
+    Rng rng = Rng::deserialize(std_blob(2024, oracle));
+    EXPECT_EQ(rng.seed(), 2024u);
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.engine()(), oracle()) << "after " << words;
+  }
+}
+
+TEST(Rng, DeserializeRejectsIndexPastState) {
+  Rng rng(11);
+  EXPECT_NO_THROW(Rng::deserialize(with_index(rng, "312")));
+  EXPECT_THROW(Rng::deserialize(with_index(rng, "313")), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(with_index(rng, "18446744073709551615")), std::runtime_error);
+}
+
+TEST(Rng, DeserializeRejectsShortState) {
+  // The seed and 311 words, then the index: the index is read as word 312
+  // and the index itself is missing.
+  std::string blob = Rng(12).serialize();
+  const auto last_word = blob.rfind(' ', blob.rfind(' ') - 1);
+  EXPECT_THROW(Rng::deserialize(blob.substr(0, last_word) + " 312"), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(blob.substr(0, blob.size() / 2)), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize("12"), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(""), std::runtime_error);
+}
+
+TEST(Rng, DeserializeRejectsNonNumericWord) {
+  const std::string blob = Rng(13).serialize();
+  const auto word1 = blob.find(' ', blob.find(' ') + 1) + 1;  // seed, word 0, then word 1
+  std::string bad = blob;
+  bad[word1] = 'x';
+  EXPECT_THROW(Rng::deserialize(bad), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize("seed " + blob.substr(blob.find(' ') + 1)), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(with_index(Rng(13), "1x")), std::runtime_error);
+  EXPECT_THROW(Rng::deserialize(blob + " 7"), std::runtime_error);  // trailing text
+  EXPECT_NO_THROW(Rng::deserialize(blob + " \n"));
+}
+
+// ---------------------------------------------------------------------------
 // Ziggurat sampler (the DP noise stream).
 // ---------------------------------------------------------------------------
 
@@ -231,6 +327,32 @@ TEST(Ziggurat, SerializeMidStreamResumesExactly) {
       ASSERT_EQ(live.ziggurat_normal(), restored.ziggurat_normal()) << "k=" << k << " i=" << i;
     }
   }
+}
+
+TEST(Ziggurat, BulkMatchesScalarDraws) {
+  // dp::add_gaussian_noise draws through Rng::add_ziggurat_noise, which reads
+  // tempered blocks of engine words; it must equal the one-draw-at-a-time
+  // loop bit for bit and leave the engine in the same state, wherever in a
+  // block it starts and however many blocks (and rejections that straddle a
+  // block end) it crosses.
+  const auto check = [](std::size_t n, int offset, std::uint64_t seed) {
+    Rng bulk(seed);
+    for (int i = 0; i < offset; ++i) (void)bulk.engine()();
+    Rng scalar = bulk;
+    std::vector<float> g(n), expected(n);
+    for (std::size_t i = 0; i < n; ++i) g[i] = expected[i] = 0.001f * static_cast<float>(i % 997);
+    const double sigma = 0.7;
+    pdsl::dp::add_gaussian_noise(g, sigma, bulk);
+    for (auto& v : expected) v += static_cast<float>(sigma * scalar.ziggurat_normal());
+    ASSERT_TRUE(n == 0 || std::memcmp(g.data(), expected.data(), n * sizeof(float)) == 0)
+        << "n=" << n << " offset=" << offset;
+    ASSERT_EQ(bulk.serialize(), scalar.serialize()) << "n=" << n << " offset=" << offset;
+    ASSERT_EQ(bulk.engine()(), scalar.engine()()) << "n=" << n << " offset=" << offset;
+  };
+  for (const std::size_t n : {0u, 1u, 311u, 312u, 313u, 25450u}) {
+    for (const int offset : {0, 1, 311, 312}) check(n, offset, 300 + n);
+  }
+  check(1000003, 7, 301);
 }
 
 TEST(Rng, SplitMixAvalanche) {
