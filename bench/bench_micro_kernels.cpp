@@ -1,6 +1,6 @@
 // Microbenchmarks for the hot kernels underneath the experiments. Two parts:
 //
-//  1. The S-KER naive-vs-blocked-vs-vectorized sweep (default): GEMM,
+//  1. The S-KER naive-vs-blocked sweep (default): GEMM,
 //     sgemm_transpose_b and convolution timings at the MNIST-CNN, CIFAR-CNN
 //     and benchmark-workload shapes, written as a speedup table to
 //     BENCH_kernels.json (override with --out). Acceptance signals, all
@@ -8,8 +8,7 @@
 //     speedup at the CIFAR-CNN shapes (S-KER), the blocked tb speedup over
 //     naive at every tb shape, gated at >= 2.4x, the blocked sgemm and
 //     sgemm_transpose_a speedup over naive at the CIFAR-CNN conv GEMM
-//     shapes, gated at >= 1.3x, and the vectorized speedup at the square
-//     GEMM shapes, gated at >= 1.3x (S-VEC). A `dp_noise` row
+//     shapes, gated at >= 1.3x. A `dp_noise` row
 //     times dp::add_gaussian_noise against the per-coordinate Rng::normal
 //     loop on one 25,450-float gradient, gated at >= 3x. Every blocked
 //     timing is also taken at each ISA level the host runs (blocked_ms is
@@ -89,11 +88,10 @@ struct SweepRow {
   double naive_ms = 0.0;
   double blocked_ms = 0.0;  // at the widest level, which the default dispatch runs
   std::vector<double> blocked_isa_ms;  // per level of supported_isas()
-  double vec_ms = 0.0;  // S-VEC register-tiled backend
 };
 
-/// Fills the row's timings: `fn` on the naive backend, the blocked backend
-/// at every supported ISA level, and the vectorized backend.
+/// Fills the row's timings: `fn` on the naive backend and on the blocked
+/// backend at every supported ISA level.
 template <typename F>
 void time_backends(SweepRow& row, std::size_t reps, F&& fn) {
   kernels::set_backend(kernels::Backend::kNaive);
@@ -105,8 +103,6 @@ void time_backends(SweepRow& row, std::size_t reps, F&& fn) {
   }
   kernels::set_isa_cap(kernels::Isa::kAvx512);
   row.blocked_ms = row.blocked_isa_ms.back();
-  kernels::set_backend(kernels::Backend::kVectorized);
-  row.vec_ms = time_ms(reps, fn);
 }
 
 struct GemmShape {
@@ -273,12 +269,11 @@ int run_kernel_sweep(const CliArgs& args) {
 
   const std::vector<kernels::Isa> levels = supported_isas();
 
-  std::printf("==== bench_micro_kernels: naive vs blocked vs vectorized (reps=%zu) ====\n",
-              reps);
+  std::printf("==== bench_micro_kernels: naive vs blocked (reps=%zu) ====\n", reps);
   std::printf("blocked runs at the widest level (%s); blk_<level> columns time each level\n",
               kernels::isa_name(kernels::host_isa()));
-  std::printf("%-16s %-24s %12s %12s %12s %9s %9s", "kernel", "shape", "naive_ms",
-              "blocked_ms", "vec_ms", "blk_spd", "vec_spd");
+  std::printf("%-16s %-24s %12s %12s %9s", "kernel", "shape", "naive_ms", "blocked_ms",
+              "blk_spd");
   for (const auto level : levels) {
     std::printf(" %12s", ("blk_" + std::string(kernels::isa_name(level))).c_str());
   }
@@ -303,24 +298,19 @@ int run_kernel_sweep(const CliArgs& args) {
   }
 
   double cifar_conv_min_speedup = 1e30;
-  double square_gemm_vec_min_speedup = 1e30;
   double tb_blocked_min_speedup = 1e30;
   double sgemm_blocked_min_speedup = 1e30;
   for (const auto& r : rows) {
     const double speedup = r.blocked_ms > 0 ? r.naive_ms / r.blocked_ms : 0.0;
-    const double vec_speedup = r.vec_ms > 0 ? r.naive_ms / r.vec_ms : 0.0;
     if (r.name.rfind("conv_cifar", 0) == 0) {
       cifar_conv_min_speedup = std::min(cifar_conv_min_speedup, speedup);
-    }
-    if (r.name.rfind("gemm_square", 0) == 0) {
-      square_gemm_vec_min_speedup = std::min(square_gemm_vec_min_speedup, vec_speedup);
     }
     if (r.kind == "gemm_tb") tb_blocked_min_speedup = std::min(tb_blocked_min_speedup, speedup);
     if (r.name.rfind("sgemm_", 0) == 0) {
       sgemm_blocked_min_speedup = std::min(sgemm_blocked_min_speedup, speedup);
     }
-    std::printf("%-16s %-24s %12.4f %12.4f %12.4f %8.2fx %8.2fx", r.name.c_str(),
-                r.shape.c_str(), r.naive_ms, r.blocked_ms, r.vec_ms, speedup, vec_speedup);
+    std::printf("%-16s %-24s %12.4f %12.4f %8.2fx", r.name.c_str(), r.shape.c_str(),
+                r.naive_ms, r.blocked_ms, speedup);
     for (const double ms : r.blocked_isa_ms) std::printf(" %12.4f", ms);
     std::printf("\n");
     env.add_metric_sample(r.name + ".naive_ms", "ms", r.naive_ms);
@@ -331,9 +321,7 @@ int run_kernel_sweep(const CliArgs& args) {
       env.add_metric_sample(r.name + ".blocked_" + isa + "_ms", "ms", r.blocked_isa_ms[l]);
       by_isa[isa] = r.blocked_isa_ms[l];
     }
-    env.add_metric_sample(r.name + ".vec_ms", "ms", r.vec_ms);
     env.add_metric_sample(r.name + ".speedup", "x", speedup);
-    env.add_metric_sample(r.name + ".vec_speedup", "x", vec_speedup);
     pdsl::json::Object o;
     o["name"] = r.name;
     o["kind"] = r.kind;
@@ -341,21 +329,17 @@ int run_kernel_sweep(const CliArgs& args) {
     o["naive_ms"] = r.naive_ms;
     o["blocked_ms"] = r.blocked_ms;
     o["blocked_isa_ms"] = pdsl::json::Value(std::move(by_isa));
-    o["vec_ms"] = r.vec_ms;
     o["speedup"] = speedup;
-    o["vec_speedup"] = vec_speedup;
     env.add_run(std::move(o));
   }
   env.add_metric_sample("cifar_conv_min_speedup", "x", cifar_conv_min_speedup);
-  env.add_metric_sample("square_gemm_vec_min_speedup", "x", square_gemm_vec_min_speedup);
   env.add_metric_sample("tb_blocked_min_speedup", "x", tb_blocked_min_speedup);
   env.add_metric_sample("sgemm_blocked_min_speedup", "x", sgemm_blocked_min_speedup);
 
   const NoiseRow noise = time_dp_noise(reps);
   const double noise_speedup = noise.ziggurat_ms > 0 ? noise.reference_ms / noise.ziggurat_ms : 0.0;
-  std::printf("%-16s %-24s %12.4f %12s %12.4f %9s %8.2fx  (reference = Rng::normal loop)\n",
-              "dp_noise", "25450 floats", noise.reference_ms, "-", noise.ziggurat_ms, "-",
-              noise_speedup);
+  std::printf("%-16s %-24s %12.4f %12.4f %8.2fx  (naive = Rng::normal loop, blocked = ziggurat)\n",
+              "dp_noise", "25450 floats", noise.reference_ms, noise.ziggurat_ms, noise_speedup);
   env.add_metric_sample("dp_noise.reference_ms", "ms", noise.reference_ms);
   env.add_metric_sample("dp_noise.ziggurat_ms", "ms", noise.ziggurat_ms);
   env.add_metric_sample("dp_noise.speedup", "x", noise_speedup);
@@ -370,17 +354,14 @@ int run_kernel_sweep(const CliArgs& args) {
     env.add_run(std::move(o));
   }
 
-  // Five acceptance contracts, each timed on one thread so the host's core
+  // Four acceptance contracts, each timed on one thread so the host's core
   // count does not enter, and none waivable. S-KER: blocked conv must beat
   // naive at the CIFAR-CNN shapes, the blocked sgemm_transpose_b must clear
   // 2.4x over naive at every tb shape, and the blocked sgemm and
   // sgemm_transpose_a must clear 1.3x over naive at every conv GEMM shape.
-  // S-VEC: the register-tiled backend must clear 1.3x over naive on the
-  // square GEMM shapes. DP noise: the ziggurat must clear 3x over the
-  // Rng::normal loop.
+  // DP noise: the ziggurat must clear 3x over the Rng::normal loop.
   const bool tb_gate_met = tb_blocked_min_speedup >= 2.4;
   const bool sgemm_gate_met = sgemm_blocked_min_speedup >= 1.3;
-  const bool vec_gate_met = square_gemm_vec_min_speedup >= 1.3;
   const bool noise_gate_met = noise_speedup >= 3.0;
   pdsl::json::Object gate;
   gate["cifar_conv_min_speedup"] = cifar_conv_min_speedup;
@@ -388,12 +369,10 @@ int run_kernel_sweep(const CliArgs& args) {
   gate["tb_blocked_threshold"] = 2.4;
   gate["sgemm_blocked_min_speedup"] = sgemm_blocked_min_speedup;
   gate["sgemm_blocked_threshold"] = 1.3;
-  gate["square_gemm_vec_min_speedup"] = square_gemm_vec_min_speedup;
-  gate["square_gemm_vec_threshold"] = 1.3;
   gate["dp_noise_speedup"] = noise_speedup;
   gate["dp_noise_threshold"] = 3.0;
-  gate["passed"] = cifar_conv_min_speedup > 1.0 && tb_gate_met && sgemm_gate_met &&
-                   vec_gate_met && noise_gate_met;
+  gate["passed"] =
+      cifar_conv_min_speedup > 1.0 && tb_gate_met && sgemm_gate_met && noise_gate_met;
   env.set_acceptance(std::move(gate));
   if (!env.write(out_path)) return 1;
   std::printf("cifar conv min speedup: %.2fx\n", cifar_conv_min_speedup);
@@ -401,8 +380,6 @@ int run_kernel_sweep(const CliArgs& args) {
               tb_gate_met ? "passed" : "FAILED");
   std::printf("sgemm blocked min speedup: %.2fx (gate >=1.3x: %s)\n", sgemm_blocked_min_speedup,
               sgemm_gate_met ? "passed" : "FAILED");
-  std::printf("square gemm vectorized min speedup: %.2fx (gate >=1.3x: %s)\n",
-              square_gemm_vec_min_speedup, vec_gate_met ? "passed" : "FAILED");
   std::printf("dp noise ziggurat speedup: %.2fx (gate >=3x: %s)\n", noise_speedup,
               noise_gate_met ? "passed" : "FAILED");
   return 0;

@@ -106,8 +106,8 @@ std::uint64_t config_identity_hash(const ExperimentConfig& cfg) {
   // the checkpoint/resume knobs must not change the hash or a checkpointed
   // run could never be resumed by a config that (correctly) differs in them.
   scrub.threads = 1;
-  // cfg.backend stays in the hash: the S-VEC tier is only tolerance-banded
-  // against the reference, so switching backends switches trajectories.
+  // cfg.backend stays in the hash: the naive direct convolution agrees with
+  // im2col only to rounding, so switching backends switches CNN trajectories.
   scrub.profile = false;
   scrub.trace_out.clear();
   scrub.ledger_out.clear();
@@ -127,10 +127,9 @@ const std::vector<std::string>& paper_algorithms() {
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // S-RT: configure the execution width for this run's per-agent phases.
   runtime::set_global_threads(cfg.threads);
-  // S-KER: select the math backend; "" keeps the process default (env var).
-  if (!cfg.backend.empty()) {
-    kernels::set_backend(kernels::backend_from_string(cfg.backend));
-  }
+  // S-KER: select the math backend for every run; "" means blocked.
+  kernels::set_backend(cfg.backend.empty() ? kernels::Backend::kBlocked
+                                           : kernels::backend_from_string(cfg.backend));
 
   Rng rng(cfg.seed);
 

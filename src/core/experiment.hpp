@@ -69,13 +69,11 @@ struct ExperimentConfig {
   /// Results are bit-identical at every setting; this is wall-clock only.
   std::size_t threads = 1;
 
-  /// S-KER math backend: "" = keep the process default (PDSL_KERNEL_BACKEND
-  /// env var, else blocked), "blocked" | "naive" | "vectorized" | "auto"
-  /// force one. The naive path is the differential-testing reference;
-  /// "vectorized" (and "auto", which may dispatch to it per shape) is the
-  /// S-VEC fast-math tier — deterministic but only tolerance-banded against
-  /// the reference. See DESIGN.md "S-KER" for the cross-backend numerics
-  /// contract and band policy.
+  /// S-KER math backend: "blocked" (also "", the default) or "naive", the
+  /// bit-for-bit reference loops kept for differential testing. Every
+  /// run_experiment call applies it, so a run never inherits the backend of
+  /// an earlier run in the same process; any other value throws. See
+  /// DESIGN.md "S-KER" for the cross-backend numerics contract.
   std::string backend;
 
   std::uint64_t seed = 1;

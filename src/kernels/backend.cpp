@@ -2,33 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace pdsl::kernels {
 
 namespace {
 
-Backend initial_backend() noexcept {
-  if (const char* env = std::getenv("PDSL_KERNEL_BACKEND")) {
-    const std::string name(env);
-    if (name == "naive") return Backend::kNaive;
-    if (name == "vectorized") return Backend::kVectorized;
-    if (name == "auto") return Backend::kAuto;
-    if (!name.empty() && name != "blocked") {
-      std::fprintf(stderr,
-                   "PDSL_KERNEL_BACKEND='%s' not recognized, using 'blocked'\n",
-                   env);
-    }
-  }
-  return Backend::kBlocked;
-}
-
-std::atomic<Backend>& state() {
-  static std::atomic<Backend> backend{initial_backend()};
-  return backend;
-}
+std::atomic<Backend> g_backend{Backend::kBlocked};
 
 Isa detect_isa() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -71,30 +51,15 @@ const char* isa_name(Isa level) noexcept {
 
 const char* isa_name() noexcept { return isa_name(isa()); }
 
-Backend backend() noexcept { return state().load(std::memory_order_relaxed); }
+Backend backend() noexcept { return g_backend.load(std::memory_order_relaxed); }
 
-void set_backend(Backend b) noexcept { state().store(b, std::memory_order_relaxed); }
-
-Backend resolve_backend(Backend pinned, std::size_t rows, std::size_t depth,
-                        std::size_t cols) noexcept {
-  if (pinned != Backend::kAuto) return pinned;
-  // Widening before the product keeps 4Gi-element shapes from wrapping on
-  // 32-bit size_t hosts; the thresholds themselves are tiny.
-  const unsigned long long flops = static_cast<unsigned long long>(rows) *
-                                   static_cast<unsigned long long>(depth) *
-                                   static_cast<unsigned long long>(cols);
-  if (flops <= kAutoNaiveMaxFlops) return Backend::kNaive;
-  if (depth >= kAutoVecMinDepth && cols >= kAutoVecMinCols) return Backend::kVectorized;
-  return Backend::kBlocked;
-}
+void set_backend(Backend b) noexcept { g_backend.store(b, std::memory_order_relaxed); }
 
 Backend backend_from_string(const std::string& name) {
   if (name == "naive") return Backend::kNaive;
   if (name == "blocked") return Backend::kBlocked;
-  if (name == "vectorized") return Backend::kVectorized;
-  if (name == "auto") return Backend::kAuto;
   throw std::invalid_argument("kernels: unknown backend '" + name +
-                              "' (expected 'naive', 'blocked', 'vectorized' or 'auto')");
+                              "' (expected 'naive' or 'blocked')");
 }
 
 const char* backend_name(Backend b) noexcept {
@@ -103,10 +68,6 @@ const char* backend_name(Backend b) noexcept {
       return "naive";
     case Backend::kBlocked:
       return "blocked";
-    case Backend::kVectorized:
-      return "vectorized";
-    case Backend::kAuto:
-      return "auto";
   }
   return "blocked";
 }

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "kernels/backend.hpp"
-#include "kernels/microkernel.hpp"
 
 namespace pdsl::kernels {
 
@@ -145,39 +144,30 @@ void blocked_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* 
 
 void sgemm(std::size_t m, std::size_t k, std::size_t n, const float* a, const float* b,
            float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), m, k, n);
   if (!accumulate) std::fill(c, c + m * n, 0.0f);
-  if (be == Backend::kVectorized) {
-    vec_sgemm(m, k, n, a, b, c);
-  } else if (be == Backend::kBlocked) {
-    blocked_sgemm(m, k, n, a, b, c);
-  } else {
+  if (backend() == Backend::kNaive) {
     naive_sgemm(m, k, n, a, b, c);
+  } else {
+    blocked_sgemm(m, k, n, a, b, c);
   }
 }
 
 void sgemm_transpose_a(std::size_t m, std::size_t k, std::size_t n, const float* a,
                        const float* b, float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), k, m, n);
   if (!accumulate) std::fill(c, c + k * n, 0.0f);
-  if (be == Backend::kVectorized) {
-    vec_sgemm_ta(m, k, n, a, b, c);
-  } else if (be == Backend::kBlocked) {
-    blocked_sgemm_ta(m, k, n, a, b, c);
-  } else {
+  if (backend() == Backend::kNaive) {
     naive_sgemm_ta(m, k, n, a, b, c);
+  } else {
+    blocked_sgemm_ta(m, k, n, a, b, c);
   }
 }
 
 void sgemm_transpose_b(std::size_t m, std::size_t n, std::size_t k, const float* a,
                        const float* b, float* c, bool accumulate) {
-  const Backend be = resolve_backend(backend(), m, n, k);
-  if (be == Backend::kVectorized) {
-    vec_sgemm_tb(m, n, k, a, b, c, accumulate);
-  } else if (be == Backend::kBlocked) {
-    blocked_sgemm_tb(m, n, k, a, b, c, accumulate);
-  } else {
+  if (backend() == Backend::kNaive) {
     naive_sgemm_tb(m, n, k, a, b, c, accumulate);
+  } else {
+    blocked_sgemm_tb(m, n, k, a, b, c, accumulate);
   }
 }
 

@@ -9,19 +9,15 @@
 //
 // With `accumulate` the product is added to C instead of overwriting it.
 //
-// Each entry point dispatches on kernels::backend() (resolved per shape when
-// the backend is kAuto — see backend.hpp): the naive path is the original
-// triple loop (zero-skip shortcuts removed — they silently dropped NaN/Inf
-// propagation from the other operand); the blocked path keeps register tiles
-// of C for the whole reduction, one chain per SIMD lane (sgemm and
-// sgemm_transpose_a: one 4-row float tile that differs only in A's strides;
-// sgemm_transpose_b: packed B panels of double chains), at the widest vector
-// width the host supports (backend.hpp, kernels::isa()). Naive and blocked
-// accumulate every output element in the same reduction order, so their
-// results are bit-identical at every width. The vectorized path
-// (microkernel.hpp) keeps accumulator tiles register-resident and reduces in
-// fixed float lanes — deterministic but only tolerance-banded against the
-// reference.
+// Each entry point dispatches on kernels::backend() (backend.hpp): the naive
+// path is the original triple loop (zero-skip shortcuts removed — they
+// silently dropped NaN/Inf propagation from the other operand); the blocked
+// path keeps register tiles of C for the whole reduction, one chain per SIMD
+// lane (sgemm and sgemm_transpose_a: one 4-row float tile that differs only
+// in A's strides; sgemm_transpose_b: packed B panels of double chains), at
+// the widest vector width the host supports (backend.hpp, kernels::isa()).
+// Naive and blocked accumulate every output element in the same reduction
+// order, so their results are bit-identical at every width.
 //
 // Every call runs single-threaded on the calling thread; parallelism lives
 // one level up, where runtime::parallel_for runs agents concurrently. The

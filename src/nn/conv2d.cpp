@@ -39,9 +39,7 @@ Shape Conv2D::output_shape(const Shape& input) const {
 Tensor Conv2D::forward(const Tensor& input) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
-  // Every non-naive backend (blocked, vectorized, auto) lowers to im2col —
-  // the inner GEMMs then dispatch per shape as usual.
-  if (kernels::backend() != kernels::Backend::kNaive) {
+  if (kernels::backend() == kernels::Backend::kBlocked) {
     return forward_im2col(input, out_shape);
   }
   return forward_direct(input, out_shape);
@@ -60,7 +58,7 @@ void Conv2D::backward_into(const Tensor& grad_output, float* gx) {
   if (grad_output.shape() != out_shape) {
     throw std::invalid_argument("Conv2D::backward: bad grad shape");
   }
-  if (kernels::backend() != kernels::Backend::kNaive) {
+  if (kernels::backend() == kernels::Backend::kBlocked) {
     backward_im2col(grad_output, out_shape, gx);
   } else {
     backward_direct(grad_output, out_shape, gx);

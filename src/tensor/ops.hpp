@@ -1,8 +1,8 @@
 #pragma once
 // Numeric kernels on Tensors: matmul, matmul_transpose_a, row argmax and
 // softmax. The matmul pair is a shape-checked facade over the S-KER layer
-// (src/kernels/gemm.hpp), which owns the naive/blocked/vectorized backend
-// split; every call runs single-threaded on the caller's thread. Convolution
+// (src/kernels/gemm.hpp), which owns the naive/blocked backend split; every
+// call runs single-threaded on the caller's thread. Convolution
 // kernels live inside the Conv2D layer because they need its geometry
 // bookkeeping; its blocked path is im2col + the kernels' GEMMs.
 

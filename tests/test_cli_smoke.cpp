@@ -118,6 +118,7 @@ TEST(CliSmoke, OutOfRangeFlagsFailLoudlyWithTheFlagName) {
       {"--byz-onset -3", "--byz-onset"},
       {"--agents 0", "--agents"},
       {"--robust-agg krum", "krum"},
+      {"--backend vectorized", "vectorized"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.flags);

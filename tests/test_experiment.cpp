@@ -7,6 +7,7 @@
 
 #include "core/experiment.hpp"
 #include "core/replicate.hpp"
+#include "kernels/backend.hpp"
 
 using namespace pdsl;
 using namespace pdsl::core;
@@ -55,6 +56,19 @@ TEST(Experiment, UnknownNamesThrow) {
   cfg = tiny("pdsl");
   cfg.sigma_mode = "renyi";
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  cfg = tiny("pdsl");
+  cfg.backend = "vectorized";
+  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+// "" means blocked on every run: a run whose config leaves the backend empty
+// does not inherit the backend an earlier caller selected.
+TEST(Experiment, EmptyBackendRunsBlocked) {
+  kernels::set_backend(kernels::Backend::kNaive);
+  const auto cfg = tiny("pdsl");
+  ASSERT_TRUE(cfg.backend.empty());
+  static_cast<void>(run_experiment(cfg));
+  EXPECT_EQ(kernels::backend(), kernels::Backend::kBlocked);
 }
 
 TEST(Experiment, PaperAlgorithmListIsStable) {

@@ -2,20 +2,22 @@
 //
 //   * Byte-exact tier: guard over the numeric columns of the per-round
 //     metrics CSV for every algorithm, fault-free and under seeded fault
-//     injection, pinned to the bit-identical backends (blocked kernels,
+//     injection, pinned to the bit-identical paths (blocked kernels,
 //     sequential Shapley eval). Any change to the math — kernels, RNG
 //     consumption order, aggregation, fault hashing — shows up here as a
 //     cell diff, with tolerance ZERO: the S-RT contract says same seed +
 //     same config is the same bits, so the only legitimate diff is an
-//     intentional numerics change.
-//   * Tolerance-banded tier (S-VEC): fixtures for the fast-math paths
-//     (--backend vectorized, --shapley-eval linear) whose results are
-//     deterministic but only rounding-level reproducible across compilers
-//     and FMA-contraction choices. Each banded fixture <name>.csv ships a
-//     band spec <name>.band.csv next to it with per-column `abs,rel`
-//     tolerances (row `*` is the default; 0,0 means exact, which is how the
-//     counter columns stay locked down): a cell passes when
-//     |got - want| <= abs + rel * |want|.
+//     intentional numerics change. The same fixtures also pin the knobs that
+//     must not move a trajectory: each exact-tier scenario re-run with
+//     fleet.sparse, and each MLP scenario re-run on the naive kernels, must
+//     reproduce the same bytes.
+//   * Tolerance-banded tier: fixtures for the fast paths that reassociate
+//     sums (--shapley-eval linear), whose results are deterministic but
+//     only rounding-level reproducible across compilers. Each banded
+//     fixture <name>.csv ships a band spec <name>.band.csv next to it with
+//     per-column `abs,rel` tolerances (row `*` is the default; 0,0 means
+//     exact, which is how the counter columns stay locked down): a cell
+//     passes when |got - want| <= abs + rel * |want|.
 //
 // Timing columns (elapsed_s, round_s and the per-phase *_s breakdown) are
 // wall-clock and excluded from comparison in both tiers.
@@ -80,9 +82,8 @@ ExperimentConfig base_config() {
   cfg.threads = 1;
   cfg.metrics.eval_every = 1;
   cfg.metrics.test_subsample = 100;
-  // The byte-exact tier pins the bit-identical reference paths explicitly:
-  // the process defaults (shapley_eval = "linear", and blocked kernels today)
-  // may move to faster banded tiers without invalidating these fixtures.
+  // The byte-exact tier pins the bit-identical paths explicitly: the process
+  // default shapley_eval is the banded "linear".
   cfg.backend = "blocked";
   cfg.hp.shapley_eval = "sequential";
   return cfg;
@@ -149,14 +150,6 @@ std::vector<Scenario> scenarios() {
 // must have a <name>.band.csv spec checked in next to its fixture.
 std::vector<Scenario> banded_scenarios() {
   std::vector<Scenario> out;
-  {
-    // S-VEC kernels end to end: every GEMM in the run dispatches to the
-    // register-tiled microkernel.
-    ExperimentConfig cfg = base_config();
-    cfg.algorithm = "pdsl";
-    cfg.backend = "vectorized";
-    out.push_back({"pdsl_vectorized", cfg});
-  }
   {
     // S-SHAP linear coalition evaluation (the process default): reuses
     // per-member first-layer pre-activations across coalitions.
@@ -281,9 +274,8 @@ TEST(GoldenRegression, MetricsSeriesMatchFixtures) {
   }
 }
 
-// S-VEC banded tier: the fast-math configurations (vectorized kernels,
-// linear Shapley eval) against their fixtures, each cell within the
-// per-column band from the checked-in <name>.band.csv spec.
+// Banded tier: the reassociating configurations against their fixtures, each
+// cell within the per-column band from the checked-in <name>.band.csv spec.
 TEST(GoldenRegression, BandedFixturesWithinSpec) {
   for (const Scenario& s : banded_scenarios()) {
     SCOPED_TRACE(s.name);
@@ -303,18 +295,35 @@ TEST(GoldenRegression, BandedFixturesWithinSpec) {
   }
 }
 
-// fleet.sparse only skips the spectral report: every fixture re-run with it
-// must reproduce the SAME bytes — the flag changes no trajectory.
-TEST(GoldenRegression, SparseTopologyPathMatchesSameFixtures) {
-  for (Scenario s : scenarios()) {
-    SCOPED_TRACE(s.name + " (fleet.sparse)");
-    s.cfg.fleet.sparse = true;
-    const std::string golden = golden_path(s.name);
-    ASSERT_TRUE(std::filesystem::exists(golden)) << "missing fixture " << golden;
-    const std::string candidate = candidate_path(s.name + "_sparse");
-    run_scenario_to_csv(s, candidate);
-    compare_csv(golden, candidate);
-    std::filesystem::remove(candidate);
+// Knobs that must change no trajectory, each re-run over the exact-tier
+// fixtures and required to reproduce the SAME bytes:
+//   * fleet.sparse only skips the spectral report;
+//   * the naive kernels give the blocked GEMMs' bits. Their direct
+//     convolution agrees with im2col only to rounding (see
+//     Kernels.ConvIm2colAgreesWithDirectAcrossShapes), so this variant runs
+//     the MLP fixtures only.
+TEST(GoldenRegression, TrajectoryNeutralVariantsMatchSameFixtures) {
+  struct Variant {
+    const char* name;
+    void (*apply)(ExperimentConfig&);
+    bool mlp_only;
+  };
+  const Variant variants[] = {
+      {"sparse", [](ExperimentConfig& c) { c.fleet.sparse = true; }, false},
+      {"naive", [](ExperimentConfig& c) { c.backend = "naive"; }, true},
+  };
+  for (const Variant& v : variants) {
+    for (Scenario s : scenarios()) {
+      if (v.mlp_only && s.cfg.model != "mlp") continue;
+      SCOPED_TRACE(s.name + " (" + v.name + ")");
+      v.apply(s.cfg);
+      const std::string golden = golden_path(s.name);
+      ASSERT_TRUE(std::filesystem::exists(golden)) << "missing fixture " << golden;
+      const std::string candidate = candidate_path(s.name + "_" + v.name);
+      run_scenario_to_csv(s, candidate);
+      compare_csv(golden, candidate);
+      std::filesystem::remove(candidate);
+    }
   }
 }
 

@@ -74,10 +74,8 @@ int usage() {
       "                    --metric-agents K (evaluate loss/acc on the first\n"
       "                      K agents only; 0 = all)\n"
       "                    --threads N (parallel agents; 1=sequential, 0=auto-detect)\n"
-      "                    --backend blocked|naive|vectorized|auto (S-KER math\n"
-      "                      kernels; default blocked, or the PDSL_KERNEL_BACKEND\n"
-      "                      env var; vectorized/auto = S-VEC fast-math tier,\n"
-      "                      deterministic but tolerance-banded, not bit-identical)\n"
+      "                    --backend blocked|naive (S-KER math kernels; default\n"
+      "                      blocked; naive = the reference loops, same GEMM bits)\n"
       "                    --shapley-eval sequential|batched|linear (S-SHAP:\n"
       "                      batched = one stacked GEMM per layer, bit-identical;\n"
       "                      linear = reuse per-member first-layer pre-activations\n"
