@@ -20,6 +20,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "core/experiment.hpp"
 #include "sim/faults.hpp"
 
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
       cfg.adversary.scale = byz_scale;
       // Record the regime at the largest attacker fraction of the sweep.
       if (frac == fracs.back() && algo == algos.front()) {
-        env.set_adversary(pdsl::sim::adversary_plan_to_json(cfg.adversary));
+        env.set_adversary(pdsl::schema::to_json(cfg.adversary));
       }
       const ExperimentResult res = pdsl::core::run_experiment(cfg);
       const PiSplit pi = trailing_pi(res, 3);

@@ -355,27 +355,29 @@ int run_kernel_sweep(const CliArgs& args) {
   }
 
   // Four acceptance contracts, each timed on one thread so the host's core
-  // count does not enter, and none waivable. S-KER: blocked conv must beat
-  // naive at the CIFAR-CNN shapes, the blocked sgemm_transpose_b must clear
-  // 2.4x over naive at every tb shape, and the blocked sgemm and
+  // count does not enter, and none waivable. S-KER: blocked conv must clear
+  // 2x over naive at the CIFAR-CNN shapes, the blocked sgemm_transpose_b
+  // must clear 2.4x over naive at every tb shape, and the blocked sgemm and
   // sgemm_transpose_a must clear 1.3x over naive at every conv GEMM shape.
   // DP noise: the ziggurat must clear 3x over the Rng::normal loop.
+  const bool conv_gate_met = cifar_conv_min_speedup >= 2.0;
   const bool tb_gate_met = tb_blocked_min_speedup >= 2.4;
   const bool sgemm_gate_met = sgemm_blocked_min_speedup >= 1.3;
   const bool noise_gate_met = noise_speedup >= 3.0;
   pdsl::json::Object gate;
   gate["cifar_conv_min_speedup"] = cifar_conv_min_speedup;
+  gate["cifar_conv_threshold"] = 2.0;
   gate["tb_blocked_min_speedup"] = tb_blocked_min_speedup;
   gate["tb_blocked_threshold"] = 2.4;
   gate["sgemm_blocked_min_speedup"] = sgemm_blocked_min_speedup;
   gate["sgemm_blocked_threshold"] = 1.3;
   gate["dp_noise_speedup"] = noise_speedup;
   gate["dp_noise_threshold"] = 3.0;
-  gate["passed"] =
-      cifar_conv_min_speedup > 1.0 && tb_gate_met && sgemm_gate_met && noise_gate_met;
+  gate["passed"] = conv_gate_met && tb_gate_met && sgemm_gate_met && noise_gate_met;
   env.set_acceptance(std::move(gate));
   if (!env.write(out_path)) return 1;
-  std::printf("cifar conv min speedup: %.2fx\n", cifar_conv_min_speedup);
+  std::printf("cifar conv min speedup: %.2fx (gate >=2x: %s)\n", cifar_conv_min_speedup,
+              conv_gate_met ? "passed" : "FAILED");
   std::printf("tb blocked min speedup: %.2fx (gate >=2.4x: %s)\n", tb_blocked_min_speedup,
               tb_gate_met ? "passed" : "FAILED");
   std::printf("sgemm blocked min speedup: %.2fx (gate >=1.3x: %s)\n", sgemm_blocked_min_speedup,

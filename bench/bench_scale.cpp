@@ -22,6 +22,7 @@
 #include "bench_util.hpp"
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "common/stopwatch.hpp"
 #include "core/experiment.hpp"
 #include "io/codec.hpp"
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
     cfg.faults.churn_interval = 2;
     cfg.adversary.frac = 0.1;  // lowest ids sign-flip at the default x3 scale
     env.set_faults(pdsl::bench::fault_config_json(cfg));
-    env.set_adversary(pdsl::sim::adversary_plan_to_json(cfg.adversary));
+    env.set_adversary(pdsl::schema::to_json(cfg.adversary));
 
     const ExperimentResult a = pdsl::core::run_experiment(cfg);
     const ExperimentResult b = pdsl::core::run_experiment(cfg);

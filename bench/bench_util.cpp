@@ -16,6 +16,7 @@
 #endif
 
 #include "common/csv.hpp"
+#include "common/schema.hpp"
 #include "common/stopwatch.hpp"
 #include "kernels/backend.hpp"
 #include "obs/metrics.hpp"
@@ -155,7 +156,7 @@ json::Value fault_config_json(const core::ExperimentConfig& cfg) {
   // alias folded in), not the raw struct.
   sim::FaultPlan plan = cfg.faults;
   if (plan.drop_prob == 0.0) plan.drop_prob = cfg.drop_prob;
-  return sim::fault_plan_to_json(plan);
+  return schema::to_json(plan);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/schema.hpp"
 #include "common/stopwatch.hpp"
 #include "common/vec_math.hpp"
 #include "dp/mechanism.hpp"
@@ -49,6 +50,14 @@ DefenseOptions::Sanitize sanitize_from_string(const std::string& name) {
   throw std::invalid_argument("unknown sanitize mode: " + name);
 }
 
+void visit(schema::Visitor& v, DefenseOptions& d) {
+  v.field({"sanitize", "sanitize"}, d.sanitize,
+          schema::Enum{sanitize_to_string, sanitize_from_string});
+  v.field({"robust_agg", "robust-agg"}, d.robust_agg,
+          schema::Enum{robust_agg_to_string, robust_agg_from_string});
+  v.field({"trim_frac"}, d.trim_frac, schema::Num{0.0, 0.5, false, true});
+}
+
 namespace {
 void validate_env(const Env& env) {
   if (env.topo == nullptr || env.mixing == nullptr || env.train == nullptr ||
@@ -65,9 +74,7 @@ void validate_env(const Env& env) {
   if (env.hp.alpha < 0.0 || env.hp.alpha >= 1.0) {
     throw std::invalid_argument("Algorithm: alpha must be in [0,1)");
   }
-  if (env.defense.trim_frac < 0.0 || env.defense.trim_frac >= 0.5) {
-    throw std::invalid_argument("Algorithm: defense.trim_frac must be in [0, 0.5)");
-  }
+  schema::check(env.defense, "Algorithm: defense");
   env.fleet.validate(env.topo->size());
 }
 

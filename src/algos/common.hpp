@@ -31,6 +31,10 @@
 
 namespace pdsl::algos {
 
+/// The names HyperParams::shapley_method and shapley_eval accept.
+inline constexpr const char* kShapleyMethods = "mc|exact|tmc|stratified|adaptive";
+inline constexpr const char* kShapleyEvals = "sequential|batched|linear";
+
 struct HyperParams {
   double gamma = 0.01;   ///< learning rate (paper's gamma)
   double alpha = 0.5;    ///< momentum coefficient (paper's alpha)
@@ -95,6 +99,9 @@ struct DefenseOptions {
 [[nodiscard]] DefenseOptions::RobustAgg robust_agg_from_string(const std::string& name);
 [[nodiscard]] const char* sanitize_to_string(DefenseOptions::Sanitize s);
 [[nodiscard]] DefenseOptions::Sanitize sanitize_from_string(const std::string& name);
+/// The config schema (common/schema.hpp): JSON keys, `pdsl_cli run` flags
+/// and single-field ranges, declared once.
+void visit(schema::Visitor& v, DefenseOptions& d);
 
 /// Borrowed views of everything one experiment run shares across algorithms.
 /// All pointers must outlive the Algorithm.

@@ -71,30 +71,6 @@ bool Value::contains(const std::string& key) const {
   return is_object() && obj_.count(key) > 0;
 }
 
-double Value::number_or(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_number() : fallback;
-}
-
-std::string Value::string_or(const std::string& key, std::string fallback) const {
-  return contains(key) ? at(key).as_string() : std::move(fallback);
-}
-
-bool Value::bool_or(const std::string& key, bool fallback) const {
-  return contains(key) ? at(key).as_bool() : fallback;
-}
-
-std::size_t Value::size_or(const std::string& key, std::size_t fallback) const {
-  if (!contains(key)) return fallback;
-  const double n = at(key).as_number();
-  // A negative value would wrap to a huge size_t, and a cast of one at or
-  // past 2^63 is undefined.
-  if (!(n >= 0.0 && n < 9223372036854775808.0) || std::abs(n - std::round(n)) > 1e-9) {
-    throw std::invalid_argument("json: \"" + key + "\" must be a non-negative integer, got " +
-                                at(key).dump());
-  }
-  return static_cast<std::size_t>(std::llround(n));
-}
-
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);

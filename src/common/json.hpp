@@ -54,15 +54,6 @@ class Value {
   [[nodiscard]] const Value& at(const std::string& key) const;
   [[nodiscard]] bool contains(const std::string& key) const;
 
-  /// Lookup with default.
-  [[nodiscard]] double number_or(const std::string& key, double fallback) const;
-  [[nodiscard]] std::string string_or(const std::string& key, std::string fallback) const;
-  [[nodiscard]] bool bool_or(const std::string& key, bool fallback) const;
-
-  /// Lookup of a size-typed field: throws std::invalid_argument naming `key`
-  /// unless the value is an integer in [0, 2^63).
-  [[nodiscard]] std::size_t size_or(const std::string& key, std::size_t fallback) const;
-
   /// Serialize; `indent` > 0 pretty-prints.
   [[nodiscard]] std::string dump(int indent = 0) const;
 

@@ -1,192 +1,77 @@
 #include "core/config_io.hpp"
 
-#include <set>
-#include <stdexcept>
-
+#include "common/schema.hpp"
 #include "fleet/options.hpp"
 #include "sim/faults.hpp"
 
 namespace pdsl::core {
 
-namespace {
-
-json::Value defense_to_json(const algos::DefenseOptions& d) {
-  json::Object o;
-  o["sanitize"] = std::string(algos::sanitize_to_string(d.sanitize));
-  o["robust_agg"] = std::string(algos::robust_agg_to_string(d.robust_agg));
-  o["trim_frac"] = d.trim_frac;
-  return json::Value(std::move(o));
+void visit(schema::Visitor& v, ExperimentConfig& c) {
+  v.field({"algorithm", "algorithm"}, c.algorithm);
+  v.field({"dataset", "dataset"}, c.dataset);
+  v.field({"model", "model"}, c.model);
+  v.field({"topology", "topology"}, c.topology);
+  v.field({"agents", "agents"}, c.agents, schema::kPositiveCount);
+  v.field({"rounds", "rounds"}, c.rounds, schema::kPositiveCount);
+  v.field({"train_samples", "train"}, c.train_samples, schema::kPositiveCount);
+  v.field({"test_samples"}, c.test_samples);
+  v.field({"validation_samples"}, c.validation_samples);
+  v.field({"image", "image"}, c.image, schema::kPositiveCount);
+  v.field({"hidden", "hidden"}, c.hidden, schema::kPositiveCount);
+  v.field({"mu", "mu"}, c.mu);
+  v.field({"iid"}, c.iid);
+  v.field({"partition", "partition"}, c.partition);
+  v.field({"shards_per_agent"}, c.shards_per_agent);
+  v.field({"corrupt_agents", "corrupt"}, c.corrupt_agents);
+  v.field({"byzantine_agents"}, c.byzantine_agents);
+  v.field({"gamma", "gamma"}, c.hp.gamma);
+  v.field({"alpha", "alpha"}, c.hp.alpha);
+  v.field({"clip", "clip"}, c.hp.clip);
+  v.field({"sigma"}, c.hp.sigma);
+  v.field({"batch", "batch"}, c.hp.batch, schema::kPositiveCount);
+  v.field({"shapley_permutations", "mc_perms"}, c.hp.shapley_permutations);
+  v.field({"shapley_method", "shapley-method"}, c.hp.shapley_method,
+          schema::OneOf{algos::kShapleyMethods});
+  v.field({"shapley_eval", "shapley-eval"}, c.hp.shapley_eval,
+          schema::OneOf{algos::kShapleyEvals});
+  v.field({"shapley_min_permutations", "shapley-min-perms"}, c.hp.shapley_min_permutations,
+          schema::kPositiveCount);
+  v.field({"shapley_ci_z", "shapley-ci-z"}, c.hp.shapley_ci_z, schema::kNonNegative);
+  v.field({"validation_batch", "valbatch"}, c.hp.validation_batch);
+  v.field({"gossip_steps"}, c.hp.gossip_steps);
+  v.field({"local_steps"}, c.hp.local_steps);
+  v.field({"sigma_mode", "sigma_mode"}, c.sigma_mode);
+  v.field({"noise_scale", "noise_scale"}, c.noise_scale);
+  v.field({"epsilon", "eps"}, c.epsilon);
+  v.field({"delta", "delta"}, c.delta);
+  v.field({"phi_hat_min"}, c.phi_hat_min);
+  v.field({"threads", "threads"}, c.threads);
+  v.field({"backend", "backend"}, c.backend);
+  v.field({"seed", "seed"}, c.seed, schema::kSeed);
+  v.field({"drop_prob", "drop-prob"}, c.drop_prob, schema::kProb);
+  v.object({"faults"}, c.faults);
+  v.object({"channel"}, c.channel);
+  v.object({"crash"}, c.crash);
+  v.field({"recovery_dir", "recovery-dir"}, c.recovery_dir);
+  v.field({"checkpoint_every", "checkpoint-every"}, c.checkpoint_every);
+  v.field({"checkpoint_path", "checkpoint-path"}, c.checkpoint_path);
+  v.field({"resume_from", "resume-from"}, c.resume_from);
+  v.object({"adversary"}, c.adversary);
+  v.object({"defense"}, c.defense);
+  v.field({"compression", "compression"}, c.compression);
+  v.object({"fleet"}, c.fleet);
+  v.field({"test_subsample"}, c.metrics.test_subsample);
+  v.field({"eval_every"}, c.metrics.eval_every);
+  v.field({"metric_agents", "metric-agents"}, c.metrics.metric_agents);
+  v.field({"profile", "profile"}, c.profile);
+  v.field({"trace_out", "trace-out"}, c.trace_out);
+  v.field({"ledger_out", "ledger-out"}, c.ledger_out);
 }
 
-algos::DefenseOptions defense_from_json(const json::Value& v) {
-  const auto& obj = v.as_object();
-  static const std::set<std::string> known = {"sanitize", "robust_agg", "trim_frac"};
-  for (const auto& [key, value] : obj) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("defense_from_json: unknown key '" + key + "'");
-    }
-  }
-  algos::DefenseOptions d;
-  if (v.contains("sanitize")) d.sanitize = algos::sanitize_from_string(v.at("sanitize").as_string());
-  if (v.contains("robust_agg")) {
-    d.robust_agg = algos::robust_agg_from_string(v.at("robust_agg").as_string());
-  }
-  if (v.contains("trim_frac")) d.trim_frac = v.at("trim_frac").as_number();
-  return d;
-}
-
-}  // namespace
-
-json::Value config_to_json(const ExperimentConfig& cfg) {
-  json::Object o;
-  o["algorithm"] = cfg.algorithm;
-  o["dataset"] = cfg.dataset;
-  o["model"] = cfg.model;
-  o["topology"] = cfg.topology;
-  o["agents"] = cfg.agents;
-  o["rounds"] = cfg.rounds;
-  o["train_samples"] = cfg.train_samples;
-  o["test_samples"] = cfg.test_samples;
-  o["validation_samples"] = cfg.validation_samples;
-  o["image"] = cfg.image;
-  o["hidden"] = cfg.hidden;
-  o["mu"] = cfg.mu;
-  o["iid"] = cfg.iid;
-  o["partition"] = cfg.partition;
-  o["shards_per_agent"] = cfg.shards_per_agent;
-  o["corrupt_agents"] = cfg.corrupt_agents;
-  o["byzantine_agents"] = cfg.byzantine_agents;
-  o["gamma"] = cfg.hp.gamma;
-  o["alpha"] = cfg.hp.alpha;
-  o["clip"] = cfg.hp.clip;
-  o["sigma"] = cfg.hp.sigma;
-  o["batch"] = cfg.hp.batch;
-  o["shapley_permutations"] = cfg.hp.shapley_permutations;
-  o["shapley_method"] = cfg.hp.shapley_method;
-  o["shapley_eval"] = cfg.hp.shapley_eval;
-  o["shapley_min_permutations"] = cfg.hp.shapley_min_permutations;
-  o["shapley_ci_z"] = cfg.hp.shapley_ci_z;
-  o["validation_batch"] = cfg.hp.validation_batch;
-  o["gossip_steps"] = cfg.hp.gossip_steps;
-  o["local_steps"] = cfg.hp.local_steps;
-  o["sigma_mode"] = cfg.sigma_mode;
-  o["noise_scale"] = cfg.noise_scale;
-  o["epsilon"] = cfg.epsilon;
-  o["delta"] = cfg.delta;
-  o["phi_hat_min"] = cfg.phi_hat_min;
-  o["threads"] = cfg.threads;
-  o["backend"] = cfg.backend;
-  o["seed"] = cfg.seed;
-  o["drop_prob"] = cfg.drop_prob;
-  o["faults"] = sim::fault_plan_to_json(cfg.faults);
-  o["channel"] = sim::channel_plan_to_json(cfg.channel);
-  o["crash"] = sim::crash_plan_to_json(cfg.crash);
-  o["recovery_dir"] = cfg.recovery_dir;
-  o["checkpoint_every"] = cfg.checkpoint_every;
-  o["checkpoint_path"] = cfg.checkpoint_path;
-  o["resume_from"] = cfg.resume_from;
-  o["adversary"] = sim::adversary_plan_to_json(cfg.adversary);
-  o["defense"] = defense_to_json(cfg.defense);
-  o["compression"] = cfg.compression;
-  o["fleet"] = fleet::fleet_options_to_json(cfg.fleet);
-  o["test_subsample"] = cfg.metrics.test_subsample;
-  o["eval_every"] = cfg.metrics.eval_every;
-  o["metric_agents"] = cfg.metrics.metric_agents;
-  o["profile"] = cfg.profile;
-  o["trace_out"] = cfg.trace_out;
-  o["ledger_out"] = cfg.ledger_out;
-  return json::Value(std::move(o));
-}
+json::Value config_to_json(const ExperimentConfig& cfg) { return schema::to_json(cfg); }
 
 ExperimentConfig config_from_json(const json::Value& v) {
-  const auto& obj = v.as_object();
-  static const std::set<std::string> known = {
-      "algorithm",  "dataset",   "model",     "topology",      "agents",
-      "rounds",     "train_samples", "test_samples", "validation_samples",
-      "image",      "hidden",    "mu",        "iid",           "partition",
-      "shards_per_agent", "corrupt_agents", "byzantine_agents", "gamma", "alpha", "clip",
-      "sigma",      "batch",     "shapley_permutations", "shapley_method",
-      "shapley_eval", "shapley_min_permutations", "shapley_ci_z",
-      "validation_batch", "gossip_steps", "local_steps", "sigma_mode",
-      "noise_scale", "epsilon",  "delta",     "phi_hat_min",   "threads",
-      "backend",    "seed",      "drop_prob",  "faults", "adversary", "defense",
-      "channel",    "crash",     "recovery_dir", "checkpoint_every",
-      "checkpoint_path", "resume_from",
-      "compression", "fleet", "test_subsample", "eval_every", "metric_agents",
-      "profile",     "trace_out", "ledger_out"};
-  for (const auto& [key, value] : obj) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("config_from_json: unknown key '" + key + "'");
-    }
-  }
-
-  ExperimentConfig cfg;
-  auto str = [&](const char* k, std::string& dst) {
-    if (v.contains(k)) dst = v.at(k).as_string();
-  };
-  auto num = [&](const char* k, double& dst) {
-    if (v.contains(k)) dst = v.at(k).as_number();
-  };
-  auto idx = [&](const char* k, std::size_t& dst) { dst = v.size_or(k, dst); };
-  str("algorithm", cfg.algorithm);
-  str("dataset", cfg.dataset);
-  str("model", cfg.model);
-  str("topology", cfg.topology);
-  idx("agents", cfg.agents);
-  idx("rounds", cfg.rounds);
-  idx("train_samples", cfg.train_samples);
-  idx("test_samples", cfg.test_samples);
-  idx("validation_samples", cfg.validation_samples);
-  idx("image", cfg.image);
-  idx("hidden", cfg.hidden);
-  num("mu", cfg.mu);
-  if (v.contains("iid")) cfg.iid = v.at("iid").as_bool();
-  str("partition", cfg.partition);
-  idx("shards_per_agent", cfg.shards_per_agent);
-  idx("corrupt_agents", cfg.corrupt_agents);
-  idx("byzantine_agents", cfg.byzantine_agents);
-  num("gamma", cfg.hp.gamma);
-  num("alpha", cfg.hp.alpha);
-  num("clip", cfg.hp.clip);
-  num("sigma", cfg.hp.sigma);
-  idx("batch", cfg.hp.batch);
-  idx("shapley_permutations", cfg.hp.shapley_permutations);
-  str("shapley_method", cfg.hp.shapley_method);
-  str("shapley_eval", cfg.hp.shapley_eval);
-  idx("shapley_min_permutations", cfg.hp.shapley_min_permutations);
-  num("shapley_ci_z", cfg.hp.shapley_ci_z);
-  idx("validation_batch", cfg.hp.validation_batch);
-  idx("gossip_steps", cfg.hp.gossip_steps);
-  idx("local_steps", cfg.hp.local_steps);
-  str("sigma_mode", cfg.sigma_mode);
-  num("noise_scale", cfg.noise_scale);
-  num("epsilon", cfg.epsilon);
-  num("delta", cfg.delta);
-  num("phi_hat_min", cfg.phi_hat_min);
-  idx("threads", cfg.threads);
-  str("backend", cfg.backend);
-  if (v.contains("seed")) cfg.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
-  num("drop_prob", cfg.drop_prob);
-  if (v.contains("faults")) cfg.faults = sim::fault_plan_from_json(v.at("faults"));
-  if (v.contains("channel")) cfg.channel = sim::channel_plan_from_json(v.at("channel"));
-  if (v.contains("crash")) cfg.crash = sim::crash_plan_from_json(v.at("crash"));
-  str("recovery_dir", cfg.recovery_dir);
-  idx("checkpoint_every", cfg.checkpoint_every);
-  str("checkpoint_path", cfg.checkpoint_path);
-  str("resume_from", cfg.resume_from);
-  if (v.contains("adversary")) {
-    cfg.adversary = sim::adversary_plan_from_json(v.at("adversary"));
-  }
-  if (v.contains("defense")) cfg.defense = defense_from_json(v.at("defense"));
-  str("compression", cfg.compression);
-  if (v.contains("fleet")) cfg.fleet = fleet::fleet_options_from_json(v.at("fleet"));
-  idx("test_subsample", cfg.metrics.test_subsample);
-  idx("eval_every", cfg.metrics.eval_every);
-  idx("metric_agents", cfg.metrics.metric_agents);
-  if (v.contains("profile")) cfg.profile = v.at("profile").as_bool();
-  str("trace_out", cfg.trace_out);
-  str("ledger_out", cfg.ledger_out);
-  return cfg;
+  return schema::from_json<ExperimentConfig>(v);
 }
 
 ExperimentConfig load_config(const std::string& path) {

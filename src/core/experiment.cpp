@@ -108,6 +108,9 @@ std::uint64_t config_identity_hash(const ExperimentConfig& cfg) {
   scrub.threads = 1;
   // cfg.backend stays in the hash: the naive direct convolution agrees with
   // im2col only to rounding, so switching backends switches CNN trajectories.
+  // "" runs blocked, so "blocked" hashes as "" (which leaves every config
+  // without the key at its old hash).
+  if (scrub.backend == "blocked") scrub.backend.clear();
   scrub.profile = false;
   scrub.trace_out.clear();
   scrub.ledger_out.clear();

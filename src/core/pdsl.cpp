@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/schema.hpp"
 #include "common/vec_math.hpp"
 #include "dp/mechanism.hpp"
 #include "obs/metrics.hpp"
@@ -22,18 +23,8 @@ Pdsl::Pdsl(const algos::Env& env, Options options)
   if (env.validation == nullptr || env.validation->empty()) {
     throw std::invalid_argument("Pdsl: a non-empty validation dataset Q is required");
   }
-  if (env.hp.shapley_eval != "sequential" && env.hp.shapley_eval != "batched" &&
-      env.hp.shapley_eval != "linear") {
-    throw std::invalid_argument("Pdsl: unknown shapley_eval '" + env.hp.shapley_eval +
-                                "' (expected sequential | batched | linear)");
-  }
-  if (env.hp.shapley_method != "mc" && env.hp.shapley_method != "exact" &&
-      env.hp.shapley_method != "tmc" && env.hp.shapley_method != "stratified" &&
-      env.hp.shapley_method != "adaptive") {
-    throw std::invalid_argument(
-        "Pdsl: unknown shapley_method '" + env.hp.shapley_method +
-        "' (expected mc | exact | tmc | stratified | adaptive)");
-  }
+  schema::OneOf{algos::kShapleyEvals}.check(env.hp.shapley_eval, "Pdsl: shapley_eval");
+  schema::OneOf{algos::kShapleyMethods}.check(env.hp.shapley_method, "Pdsl: shapley_method");
   // Coalitions are uint64_t bitmasks, so the Shapley game is capped at 63
   // players. The fleet layer allows 1024+ agents; fail loudly HERE — before
   // any round runs — instead of overflowing a mask mid-round.

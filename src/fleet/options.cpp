@@ -1,8 +1,9 @@
 #include "fleet/options.hpp"
 
 #include <cmath>
-#include <set>
 #include <stdexcept>
+
+#include "common/schema.hpp"
 
 namespace pdsl::fleet {
 
@@ -48,60 +49,27 @@ void FleetOptions::validate(std::size_t agents) const {
     throw std::invalid_argument("participation mode 'walk' needs at least 2 agents");
   }
   // degree/radius are only consumed by the "regular"/"geometric" generators,
-  // which range-check against the fleet size themselves; here we only reject
+  // which range-check against the fleet size themselves; the schema rejects
   // values that are invalid for every fleet size.
-  if (degree == 0) throw std::invalid_argument("fleet.degree must be positive");
-  if (!(radius > 0.0)) {
-    throw std::invalid_argument("fleet.radius must be positive, got " + std::to_string(radius));
-  }
+  schema::check(*this, "fleet");
 }
 
-json::Value fleet_options_to_json(const FleetOptions& f) {
-  json::Object p;
-  p["mode"] = to_string(f.participation.mode);
-  p["active"] = f.participation.active;
-  p["rate"] = f.participation.rate;
-  p["seed"] = static_cast<double>(f.participation.seed);
-  json::Object o;
-  o["participation"] = json::Value(std::move(p));
-  o["lazy_state"] = f.lazy_state;
-  o["worker_cache"] = f.worker_cache;
-  o["wire_roundtrip"] = f.wire_roundtrip;
-  o["sparse"] = f.sparse;
-  o["degree"] = f.degree;
-  o["radius"] = f.radius;
-  return json::Value(std::move(o));
+void visit(schema::Visitor& v, ParticipationPlan& p) {
+  v.field({"mode", "participation"}, p.mode,
+          schema::Enum{to_string, participation_mode_from_string});
+  v.field({"active", "active"}, p.active);
+  v.field({"rate", "participation-rate"}, p.rate, schema::kUnit);
+  v.field({"seed"}, p.seed, schema::kSeed);
 }
 
-FleetOptions fleet_options_from_json(const json::Value& v) {
-  static const std::set<std::string> known = {"participation", "lazy_state", "worker_cache",
-                                             "wire_roundtrip", "sparse", "degree", "radius"};
-  static const std::set<std::string> known_part = {"mode", "active", "rate", "seed"};
-  for (const auto& [key, _] : v.as_object()) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("fleet config: unknown key \"" + key + "\"");
-    }
-  }
-  FleetOptions f;
-  if (v.contains("participation")) {
-    const auto& p = v.at("participation");
-    for (const auto& [key, _] : p.as_object()) {
-      if (known_part.find(key) == known_part.end()) {
-        throw std::invalid_argument("fleet.participation: unknown key \"" + key + "\"");
-      }
-    }
-    f.participation.mode = participation_mode_from_string(p.string_or("mode", "full"));
-    f.participation.active = p.size_or("active", 0);
-    f.participation.rate = p.number_or("rate", 0.0);
-    f.participation.seed = static_cast<std::uint64_t>(p.number_or("seed", 0));
-  }
-  f.lazy_state = v.bool_or("lazy_state", false);
-  f.worker_cache = v.size_or("worker_cache", 0);
-  f.wire_roundtrip = v.bool_or("wire_roundtrip", false);
-  f.sparse = v.bool_or("sparse", false);
-  f.degree = v.size_or("degree", 4);
-  f.radius = v.number_or("radius", 0.25);
-  return f;
+void visit(schema::Visitor& v, FleetOptions& f) {
+  v.object({"participation"}, f.participation);
+  v.field({"lazy_state", "lazy-state"}, f.lazy_state);
+  v.field({"worker_cache", "worker-cache"}, f.worker_cache);
+  v.field({"wire_roundtrip", "wire-roundtrip"}, f.wire_roundtrip);
+  v.field({"sparse", "sparse"}, f.sparse);
+  v.field({"degree", "degree"}, f.degree, schema::kPositiveCount);
+  v.field({"radius", "radius"}, f.radius, schema::kPositive);
 }
 
 }  // namespace pdsl::fleet

@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <string>
 
-#include "common/json.hpp"
+namespace pdsl::schema {
+class Visitor;
+}
 
 namespace pdsl::fleet {
 
@@ -74,8 +76,9 @@ struct FleetOptions {
   void validate(std::size_t agents) const;
 };
 
-/// Strict JSON round-trip (mirrors config_io conventions; unknown keys throw).
-json::Value fleet_options_to_json(const FleetOptions& f);
-FleetOptions fleet_options_from_json(const json::Value& v);
+/// The config schema (common/schema.hpp): JSON keys, `pdsl_cli run` flags
+/// and single-field ranges, declared once.
+void visit(schema::Visitor& v, ParticipationPlan& p);
+void visit(schema::Visitor& v, FleetOptions& f);
 
 }  // namespace pdsl::fleet

@@ -1,13 +1,12 @@
 #include "sim/faults.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <set>
 #include <stdexcept>
 #include <string>
 
 #include "common/rng.hpp"
+#include "common/schema.hpp"
 
 namespace pdsl::sim {
 
@@ -36,12 +35,6 @@ constexpr std::uint64_t kDupSalt = 0xD0B1E7F2A3ULL;
 constexpr std::uint64_t kReorderSalt = 0x2E02DE2EDULL;
 constexpr std::uint64_t kCrashSalt = 0xC2A54FA11ULL;
 
-void check_prob(double p, const char* name) {
-  if (p < 0.0 || p >= 1.0) {
-    throw std::invalid_argument(std::string("FaultPlan: ") + name + " must be in [0,1)");
-  }
-}
-
 }  // namespace
 
 bool FaultPlan::any() const {
@@ -49,17 +42,31 @@ bool FaultPlan::any() const {
          churn_prob > 0.0;
 }
 
+void visit(schema::Visitor& v, EdgeFaultRule& r) {
+  v.field({.json = "src", .required = true}, r.src);
+  v.field({.json = "dst", .required = true}, r.dst);
+  v.field({"drop_prob"}, r.drop_prob, schema::kUnit);
+  v.field({"from_round"}, r.from_round);
+  v.field({"until_round"}, r.until_round, schema::kOptionalRound);
+}
+
+void visit(schema::Visitor& v, FaultPlan& p) {
+  v.field({"drop_prob"}, p.drop_prob, schema::kProb);
+  v.field({"delay_prob", "delay-prob"}, p.delay_prob, schema::kProb);
+  v.field({"delay_rounds", "delay-rounds"}, p.delay_rounds);
+  v.field({"churn_prob", "churn"}, p.churn_prob, schema::kProb);
+  v.field({"churn_interval", "churn-interval"}, p.churn_interval);
+  v.field({"staleness_rounds", "staleness"}, p.staleness_rounds);
+  v.field({"seed"}, p.seed, schema::kSeed);
+  v.list({"edges"}, p.edge_rules);
+}
+
 void FaultPlan::validate() const {
-  check_prob(drop_prob, "drop_prob");
-  check_prob(delay_prob, "delay_prob");
-  check_prob(churn_prob, "churn_prob");
+  schema::check(*this, "FaultPlan");
   if (churn_prob > 0.0 && churn_interval == 0) {
     throw std::invalid_argument("FaultPlan: churn_interval must be >= 1");
   }
   for (const auto& r : edge_rules) {
-    if (r.drop_prob < 0.0 || r.drop_prob > 1.0) {
-      throw std::invalid_argument("FaultPlan: edge rule drop_prob must be in [0,1]");
-    }
     if (r.until_round <= r.from_round) {
       throw std::invalid_argument("FaultPlan: edge rule until_round must exceed from_round");
     }
@@ -101,81 +108,6 @@ bool FaultPlan::offline(std::size_t agent, std::size_t round) const {
   return hash_uniform(h) < churn_prob;
 }
 
-json::Value fault_plan_to_json(const FaultPlan& plan) {
-  json::Object o;
-  o["drop_prob"] = plan.drop_prob;
-  o["delay_prob"] = plan.delay_prob;
-  o["delay_rounds"] = plan.delay_rounds;
-  o["churn_prob"] = plan.churn_prob;
-  o["churn_interval"] = plan.churn_interval;
-  o["staleness_rounds"] = plan.staleness_rounds;
-  o["seed"] = static_cast<std::int64_t>(plan.seed);
-  if (!plan.edge_rules.empty()) {
-    json::Array edges;
-    for (const auto& r : plan.edge_rules) {
-      json::Object e;
-      e["src"] = r.src;
-      e["dst"] = r.dst;
-      e["drop_prob"] = r.drop_prob;
-      e["from_round"] = r.from_round;
-      if (r.until_round != kNoRoundLimit) e["until_round"] = r.until_round;
-      edges.push_back(json::Value(std::move(e)));
-    }
-    o["edges"] = json::Value(std::move(edges));
-  }
-  return json::Value(std::move(o));
-}
-
-FaultPlan fault_plan_from_json(const json::Value& v) {
-  static const std::set<std::string> known = {"drop_prob",     "delay_prob",
-                                              "delay_rounds",  "churn_prob",
-                                              "churn_interval", "staleness_rounds",
-                                              "seed",          "edges"};
-  static const std::set<std::string> edge_known = {"src", "dst", "drop_prob", "from_round",
-                                                   "until_round"};
-  for (const auto& [key, value] : v.as_object()) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("fault_plan_from_json: unknown key '" + key + "'");
-    }
-  }
-  FaultPlan plan;
-  auto num = [&](const char* k, double& dst) {
-    if (v.contains(k)) dst = v.at(k).as_number();
-  };
-  auto idx = [&](const char* k, std::size_t& dst) {
-    if (v.contains(k)) dst = static_cast<std::size_t>(v.at(k).as_int());
-  };
-  num("drop_prob", plan.drop_prob);
-  num("delay_prob", plan.delay_prob);
-  idx("delay_rounds", plan.delay_rounds);
-  num("churn_prob", plan.churn_prob);
-  idx("churn_interval", plan.churn_interval);
-  idx("staleness_rounds", plan.staleness_rounds);
-  if (v.contains("seed")) plan.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
-  if (v.contains("edges")) {
-    for (const auto& ev : v.at("edges").as_array()) {
-      for (const auto& [key, value] : ev.as_object()) {
-        if (edge_known.find(key) == edge_known.end()) {
-          throw std::invalid_argument("fault_plan_from_json: unknown edge key '" + key + "'");
-        }
-      }
-      EdgeFaultRule r;
-      r.src = static_cast<std::size_t>(ev.at("src").as_int());
-      r.dst = static_cast<std::size_t>(ev.at("dst").as_int());
-      if (ev.contains("drop_prob")) r.drop_prob = ev.at("drop_prob").as_number();
-      if (ev.contains("from_round")) {
-        r.from_round = static_cast<std::size_t>(ev.at("from_round").as_int());
-      }
-      if (ev.contains("until_round")) {
-        r.until_round = static_cast<std::size_t>(ev.at("until_round").as_int());
-      }
-      plan.edge_rules.push_back(r);
-    }
-  }
-  plan.validate();
-  return plan;
-}
-
 // ---------------------------------------------------------------------------
 // S-RECOV: ChannelPlan + CrashPlan
 // ---------------------------------------------------------------------------
@@ -190,14 +122,15 @@ bool ChannelPlan::any() const {
   return corrupt_prob > 0.0 || duplicate_prob > 0.0 || reorder_prob > 0.0;
 }
 
-void ChannelPlan::validate() const {
-  check_prob(corrupt_prob, "corrupt_prob");
-  check_prob(duplicate_prob, "duplicate_prob");
-  check_prob(reorder_prob, "reorder_prob");
-  if (max_retries > 16) {
-    throw std::invalid_argument("ChannelPlan: max_retries must be <= 16");
-  }
+void visit(schema::Visitor& v, ChannelPlan& p) {
+  v.field({"corrupt_prob", "corrupt-prob"}, p.corrupt_prob, schema::kProb);
+  v.field({"duplicate_prob", "dup-prob"}, p.duplicate_prob, schema::kProb);
+  v.field({"reorder_prob", "reorder-prob"}, p.reorder_prob, schema::kProb);
+  v.field({"max_retries", "max-retries"}, p.max_retries, schema::Count{0, 16});
+  v.field({"seed"}, p.seed, schema::kSeed);
 }
+
+void ChannelPlan::validate() const { schema::check(*this, "ChannelPlan"); }
 
 bool ChannelPlan::corrupt(std::size_t src, std::size_t dst, std::uint64_t edge_index,
                           std::size_t attempt) const {
@@ -235,40 +168,16 @@ bool ChannelPlan::reorder(std::size_t src, std::size_t dst,
          reorder_prob;
 }
 
-json::Value channel_plan_to_json(const ChannelPlan& plan) {
-  json::Object o;
-  o["corrupt_prob"] = plan.corrupt_prob;
-  o["duplicate_prob"] = plan.duplicate_prob;
-  o["reorder_prob"] = plan.reorder_prob;
-  o["max_retries"] = plan.max_retries;
-  o["seed"] = static_cast<std::int64_t>(plan.seed);
-  return json::Value(std::move(o));
-}
-
-ChannelPlan channel_plan_from_json(const json::Value& v) {
-  static const std::set<std::string> known = {"corrupt_prob", "duplicate_prob",
-                                              "reorder_prob", "max_retries", "seed"};
-  for (const auto& [key, value] : v.as_object()) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("channel_plan_from_json: unknown key '" + key + "'");
-    }
-  }
-  ChannelPlan plan;
-  if (v.contains("corrupt_prob")) plan.corrupt_prob = v.at("corrupt_prob").as_number();
-  if (v.contains("duplicate_prob")) plan.duplicate_prob = v.at("duplicate_prob").as_number();
-  if (v.contains("reorder_prob")) plan.reorder_prob = v.at("reorder_prob").as_number();
-  if (v.contains("max_retries")) {
-    plan.max_retries = static_cast<std::size_t>(v.at("max_retries").as_int());
-  }
-  if (v.contains("seed")) plan.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
-  plan.validate();
-  return plan;
-}
-
 bool CrashPlan::any() const { return crash_prob > 0.0; }
 
+void visit(schema::Visitor& v, CrashPlan& p) {
+  v.field({"crash_prob", "crash-prob"}, p.crash_prob, schema::kProb);
+  v.field({"snapshot_every", "snapshot-every"}, p.snapshot_every);
+  v.field({"seed"}, p.seed, schema::kSeed);
+}
+
 void CrashPlan::validate() const {
-  check_prob(crash_prob, "crash_prob");
+  schema::check(*this, "CrashPlan");
   if (crash_prob > 0.0 && snapshot_every == 0) {
     throw std::invalid_argument("CrashPlan: snapshot_every must be >= 1");
   }
@@ -280,31 +189,6 @@ bool CrashPlan::crashes(std::size_t agent, std::size_t round) const {
       splitmix64(splitmix64(seed ^ kCrashSalt ^ (agent + 1)) ^
                  (static_cast<std::uint64_t>(round) + 1) * 0x9E3779B97F4A7C15ULL);
   return hash_uniform(h) < crash_prob;
-}
-
-json::Value crash_plan_to_json(const CrashPlan& plan) {
-  json::Object o;
-  o["crash_prob"] = plan.crash_prob;
-  o["snapshot_every"] = plan.snapshot_every;
-  o["seed"] = static_cast<std::int64_t>(plan.seed);
-  return json::Value(std::move(o));
-}
-
-CrashPlan crash_plan_from_json(const json::Value& v) {
-  static const std::set<std::string> known = {"crash_prob", "snapshot_every", "seed"};
-  for (const auto& [key, value] : v.as_object()) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("crash_plan_from_json: unknown key '" + key + "'");
-    }
-  }
-  CrashPlan plan;
-  if (v.contains("crash_prob")) plan.crash_prob = v.at("crash_prob").as_number();
-  if (v.contains("snapshot_every")) {
-    plan.snapshot_every = static_cast<std::size_t>(v.at("snapshot_every").as_int());
-  }
-  if (v.contains("seed")) plan.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
-  plan.validate();
-  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -339,26 +223,35 @@ bool AdversaryPlan::any() const {
   return (frac > 0.0 && mode != ByzMode::kNone) || !roles.empty();
 }
 
+namespace {
+const schema::Enum kByzModes{byz_mode_to_string, byz_mode_from_string};
+}  // namespace
+
+// Rounds are 1-indexed, so onset and from_round are > 0.
+void visit(schema::Visitor& v, ByzRole& r) {
+  v.field({.json = "agent", .required = true}, r.agent);
+  v.field({"mode"}, r.mode, kByzModes);
+  v.field({"scale"}, r.scale, schema::kPositiveFinite);
+  v.field({"from_round"}, r.from_round, schema::kPositiveCount);
+  v.field({"until_round"}, r.until_round, schema::kOptionalRound);
+}
+
+void visit(schema::Visitor& v, AdversaryPlan& p) {
+  v.field({"frac", "byz-frac"}, p.frac, schema::kProb);
+  v.field({"mode", "byz-mode"}, p.mode, kByzModes);
+  v.field({"scale", "byz-scale"}, p.scale, schema::kPositiveFinite);
+  v.field({"onset", "byz-onset"}, p.onset, schema::kPositiveCount);
+  v.field({"until_round"}, p.until_round, schema::kOptionalRound);
+  v.field({"seed"}, p.seed, schema::kSeed);
+  v.list({"roles"}, p.roles);
+}
+
 void AdversaryPlan::validate() const {
-  if (frac < 0.0 || frac >= 1.0) {
-    throw std::invalid_argument("AdversaryPlan: frac must be in [0,1)");
-  }
-  if (!(scale > 0.0) || !std::isfinite(scale)) {
-    throw std::invalid_argument("AdversaryPlan: scale must be positive and finite");
-  }
-  if (onset == 0) {
-    throw std::invalid_argument("AdversaryPlan: onset must be >= 1 (rounds are 1-indexed)");
-  }
+  schema::check(*this, "AdversaryPlan");
   if (until_round <= onset) {
     throw std::invalid_argument("AdversaryPlan: until_round must exceed onset");
   }
   for (const auto& r : roles) {
-    if (!(r.scale > 0.0) || !std::isfinite(r.scale)) {
-      throw std::invalid_argument("AdversaryPlan: role scale must be positive and finite");
-    }
-    if (r.from_round == 0) {
-      throw std::invalid_argument("AdversaryPlan: role from_round must be >= 1");
-    }
     if (r.until_round <= r.from_round) {
       throw std::invalid_argument("AdversaryPlan: role until_round must exceed from_round");
     }
@@ -456,74 +349,6 @@ void corrupt_payload(const ByzRole& role, std::uint64_t seed, std::size_t src,
       return;
     }
   }
-}
-
-json::Value adversary_plan_to_json(const AdversaryPlan& plan) {
-  json::Object o;
-  o["frac"] = plan.frac;
-  o["mode"] = std::string(byz_mode_to_string(plan.mode));
-  o["scale"] = plan.scale;
-  o["onset"] = plan.onset;
-  if (plan.until_round != kNoRoundLimit) o["until_round"] = plan.until_round;
-  o["seed"] = static_cast<std::int64_t>(plan.seed);
-  if (!plan.roles.empty()) {
-    json::Array roles;
-    for (const auto& r : plan.roles) {
-      json::Object e;
-      e["agent"] = r.agent;
-      e["mode"] = std::string(byz_mode_to_string(r.mode));
-      e["scale"] = r.scale;
-      e["from_round"] = r.from_round;
-      if (r.until_round != kNoRoundLimit) e["until_round"] = r.until_round;
-      roles.push_back(json::Value(std::move(e)));
-    }
-    o["roles"] = json::Value(std::move(roles));
-  }
-  return json::Value(std::move(o));
-}
-
-AdversaryPlan adversary_plan_from_json(const json::Value& v) {
-  static const std::set<std::string> known = {"frac",        "mode",  "scale", "onset",
-                                              "until_round", "roles", "seed"};
-  static const std::set<std::string> role_known = {"agent", "mode", "scale", "from_round",
-                                                   "until_round"};
-  for (const auto& [key, value] : v.as_object()) {
-    if (known.find(key) == known.end()) {
-      throw std::invalid_argument("adversary_plan_from_json: unknown key '" + key + "'");
-    }
-  }
-  AdversaryPlan plan;
-  if (v.contains("frac")) plan.frac = v.at("frac").as_number();
-  if (v.contains("mode")) plan.mode = byz_mode_from_string(v.at("mode").as_string());
-  if (v.contains("scale")) plan.scale = v.at("scale").as_number();
-  if (v.contains("onset")) plan.onset = static_cast<std::size_t>(v.at("onset").as_int());
-  if (v.contains("until_round")) {
-    plan.until_round = static_cast<std::size_t>(v.at("until_round").as_int());
-  }
-  if (v.contains("seed")) plan.seed = static_cast<std::uint64_t>(v.at("seed").as_int());
-  if (v.contains("roles")) {
-    for (const auto& rv : v.at("roles").as_array()) {
-      for (const auto& [key, value] : rv.as_object()) {
-        if (role_known.find(key) == role_known.end()) {
-          throw std::invalid_argument("adversary_plan_from_json: unknown role key '" + key +
-                                      "'");
-        }
-      }
-      ByzRole r;
-      r.agent = static_cast<std::size_t>(rv.at("agent").as_int());
-      if (rv.contains("mode")) r.mode = byz_mode_from_string(rv.at("mode").as_string());
-      if (rv.contains("scale")) r.scale = rv.at("scale").as_number();
-      if (rv.contains("from_round")) {
-        r.from_round = static_cast<std::size_t>(rv.at("from_round").as_int());
-      }
-      if (rv.contains("until_round")) {
-        r.until_round = static_cast<std::size_t>(rv.at("until_round").as_int());
-      }
-      plan.roles.push_back(r);
-    }
-  }
-  plan.validate();
-  return plan;
 }
 
 }  // namespace pdsl::sim

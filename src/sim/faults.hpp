@@ -17,9 +17,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/json.hpp"
+namespace pdsl::schema {
+class Visitor;
+}
 
 namespace pdsl::sim {
 
@@ -94,11 +97,10 @@ struct FaultPlan {
   [[nodiscard]] bool offline(std::size_t agent, std::size_t round) const;
 };
 
-/// Serialize every field (including defaults); `edges` only when non-empty.
-json::Value fault_plan_to_json(const FaultPlan& plan);
-
-/// Strict parse: unknown keys throw std::invalid_argument, as config_io does.
-FaultPlan fault_plan_from_json(const json::Value& v);
+/// The config schema of each plan (common/schema.hpp): JSON keys,
+/// `pdsl_cli run` flags and single-field ranges, declared once.
+void visit(schema::Visitor& v, EdgeFaultRule& r);
+void visit(schema::Visitor& v, FaultPlan& p);
 
 // ---------------------------------------------------------------------------
 // S-BYZ: Byzantine adversary injection. Where FaultPlan models *benign*
@@ -227,11 +229,7 @@ struct ChannelPlan {
                              std::uint64_t edge_index) const;
 };
 
-/// Serialize every field (including defaults).
-json::Value channel_plan_to_json(const ChannelPlan& plan);
-
-/// Strict parse: unknown keys throw std::invalid_argument, as config_io does.
-ChannelPlan channel_plan_from_json(const json::Value& v);
+void visit(schema::Visitor& v, ChannelPlan& p);
 
 /// Fail-stop crash schedule. A crashed agent loses model / momentum /
 /// cross-gradient cache / Shapley cache state at the top of the round and is
@@ -254,11 +252,7 @@ struct CrashPlan {
   [[nodiscard]] bool crashes(std::size_t agent, std::size_t round) const;
 };
 
-/// Serialize every field (including defaults).
-json::Value crash_plan_to_json(const CrashPlan& plan);
-
-/// Strict parse: unknown keys throw std::invalid_argument, as config_io does.
-CrashPlan crash_plan_from_json(const json::Value& v);
+void visit(schema::Visitor& v, CrashPlan& p);
 
 /// FNV-1a over the tag bytes: the per-message identity word for corruption
 /// decisions. Tags embed the round (and sweep/event indices where a protocol
@@ -273,10 +267,7 @@ CrashPlan crash_plan_from_json(const json::Value& v);
 void corrupt_payload(const ByzRole& role, std::uint64_t seed, std::size_t src,
                      std::size_t dst, std::uint64_t tag_hash, std::vector<float>& payload);
 
-/// Serialize every scalar field; `roles` only when non-empty.
-json::Value adversary_plan_to_json(const AdversaryPlan& plan);
-
-/// Strict parse: unknown keys throw std::invalid_argument, as config_io does.
-AdversaryPlan adversary_plan_from_json(const json::Value& v);
+void visit(schema::Visitor& v, ByzRole& r);
+void visit(schema::Visitor& v, AdversaryPlan& p);
 
 }  // namespace pdsl::sim

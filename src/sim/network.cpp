@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "fleet/wire.hpp"
 #include "obs/metrics.hpp"
@@ -22,6 +23,22 @@ Network::Network(graph::Graph topo, Options opts)
   // fault seed (each decision family salts internally).
   if (opts_.channel.seed == 0) opts_.channel.seed = opts_.faults.seed;
   opts_.channel.validate();
+  // A rule naming an agent the topology lacks would silently never match,
+  // and such a role would still make the adversary plan count as active.
+  const std::size_t m = topo_.size();
+  const auto outside = [m](std::size_t agent) {
+    return " names agent " + std::to_string(agent) + ", outside the " + std::to_string(m) +
+           "-agent topology";
+  };
+  for (const auto& r : opts_.faults.edge_rules) {
+    if (r.src >= m || r.dst >= m) {
+      throw std::invalid_argument("Network: faults edge rule " + std::to_string(r.src) + "->" +
+                                  std::to_string(r.dst) + outside(std::max(r.src, r.dst)));
+    }
+  }
+  for (const auto& r : opts_.adversary.roles) {
+    if (r.agent >= m) throw std::invalid_argument("Network: adversary role" + outside(r.agent));
+  }
 }
 
 std::vector<LateMessage> Network::begin_round(std::size_t t) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
 #include "core/pdsl.hpp"
@@ -168,8 +169,8 @@ TEST(AdversaryPlan, JsonRoundTripPreservesEveryField) {
   plan.until_round = 9;
   plan.seed = 42;
   plan.roles.push_back(ByzRole{3, ByzMode::kStaleReplay, 2.0, 2, 7});
-  const auto v = sim::adversary_plan_to_json(plan);
-  const AdversaryPlan back = sim::adversary_plan_from_json(json::parse(v.dump()));
+  const auto v = schema::to_json(plan);
+  const AdversaryPlan back = schema::from_json<AdversaryPlan>(json::parse(v.dump()));
   EXPECT_EQ(back.frac, plan.frac);
   EXPECT_EQ(back.mode, plan.mode);
   EXPECT_EQ(back.scale, plan.scale);
@@ -184,7 +185,7 @@ TEST(AdversaryPlan, JsonRoundTripPreservesEveryField) {
 }
 
 TEST(AdversaryPlan, JsonParseRejectsUnknownKeys) {
-  EXPECT_THROW(sim::adversary_plan_from_json(json::parse(R"({"fraction": 0.2})")),
+  EXPECT_THROW(schema::from_json<AdversaryPlan>(json::parse(R"({"fraction": 0.2})")),
                std::invalid_argument);
 }
 
@@ -233,6 +234,22 @@ TEST(CorruptPayload, HashTagIsStableAndSensitive) {
 // ---------------------------------------------------------------------------
 // Network integration: channel gating + stale replay
 // ---------------------------------------------------------------------------
+
+TEST(NetworkByzantine, RoleNamingAnAgentOutsideTheTopologyIsRefused) {
+  // Such a role attacks nobody, yet it makes AdversaryPlan::any() true, so
+  // sanitize=auto would screen a fleet with no attacker.
+  const auto topo = graph::Graph::full(3);
+  NetworkOptions opts;
+  opts.adversary.roles.push_back(ByzRole{3, ByzMode::kSignFlip, 3.0, 1, sim::kNoRoundLimit});
+  try {
+    Network net(topo, opts);
+    ADD_FAILURE() << "a role for agent 3 of 3 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("role names agent 3"), std::string::npos) << e.what();
+  }
+  opts.adversary.roles[0].agent = 2;
+  EXPECT_NO_THROW({ const Network net(topo, opts); });
+}
 
 TEST(NetworkByzantine, StateChannelIsNeverCorrupted) {
   const auto topo = graph::Graph::full(3);

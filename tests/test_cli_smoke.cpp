@@ -15,6 +15,8 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "common/schema.hpp"
+#include "core/config_io.hpp"
 
 #ifndef PDSL_CLI_PATH
 #error "PDSL_CLI_PATH must be defined by the build (path to the pdsl_cli binary)"
@@ -206,4 +208,56 @@ TEST(CliSmoke, CheckpointThenResumeContinuesTheRun) {
   EXPECT_NE(refused.find("different experiment configuration"), std::string::npos)
       << refused;
   std::remove(ck.c_str());
+}
+
+TEST(CliSmoke, ConfigFileEvalEveryIsNotOverriddenByTheCliDefault) {
+  // The CLI's demo default (accuracy every 5 rounds) applies only without
+  // --config; a file's eval_every wins, and the table prints each round it
+  // evaluated.
+  const std::string cfg = temp_path("pdsl_smoke_eval_every.json");
+  std::ofstream(cfg) << R"({"agents": 4, "rounds": 4, "train_samples": 240, "image": 8,)"
+                     << R"( "batch": 8, "shapley_permutations": 2, "validation_batch": 16,)"
+                     << R"( "eval_every": 1})";
+  const std::string out = temp_path("pdsl_smoke_eval_every.txt");
+  const std::string cmd = std::string("\"") + PDSL_CLI_PATH + "\" run --config \"" + cfg +
+                          "\" > \"" + out + "\" 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << slurp(out);
+  const std::string text = slurp(out);
+  std::size_t rows = 0;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream cells(line);
+    std::size_t round = 0;
+    double loss = 0.0;
+    double acc = 0.0;
+    if (cells >> round >> loss >> acc) {
+      EXPECT_EQ(round, rows + 1) << text;
+      EXPECT_GT(acc, 0.0) << "round " << round << " was not evaluated:\n" << text;
+      ++rows;
+    }
+  }
+  EXPECT_EQ(rows, 4u) << text;
+  std::remove(cfg.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(CliSmoke, RunAcceptsExactlyItsFlagSet) {
+  // Every flag the schema declares (test_json pins that list) and each of
+  // the CLI's own is accepted: with all of them given, the only complaint is
+  // about the one unknown flag at the end.
+  auto flags = pdsl::schema::flags<pdsl::core::ExperimentConfig>();
+  flags.insert(flags.end(), {"config", "json", "seeds", "csv", "save_model", "metrics-out"});
+  std::string all;
+  for (const auto& f : flags) all += " --" + f + " 1";
+  std::string output;
+  EXPECT_NE(run_cli(all + " --not-a-flag 1", &output), 0);
+  EXPECT_NE(output.find("unknown flag --not-a-flag"), std::string::npos) << output;
+
+  // Keys that only a config file sets have no flag.
+  for (const char* key : {"iid", "sigma", "eval_every", "test_samples", "faults", "trim_frac",
+                          "phi_hat_min", "byzantine_agents"}) {
+    SCOPED_TRACE(key);
+    EXPECT_NE(run_cli(std::string("--") + key + " 1", &output), 0);
+    EXPECT_NE(output.find(std::string("unknown flag --") + key), std::string::npos) << output;
+  }
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "core/experiment.hpp"
 #include "core/pdsl.hpp"
 #include "data/partition.hpp"
@@ -137,7 +138,7 @@ TEST(FaultPlan, JsonRoundTripPreservesEveryKnob) {
   p.seed = 99;
   p.edge_rules.push_back(EdgeFaultRule{1, 2, 0.75, 3, 8});
 
-  const FaultPlan q = sim::fault_plan_from_json(sim::fault_plan_to_json(p));
+  const FaultPlan q = schema::from_json<FaultPlan>(schema::to_json(p));
   EXPECT_DOUBLE_EQ(q.drop_prob, p.drop_prob);
   EXPECT_DOUBLE_EQ(q.delay_prob, p.delay_prob);
   EXPECT_EQ(q.delay_rounds, p.delay_rounds);
@@ -155,7 +156,7 @@ TEST(FaultPlan, JsonRoundTripPreservesEveryKnob) {
 
 TEST(FaultPlan, JsonRejectsUnknownKeys) {
   const auto v = json::parse(R"({"drop_prob": 0.1, "not_a_knob": 1})");
-  EXPECT_THROW(sim::fault_plan_from_json(v), std::invalid_argument);
+  EXPECT_THROW(schema::from_json<FaultPlan>(v), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +282,30 @@ TEST(FaultPlan, ChurnIsConstantWithinAnIntervalAndRehashedAcross) {
 // ---------------------------------------------------------------------------
 // Network: delayed delivery + clear() accounting
 // ---------------------------------------------------------------------------
+
+TEST(NetworkFaults, EdgeRuleNamingAnAgentOutsideTheTopologyIsRefused) {
+  // Such a rule would never match any message, so the run would silently
+  // carry no injected fault at all.
+  const auto topo = graph::Graph::full(3);
+  for (const auto& rule : {EdgeFaultRule{3, 0, 0.5, 0, sim::kNoRoundLimit},
+                           EdgeFaultRule{0, 7, 0.5, 0, sim::kNoRoundLimit}}) {
+    NetworkOptions opts;
+    opts.faults.edge_rules.push_back(rule);
+    try {
+      Network net(topo, opts);
+      ADD_FAILURE() << "rule " << rule.src << "->" << rule.dst << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("edge rule " + std::to_string(rule.src) + "->" +
+                          std::to_string(rule.dst)),
+                std::string::npos)
+          << what;
+    }
+  }
+  NetworkOptions ok;
+  ok.faults.edge_rules.push_back(EdgeFaultRule{2, 0, 0.5, 0, sim::kNoRoundLimit});
+  EXPECT_NO_THROW({ const Network net(topo, ok); });
+}
 
 TEST(NetworkFaults, DelayedMessagesMatureInDeterministicOrder) {
   const auto topo = graph::Graph::full(3);

@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/schema.hpp"
 #include "core/experiment.hpp"
 #include "fleet/lazy_matrix.hpp"
 #include "fleet/options.hpp"
@@ -121,8 +122,8 @@ TEST(Participation, OptionsJsonRoundTrip) {
   f.wire_roundtrip = true;
   f.sparse = true;
   f.degree = 6;
-  const auto j = pdsl::fleet::fleet_options_to_json(f);
-  const FleetOptions g = pdsl::fleet::fleet_options_from_json(j);
+  const auto j = pdsl::schema::to_json(f);
+  const FleetOptions g = pdsl::schema::from_json<FleetOptions>(j);
   EXPECT_EQ(g.participation.mode, ParticipationMode::kSampled);
   EXPECT_EQ(g.participation.active, 8u);
   EXPECT_TRUE(g.lazy_state);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "graph/graph.hpp"
@@ -137,16 +138,16 @@ TEST(ChannelPlanTest, JsonRoundTripPreservesEveryKnob) {
   p.reorder_prob = 0.07;
   p.max_retries = 6;
   p.seed = 42;
-  const auto back = channel_plan_from_json(channel_plan_to_json(p));
+  const auto back = schema::from_json<ChannelPlan>(schema::to_json(p));
   EXPECT_EQ(back.corrupt_prob, p.corrupt_prob);
   EXPECT_EQ(back.duplicate_prob, p.duplicate_prob);
   EXPECT_EQ(back.reorder_prob, p.reorder_prob);
   EXPECT_EQ(back.max_retries, p.max_retries);
   EXPECT_EQ(back.seed, p.seed);
 
-  auto v = channel_plan_to_json(p);
+  auto v = schema::to_json(p);
   v.as_object()["warp_speed"] = 1.0;
-  EXPECT_THROW(channel_plan_from_json(v), std::invalid_argument);
+  EXPECT_THROW(schema::from_json<ChannelPlan>(v), std::invalid_argument);
 }
 
 TEST(ChannelPlanTest, DecisionsArePureFunctionsOfIdentity) {
@@ -204,7 +205,7 @@ TEST(CrashPlanTest, JsonRoundTripAndPurity) {
   p.crash_prob = 0.2;
   p.snapshot_every = 4;
   p.seed = 17;
-  const auto back = crash_plan_from_json(crash_plan_to_json(p));
+  const auto back = schema::from_json<CrashPlan>(schema::to_json(p));
   EXPECT_EQ(back.crash_prob, p.crash_prob);
   EXPECT_EQ(back.snapshot_every, p.snapshot_every);
   EXPECT_EQ(back.seed, p.seed);
@@ -218,9 +219,9 @@ TEST(CrashPlanTest, JsonRoundTripAndPurity) {
   }
   EXPECT_NEAR(static_cast<double>(crashed) / 500.0, 0.2, 0.08);
 
-  auto v = crash_plan_to_json(p);
+  auto v = schema::to_json(p);
   v.as_object()["blast_radius"] = 2.0;
-  EXPECT_THROW(crash_plan_from_json(v), std::invalid_argument);
+  EXPECT_THROW(schema::from_json<CrashPlan>(v), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
+#include "common/schema.hpp"
 #include "core/config_io.hpp"
 #include "core/experiment.hpp"
 #include "core/replicate.hpp"
@@ -114,52 +115,14 @@ int usage() {
 }
 
 int cmd_run(int argc, const char* const* argv) {
-  const CliArgs args(argc, argv,
-                     {"algorithm", "dataset",  "model",   "topology",    "agents",
-                      "rounds",    "train",    "image",   "mu",          "partition",
-                      "batch",     "gamma",    "alpha",   "clip",        "eps",
-                      "delta",     "sigma_mode", "noise_scale", "seed",  "seeds",
-                      "compression", "drop-prob", "corrupt", "csv", "save_model",
-                      "mc_perms",  "valbatch", "hidden",  "config",      "json",
-                      "shapley-eval", "shapley-method", "shapley-min-perms", "shapley-ci-z",
-                      "threads",   "backend",  "profile",  "trace-out", "metrics-out",
-                      "ledger-out", "delay-rounds", "delay-prob", "churn", "churn-interval",
-                      "staleness", "byz-frac", "byz-mode", "byz-scale", "byz-onset",
-                      "robust-agg", "sanitize", "participation", "active", "participation-rate",
-                      "sparse", "degree", "radius", "lazy-state", "worker-cache",
-                      "wire-roundtrip", "metric-agents", "corrupt-prob", "dup-prob",
-                      "reorder-prob", "max-retries", "crash-prob", "snapshot-every",
-                      "recovery-dir", "checkpoint-every", "checkpoint-path", "resume-from"});
+  // The config schema declares every experiment flag; these few are the
+  // CLI's own.
+  std::vector<std::string> allowed = schema::flags<core::ExperimentConfig>();
+  allowed.insert(allowed.end(), {"config", "json", "seeds", "csv", "save_model", "metrics-out"});
+  const CliArgs args(argc, argv, allowed);
   core::ExperimentConfig cfg;
-  if (args.has("config")) {
-    cfg = core::load_config(args.get_string("config", ""));
-  }
   const bool from_file = args.has("config");
-  // Loud flag-range validation: a bad value exits immediately with a message
-  // naming the offending flag, instead of wrapping through a size_t cast or
-  // surfacing as a confusing failure deep inside the run.
-  const auto prob = [](const char* flag, double v, double hi_excl = -1.0) {
-    const bool bad = hi_excl > 0.0 ? (v < 0.0 || v >= hi_excl) : (v < 0.0 || v > 1.0);
-    if (bad) {
-      throw std::invalid_argument(std::string("--") + flag + " must be in [0,1" +
-                                  (hi_excl > 0.0 ? ")" : "]") + ", got " + std::to_string(v));
-    }
-    return v;
-  };
-  const auto nonneg = [](const char* flag, std::int64_t v) {
-    if (v < 0) {
-      throw std::invalid_argument(std::string("--") + flag + " must be >= 0, got " +
-                                  std::to_string(v));
-    }
-    return static_cast<std::size_t>(v);
-  };
-  const auto positive = [](const char* flag, std::int64_t v) {
-    if (v <= 0) {
-      throw std::invalid_argument(std::string("--") + flag + " must be > 0, got " +
-                                  std::to_string(v));
-    }
-    return static_cast<std::size_t>(v);
-  };
+  if (from_file) cfg = core::load_config(args.get_string("config", ""));
   // CLI defaults differ from the struct's (they target the quick demo scale);
   // a config file's values win over CLI defaults, explicit flags win over both.
   if (!from_file) {
@@ -173,162 +136,40 @@ int cmd_run(int argc, const char* const* argv) {
     cfg.hp.validation_batch = 32;
     cfg.epsilon = 0.3;
     cfg.noise_scale = 0.06;
+    cfg.metrics.eval_every = 5;
   }
-  cfg.algorithm = args.get_string("algorithm", cfg.algorithm);
-  cfg.dataset = args.get_string("dataset", cfg.dataset);
-  cfg.model = args.get_string("model", cfg.model);
-  cfg.topology = args.get_string("topology", cfg.topology);
-  cfg.agents = positive("agents", args.get_int("agents", static_cast<std::int64_t>(cfg.agents)));
-  cfg.rounds = positive("rounds", args.get_int("rounds", static_cast<std::int64_t>(cfg.rounds)));
-  cfg.train_samples =
-      positive("train", args.get_int("train", static_cast<std::int64_t>(cfg.train_samples)));
-  cfg.image = positive("image", args.get_int("image", static_cast<std::int64_t>(cfg.image)));
-  cfg.hidden = positive("hidden", args.get_int("hidden", static_cast<std::int64_t>(cfg.hidden)));
-  cfg.mu = args.get_double("mu", cfg.mu);
-  cfg.partition = args.get_string("partition", cfg.partition);
-  cfg.hp.batch =
-      positive("batch", args.get_int("batch", static_cast<std::int64_t>(cfg.hp.batch)));
-  cfg.hp.gamma = args.get_double("gamma", cfg.hp.gamma);
-  cfg.hp.alpha = args.get_double("alpha", cfg.hp.alpha);
-  cfg.hp.clip = args.get_double("clip", cfg.hp.clip);
-  cfg.hp.shapley_permutations = static_cast<std::size_t>(
-      args.get_int("mc_perms", static_cast<std::int64_t>(cfg.hp.shapley_permutations)));
-  cfg.hp.validation_batch = static_cast<std::size_t>(
-      args.get_int("valbatch", static_cast<std::int64_t>(cfg.hp.validation_batch)));
-  // S-SHAP scoring knobs. Validated loudly here (naming the flag) in addition
-  // to the Pdsl constructor, so a typo fails before any dataset is generated.
-  cfg.hp.shapley_eval = args.get_string("shapley-eval", cfg.hp.shapley_eval);
-  if (cfg.hp.shapley_eval != "sequential" && cfg.hp.shapley_eval != "batched" &&
-      cfg.hp.shapley_eval != "linear") {
-    throw std::invalid_argument(
-        "--shapley-eval must be 'sequential', 'batched' or 'linear', got '" +
-        cfg.hp.shapley_eval + "'");
-  }
-  cfg.hp.shapley_method = args.get_string("shapley-method", cfg.hp.shapley_method);
-  if (cfg.hp.shapley_method != "mc" && cfg.hp.shapley_method != "exact" &&
-      cfg.hp.shapley_method != "tmc" && cfg.hp.shapley_method != "stratified" &&
-      cfg.hp.shapley_method != "adaptive") {
-    throw std::invalid_argument(
-        "--shapley-method must be mc|exact|tmc|stratified|adaptive, got '" +
-        cfg.hp.shapley_method + "'");
-  }
-  cfg.hp.shapley_min_permutations = positive(
-      "shapley-min-perms",
-      args.get_int("shapley-min-perms",
-                   static_cast<std::int64_t>(cfg.hp.shapley_min_permutations)));
-  cfg.hp.shapley_ci_z = args.get_double("shapley-ci-z", cfg.hp.shapley_ci_z);
-  if (cfg.hp.shapley_ci_z < 0.0) {
-    throw std::invalid_argument("--shapley-ci-z must be >= 0, got " +
-                                std::to_string(cfg.hp.shapley_ci_z));
-  }
-  cfg.epsilon = args.get_double("eps", cfg.epsilon);
-  cfg.delta = args.get_double("delta", cfg.delta);
-  cfg.sigma_mode = args.get_string("sigma_mode", cfg.sigma_mode);
-  cfg.noise_scale = args.get_double("noise_scale", cfg.noise_scale);
-  cfg.compression = args.get_string("compression", cfg.compression);
-  cfg.drop_prob = prob("drop-prob", args.get_double("drop-prob", cfg.drop_prob), /*hi_excl=*/1.0);
-  // S-FAULT knobs.
-  cfg.faults.delay_rounds = nonneg(
-      "delay-rounds",
-      args.get_int("delay-rounds", static_cast<std::int64_t>(cfg.faults.delay_rounds)));
-  cfg.faults.delay_prob = prob("delay-prob", args.get_double("delay-prob", cfg.faults.delay_prob));
+  // Loud flag-range validation: a bad value exits immediately with a message
+  // naming the offending flag, instead of wrapping through a size_t cast or
+  // surfacing as a confusing failure deep inside the run.
+  schema::apply_flags(args, cfg);
+
+  // Cross-field rules.
   // --delay-rounds without --delay-prob gets a visible default rate, so the
   // single-flag quickstart actually injects delays.
   if (cfg.faults.delay_rounds > 0 && cfg.faults.delay_prob == 0.0) {
     cfg.faults.delay_prob = 0.25;
   }
-  cfg.faults.churn_prob = prob("churn", args.get_double("churn", cfg.faults.churn_prob));
-  cfg.faults.churn_interval = nonneg(
-      "churn-interval",
-      args.get_int("churn-interval", static_cast<std::int64_t>(cfg.faults.churn_interval)));
-  cfg.faults.staleness_rounds = nonneg(
-      "staleness",
-      args.get_int("staleness", static_cast<std::int64_t>(cfg.faults.staleness_rounds)));
   cfg.faults.validate();
-  // S-RECOV unreliable-channel transport + crash/recovery flags.
-  cfg.channel.corrupt_prob = prob(
-      "corrupt-prob", args.get_double("corrupt-prob", cfg.channel.corrupt_prob), /*hi_excl=*/1.0);
-  cfg.channel.duplicate_prob = prob(
-      "dup-prob", args.get_double("dup-prob", cfg.channel.duplicate_prob), /*hi_excl=*/1.0);
-  cfg.channel.reorder_prob = prob(
-      "reorder-prob", args.get_double("reorder-prob", cfg.channel.reorder_prob), /*hi_excl=*/1.0);
-  cfg.channel.max_retries = nonneg(
-      "max-retries",
-      args.get_int("max-retries", static_cast<std::int64_t>(cfg.channel.max_retries)));
   cfg.channel.validate();
-  cfg.crash.crash_prob =
-      prob("crash-prob", args.get_double("crash-prob", cfg.crash.crash_prob), /*hi_excl=*/1.0);
-  cfg.crash.snapshot_every = nonneg(
-      "snapshot-every",
-      args.get_int("snapshot-every", static_cast<std::int64_t>(cfg.crash.snapshot_every)));
   cfg.crash.validate();
-  cfg.recovery_dir = args.get_string("recovery-dir", cfg.recovery_dir);
-  cfg.checkpoint_every = nonneg(
-      "checkpoint-every",
-      args.get_int("checkpoint-every", static_cast<std::int64_t>(cfg.checkpoint_every)));
-  cfg.checkpoint_path = args.get_string("checkpoint-path", cfg.checkpoint_path);
-  cfg.resume_from = args.get_string("resume-from", cfg.resume_from);
   if (cfg.checkpoint_every > 0 && cfg.checkpoint_path.empty()) {
     throw std::invalid_argument("--checkpoint-every needs --checkpoint-path <file>");
   }
-  // S-BYZ adversary + defense flags.
-  cfg.adversary.frac = prob("byz-frac", args.get_double("byz-frac", cfg.adversary.frac));
-  if (args.has("byz-mode")) {
-    cfg.adversary.mode = sim::byz_mode_from_string(args.get_string("byz-mode", "sign_flip"));
-  }
-  cfg.adversary.scale = args.get_double("byz-scale", cfg.adversary.scale);
-  cfg.adversary.onset = nonneg(
-      "byz-onset", args.get_int("byz-onset", static_cast<std::int64_t>(cfg.adversary.onset)));
   cfg.adversary.validate();
-  if (args.has("robust-agg")) {
-    cfg.defense.robust_agg = algos::robust_agg_from_string(args.get_string("robust-agg", "none"));
-  }
-  if (args.has("sanitize")) {
-    cfg.defense.sanitize = algos::sanitize_from_string(args.get_string("sanitize", "auto"));
-  }
-  cfg.corrupt_agents = nonneg(
-      "corrupt", args.get_int("corrupt", static_cast<std::int64_t>(cfg.corrupt_agents)));
-  cfg.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.threads = nonneg(
-      "threads", args.get_int("threads", static_cast<std::int64_t>(cfg.threads)));
-  cfg.backend = args.get_string("backend", cfg.backend);
-  // S-SCALE fleet flags. Range checks happen here (loud, naming the flag)
-  // and again in FleetOptions::validate once the agent count is known.
-  if (args.has("participation")) {
-    cfg.fleet.participation.mode =
-        fleet::participation_mode_from_string(args.get_string("participation", "full"));
-  }
-  cfg.fleet.participation.active = nonneg(
-      "active", args.get_int("active", static_cast<std::int64_t>(cfg.fleet.participation.active)));
+  // S-SCALE fleet rules, checked again in FleetOptions::validate.
   if (cfg.fleet.participation.active > cfg.agents) {
     throw std::invalid_argument("--active (" + std::to_string(cfg.fleet.participation.active) +
                                 ") exceeds --agents (" + std::to_string(cfg.agents) + ")");
-  }
-  cfg.fleet.participation.rate =
-      args.get_double("participation-rate", cfg.fleet.participation.rate);
-  if (cfg.fleet.participation.rate < 0.0 || cfg.fleet.participation.rate > 1.0) {
-    throw std::invalid_argument("--participation-rate must be in (0,1], got " +
-                                std::to_string(cfg.fleet.participation.rate));
   }
   if (cfg.fleet.participation.mode == fleet::ParticipationMode::kSampled &&
       cfg.fleet.participation.active == 0 && cfg.fleet.participation.rate == 0.0) {
     throw std::invalid_argument(
         "--participation sampled needs --active K or --participation-rate R");
   }
-  cfg.fleet.sparse = args.get_bool("sparse", cfg.fleet.sparse);
-  cfg.fleet.degree = nonneg(
-      "degree", args.get_int("degree", static_cast<std::int64_t>(cfg.fleet.degree)));
   if (cfg.topology == "regular" && cfg.fleet.degree >= cfg.agents) {
     throw std::invalid_argument("--degree (" + std::to_string(cfg.fleet.degree) +
                                 ") must be below --agents (" + std::to_string(cfg.agents) + ")");
   }
-  cfg.fleet.radius = args.get_double("radius", cfg.fleet.radius);
-  cfg.fleet.lazy_state = args.get_bool("lazy-state", cfg.fleet.lazy_state);
-  cfg.fleet.worker_cache = nonneg(
-      "worker-cache",
-      args.get_int("worker-cache", static_cast<std::int64_t>(cfg.fleet.worker_cache)));
-  cfg.fleet.wire_roundtrip = args.get_bool("wire-roundtrip", cfg.fleet.wire_roundtrip);
   cfg.fleet.validate(cfg.agents);
   // The Shapley characteristic function keys coalitions by a 64-bit mask, so a
   // dense PDSL game is capped at 63 players (an agent plus its neighbors).
@@ -341,13 +182,6 @@ int cmd_run(int argc, const char* const* argv) {
         "-player Shapley game, above the 63-player uint64 coalition-mask cap; "
         "use --topology regular --degree <= 62 (or a ring/torus topology) at this scale");
   }
-  cfg.metrics.metric_agents = nonneg(
-      "metric-agents",
-      args.get_int("metric-agents", static_cast<std::int64_t>(cfg.metrics.metric_agents)));
-  if (cfg.metrics.eval_every == 1) cfg.metrics.eval_every = 5;
-  cfg.profile = args.get_bool("profile", cfg.profile);
-  cfg.trace_out = args.get_string("trace-out", cfg.trace_out);
-  cfg.ledger_out = args.get_string("ledger-out", cfg.ledger_out);
   const std::string metrics_out = args.get_string("metrics-out", "");
 
   if (args.has("seeds")) {
@@ -369,8 +203,11 @@ int cmd_run(int argc, const char* const* argv) {
               res.algorithm.c_str(), res.model_dim, res.sigma, res.heterogeneity,
               res.spectral.rho);
   std::printf("%6s %10s %10s %12s\n", "round", "avg_loss", "test_acc", "consensus");
+  // One row per accuracy evaluation (every 5 rounds when there is none),
+  // plus the first and the last round.
+  const std::size_t every = cfg.metrics.eval_every == 0 ? 5 : cfg.metrics.eval_every;
   for (const auto& m : res.series) {
-    if (m.round % 5 == 0 || m.round == 1 || m.round == res.series.size()) {
+    if (m.round % every == 0 || m.round == 1 || m.round == res.series.size()) {
       std::printf("%6zu %10.4f %10.3f %12.5f\n", m.round, m.avg_loss, m.test_accuracy,
                   m.consensus);
     }
