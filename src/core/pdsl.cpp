@@ -40,9 +40,12 @@ Pdsl::Pdsl(const algos::Env& env, Options options)
         " agents, use a bounded-degree topology "
         "(--topology regular --degree <= 62) so every closed neighborhood fits.");
   }
-  stack_coalitions_ = env.hp.shapley_eval != "sequential" &&
-                      sim::CoalitionBatchEvaluator::batchable(*env.model_template);
-  use_linear_ = env.hp.shapley_eval == "linear";
+  const nn::Model& arch = *env.model_template;
+  if (env.hp.shapley_eval == "linear" && sim::CoalitionBatchEvaluator::linear_scorable(arch)) {
+    scoring_ = Scoring::kLinear;
+  } else if (env.hp.shapley_eval == "batched" && sim::CoalitionBatchEvaluator::stackable(arch)) {
+    scoring_ = Scoring::kBatched;
+  }
   momentum_.reset(num_agents(), std::vector<float>(models_.dim(), 0.0f));
   Rng shapley_root(splitmix64(env.seed ^ 0x5876BE7));
   shapley_rngs_.reserve(num_agents());
@@ -316,10 +319,10 @@ void Pdsl::round_impl(std::size_t t) {
         };
         std::optional<sim::CoalitionBatchEvaluator> batch_eval;
         shapley::BatchCharacteristicFn score;
-        if (stack_coalitions_ && use_linear_) {
+        if (scoring_ == Scoring::kLinear) {
           // First-layer linearity: member pre-activations are scored once in
-          // set_members(); each coalition is a cheap average + the small
-          // later layers. No mean_of, no big GEMM.
+          // set_members(); each coalition is an average of them + the later
+          // layers. No mean_of, no first-layer GEMM per coalition.
           batch_eval.emplace(*env_.model_template, val);
           std::vector<const std::vector<float>*> member_ptrs(p);
           for (std::size_t k = 0; k < p; ++k) member_ptrs[k] = &virtual_models[k];
@@ -328,7 +331,7 @@ void Pdsl::round_impl(std::size_t t) {
             return negate_if_loss(loss ? batch_eval->coalition_losses(masks)
                                        : batch_eval->coalition_accuracies(masks));
           };
-        } else if (stack_coalitions_) {
+        } else if (scoring_ == Scoring::kBatched) {
           // Stacked GEMM over the chunk's coalition-average models.
           batch_eval.emplace(*env_.model_template, val);
           score = [&](const std::vector<std::uint64_t>& masks) {
@@ -341,7 +344,7 @@ void Pdsl::round_impl(std::size_t t) {
           };
         } else {
           // One forward pass per coalition, each average formed just before
-          // it is scored (sequential mode, and models that cannot stack).
+          // it is scored (sequential mode, and models neither mode covers).
           score = [&](const std::vector<std::uint64_t>& masks) {
             std::vector<double> out;
             out.reserve(masks.size());

@@ -135,15 +135,20 @@ class Pdsl final : public algos::Algorithm {
   double observed_phi_hat_min_ = 1.0;
   algos::ShapleyRoundStats last_shapley_stats_;
 
-  /// S-SHAP: hp.shapley_eval is "batched" or "linear" (validated in the
-  /// ctor) AND the model is a chain CoalitionBatchEvaluator can stack. When
-  /// false, each coalition is scored with its own forward pass.
-  bool stack_coalitions_ = false;
-  /// S-SHAP: hp.shapley_eval == "linear" — score coalitions via first-layer
-  /// linearity (member pre-activations averaged instead of re-running the
-  /// dominant GEMM per coalition). Mathematically the same characteristic,
-  /// ulp-level numeric differences; NOT bit-identical to sequential.
-  bool use_linear_ = false;
+  /// S-SHAP: how a chunk of coalitions is scored, from hp.shapley_eval
+  /// (validated in the ctor) and what sim::CoalitionBatchEvaluator supports
+  /// for the model:
+  ///   kLinear     "linear" on a linear_scorable() model (the MLP chains and
+  ///               the Conv2D-first CNNs): member first-layer pre-activations
+  ///               averaged instead of re-running the first layer per
+  ///               coalition. Mathematically the same characteristic,
+  ///               rounding-level numeric differences; NOT bit-identical to
+  ///               sequential.
+  ///   kBatched    "batched" on a stackable() model (the MLP chains): one
+  ///               stacked GEMM per chunk, bit-identical to sequential.
+  ///   kSequential everything else: one forward pass per coalition.
+  enum class Scoring { kSequential, kBatched, kLinear };
+  Scoring scoring_ = Scoring::kSequential;
   /// xgrad_cache_[i][j]: agent i's cached cross-gradient from neighbor j.
   /// Written only by agent i's phase body (slot discipline) or the sequential
   /// absorb_late hook, so no synchronization is needed.

@@ -52,10 +52,10 @@ inline void keep_bits16(float* p, std::uint64_t bits) {
 
 }  // namespace
 
-Tensor ReLU::forward(const Tensor& input) {
+// Both directions work in place on the tensor they were handed.
+Tensor ReLU::forward(Tensor input) {
   const std::size_t n = input.numel();
-  Tensor out = input;
-  float* y = out.data();
+  float* y = input.data();
   // NaN and -0 both fail x > 0 and become +0.
   for (std::size_t i = 0; i < n; ++i) y[i] = keep_or_zero(y[i], y[i] > 0.0f);
   mask_len_ = n;
@@ -73,15 +73,14 @@ Tensor ReLU::forward(const Tensor& input) {
     }
     mask_[w] = bits;
   }
-  return out;
+  return input;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+Tensor ReLU::backward(Tensor grad_output) {
   if (grad_output.numel() != mask_len_) {
     throw std::invalid_argument("ReLU::backward: grad does not match last forward");
   }
-  Tensor grad_input = grad_output;
-  float* g = grad_input.data();
+  float* g = grad_output.data();
   for (std::size_t w = 0; w < mask_.size(); ++w) {
     float* gw = g + 64 * w;
     const std::size_t len = std::min<std::size_t>(64, mask_len_ - 64 * w);
@@ -92,7 +91,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
       for (std::size_t b = 0; b < len; ++b) gw[b] = keep_or_zero(gw[b], (bits >> b) & 1u);
     }
   }
-  return grad_input;
+  return grad_output;
 }
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }

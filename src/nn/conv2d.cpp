@@ -36,16 +36,14 @@ Shape Conv2D::output_shape(const Shape& input) const {
   return Shape{input[0], out_ch_, h - k_ + 1, w - k_ + 1};
 }
 
-Tensor Conv2D::forward(const Tensor& input) {
+Tensor Conv2D::forward(Tensor input) {
   const Shape out_shape = output_shape(input.shape());
-  cached_input_ = input;
-  if (kernels::backend() == kernels::Backend::kBlocked) {
-    return forward_im2col(input, out_shape);
-  }
-  return forward_direct(input, out_shape);
+  cached_input_ = std::move(input);
+  if (kernels::backend() == kernels::Backend::kBlocked) return forward_im2col(out_shape);
+  return forward_direct(out_shape);
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
+Tensor Conv2D::backward(Tensor grad_output) {
   Tensor grad_input(cached_input_.shape());
   backward_into(grad_output, grad_input.data());
   return grad_input;
@@ -73,7 +71,8 @@ void Conv2D::backward_into(const Tensor& grad_output, float* gx) {
 //             (the last two only when the input gradient is wanted)
 // ---------------------------------------------------------------------------
 
-Tensor Conv2D::forward_im2col(const Tensor& input, const Shape& out_shape) {
+Tensor Conv2D::forward_im2col(const Shape& out_shape) {
+  const Tensor& input = cached_input_;
   Tensor out(out_shape);
   const std::size_t n = input.dim(0), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = out_shape[2], ow = out_shape[3];
@@ -133,7 +132,8 @@ void Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape, 
 // propagation from weights and activations.
 // ---------------------------------------------------------------------------
 
-Tensor Conv2D::forward_direct(const Tensor& input, const Shape& out_shape) {
+Tensor Conv2D::forward_direct(const Shape& out_shape) {
+  const Tensor& input = cached_input_;
   Tensor out(out_shape);
   const std::size_t n = input.dim(0), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = out_shape[2], ow = out_shape[3];

@@ -18,8 +18,8 @@ class Conv2D final : public Layer {
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t pad = 0);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input) override;
+  Tensor backward(Tensor grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init(Rng& rng) override;
@@ -27,9 +27,15 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::string name() const override { return "Conv2D"; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
 
+  [[nodiscard]] std::size_t in_channels() const { return in_ch_; }
+  [[nodiscard]] std::size_t out_channels() const { return out_ch_; }
+  [[nodiscard]] std::size_t kernel() const { return k_; }
+  [[nodiscard]] std::size_t pad() const { return pad_; }
+
  private:
-  Tensor forward_direct(const Tensor& input, const Shape& out_shape);
-  Tensor forward_im2col(const Tensor& input, const Shape& out_shape);
+  // Both forward paths read the input from cached_input_.
+  Tensor forward_direct(const Shape& out_shape);
+  Tensor forward_im2col(const Shape& out_shape);
   // The backward paths write the input gradient to gx (zero-filled, the
   // input's shape) or, when gx is null, accumulate parameter grads only.
   void backward_into(const Tensor& grad_output, float* gx);

@@ -11,13 +11,16 @@ Shape Flatten::output_shape(const Shape& input) const {
   return Shape{input[0], rest};
 }
 
-Tensor Flatten::forward(const Tensor& input) {
+// Both directions reshape in place: the data never moves.
+Tensor Flatten::forward(Tensor input) {
   cached_in_shape_ = input.shape();
-  return input.reshaped(output_shape(input.shape()));
+  input.reshape(output_shape(cached_in_shape_));
+  return input;
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
-  return grad_output.reshaped(cached_in_shape_);
+Tensor Flatten::backward(Tensor grad_output) {
+  grad_output.reshape(cached_in_shape_);
+  return grad_output;
 }
 
 std::unique_ptr<Layer> Flatten::clone() const { return std::make_unique<Flatten>(); }

@@ -7,8 +7,8 @@ namespace pdsl::nn {
 
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override;

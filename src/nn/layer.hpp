@@ -1,9 +1,11 @@
 #pragma once
 // Layer abstraction for the NN substrate (S2). Layers cache whatever they
 // need in forward() and consume it in backward(); a Model drives them in
-// sequence. Parameters are exposed as (value, grad) tensor pairs so that the
-// decentralized algorithms can flatten a model into a single vector — the
-// representation every algorithm in the paper works with.
+// sequence, moving each tensor from one layer to the next: a layer takes its
+// input by value, so it can keep it (Conv2D, Linear) or work in place (ReLU,
+// Flatten) without a copy. Parameters are exposed as (value, grad) tensor
+// pairs so that the decentralized algorithms can flatten a model into a
+// single vector — the representation every algorithm in the paper works with.
 
 #include <memory>
 #include <string>
@@ -27,11 +29,11 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Compute the layer output; caches activations needed by backward().
-  virtual Tensor forward(const Tensor& input) = 0;
+  virtual Tensor forward(Tensor input) = 0;
 
   /// Propagate the loss gradient; accumulates into parameter grads and
   /// returns the gradient w.r.t. the layer input.
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  virtual Tensor backward(Tensor grad_output) = 0;
 
   /// backward() without the input gradient: accumulates parameter grads
   /// only. Model::backward calls it on its lowest parametrized layer, whose

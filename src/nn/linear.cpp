@@ -29,23 +29,23 @@ Shape Linear::output_shape(const Shape& input) const {
   return Shape{input[0], out_};
 }
 
-Tensor Linear::forward(const Tensor& input) {
+Tensor Linear::forward(Tensor input) {
   (void)output_shape(input.shape());  // validates
-  cached_input_ = input;
+  cached_input_ = std::move(input);
   // Seed every output row with the bias, then let the GEMM accumulate
   // X(N,in) * W(out,in)^T on top — one pass over the output instead of two.
-  const std::size_t n = input.dim(0);
+  const std::size_t n = cached_input_.dim(0);
   Tensor out(Shape{n, out_});
   for (std::size_t r = 0; r < n; ++r) {
     float* row = out.data() + r * out_;
     for (std::size_t c = 0; c < out_; ++c) row[c] = bias_.value[c];
   }
-  kernels::sgemm_transpose_b(n, in_, out_, input.data(), weight_.value.data(), out.data(),
-                             /*accumulate=*/true);
+  kernels::sgemm_transpose_b(n, in_, out_, cached_input_.data(), weight_.value.data(),
+                             out.data(), /*accumulate=*/true);
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+Tensor Linear::backward(Tensor grad_output) {
   backward_params(grad_output);
   return matmul(grad_output, weight_.value);
 }

@@ -9,8 +9,8 @@ class Linear final : public Layer {
  public:
   Linear(std::size_t in_features, std::size_t out_features);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input) override;
+  Tensor backward(Tensor grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   void init(Rng& rng) override;

@@ -1,6 +1,8 @@
 #include "nn/model.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace pdsl::nn {
 
@@ -26,22 +28,30 @@ void Model::init(Rng& rng) {
   for (auto& l : layers_) l->init(rng);
 }
 
-Tensor Model::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& l : layers_) x = l->forward(x);
-  return x;
+Tensor Model::forward(const Tensor& input) { return forward_from(0, input); }
+
+Tensor Model::forward_from(std::size_t first, Tensor input) {
+  if (first > layers_.size()) {
+    throw std::out_of_range("Model::forward_from: layer " + std::to_string(first) + " of " +
+                            std::to_string(layers_.size()));
+  }
+  for (std::size_t i = first; i < layers_.size(); ++i) {
+    input = layers_[i]->forward(std::move(input));
+  }
+  return input;
 }
 
-void Model::backward(const Tensor& grad_output) {
+void Model::backward(Tensor grad_output) {
   // The model's input gradient is never read, so backward stops at the
   // lowest layer with parameters and skips its input gradient; the
   // parameter-free layers below it (e.g. a leading Flatten) never run.
   auto lowest = layers_.begin();
   while (lowest != layers_.end() && (*lowest)->params().empty()) ++lowest;
   if (lowest == layers_.end()) return;
-  Tensor g = grad_output;
-  for (auto it = layers_.end() - 1; it != lowest; --it) g = (*it)->backward(g);
-  (*lowest)->backward_params(g);
+  for (auto it = layers_.end() - 1; it != lowest; --it) {
+    grad_output = (*it)->backward(std::move(grad_output));
+  }
+  (*lowest)->backward_params(grad_output);
 }
 
 void Model::zero_grad() {

@@ -1,8 +1,25 @@
 #include "nn/pooling.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace pdsl::nn {
+
+namespace {
+
+/// best, at = v, idx if v > best. Masks rather than a ternary, which the
+/// compiler turns back into a branch: on conv activations each compare is
+/// close to a coin flip.
+inline void take_if_greater(float v, std::size_t idx, float& best, std::size_t& at) {
+  const auto gt = static_cast<std::uint32_t>(v > best);
+  const std::uint32_t keep_v = 0u - gt;
+  best = std::bit_cast<float>((std::bit_cast<std::uint32_t>(v) & keep_v) |
+                              (std::bit_cast<std::uint32_t>(best) & ~keep_v));
+  at += (idx - at) & (std::size_t{0} - gt);
+}
+
+}  // namespace
 
 MaxPool2D::MaxPool2D(std::size_t window) : win_(window) {
   if (window == 0) throw std::invalid_argument("MaxPool2D: window must be positive");
@@ -18,15 +35,18 @@ Shape MaxPool2D::output_shape(const Shape& input) const {
   return Shape{input[0], input[1], input[2] / win_, input[3] / win_};
 }
 
-Tensor MaxPool2D::forward(const Tensor& input) {
+Tensor MaxPool2D::forward(Tensor input) {
   const Shape out_shape = output_shape(input.shape());
   cached_in_shape_ = input.shape();
   Tensor out(out_shape);
-  argmax_.assign(out.numel(), 0);
+  // Every slot is written below, so only a larger batch than the last one
+  // grows (and fills) the argmax buffer.
+  argmax_.resize(out.numel());
   const std::size_t n = input.dim(0), ch = input.dim(1), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = out_shape[2], ow = out_shape[3];
   const float* x = input.data();
   float* y = out.data();
+  std::size_t* arg = argmax_.data();
   std::size_t oi = 0;
   if (win_ == 2) {
     // Fast path for the 2x2 window every model in the zoo uses: the four
@@ -45,21 +65,12 @@ Tensor MaxPool2D::forward(const Tensor& input) {
           for (std::size_t col = 0; col < ow; ++col, ++oi) {
             const std::size_t c0 = 2 * col;
             float best = row0[c0];
-            std::size_t best_idx = base + c0;
-            if (row0[c0 + 1] > best) {
-              best = row0[c0 + 1];
-              best_idx = base + c0 + 1;
-            }
-            if (row1[c0] > best) {
-              best = row1[c0];
-              best_idx = base + iw + c0;
-            }
-            if (row1[c0 + 1] > best) {
-              best = row1[c0 + 1];
-              best_idx = base + iw + c0 + 1;
-            }
+            std::size_t at = base + c0;
+            take_if_greater(row0[c0 + 1], base + c0 + 1, best, at);
+            take_if_greater(row1[c0], base + iw + c0, best, at);
+            take_if_greater(row1[c0 + 1], base + iw + c0 + 1, best, at);
             y[oi] = best;
-            argmax_[oi] = best_idx;
+            arg[oi] = at;
           }
         }
       }
@@ -91,7 +102,7 @@ Tensor MaxPool2D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_output) {
+Tensor MaxPool2D::backward(Tensor grad_output) {
   if (grad_output.numel() != argmax_.size()) {
     throw std::invalid_argument("MaxPool2D::backward: grad does not match last forward");
   }

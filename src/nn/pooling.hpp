@@ -10,8 +10,8 @@ class MaxPool2D final : public Layer {
  public:
   explicit MaxPool2D(std::size_t window = 2);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor forward(Tensor input) override;
+  Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "MaxPool2D"; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "kernels/gemm.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 
 namespace pdsl::sim {
@@ -84,7 +85,7 @@ void tail_linear_lanes(std::size_t rows, std::size_t k, std::size_t n, const flo
 
 }  // namespace
 
-bool CoalitionBatchEvaluator::batchable(const nn::Model& model) {
+bool CoalitionBatchEvaluator::stackable(const nn::Model& model) {
   bool has_linear = false;
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
     const std::string name = model.layer(i).name();
@@ -95,10 +96,14 @@ bool CoalitionBatchEvaluator::batchable(const nn::Model& model) {
       // input, so an activation BEFORE the first Linear is unsupported.
       if (!has_linear) return false;
     } else if (name != "Flatten") {
-      return false;  // Conv2D / MaxPool2D: sequential fallback
+      return false;  // Conv2D / MaxPool2D
     }
   }
   return has_linear;
+}
+
+bool CoalitionBatchEvaluator::linear_scorable(const nn::Model& model) {
+  return stackable(model) || (model.num_layers() > 0 && model.layer(0).name() == "Conv2D");
 }
 
 CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const FixedBatch& val,
@@ -107,15 +112,37 @@ CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const F
   if (weight_budget_bytes == 0) {
     throw std::invalid_argument("CoalitionBatchEvaluator: zero weight budget");
   }
-  if (!batchable(model)) {
+  if (!linear_scorable(model)) {
     throw std::invalid_argument(
-        "CoalitionBatchEvaluator: model has layers outside {Flatten, Linear, ReLU}");
+        "CoalitionBatchEvaluator: model is neither a {Flatten, Linear, ReLU} chain nor "
+        "Conv2D-first");
   }
   if (val.x.rank() == 0 || val.x.dim(0) == 0) {
     throw std::invalid_argument("CoalitionBatchEvaluator: empty validation batch");
   }
   rows_ = val.x.dim(0);
   in_features_ = val.x.numel() / rows_;
+  num_params_ = model.num_params();
+  if (!stackable(model)) {
+    // Conv-first: set_members runs layer 0 for every member, layers 1.. run
+    // in a private clone. Walking output_shape over the whole chain checks
+    // the validation batch against every layer up front.
+    Shape shape = val.x.shape();
+    for (std::size_t i = 0; i < model.num_layers(); ++i) {
+      shape = model.layer(i).output_shape(shape);
+      if (i == 0) z_shape_ = shape;
+    }
+    if (shape.size() != 2) {
+      throw std::invalid_argument("CoalitionBatchEvaluator: model output is not (N, classes)");
+    }
+    classes_ = shape[1];
+    const auto& conv = dynamic_cast<const nn::Conv2D&>(model.layer(0));
+    head_params_ = conv.out_channels() * (conv.in_channels() * conv.kernel() * conv.kernel() + 1);
+    fold_groups_ = rows_;
+    fold_block_ = shape_numel(z_shape_) / rows_;
+    tail_model_.emplace(model);
+    return;
+  }
   // Build the layer plan. Flatten is a pure reshape of contiguous row-major
   // data, invisible at the raw-buffer level, so it is dropped from the plan.
   std::size_t width = in_features_;
@@ -142,8 +169,10 @@ CoalitionBatchEvaluator::CoalitionBatchEvaluator(const nn::Model& model, const F
       steps_.push_back(Step{Op::kRelu, 0});
     }
   }
-  num_params_ = off;
   classes_ = width;
+  head_params_ = linears_[0].b_off + linears_[0].out;
+  fold_groups_ = 1;
+  fold_block_ = rows_ * linears_[0].out;
   logits_ = Tensor(Shape{rows_, classes_});
 }
 
@@ -159,6 +188,9 @@ std::vector<double> CoalitionBatchEvaluator::losses(
 
 std::vector<double> CoalitionBatchEvaluator::scores(
     const std::vector<const std::vector<float>*>& params, bool want_loss) {
+  if (tail_model_) {
+    throw std::logic_error("CoalitionBatchEvaluator: batched scoring needs a stackable model");
+  }
   const std::size_t count = params.size();
   if (count == 0) return {};
   for (const auto* p : params) {
@@ -269,7 +301,28 @@ void CoalitionBatchEvaluator::set_members(
     }
   }
   members_ = members;
-  first_layer_into(members_, member_z_);
+  if (!tail_model_) {
+    first_layer_into(members_, member_z_);  // (p, N, out)
+    return;
+  }
+  // Conv1 for every member is one convolution with the members' output
+  // channels stacked: weights (p·out_ch, in_ch, k, k), biases (p·out_ch).
+  // It lowers each validation image once, and each output element keeps its
+  // own reduction chain, so member k's channels are bit-identical to its
+  // own Conv2D forward. Output (N, p·out_ch, oh, ow): per image, the
+  // members' (out_ch, oh, ow) blocks in member order.
+  const auto& conv = dynamic_cast<const nn::Conv2D&>(tail_model_->layer(0));
+  const std::size_t p = members_.size();
+  const std::size_t oc = conv.out_channels();
+  const std::size_t w_size = head_params_ - oc;
+  nn::Conv2D stacked(conv.in_channels(), p * oc, conv.kernel(), conv.pad());
+  const std::vector<nn::Param*> wb = stacked.params();
+  for (std::size_t k = 0; k < p; ++k) {
+    const float* flat = members_[k]->data();
+    std::copy(flat, flat + w_size, wb[0]->value.data() + k * w_size);
+    std::copy(flat + w_size, flat + head_params_, wb[1]->value.data() + k * oc);
+  }
+  member_z_ = std::move(stacked.forward(val_->x).vec());
 }
 
 std::vector<double> CoalitionBatchEvaluator::coalition_accuracies(
@@ -288,9 +341,6 @@ std::vector<double> CoalitionBatchEvaluator::coalition_scores(
     throw std::logic_error("CoalitionBatchEvaluator: set_members() before coalition scoring");
   }
   const std::size_t p = members_.size();
-  const Lin& l0 = linears_[0];
-  const std::size_t z_stride = rows_ * l0.out;
-  const std::size_t tail_off = l0.b_off + l0.out;  // everything after layer 0
   tail_buf_.resize(num_params_);
   std::vector<double> out(masks.size(), 0.0);
   for (std::size_t q = 0; q < masks.size(); ++q) {
@@ -304,22 +354,31 @@ std::vector<double> CoalitionBatchEvaluator::coalition_scores(
     // parameter averaging exactly (the only numeric delta is first-layer
     // distribution, documented in the header).
     const auto wf = static_cast<float>(1.0 / static_cast<double>(size));
-    buf_a_.assign(z_stride, 0.0f);
-    std::fill(tail_buf_.begin() + static_cast<std::ptrdiff_t>(tail_off), tail_buf_.end(),
+    buf_a_.assign(fold_groups_ * fold_block_, 0.0f);
+    std::fill(tail_buf_.begin() + static_cast<std::ptrdiff_t>(head_params_), tail_buf_.end(),
               0.0f);
     for (std::size_t k = 0; k < p; ++k) {
       if (!(mask & (1ULL << k))) continue;
-      const float* z = member_z_.data() + k * z_stride;
-      for (std::size_t i = 0; i < z_stride; ++i) buf_a_[i] += wf * z[i];
+      for (std::size_t g = 0; g < fold_groups_; ++g) {
+        const float* zk = member_z_.data() + (g * p + k) * fold_block_;
+        float* zg = buf_a_.data() + g * fold_block_;
+        for (std::size_t i = 0; i < fold_block_; ++i) zg[i] += wf * zk[i];
+      }
       const float* flat = members_[k]->data();
-      for (std::size_t i = tail_off; i < num_params_; ++i) tail_buf_[i] += wf * flat[i];
+      for (std::size_t i = head_params_; i < num_params_; ++i) tail_buf_[i] += wf * flat[i];
     }
-    out[q] = score_single(tail_buf_.data(), want_loss);
+    if (tail_model_) {
+      tail_model_->set_flat_params(tail_buf_);
+      const Tensor logits = tail_model_->forward_from(1, Tensor(z_shape_, std::move(buf_a_)));
+      out[q] = score_logits(logits.data(), want_loss);
+    } else {
+      out[q] = score_logits(chain_tail(tail_buf_.data()), want_loss);
+    }
   }
   return out;
 }
 
-double CoalitionBatchEvaluator::score_single(const float* flat, bool want_loss) {
+const float* CoalitionBatchEvaluator::chain_tail(const float* flat) {
   std::vector<float>* cur = &buf_a_;
   std::vector<float>* nxt = &buf_b_;
   bool first_linear_seen = false;
@@ -342,13 +401,16 @@ double CoalitionBatchEvaluator::score_single(const float* flat, bool want_loss) 
       }
     }
   }
+  return cur->data();
+}
+
+double CoalitionBatchEvaluator::score_logits(const float* logits, bool want_loss) const {
   // Lean scoring straight off the logits buffer — this runs once per
   // coalition, so the full SoftmaxCrossEntropy machinery (tensor allocation,
   // per-sample vectors, 320 exp calls for a 32x10 batch) would dominate the
-  // whole evaluation. Accuracy needs only the argmax (softmax is monotonic);
-  // loss is the standard stabilized log-sum-exp, algebraically equal to
-  // -log(softmax_y) and within float rounding of SoftmaxCrossEntropy.
-  const float* logits = cur->data();
+  // whole MLP evaluation. Accuracy needs only the argmax (softmax is
+  // monotonic); loss is the standard stabilized log-sum-exp, algebraically
+  // equal to -log(softmax_y) and within float rounding of SoftmaxCrossEntropy.
   const std::vector<int>& y = val_->y;
   if (!want_loss) {
     std::size_t hits = 0;

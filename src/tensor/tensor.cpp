@@ -71,12 +71,12 @@ const float& Tensor::at4(std::size_t n, std::size_t c, std::size_t h, std::size_
   return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+void Tensor::reshape(Shape new_shape) {
   if (shape_numel(new_shape) != numel()) {
-    throw std::invalid_argument("Tensor::reshaped: numel mismatch " + shape_to_string(shape_) +
+    throw std::invalid_argument("Tensor::reshape: numel mismatch " + shape_to_string(shape_) +
                                 " -> " + shape_to_string(new_shape));
   }
-  return Tensor(std::move(new_shape), data_);
+  shape_ = std::move(new_shape);
 }
 
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }

@@ -50,8 +50,8 @@ class Tensor {
   [[nodiscard]] const float& at4(std::size_t n, std::size_t c, std::size_t h,
                                  std::size_t w) const;
 
-  /// Reinterpret with a new shape of equal numel.
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const;
+  /// Reinterpret in place with a new shape of equal numel.
+  void reshape(Shape new_shape);
 
   void fill(float value);
   void zero() { fill(0.0f); }

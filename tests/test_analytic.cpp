@@ -177,7 +177,9 @@ TEST(Analytic, TensorReshapeFuzz) {
     const auto c = static_cast<std::size_t>(rng.uniform_int(1, 6));
     Tensor t(Shape{a, b, c});
     rng.fill_normal(t.vec(), 0.0, 1.0);
-    const Tensor r = t.reshaped(Shape{c * b, a}).reshaped(Shape{a, b, c});
+    Tensor r = t;
+    r.reshape(Shape{c * b, a});
+    r.reshape(Shape{a, b, c});
     EXPECT_EQ(r.vec(), t.vec());
   }
 }

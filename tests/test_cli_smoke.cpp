@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -239,6 +241,22 @@ TEST(CliSmoke, ConfigFileEvalEveryIsNotOverriddenByTheCliDefault) {
   EXPECT_EQ(rows, 4u) << text;
   std::remove(cfg.c_str());
   std::remove(out.c_str());
+}
+
+TEST(CliSmoke, HelpNamesEveryRunFlag) {
+  // The help text is written by hand; every flag the schema declares must
+  // appear in it as --<flag> (either spelling: CliArgs folds '-' and '_').
+  const std::string out = temp_path("pdsl_smoke_help.txt");
+  ASSERT_EQ(std::system(("\"" + std::string(PDSL_CLI_PATH) + "\" help > \"" + out + "\"").c_str()),
+            0);
+  std::string help = slurp(out);
+  std::remove(out.c_str());
+  std::replace(help.begin(), help.end(), '_', '-');
+  for (std::string flag : pdsl::schema::flags<pdsl::core::ExperimentConfig>()) {
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    const std::regex named("--" + flag + "(?![a-z0-9-])");
+    EXPECT_TRUE(std::regex_search(help, named)) << "--" << flag << " missing from help";
+  }
 }
 
 TEST(CliSmoke, RunAcceptsExactlyItsFlagSet) {

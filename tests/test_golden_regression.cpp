@@ -89,6 +89,20 @@ ExperimentConfig base_config() {
   return cfg;
 }
 
+ExperimentConfig cnn_config() {
+  ExperimentConfig cfg = base_config();
+  cfg.algorithm = "pdsl";
+  cfg.dataset = "cifar_like";
+  cfg.model = "cifar_cnn";
+  cfg.agents = 3;
+  cfg.train_samples = 180;
+  cfg.test_samples = 60;
+  cfg.validation_samples = 48;
+  cfg.metrics.test_subsample = 60;
+  cfg.hp.gamma = 0.01;
+  return cfg;
+}
+
 std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
   // Fault-free fixture per algorithm: with every fault knob at zero each of
@@ -128,21 +142,9 @@ std::vector<Scenario> scenarios() {
     cfg.adversary.scale = 3.0;
     out.push_back({"pdsl_byz_signflip", cfg});
   }
-  {
-    // CNN path: every conv forward/backward (im2col GEMMs, per-image dW
-    // through sgemm_transpose_b) and the sequential CNN Shapley scoring.
-    ExperimentConfig cfg = base_config();
-    cfg.algorithm = "pdsl";
-    cfg.dataset = "cifar_like";
-    cfg.model = "cifar_cnn";
-    cfg.agents = 3;
-    cfg.train_samples = 180;
-    cfg.test_samples = 60;
-    cfg.validation_samples = 48;
-    cfg.metrics.test_subsample = 60;
-    cfg.hp.gamma = 0.01;
-    out.push_back({"pdsl_cnn_clean", cfg});
-  }
+  // CNN path: every conv forward/backward (im2col GEMMs, per-image dW
+  // through sgemm_transpose_b) and the sequential CNN Shapley scoring.
+  out.push_back({"pdsl_cnn_clean", cnn_config()});
   return out;
 }
 
@@ -157,6 +159,13 @@ std::vector<Scenario> banded_scenarios() {
     cfg.algorithm = "pdsl";
     cfg.hp.shapley_eval = "linear";
     out.push_back({"pdsl_linear", cfg});
+  }
+  {
+    // The same scoring on the CNN: member conv1 pre-activations averaged per
+    // coalition, the rest of the model run on the averaged tail parameters.
+    ExperimentConfig cfg = cnn_config();
+    cfg.hp.shapley_eval = "linear";
+    out.push_back({"pdsl_cnn_linear", cfg});
   }
   return out;
 }

@@ -2,7 +2,8 @@
 // end-to-end learning on a separable toy problem. Also: Model::backward's
 // parameter gradients against a full layer-by-layer chain (it stops at the
 // lowest parametrized layer), the packed-mask ReLU against the reference
-// semantics on special values, and MaxPool2D windows below -1e30.
+// semantics on special values, MaxPool2D windows below -1e30 and ties, and
+// the caller's batch surviving the moving layer chain.
 
 #include <gtest/gtest.h>
 
@@ -82,7 +83,8 @@ TEST(Model, LossDecreasesUnderSgd) {
   Rng rng(4);
   Model m = tiny_mlp(rng);
   const auto ds = data::make_gaussian_mixture(300, 3, 4, 2.0, 0.5, 11);
-  const Tensor x = all_features(ds).reshaped(Shape{ds.size(), 4});
+  Tensor x = all_features(ds);
+  x.reshape(Shape{ds.size(), 4});
   const auto y = ds.labels();
 
   const double initial = m.loss(x, y);
@@ -218,6 +220,43 @@ TEST(Model, BackwardParamGradsMatchFullChainBitForBit) {
   kernels::set_backend(entry);
 }
 
+// Layers take their input by value and the chain moves each tensor along, so
+// Model::forward copies the caller's batch exactly once. That copy must stay:
+// a worker reuses one batch for 1 + |N_j| gradients, so neither entry point
+// may write into the caller's tensor, and a second run on it must give the
+// same bits.
+TEST(Model, ForwardAndBackwardLeaveTheCallersBatchUnchanged) {
+  const std::vector<int> labels = {0, 3, 7, 9};
+  for (const auto& [name, proto] : std::vector<std::pair<std::string, Model>>{
+           {"cifar_cnn", make_cifar_cnn(12, 3, 10)}, {"mlp", make_mlp(432, 16, 10)}}) {
+    Rng rng(7);
+    Model m = proto;
+    m.init(rng);
+    Tensor x(Shape{4, 3, 12, 12});
+    rng.fill_normal(x.vec(), 0.0, 1.0);
+    const auto x_bits = bits_of(x.vec());
+    const Shape x_shape = x.shape();
+
+    const Tensor y1 = m.forward(x);
+    const Tensor y2 = m.forward(x);
+    EXPECT_EQ(bits_of(y1.vec()), bits_of(y2.vec())) << name;
+    EXPECT_EQ(bits_of(x.vec()), x_bits) << name << ": forward wrote into its input";
+
+    const double l1 = m.loss_and_backward(x, labels);
+    const auto g1 = m.flat_grad();
+    const double l2 = m.loss_and_backward(x, labels);
+    EXPECT_EQ(l1, l2) << name;
+    EXPECT_EQ(bits_of(m.flat_grad()), bits_of(g1)) << name;
+    EXPECT_EQ(bits_of(x.vec()), x_bits) << name << ": loss_and_backward wrote into its input";
+    EXPECT_EQ(x.shape(), x_shape) << name;
+
+    // forward_from(0, x) is forward(x); past the last layer it is the identity.
+    EXPECT_EQ(bits_of(m.forward_from(0, x).vec()), bits_of(y1.vec())) << name;
+    EXPECT_EQ(bits_of(m.forward_from(m.num_layers(), y1).vec()), bits_of(y1.vec())) << name;
+    EXPECT_THROW(m.forward_from(m.num_layers() + 1, x), std::out_of_range) << name;
+  }
+}
+
 TEST(Model, BackwardWithoutParametersIsANoOp) {
   Tensor x(Shape{2, 1, 1, 3}, {0.5f, -1.0f, 2.0f, 1.0f, 0.0f, -3.0f});
   Model relu_only;
@@ -286,6 +325,13 @@ TEST(MaxPool2D, WindowsBelowTheOldSentinelKeepTheirMaximum) {
       {2, {-5e30f, -4e30f, -3e30f, -2e30f}, -2e30f, 3},
       {2, {nan, 1.0f, 2.0f, 3.0f}, nan, 0},
       {2, {1.0f, nan, 3.0f, 2.0f}, 3.0f, 2},
+      // Ties keep the earlier element (strict >): +0 and -0 compare equal,
+      // so the first zero's sign survives, and an all-equal window routes
+      // its gradient to slot 0.
+      {2, {-0.0f, 0.0f, 0.0f, -0.0f}, -0.0f, 0},
+      {2, {-1.0f, 0.0f, -0.0f, 0.0f}, 0.0f, 1},
+      {2, {1.5f, 1.5f, 1.5f, 1.5f}, 1.5f, 0},
+      {3, std::vector<float>(9, 2.0f), 2.0f, 0},
       {3, {-9e30f, -8e30f, -7e30f, -6e30f, -2e30f, -5e30f, -4e30f, -3e30f, -9e30f}, -2e30f, 4},
       {3, std::vector<float>(9, -inf), -inf, 0},
       {3, {nan, 1, 2, 3, 4, 5, 6, 7, 8}, nan, 0},

@@ -10,8 +10,15 @@
 #include <functional>
 #include <numeric>
 
+#include "core/experiment.hpp"
 #include "data/synthetic.hpp"
+#include "nn/activations.hpp"
+#include "nn/conv2d.hpp"
+#include "nn/flatten.hpp"
+#include "nn/linear.hpp"
 #include "nn/model_zoo.hpp"
+#include "nn/pooling.hpp"
+#include "runtime/parallel_for.hpp"
 #include "shapley/game.hpp"
 #include "shapley/shapley.hpp"
 #include "shapley/weighting.hpp"
@@ -550,9 +557,29 @@ TEST(AdaptiveMc, Validation) {
 // ---------------------------------------------------------------------------
 
 TEST(CoalitionBatchEvaluator, BatchableRecognizesLayerChains) {
-  EXPECT_TRUE(sim::CoalitionBatchEvaluator::batchable(nn::make_mlp(16, 8, 4)));
-  EXPECT_TRUE(sim::CoalitionBatchEvaluator::batchable(nn::make_logistic(16, 4)));
-  EXPECT_FALSE(sim::CoalitionBatchEvaluator::batchable(nn::make_mnist_cnn(10, 1, 4)));
+  using E = sim::CoalitionBatchEvaluator;
+  // Stackable (batched and linear mode): the {Flatten, Linear, ReLU} chains.
+  for (const nn::Model& m : {nn::make_mlp(16, 8, 4), nn::make_logistic(16, 4)}) {
+    EXPECT_TRUE(E::stackable(m));
+    EXPECT_TRUE(E::linear_scorable(m));
+  }
+  // Linear-scorable only: the Conv2D-first CNNs.
+  for (const nn::Model& m : {nn::make_mnist_cnn(10, 1, 4), nn::make_cifar_cnn(8, 3, 4)}) {
+    EXPECT_FALSE(E::stackable(m));
+    EXPECT_TRUE(E::linear_scorable(m));
+  }
+  // Neither: a chain that starts with ReLU or MaxPool2D, and an empty model.
+  nn::Model relu_first;
+  relu_first.emplace<nn::ReLU>().emplace<nn::Flatten>().emplace<nn::Linear>(16, 4);
+  nn::Model pool_first;
+  pool_first.emplace<nn::MaxPool2D>(2).emplace<nn::Conv2D>(1, 2, 3, 1);
+  for (const nn::Model& m : {relu_first, pool_first, nn::Model{}}) {
+    EXPECT_FALSE(E::stackable(m));
+    EXPECT_FALSE(E::linear_scorable(m));
+  }
+  const auto ds = data::make_gaussian_mixture(8, 4, 16, 2.5, 0.5, 9);
+  const auto batch = sim::FixedBatch::from(ds, {0, 1, 2, 3});
+  EXPECT_THROW(E(relu_first, batch), std::invalid_argument);
 }
 
 TEST(CoalitionBatchEvaluator, BitIdenticalToSequentialScoring) {
@@ -742,4 +769,187 @@ TEST(CoalitionBatchEvaluator, LinearModeValidatesInputs) {
   std::vector<const std::vector<float>*> many(64, bed.ptrs[0]);
   EXPECT_THROW(eval.set_members(many), std::invalid_argument);
   EXPECT_THROW(eval.set_members({}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// S-SHAP: linear coalition mode on Conv2D-first models (mnist_cnn, cifar_cnn)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A CNN, its validation batch and five perturbed members.
+struct CnnBed {
+  std::string name;
+  nn::Model model;
+  sim::FixedBatch batch;
+  std::vector<std::vector<float>> members;
+  std::vector<const std::vector<float>*> ptrs;
+
+  CnnBed(std::string label, nn::Model m, const data::SyntheticSpec& spec)
+      : name(std::move(label)), model(std::move(m)) {
+    const auto ds = data::make_synthetic_images(spec);
+    std::vector<std::size_t> idx(ds.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    batch = sim::FixedBatch::from(ds, idx);
+    Rng rng(23);
+    model.init(rng);
+    const auto base = model.flat_params();
+    for (std::size_t s = 0; s < 5; ++s) {
+      auto p = base;
+      Rng prng(300 + s);
+      for (auto& v : p) v += 0.05f * static_cast<float>(prng.normal());
+      members.push_back(std::move(p));
+    }
+    for (const auto& mem : members) ptrs.push_back(&mem);
+  }
+
+  /// The averaged weights (ascending order, weight 1/|S|, like mean_of).
+  std::vector<float> coalition_mean(std::uint64_t mask) const {
+    std::vector<float> out(members[0].size(), 0.0f);
+    const auto w = static_cast<float>(1.0 / static_cast<double>(__builtin_popcountll(mask)));
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      if (!(mask & (std::uint64_t{1} << k))) continue;
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * members[k][i];
+    }
+    return out;
+  }
+
+  /// Samples whose top two logits under `params` are within a rounding-level
+  /// gap: the only ones whose predicted class may differ between averaging
+  /// pre-activations and averaging weights.
+  std::size_t near_ties(const std::vector<float>& params) {
+    model.set_flat_params(params);
+    const Tensor logits = model.forward(batch.x);
+    const std::size_t classes = logits.dim(1);
+    std::size_t ties = 0;
+    for (std::size_t r = 0; r < logits.dim(0); ++r) {
+      std::vector<float> row(logits.data() + r * classes, logits.data() + (r + 1) * classes);
+      std::partial_sort(row.begin(), row.begin() + 2, row.end(), std::greater<>());
+      ties += row[0] - row[1] <= 1e-4f * std::max(1.0f, std::abs(row[0])) ? 1 : 0;
+    }
+    return ties;
+  }
+};
+
+std::vector<CnnBed> cnn_beds() {
+  std::vector<CnnBed> beds;
+  beds.reserve(2);
+  beds.emplace_back("mnist_cnn", nn::make_mnist_cnn(8, 1, 10), data::mnist_like_spec(20, 8, 3));
+  beds.emplace_back("cifar_cnn", nn::make_cifar_cnn(8, 3, 10), data::cifar_like_spec(20, 8, 4));
+  return beds;
+}
+
+}  // namespace
+
+TEST(CoalitionBatchEvaluator, LinearModeOnConvFirstModelsTracksAveragedWeights) {
+  // Conv1 is linear in weight and bias, so the mean of the members' conv1
+  // pre-activations is the pre-activation of the averaged weights, up to
+  // rounding. Every coalition of five members is checked against loss_on /
+  // accuracy_on on the averaged weights.
+  for (CnnBed& bed : cnn_beds()) {
+    SCOPED_TRACE(bed.name);
+    sim::CoalitionBatchEvaluator eval(bed.model, bed.batch);
+    eval.set_members(bed.ptrs);
+    std::vector<std::uint64_t> masks;
+    for (std::uint64_t m = 1; m < (std::uint64_t{1} << bed.members.size()); ++m) {
+      masks.push_back(m);
+    }
+    const auto losses = eval.coalition_losses(masks);
+    const auto accs = eval.coalition_accuracies(masks);
+    ASSERT_EQ(losses.size(), masks.size());
+    const double n = static_cast<double>(bed.batch.y.size());
+    for (std::size_t q = 0; q < masks.size(); ++q) {
+      const auto avg = bed.coalition_mean(masks[q]);
+      const double want_loss = sim::loss_on(bed.model, avg, bed.batch);
+      EXPECT_NEAR(losses[q], want_loss, 1e-5 * std::abs(want_loss)) << "mask " << masks[q];
+      const double want_acc = sim::accuracy_on(bed.model, avg, bed.batch);
+      EXPECT_LE(std::abs(accs[q] - want_acc) * n,
+                static_cast<double>(bed.near_ties(avg)) + 1e-9)
+          << "mask " << masks[q];
+    }
+  }
+}
+
+TEST(CoalitionBatchEvaluator, LinearModeOnConvFirstModelsIsDeterministic) {
+  const std::vector<std::uint64_t> masks = {0b1, 0b11, 0b10110, 0b11111, 0b101};
+  for (CnnBed& bed : cnn_beds()) {
+    SCOPED_TRACE(bed.name);
+    sim::CoalitionBatchEvaluator a(bed.model, bed.batch);
+    sim::CoalitionBatchEvaluator b(bed.model, bed.batch, /*weight_budget_bytes=*/1);
+    a.set_members(bed.ptrs);
+    b.set_members(bed.ptrs);
+    const auto losses = a.coalition_losses(masks);
+    const auto accs = a.coalition_accuracies(masks);
+    EXPECT_EQ(b.coalition_losses(masks), losses);
+    EXPECT_EQ(b.coalition_accuracies(masks), accs);
+    EXPECT_EQ(a.coalition_losses(masks), losses);  // scoring leaves no state behind
+    // Scores follow the members, not the evaluator's history.
+    b.set_members({bed.ptrs[1], bed.ptrs[0]});
+    b.set_members(bed.ptrs);
+    EXPECT_EQ(b.coalition_losses(masks), losses);
+  }
+}
+
+TEST(CoalitionBatchEvaluator, LinearModeOnConvFirstModelsValidatesInputs) {
+  CnnBed bed = std::move(cnn_beds()[1]);
+  sim::CoalitionBatchEvaluator eval(bed.model, bed.batch);
+  EXPECT_THROW(eval.coalition_losses({1}), std::logic_error);  // before set_members
+  std::vector<float> short_vec(bed.members[0].size() - 1, 0.0f);
+  EXPECT_THROW(eval.set_members({bed.ptrs[0], &short_vec}), std::invalid_argument);
+  EXPECT_THROW(eval.set_members({bed.ptrs[0], nullptr}), std::invalid_argument);
+  EXPECT_THROW(eval.set_members({}), std::invalid_argument);
+  EXPECT_THROW(eval.set_members(std::vector<const std::vector<float>*>(64, bed.ptrs[0])),
+               std::invalid_argument);
+  eval.set_members(bed.ptrs);
+  EXPECT_THROW(eval.coalition_accuracies({0}), std::out_of_range);
+  EXPECT_THROW(eval.coalition_accuracies({std::uint64_t{1} << bed.members.size()}),
+               std::out_of_range);
+  // Batched scoring stays MLP-only.
+  EXPECT_THROW(eval.accuracies(bed.ptrs), std::logic_error);
+  // A validation batch the model cannot take is refused up front.
+  const auto flat = data::make_gaussian_mixture(8, 4, 6, 2.5, 0.5, 9);
+  const auto wrong = sim::FixedBatch::from(flat, {0, 1, 2, 3});
+  EXPECT_THROW(sim::CoalitionBatchEvaluator(bed.model, wrong), std::invalid_argument);
+}
+
+TEST(CoalitionBatchEvaluator, LinearModeCnnRunBitIdenticalAcrossWidths) {
+  // PDSL on the CIFAR-like CNN with linear coalition scoring: each agent
+  // builds its evaluator (and its model clone) inside the parallel agent
+  // loop, so the run must give the same bits at every --threads width.
+  core::ExperimentConfig cfg;
+  cfg.algorithm = "pdsl";
+  cfg.dataset = "cifar_like";
+  cfg.model = "cifar_cnn";
+  cfg.topology = "full";
+  cfg.agents = 4;
+  cfg.rounds = 2;
+  cfg.image = 8;
+  cfg.train_samples = 160;
+  cfg.test_samples = 40;
+  cfg.validation_samples = 40;
+  cfg.hp.batch = 8;
+  cfg.hp.gamma = 0.01;
+  cfg.hp.shapley_permutations = 2;
+  cfg.hp.validation_batch = 16;
+  cfg.hp.shapley_eval = "linear";
+  cfg.noise_scale = 0.05;
+  cfg.seed = 3;
+  cfg.metrics.eval_every = 1;
+  std::vector<core::ExperimentResult> runs;
+  for (std::size_t w : {1u, 2u, 4u}) {
+    cfg.threads = w;
+    runs.push_back(core::run_experiment(cfg));
+  }
+  runtime::set_global_threads(1);
+  ASSERT_GT(runs[0].series.back().shapley_evals, 0u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    EXPECT_TRUE(runs[r].average_model == runs[0].average_model);
+    ASSERT_EQ(runs[r].series.size(), runs[0].series.size());
+    for (std::size_t t = 0; t < runs[0].series.size(); ++t) {
+      EXPECT_EQ(runs[r].series[t].avg_loss, runs[0].series[t].avg_loss) << "round " << t;
+      EXPECT_EQ(runs[r].series[t].test_accuracy, runs[0].series[t].test_accuracy);
+      EXPECT_EQ(runs[r].series[t].pi_honest, runs[0].series[t].pi_honest);
+    }
+  }
 }

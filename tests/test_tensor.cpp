@@ -44,9 +44,11 @@ TEST(Tensor, At4Indexing) {
 
 TEST(Tensor, ReshapePreservesData) {
   Tensor t = Tensor::from({1, 2, 3, 4, 5, 6});
-  const Tensor r = t.reshaped(Shape{2, 3});
-  EXPECT_FLOAT_EQ(r.at2(1, 0), 4.0f);
-  EXPECT_THROW(t.reshaped(Shape{4, 2}), std::invalid_argument);
+  t.reshape(Shape{2, 3});
+  EXPECT_EQ(t.shape(), (Shape{2, 3}));
+  EXPECT_FLOAT_EQ(t.at2(1, 0), 4.0f);
+  EXPECT_THROW(t.reshape(Shape{4, 2}), std::invalid_argument);
+  EXPECT_EQ(t.shape(), (Shape{2, 3}));  // a refused reshape changes nothing
 }
 
 TEST(Tensor, ElementwiseOps) {

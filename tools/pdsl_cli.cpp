@@ -50,6 +50,10 @@ int usage() {
       "                    --clip --eps --delta --sigma_mode --noise_scale --seed\n"
       "                    --seeds 1,2,3 --compression --drop_prob --corrupt\n"
       "                    --csv <path> --save_model <path>\n"
+      "                    --hidden H (the mlp model's hidden width)\n"
+      "                    --mc_perms K --valbatch N (PDSL Shapley: Monte Carlo\n"
+      "                      permutations, and the validation samples each\n"
+      "                      coalition is scored on)\n"
       "                    --drop-prob P (alias of --drop_prob: lossy links)\n"
       "                    --delay-rounds D --delay-prob P (S-FAULT: delayed\n"
       "                      messages surface 1..D rounds late)\n"
@@ -79,9 +83,10 @@ int usage() {
       "                      blocked; naive = the reference loops, same GEMM bits)\n"
       "                    --shapley-eval sequential|batched|linear (S-SHAP:\n"
       "                      batched = one stacked GEMM per layer, bit-identical;\n"
-      "                      linear = reuse per-member first-layer pre-activations\n"
-      "                      across coalitions, fastest, tolerance-banded; the\n"
-      "                      default)\n"
+      "                      mlp/logistic only, the CNNs fall back to sequential;\n"
+      "                      linear = reuse per-member first-layer (Linear or\n"
+      "                      Conv2D) pre-activations across coalitions, fastest,\n"
+      "                      tolerance-banded; the default)\n"
       "                    --shapley-method mc|exact|tmc|stratified|adaptive\n"
       "                      (adaptive = antithetic pairs + CI early stop;\n"
       "                      see --shapley-min-perms / --shapley-ci-z)\n"

@@ -11,7 +11,9 @@ perf-trajectory section diffed against prior history entries.
 Usage:
     python tools/run_benchmarks.py --quick          # default subset, 1 repeat
     python tools/run_benchmarks.py --repeats 5      # default subset, medians over 5
-    python tools/run_benchmarks.py --only fig1,kernels
+    python tools/run_benchmarks.py --only fig1,kernels   # re-run these; the report
+                                                        # keeps the others' rows
+                                                        # from their BENCH_*.json
     python tools/run_benchmarks.py --validate       # schema-check checked-in files
     python tools/run_benchmarks.py --git-commit HEAD~1   # A/B vs an older rev
 
@@ -377,6 +379,28 @@ def fmt(v):
     return f"{v:.4g}"
 
 
+def with_checked_in(docs):
+    """`docs` plus the checked-in BENCH_<id>.json of every bench this run did
+    not re-run, in report order (DEFAULT_SUBSET first), so that a --only run
+    rewrites only its own benches' rows of BENCH_REPORT.md."""
+    rerun = {d["bench"] for d in docs}
+    out = list(docs)
+    for bench in BENCHES:
+        path = os.path.join(REPO, f"BENCH_{bench}.json")
+        if bench not in rerun and os.path.exists(path):
+            with open(path) as f:
+                out.append(json.load(f))
+    order = DEFAULT_SUBSET + [b for b in BENCHES if b not in DEFAULT_SUBSET]
+    return sorted(out, key=lambda d: order.index(d["bench"]) if d["bench"] in order
+                  else len(order))
+
+
+def is_history_of(entry, doc):
+    """True iff the history line `entry` was appended for the envelope `doc`."""
+    return (entry.get("git_rev") == doc["git_rev"]
+            and entry.get("metrics") == {k: m["median"] for k, m in doc["metrics"].items()})
+
+
 def render_report(docs, history, ab_section):
     lines = ["# Benchmark report (S-BENCH360)", ""]
     lines.append("Generated by `python tools/run_benchmarks.py`. Medians over "
@@ -408,9 +432,9 @@ def render_report(docs, history, ab_section):
             lines.append(f"- **{bench}**: {status} ({detail})")
         lines.append("")
 
-    # Perf trajectory: current run vs the most recent prior history entry for
-    # the same bench (skipping entries from this invocation).
-    current_ids = {id(d) for d in docs}
+    # Perf trajectory: each envelope vs the most recent history entry for the
+    # same bench that is not its own (a checked-in envelope that was not re-run
+    # already has its line in the history).
     lines.append("## Perf trajectory")
     lines.append("")
     any_row = False
@@ -418,7 +442,7 @@ def render_report(docs, history, ab_section):
             "|---|---|---|---|---|---|"]
     for doc in docs:
         bench = doc["bench"]
-        prior = [h for h in history if h.get("bench") == bench]
+        prior = [h for h in history if h.get("bench") == bench and not is_history_of(h, doc)]
         if not prior:
             continue
         prev = prior[-1]
@@ -622,7 +646,7 @@ def main():
             log(f"A/B: not a schema-v1 envelope: {e}")
             sys.exit(1)
 
-    report = render_report(docs, history, ab_section)
+    report = render_report(with_checked_in(docs), history, ab_section)
     with open(os.path.join(REPO, "BENCH_REPORT.md"), "w") as f:
         f.write(report)
     for doc in docs:
