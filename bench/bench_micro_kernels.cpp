@@ -127,8 +127,10 @@ const GemmShape kGemmShapes[] = {
 
 // sgemm_transpose_b C(m,k) = A(m,n) * B(k,n)^T at the shapes the benchmark
 // workloads run it: the Linear forward of the Table I MLP, the stacked
-// first-layer GEMM of linear-mode Shapley scoring, and the per-image conv
-// weight gradients of the 12x12 CIFAR CNN (dW += dY * cols^T).
+// first-layer GEMM of linear-mode Shapley scoring (2 and 10 members), and
+// the per-image conv weight gradients of the CIFAR CNN (dW += dY * cols^T)
+// at 12x12 and at the paper's 32x32. Every row with m < k runs in the
+// transposed orientation (lanes over A's rows).
 struct TbShape {
   const char* name;
   std::size_t m, n, k;
@@ -136,10 +138,13 @@ struct TbShape {
 };
 
 const TbShape kTbShapes[] = {
-    {"tb_linear_fwd", 32, 784, 32, false},    // Linear(784 -> 32), batch 32
-    {"tb_shapley_stack", 64, 784, 64, true},  // validation batch 64, 2 models' W
-    {"tb_cifar_dw_l1", 8, 144, 75, true},     // conv1 3->8 k5, 12x12
-    {"tb_cifar_dw_l2", 16, 36, 200, true},    // conv2 8->16 k5, 6x6
+    {"tb_linear_fwd", 32, 784, 32, false},       // Linear(784 -> 32), batch 32
+    {"tb_shapley_stack", 64, 784, 64, true},     // validation batch 64, 2 models' W
+    {"tb_cifar_dw_l1", 8, 144, 75, true},        // conv1 3->8 k5, 12x12
+    {"tb_cifar_dw_l2", 16, 36, 200, true},       // conv2 8->16 k5, 6x6
+    {"tb_shapley_stack10", 64, 784, 320, true},  // 10 members' W
+    {"tb_cifar_dw_l1_32", 8, 1024, 75, true},    // conv1 3->8 k5, 32x32
+    {"tb_cifar_dw_l2_32", 16, 256, 200, true},   // conv2 8->16 k5, 16x16
 };
 
 // sgemm and sgemm_transpose_a (m, k, n) at the CIFAR CNN's conv GEMMs: the

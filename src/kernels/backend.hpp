@@ -51,7 +51,8 @@ void set_backend(Backend b) noexcept;
 enum class Isa {
   kBaseline,  ///< x86-64 baseline (SSE2): 4 floats / 2 doubles per vector
   kAvx2,      ///< AVX2 without FMA: 8 floats / 4 doubles
-  kAvx512,    ///< AVX-512F without FMA contraction: 16 floats / 8 doubles
+  kAvx512,    ///< AVX-512F: 16 floats / 8 doubles; fuses only the exact double
+              ///< multiply-adds of sgemm_transpose_b
 };
 
 /// The widest level this host runs (detected once).

@@ -72,8 +72,10 @@ void naive_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a,
 // floats per vector. Only the isa_avx2 and isa_avx512 clones hold VEX or
 // EVEX code (tests/check_isa_portability.py checks the binary), and a call
 // enters one only after host_isa() has found the level on this CPU. Neither
-// clone enables FMA; AVX-512F has FMA instructions of its own, which
-// -ffp-contract=off keeps the compiler from using.
+// clone enables the fma feature, and -ffp-contract=off keeps the compiler
+// from fusing on its own; the AVX-512F clone's sgemm_transpose_b tile calls
+// AVX-512F's own fused multiply-add through PDSL_TB_FMA, where the product
+// is exact and fusing cannot move a bit (blocked_clone.inc).
 // ---------------------------------------------------------------------------
 
 #define PDSL_CLONE
@@ -92,10 +94,15 @@ constexpr std::size_t kFloats = 8;
 #undef PDSL_CLONE
 
 #define PDSL_CLONE __attribute__((target("avx512f")))
+// _mm512_fmadd_pd(_mm512_set1_pd(x), y, acc) without the header: 8 doubles,
+// all lanes, the current rounding mode.
+#define PDSL_TB_FMA(x, y, acc) \
+  __builtin_ia32_vfmaddpd512_mask(decltype(y){x, x, x, x, x, x, x, x}, y, acc, -1, 4)
 namespace isa_avx512 {
 constexpr std::size_t kFloats = 16;
 #include "kernels/blocked_clone.inc"
 }  // namespace isa_avx512
+#undef PDSL_TB_FMA
 #undef PDSL_CLONE
 #else
 namespace isa_avx2 = isa_baseline;
@@ -106,15 +113,15 @@ namespace isa_avx512 = isa_baseline;
 struct BlockedClone {
   decltype(&isa_baseline::blocked_axpy) axpy;
   decltype(&isa_baseline::blocked_tb) tb;
-  std::size_t tb_panel;  ///< doubles per packed row of the tb panel
+  decltype(&isa_baseline::tb_scratch) tb_scratch;
 };
 
 /// The clone of the dispatched level, indexed by Isa.
 const BlockedClone& blocked_clone() noexcept {
   static constexpr BlockedClone kClones[] = {
-      {isa_baseline::blocked_axpy, isa_baseline::blocked_tb, isa_baseline::kTbPanel},
-      {isa_avx2::blocked_axpy, isa_avx2::blocked_tb, isa_avx2::kTbPanel},
-      {isa_avx512::blocked_axpy, isa_avx512::blocked_tb, isa_avx512::kTbPanel},
+      {isa_baseline::blocked_axpy, isa_baseline::blocked_tb, isa_baseline::tb_scratch},
+      {isa_avx2::blocked_axpy, isa_avx2::blocked_tb, isa_avx2::tb_scratch},
+      {isa_avx512::blocked_axpy, isa_avx512::blocked_tb, isa_avx512::tb_scratch},
   };
   return kClones[static_cast<std::size_t>(isa())];
 }
@@ -132,12 +139,14 @@ void blocked_sgemm_ta(std::size_t m, std::size_t k, std::size_t n, const float* 
 void blocked_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a,
                       const float* b, float* c, bool accumulate) {
   const BlockedClone& clone = blocked_clone();
-  // Per-thread, grow-only, and allocated here in baseline code: agents
-  // calling the kernels concurrently from a parallel_for body each pack
-  // their own copy, and steady-state calls allocate nothing.
-  thread_local std::vector<double> panel;
-  if (panel.size() < n * clone.tb_panel) panel.resize(n * clone.tb_panel);
-  clone.tb(m, n, k, a, b, c, accumulate, panel.data());
+  // Per-thread, grow-only, bounded (blocked_clone.inc's kTbScratch), and
+  // allocated here in baseline code: agents calling the kernels concurrently
+  // from a parallel_for body each pack their own copy, and steady-state
+  // calls allocate nothing.
+  thread_local std::vector<double> scratch;
+  const std::size_t need = clone.tb_scratch(m, n, k);
+  if (scratch.size() < need) scratch.resize(need);
+  clone.tb(m, n, k, a, b, c, accumulate, scratch.data());
 }
 
 }  // namespace

@@ -13,16 +13,27 @@
 // path is the original triple loop (zero-skip shortcuts removed — they
 // silently dropped NaN/Inf propagation from the other operand); the blocked
 // path keeps register tiles of C for the whole reduction, one chain per SIMD
-// lane (sgemm and sgemm_transpose_a: one 4-row float tile that differs only
-// in A's strides; sgemm_transpose_b: packed B panels of double chains), at
-// the widest vector width the host supports (backend.hpp, kernels::isa()).
+// lane, at the widest vector width the host supports (backend.hpp,
+// kernels::isa()):
+//
+//   - sgemm and sgemm_transpose_a: one 4-row float tile that differs only in
+//     A's strides;
+//   - sgemm_transpose_b: double chains. The lanes run over the narrower of m
+//     and k (when m < k it computes C^T = B * A^T and stores C transposed);
+//     that side is packed once into p-outer panels of doubles, and the other
+//     is widened to double once per 12-row block, in a bounded per-thread
+//     scratch (at most 128 KB of packed lanes plus the 12 widened rows). The
+//     AVX-512F clone fuses its multiply-adds, which rounds as
+//     multiply-then-add does because a float x float product is exact in
+//     double (blocked_clone.inc).
+//
 // Naive and blocked accumulate every output element in the same reduction
 // order, so their results are bit-identical at every width.
 //
 // Every call runs single-threaded on the calling thread; parallelism lives
 // one level up, where runtime::parallel_for runs agents concurrently. The
 // kernels are safe to call from concurrent agents: the only per-call scratch
-// (the sgemm_transpose_b panel) is thread_local.
+// (sgemm_transpose_b's packed panels and widened rows) is thread_local.
 
 #include <cstddef>
 

@@ -3,6 +3,9 @@
 // bench/bench_util (and merged by tools/run_benchmarks.py). This keeps the
 // checked-in artifacts honest — a bench that drifts from the schema breaks
 // here before the python driver ever sees it.
+//
+// The same binary pins the bench harness's scale rules (bench_util's
+// scale_params and make_config).
 
 #include <gtest/gtest.h>
 
@@ -10,8 +13,10 @@
 #include <filesystem>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/json.hpp"
 
 using namespace pdsl;
@@ -125,6 +130,32 @@ TEST(BenchSchema, EveryCheckedInEnvelopeIsSchemaV1) {
       ASSERT_TRUE(doc.at("acceptance").is_object());
       EXPECT_TRUE(doc.at("acceptance").contains("passed") &&
                   doc.at("acceptance").at("passed").is_bool());
+    }
+  }
+}
+
+// --scale paper trains at the paper's learning rates (Sec. VI-A: 1e-2 for the
+// CIFAR CNN, 1e-3 for the MNIST one); the reduced scales keep 0.05, and
+// --gamma overrides every scale.
+TEST(BenchHarness, PaperScaleUsesThePapersLearningRates) {
+  const std::pair<const char*, double> paper[] = {{"cifar_like", 1e-2}, {"mnist_like", 1e-3}};
+  for (const auto& [dataset, gamma] : paper) {
+    bench::SweepSpec spec;
+    spec.dataset = dataset;
+    const bench::ScaleParams sp = bench::scale_params("paper", dataset);
+    EXPECT_EQ(sp.gamma, gamma) << dataset;
+    EXPECT_EQ(bench::make_config(spec, sp, 10, 0.5, 1).hp.gamma, gamma) << dataset;
+    spec.gamma = 0.2;
+    EXPECT_EQ(bench::make_config(spec, sp, 10, 0.5, 1).hp.gamma, 0.2) << dataset;
+  }
+  for (const char* scale : {"quick", "medium"}) {
+    for (const char* dataset : {"cifar_like", "mnist_like"}) {
+      bench::SweepSpec spec;
+      spec.dataset = dataset;
+      const bench::ScaleParams sp = bench::scale_params(scale, dataset);
+      EXPECT_EQ(bench::make_config(spec, sp, 6, 0.5, 1).hp.gamma, 0.05) << scale << " " << dataset;
+      spec.gamma = 0.2;
+      EXPECT_EQ(bench::make_config(spec, sp, 6, 0.5, 1).hp.gamma, 0.2) << scale << " " << dataset;
     }
   }
 }

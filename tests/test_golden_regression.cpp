@@ -29,6 +29,8 @@
 //
 // and explain the diff in the commit message. --regenerate rewrites both
 // tiers' fixture CSVs; the hand-written .band.csv specs are left alone.
+// `--regenerate <name>` rewrites only the fixture <name>.csv, and an unknown
+// name exits non-zero, listing the valid ones.
 
 #include <gtest/gtest.h>
 
@@ -336,22 +338,52 @@ TEST(GoldenRegression, TrajectoryNeutralVariantsMatchSameFixtures) {
   }
 }
 
+namespace {
+
+/// Rewrites the fixture of the scenario named `only`, or of every scenario
+/// when `only` is empty; the banded tier's hand-written .band.csv specs are
+/// left alone. An unknown name rewrites nothing and lists the valid ones.
+int regenerate(const std::string& only) {
+  const std::vector<Scenario> exact = scenarios();
+  const std::vector<Scenario> banded = banded_scenarios();
+  bool known = only.empty();
+  for (const auto* tier : {&exact, &banded}) {
+    for (const Scenario& s : *tier) known = known || s.name == only;
+  }
+  if (!known) {
+    std::fprintf(stderr, "unknown fixture '%s'; valid names:\n", only.c_str());
+    for (const auto* tier : {&exact, &banded}) {
+      for (const Scenario& s : *tier) std::fprintf(stderr, "  %s\n", s.name.c_str());
+    }
+    return 2;
+  }
+  std::filesystem::create_directories(PDSL_GOLDEN_DIR);
+  for (const Scenario& s : exact) {
+    if (!only.empty() && s.name != only) continue;
+    run_scenario_to_csv(s, golden_path(s.name));
+    std::printf("regenerated %s\n", golden_path(s.name).c_str());
+  }
+  for (const Scenario& s : banded) {
+    if (!only.empty() && s.name != only) continue;
+    run_scenario_to_csv(s, golden_path(s.name));
+    std::printf("regenerated %s (banded; spec %s untouched)\n", golden_path(s.name).c_str(),
+                band_path(s.name).c_str());
+  }
+  return 0;
+}
+
+}  // namespace
+
 // Custom main so the same binary can regenerate its fixtures; the object
 // file's main wins over the one in the static gtest_main library.
+//   --regenerate         rewrites every fixture
+//   --regenerate <name>  rewrites the one named <name> (a file stem in
+//                        tests/golden/)
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--regenerate") {
-      std::filesystem::create_directories(PDSL_GOLDEN_DIR);
-      for (const Scenario& s : scenarios()) {
-        run_scenario_to_csv(s, golden_path(s.name));
-        std::printf("regenerated %s\n", golden_path(s.name).c_str());
-      }
-      for (const Scenario& s : banded_scenarios()) {
-        run_scenario_to_csv(s, golden_path(s.name));
-        std::printf("regenerated %s (banded; spec %s untouched)\n",
-                    golden_path(s.name).c_str(), band_path(s.name).c_str());
-      }
-      return 0;
+      const bool named = i + 1 < argc && argv[i + 1][0] != '-';
+      return regenerate(named ? argv[i + 1] : "");
     }
   }
   ::testing::InitGoogleTest(&argc, argv);

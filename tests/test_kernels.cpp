@@ -89,9 +89,9 @@ void expect_backends_bit_identical(RawGemm fn, std::size_t m, std::size_t k, std
                                 << " accumulate=" << accumulate;
 }
 
-/// sgemm, sgemm_transpose_a and sgemm_transpose_b on one odd shape (ragged
-/// row panels, column tiles and tb panels) with inputs drawn from `seed`, on
-/// the current backend; the three results concatenated.
+/// sgemm, sgemm_transpose_a and sgemm_transpose_b (in both orientations) on
+/// odd shapes (ragged row panels, column tiles and tb panels) with inputs
+/// drawn from `seed`, on the current backend; the results concatenated.
 std::vector<float> all_three_gemms(std::uint64_t seed) {
   const std::size_t m = 37, k = 53, n = 41;
   const auto a = random_vec(m * k, seed);
@@ -102,8 +102,12 @@ std::vector<float> all_three_gemms(std::uint64_t seed) {
   kernels::sgemm_transpose_a(m, k, n, a.data(), b.data(), ct.data());
   std::vector<float> cb(m * m);
   kernels::sgemm_transpose_b(m, k, m, a.data(), a.data(), cb.data());
+  // m < k: the transposed orientation, lanes over A's 19 rows.
+  std::vector<float> cbt(19 * m);
+  kernels::sgemm_transpose_b(19, k, m, b.data(), a.data(), cbt.data());
   c.insert(c.end(), ct.begin(), ct.end());
   c.insert(c.end(), cb.begin(), cb.end());
+  c.insert(c.end(), cbt.begin(), cbt.end());
   return c;
 }
 
@@ -345,11 +349,13 @@ class KernelsIsa : public ::testing::TestWithParam<kernels::Isa> {
   [[nodiscard]] std::size_t vf() const { return float_lanes(GetParam()); }
   /// Doubles per vector of the sgemm_transpose_b tile.
   [[nodiscard]] std::size_t tb_lanes() const { return vf() / 2; }
-  /// Output columns per packed sgemm_transpose_b panel: four vectors, at
-  /// most 16.
+  /// Lanes per packed sgemm_transpose_b panel: four vectors, at most 16.
+  /// The lanes run over the narrower of m and k.
   [[nodiscard]] std::size_t tb_panel() const { return std::min<std::size_t>(4 * tb_lanes(), 16); }
-  /// Output rows per sgemm_transpose_b tile: 12 accumulator vectors.
-  [[nodiscard]] std::size_t tb_rows() const { return 12 * tb_lanes() / tb_panel(); }
+  /// Tile rows of an sgemm_transpose_b tile: 12 accumulator vectors, so 12
+  /// rows against a one-vector panel, down to 12 / (tb_panel / tb_lanes)
+  /// against a full one.
+  [[nodiscard]] static std::size_t tb_rows() { return 12; }
 };
 
 }  // namespace
@@ -407,22 +413,28 @@ TEST_P(KernelsIsa, SgemmTransposeBBlockedBitIdenticalToNaive) {
   // sgemm_transpose_b(m, n, k): A(m,n), B(k,n), C(m,k) — here (m, depth, cols).
   std::vector<GemmShape> shapes = kShapes;
   // The workload shapes: Linear forward 32x784->32, the stacked Shapley
-  // first layer 64x784->64, and the CIFAR conv weight gradients.
-  shapes.insert(shapes.end(), {{32, 784, 32}, {64, 784, 64}, {8, 144, 75}, {16, 36, 200}});
+  // first layer 64x784->64 and ->320 (10 members), and the CIFAR conv
+  // weight gradients at 12x12 and at the paper's 32x32; then the paper's
+  // Linear forward at B = 250.
+  shapes.insert(shapes.end(), {{32, 784, 32}, {64, 784, 64}, {64, 784, 320}, {8, 144, 75},
+                               {16, 36, 200}, {8, 1024, 75}, {16, 256, 200}, {250, 1024, 64}});
+  // Deep reductions split the packed lanes into passes, so these straddle
+  // pass edges and 12-row block edges in both orientations.
+  shapes.insert(shapes.end(), {{13, 2048, 40}, {40, 2048, 13}, {37, 2048, 37}, {25, 1024, 25}});
   // Rows straddle the row tile and columns the panels (3 1/2 panels: 27
-  // columns at 8 per panel).
+  // columns at 8 per panel), and the same transposed.
   shapes.push_back({37, 50, 7 * tb_panel() / 2 - 1});
-  // Vector, panel and row-tile (3 or 6 rows) edges.
-  std::vector<std::size_t> col_counts = {1, 2 * tb_panel() - 1, 2 * tb_panel() + 1};
-  for (std::size_t v = 1; v * tb_lanes() <= tb_panel(); ++v) {
-    col_counts.insert(col_counts.end(),
-                      {v * tb_lanes() - 1, v * tb_lanes(), v * tb_lanes() + 1});
+  shapes.push_back({7 * tb_panel() / 2 - 1, 50, 37});
+  // Every m and k through two row tiles of every panel width (12, 6, 4 or 3
+  // rows), every vector edge and two panels: m < k, m == k and m > k, so
+  // each count is taken both as lanes and as tile rows.
+  std::vector<std::size_t> counts;
+  for (std::size_t c = 1; c <= 2 * tb_rows() + 1; ++c) counts.push_back(c);
+  for (std::size_t c = 2 * tb_panel() - 1; c <= 2 * tb_panel() + 1; ++c) {
+    if (c > 2 * tb_rows() + 1) counts.push_back(c);
   }
-  for (const std::size_t cols : col_counts) {
-    if (cols == 0) continue;
-    for (std::size_t rows = 1; rows <= 2 * tb_rows() + 1; ++rows) {
-      shapes.push_back({rows, 13, cols});
-    }
+  for (const std::size_t m : counts) {
+    for (const std::size_t k : counts) shapes.push_back({m, 13, k});
   }
   for (const auto& s : shapes) {
     for (const bool acc : {false, true}) {
@@ -430,7 +442,7 @@ TEST_P(KernelsIsa, SgemmTransposeBBlockedBitIdenticalToNaive) {
                                     s.n * s.k, s.m * s.n, acc);
     }
     if (s.k < 2) continue;
-    // Random data hides a changed summation order: a double sum of <= 784
+    // Random data hides a changed summation order: a double sum of <= 2048
     // exact products almost always rounds to the same float. Cancelling
     // +-2^40 products at the first and last depth index make each chain's
     // float bits depend on the exact order of the additions in between.
@@ -448,55 +460,70 @@ TEST_P(KernelsIsa, SgemmTransposeBBlockedBitIdenticalToNaive) {
   }
 }
 
-// A NaN or Inf in B row j lands in output column j only, at every lane offset
-// of a full panel and of the ragged last panel (k = 2 panels + 1: 8, 8, 1 at
-// 2 doubles per vector). A NaN in A row i poisons exactly row i, in a full
-// row tile and the ragged last one, through every panel and through the
-// padded lanes of the ragged one — which must never be written back.
+// A NaN or Inf in B row j lands in output column j only, and one in A row i
+// in output row i only, in each orientation: m > k (lanes over B's rows),
+// m < k (lanes over A's rows, C stored transposed) and m == k. The lane side
+// has 2 panels + 1 rows (8, 8, 1 at 2 doubles per vector), so the poison
+// sits at every lane offset of a full panel and of the ragged last one; the
+// tile side has 14 more, a ragged last row tile at every panel width. The
+// padded lanes of the ragged panel must never be written back.
 TEST_P(KernelsIsa, SgemmTransposeBBlockedPropagatesNanAndInfAtEveryLaneOffset) {
   KernelEnvGuard guard;
-  const std::size_t m = tb_rows() + 2, n = 11, k = 2 * tb_panel() + 1;
-  for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const auto a = random_vec(m * n, 101);
-      auto b = random_vec(k * n, 103);
-      b[j * n + 4] = poison;
-      expect_tb_blocked_matches_naive(m, n, k, a, b, "B poison col " + std::to_string(j));
-      const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, false);
+  const std::size_t n = 11, lanes = 2 * tb_panel() + 1, tiles = lanes + 14;
+  const GemmShape orientations[] = {{tiles, n, lanes}, {lanes, n, tiles}, {lanes, n, lanes}};
+  for (const auto& s : orientations) {
+    const std::size_t m = s.m, k = s.n;
+    const std::string shape = "m=" + std::to_string(m) + " k=" + std::to_string(k) + " ";
+    for (const float poison : {std::nanf(""), HUGE_VALF, -HUGE_VALF}) {
+      for (std::size_t j = 0; j < k; ++j) {
+        const auto a = random_vec(m * n, 101);
+        auto b = random_vec(k * n, 103);
+        b[j * n + 4] = poison;
+        expect_tb_blocked_matches_naive(m, n, k, a, b, shape + "B poison row " + std::to_string(j));
+        const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, false);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t jj = 0; jj < k; ++jj) {
+            ASSERT_EQ(std::isfinite(c[i * k + jj]), jj != j) << shape << "i=" << i << " j=" << jj;
+          }
+        }
+      }
       for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t jj = 0; jj < k; ++jj) {
-          EXPECT_EQ(std::isfinite(c[i * k + jj]), jj != j) << "i=" << i << " j=" << jj;
+        auto a = random_vec(m * n, 107);
+        const auto b = random_vec(k * n, 109);
+        a[i * n + 7] = poison;
+        expect_tb_blocked_matches_naive(m, n, k, a, b, shape + "A poison row " + std::to_string(i));
+        const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, false);
+        for (std::size_t ii = 0; ii < m; ++ii) {
+          for (std::size_t j = 0; j < k; ++j) {
+            ASSERT_EQ(std::isfinite(c[ii * k + j]), ii != i) << shape << "i=" << ii << " j=" << j;
+          }
         }
       }
     }
-    for (std::size_t i = 0; i < m; ++i) {
-      auto a = random_vec(m * n, 107);
-      const auto b = random_vec(k * n, 109);
-      a[i * n + 7] = poison;
-      expect_tb_blocked_matches_naive(m, n, k, a, b, "A poison row " + std::to_string(i));
-    }
+    // 0 * inf -> NaN in every output.
+    const std::vector<float> az(m * n, 0.0f);
+    const std::vector<float> binf(k * n, HUGE_VALF);
+    const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, az, binf, false);
+    for (std::size_t e = 0; e < m * k; ++e) ASSERT_TRUE(std::isnan(c[e])) << shape << e;
   }
-  // 0 * inf -> NaN in every output.
-  const std::vector<float> az(m * n, 0.0f);
-  const std::vector<float> binf(k * n, HUGE_VALF);
-  const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, az, binf, false);
-  for (std::size_t e = 0; e < m * k; ++e) EXPECT_TRUE(std::isnan(c[e])) << e;
 }
 
 // NaN rows stored just past the logical end of A and B — the rows a padded
 // row tile or lane would pick up if it read past the matrix — must not reach
-// any written output: every ragged row/column count matches naive with no
-// NaN anywhere.
+// any written output: every ragged row/column count, in both orientations,
+// matches naive with no NaN anywhere.
 TEST_P(KernelsIsa, SgemmTransposeBBlockedIgnoresNanPastTheEdges) {
   KernelEnvGuard guard;
   const std::size_t n = 9;
   const std::size_t p = tb_panel();
+  // Either operand may be the packed or the widened one.
+  const std::size_t pad = std::max(p, tb_rows());
   for (const std::size_t k : {std::size_t{1}, tb_lanes() + 1, p - 1, p + 1, 2 * p - 1, 2 * p + 1}) {
     for (std::size_t m = 1; m <= tb_rows() + 2; ++m) {
       auto a = random_vec(m * n, 113);
       auto b = random_vec(k * n, 127);
-      a.resize((m + tb_rows()) * n, std::nanf(""));
-      b.resize((k + p) * n, std::nanf(""));
+      a.resize((m + pad) * n, std::nanf(""));
+      b.resize((k + pad) * n, std::nanf(""));
       const std::string what = "m=" + std::to_string(m) + " k=" + std::to_string(k);
       expect_tb_blocked_matches_naive(m, n, k, a, b, what);
       const auto c = tb_with_canary(kernels::Backend::kBlocked, m, n, k, a, b, true);
