@@ -4,7 +4,7 @@
 // (metrics_eval_ms, the run's elapsed time minus its rounds' time) and
 // end-to-end speedup vs the sequential run, asserts the runs are bit-identical
 // (the S-RT determinism contract: the average model and every deterministic
-// RoundMetrics field), and writes the table as JSON (default
+// column of the per-round record), and writes the table as JSON (default
 // BENCH_threads.json; override with --out).
 //
 // Every parallel section is a per-agent loop: the five round phases
@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -21,12 +20,12 @@
 #include "common/json.hpp"
 #include "common/stopwatch.hpp"
 #include "core/experiment.hpp"
+#include "sim/metrics.hpp"
 
 namespace {
 
 using pdsl::core::ExperimentConfig;
 using pdsl::core::ExperimentResult;
-using pdsl::sim::RoundMetrics;
 
 ExperimentConfig base_config(const pdsl::CliArgs& args) {
   ExperimentConfig cfg;
@@ -69,21 +68,10 @@ double metrics_eval_s(const ExperimentResult& res) {
   return res.series.back().elapsed_s - rounds_s;
 }
 
-/// Every RoundMetrics field but the wall-clock ones (elapsed_s, round_s,
-/// phases).
-auto deterministic_fields(const RoundMetrics& m) {
-  return std::tie(m.round, m.avg_loss, m.test_accuracy, m.consensus, m.grad_norm, m.messages,
-                  m.bytes, m.dropped, m.delayed, m.offline, m.stale_reused, m.fallbacks,
-                  m.byz_active, m.corrupted, m.rejected, m.reclipped, m.pi_attacker,
-                  m.pi_honest, m.epsilon_spent, m.shapley_evals, m.shapley_early_stops,
-                  m.retransmits, m.corrupt_detected, m.dup_dropped, m.reordered, m.crashes,
-                  m.resyncs);
-}
-
 bool same_results(const ExperimentResult& a, const ExperimentResult& b) {
   if (a.average_model != b.average_model || a.series.size() != b.series.size()) return false;
   for (std::size_t r = 0; r < a.series.size(); ++r) {
-    if (deterministic_fields(a.series[r]) != deterministic_fields(b.series[r])) return false;
+    if (!pdsl::sim::deterministic_diff(a.series[r], b.series[r]).empty()) return false;
   }
   return true;
 }
@@ -159,11 +147,10 @@ int main(int argc, char** argv) {
     pdsl::json::Object row;
     row["threads"] = static_cast<std::size_t>(w);
     row["total_s"] = total;
-    row["local_grad_ms_per_round"] = ms_per_round(p.local_grad_s, cfg.rounds);
-    row["crossgrad_ms_per_round"] = ms_per_round(p.crossgrad_s, cfg.rounds);
-    row["shapley_ms_per_round"] = ms_per_round(p.shapley_s, cfg.rounds);
-    row["aggregate_ms_per_round"] = ms_per_round(p.aggregate_s, cfg.rounds);
-    row["gossip_ms_per_round"] = ms_per_round(p.gossip_s, cfg.rounds);
+    for (const pdsl::obs::Phase ph : pdsl::obs::kPhases) {
+      row[std::string(pdsl::obs::phase_name(ph)) + "_ms_per_round"] =
+          ms_per_round(p.at(ph), cfg.rounds);
+    }
     row["metrics_eval_ms_per_round"] = metrics_ms;
     row["speedup_total"] = seq_total / total;
     row["speedup_crossgrad"] = p.crossgrad_s > 0 ? seq_cross / p.crossgrad_s : 0.0;

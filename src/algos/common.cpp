@@ -493,8 +493,7 @@ void observe_phase_histograms(const obs::PhaseTimings& p) {
   static const std::vector<double> kBoundsMs = {0.05, 0.1, 0.25, 0.5, 1.0,  2.5,  5.0,
                                                 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0};
   auto& reg = obs::MetricsRegistry::global();
-  for (std::size_t i = 0; i < obs::kNumPhases; ++i) {
-    const auto phase = static_cast<obs::Phase>(i);
+  for (const obs::Phase phase : obs::kPhases) {
     reg.histogram(std::string("phase.") + obs::phase_name(phase) + "_ms", kBoundsMs)
         .observe(1e3 * p.at(phase));
   }
@@ -623,40 +622,19 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     observe_phase_histograms(m.phases);
     if (ledger != nullptr && ledger->enabled()) {
       json::Object ev;
-      ev["round"] = m.round;
-      ev["avg_loss"] = m.avg_loss;
-      ev["test_accuracy"] = m.test_accuracy;
-      ev["consensus"] = m.consensus;
-      ev["messages"] = m.messages;
-      ev["bytes"] = m.bytes;
-      ev["dropped"] = m.dropped;
-      ev["delayed"] = m.delayed;
-      ev["offline"] = m.offline;
-      ev["stale_reused"] = m.stale_reused;
-      ev["fallbacks"] = m.fallbacks;
-      ev["byz_active"] = m.byz_active;
-      ev["corrupted"] = m.corrupted;
-      ev["rejected"] = m.rejected;
-      ev["reclipped"] = m.reclipped;
-      ev["pi_attacker"] = m.pi_attacker;
-      ev["pi_honest"] = m.pi_honest;
-      ev["epsilon_spent"] = m.epsilon_spent;
-      ev["retransmits"] = m.retransmits;
-      ev["corrupt_detected"] = m.corrupt_detected;
-      ev["dup_dropped"] = m.dup_dropped;
-      ev["reordered"] = m.reordered;
-      ev["crashes"] = m.crashes;
-      ev["resyncs"] = m.resyncs;
+      sim::for_each_column(
+          [&](const sim::MetricColumn& c, const auto& v) {
+            if (!c.wall_clock) ev[c.name] = v;
+          },
+          m);
       ledger->event("round", std::move(ev));
       alg.ledger_round(*ledger, t);
       json::Object timing;
       timing["round"] = m.round;
       timing["round_ms"] = 1e3 * m.round_s;
-      timing["local_grad_ms"] = 1e3 * m.phases.local_grad_s;
-      timing["crossgrad_ms"] = 1e3 * m.phases.crossgrad_s;
-      timing["shapley_ms"] = 1e3 * m.phases.shapley_s;
-      timing["aggregate_ms"] = 1e3 * m.phases.aggregate_s;
-      timing["gossip_ms"] = 1e3 * m.phases.gossip_s;
+      for (const obs::Phase p : obs::kPhases) {
+        timing[std::string(obs::phase_name(p)) + "_ms"] = 1e3 * m.phases.at(p);
+      }
       timing["metrics_eval_ms"] = 1e3 * metrics_eval_s;
       ledger->event(obs::RunLedger::kTimingEvent, std::move(timing));
     }

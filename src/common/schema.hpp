@@ -294,7 +294,7 @@ void check(const T& x, const std::string& who) {
 template <class T>
 std::vector<std::string> flags() {
   Visitor v(Visitor::Job::kListFlags);
-  T x{};
+  T x;  // only the declarations are walked; no value is read
   visit(v, x);
   return std::move(v.keys_);
 }

@@ -2,6 +2,7 @@
 
 #include "common/schema.hpp"
 #include "fleet/options.hpp"
+#include "obs/phase.hpp"
 #include "sim/faults.hpp"
 
 namespace pdsl::core {
@@ -110,11 +111,9 @@ json::Value result_to_json(const ExperimentResult& res) {
   o["resyncs"] = res.resyncs;
   o["resumed_from_round"] = res.resumed_from_round;
   json::Object phases;
-  phases["local_grad_s"] = res.phase_totals.local_grad_s;
-  phases["crossgrad_s"] = res.phase_totals.crossgrad_s;
-  phases["shapley_s"] = res.phase_totals.shapley_s;
-  phases["aggregate_s"] = res.phase_totals.aggregate_s;
-  phases["gossip_s"] = res.phase_totals.gossip_s;
+  for (const obs::Phase p : obs::kPhases) {
+    phases[std::string(obs::phase_name(p)) + "_s"] = res.phase_totals.at(p);
+  }
   o["phase_totals"] = json::Value(std::move(phases));
   json::Array series;
   for (const auto& m : res.series) {

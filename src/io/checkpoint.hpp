@@ -26,8 +26,9 @@ namespace pdsl::io {
 /// metadata where the version now lives, are rejected loudly). Version 3
 /// dropped the coalition score caches from the PDSL state and three Shapley
 /// counters from the PDSLRUN1 round rows; version-2 files are refused rather
-/// than misparsed.
-constexpr std::uint64_t kCheckpointVersion = 3;
+/// than misparsed. Version 4 dropped the never-assigned grad_norm column from
+/// the PDSLRUN1 round rows; version-3 files are refused the same way.
+constexpr std::uint64_t kCheckpointVersion = 4;
 
 /// Crash-safe writer: stream into a `.tmp` sibling, then std::rename over the
 /// destination once the bytes are durably written. A crash mid-save leaves the

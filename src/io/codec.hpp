@@ -33,11 +33,20 @@ inline void append_raw(ByteBuffer& buf, const void* data, std::size_t n) {
   buf.insert(buf.end(), bytes, bytes + n);
 }
 
+/// Resize + memcpy: a range insert, inlined into a first append to an empty
+/// buffer, made GCC 12 -O3 -march=native report a false -Wstringop-overflow.
+template <class T>
+inline void append_word(ByteBuffer& buf, T v) {
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(v));
+  std::memcpy(buf.data() + at, &v, sizeof(v));
+}
+
 inline void append_u8(ByteBuffer& buf, std::uint8_t v) { buf.push_back(v); }
 
-inline void append_u32(ByteBuffer& buf, std::uint32_t v) { append_raw(buf, &v, sizeof(v)); }
+inline void append_u32(ByteBuffer& buf, std::uint32_t v) { append_word(buf, v); }
 
-inline void append_u64(ByteBuffer& buf, std::uint64_t v) { append_raw(buf, &v, sizeof(v)); }
+inline void append_u64(ByteBuffer& buf, std::uint64_t v) { append_word(buf, v); }
 
 /// Doubles travel as their raw IEEE-754 bit pattern (bit-exact round-trip;
 /// the recovery layer persists RDP accumulators and metric doubles this way).

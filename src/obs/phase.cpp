@@ -30,11 +30,7 @@ double& PhaseTimings::at(Phase p) {
 double PhaseTimings::at(Phase p) const { return const_cast<PhaseTimings*>(this)->at(p); }
 
 PhaseTimings& PhaseTimings::operator+=(const PhaseTimings& o) {
-  local_grad_s += o.local_grad_s;
-  crossgrad_s += o.crossgrad_s;
-  shapley_s += o.shapley_s;
-  aggregate_s += o.aggregate_s;
-  gossip_s += o.gossip_s;
+  for (const Phase p : kPhases) at(p) += o.at(p);
   return *this;
 }
 
@@ -46,8 +42,7 @@ std::string format_phase_table(const PhaseTimings& totals, std::size_t rounds) {
   std::snprintf(line, sizeof(line), "%-11s %10s %13s %7s\n", "phase", "total_s", "ms_per_round",
                 "share");
   out += line;
-  for (std::size_t k = 0; k < kNumPhases; ++k) {
-    const auto p = static_cast<Phase>(k);
+  for (const Phase p : kPhases) {
     const double s = totals.at(p);
     std::snprintf(line, sizeof(line), "%-11s %10.4f %13.3f %6.1f%%\n", phase_name(p), s,
                   1e3 * s / r, 100.0 * s / denom);

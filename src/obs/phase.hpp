@@ -23,6 +23,9 @@ enum class Phase : int {
 };
 
 inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
+/// Every phase, in order, for range-for.
+inline constexpr Phase kPhases[kNumPhases] = {Phase::kLocalGrad, Phase::kCrossGrad,
+                                              Phase::kShapley, Phase::kAggregate, Phase::kGossip};
 
 /// Stable lowercase name ("local_grad", ...); also the trace span name.
 const char* phase_name(Phase p);

@@ -8,83 +8,23 @@ namespace pdsl::recovery {
 
 namespace {
 
-// Every RoundMetrics field travels, wall-clock ones included: a resumed run
-// re-emits the prior rows verbatim, so its CSV is byte-identical to the
+// Every column travels, in table order, wall-clock ones included: a resumed
+// run re-emits the prior rows verbatim, so its CSV is byte-identical to the
 // uninterrupted run's in all deterministic columns and carries the original
-// timings in the volatile "_s" ones.
+// timings in the wall-clock ones. Counts are u64 words, the rest doubles.
+void put(io::ByteBuffer& buf, std::size_t v) { io::append_u64(buf, v); }
+void put(io::ByteBuffer& buf, double v) { io::append_f64(buf, v); }
+void get(io::ByteReader& r, std::size_t& v, const char* what) { v = r.read_u64(what); }
+void get(io::ByteReader& r, double& v, const char* what) { v = r.read_f64(what); }
+
 void append_round(io::ByteBuffer& buf, const sim::RoundMetrics& m) {
-  io::append_u64(buf, m.round);
-  io::append_f64(buf, m.avg_loss);
-  io::append_f64(buf, m.test_accuracy);
-  io::append_f64(buf, m.consensus);
-  io::append_f64(buf, m.grad_norm);
-  io::append_u64(buf, m.messages);
-  io::append_u64(buf, m.bytes);
-  io::append_f64(buf, m.elapsed_s);
-  io::append_f64(buf, m.round_s);
-  io::append_f64(buf, m.phases.local_grad_s);
-  io::append_f64(buf, m.phases.crossgrad_s);
-  io::append_f64(buf, m.phases.shapley_s);
-  io::append_f64(buf, m.phases.aggregate_s);
-  io::append_f64(buf, m.phases.gossip_s);
-  io::append_u64(buf, m.dropped);
-  io::append_u64(buf, m.delayed);
-  io::append_u64(buf, m.offline);
-  io::append_u64(buf, m.stale_reused);
-  io::append_u64(buf, m.fallbacks);
-  io::append_u64(buf, m.byz_active);
-  io::append_u64(buf, m.corrupted);
-  io::append_u64(buf, m.rejected);
-  io::append_u64(buf, m.reclipped);
-  io::append_f64(buf, m.pi_attacker);
-  io::append_f64(buf, m.pi_honest);
-  io::append_f64(buf, m.epsilon_spent);
-  io::append_u64(buf, m.shapley_evals);
-  io::append_u64(buf, m.shapley_early_stops);
-  io::append_u64(buf, m.retransmits);
-  io::append_u64(buf, m.corrupt_detected);
-  io::append_u64(buf, m.dup_dropped);
-  io::append_u64(buf, m.reordered);
-  io::append_u64(buf, m.crashes);
-  io::append_u64(buf, m.resyncs);
+  sim::for_each_column([&](const sim::MetricColumn&, const auto& v) { put(buf, v); }, m);
 }
 
 sim::RoundMetrics read_round(io::ByteReader& r) {
   sim::RoundMetrics m;
-  m.round = static_cast<std::size_t>(r.read_u64("round"));
-  m.avg_loss = r.read_f64("avg_loss");
-  m.test_accuracy = r.read_f64("test_accuracy");
-  m.consensus = r.read_f64("consensus");
-  m.grad_norm = r.read_f64("grad_norm");
-  m.messages = static_cast<std::size_t>(r.read_u64("messages"));
-  m.bytes = static_cast<std::size_t>(r.read_u64("bytes"));
-  m.elapsed_s = r.read_f64("elapsed_s");
-  m.round_s = r.read_f64("round_s");
-  m.phases.local_grad_s = r.read_f64("local_grad_s");
-  m.phases.crossgrad_s = r.read_f64("crossgrad_s");
-  m.phases.shapley_s = r.read_f64("shapley_s");
-  m.phases.aggregate_s = r.read_f64("aggregate_s");
-  m.phases.gossip_s = r.read_f64("gossip_s");
-  m.dropped = static_cast<std::size_t>(r.read_u64("dropped"));
-  m.delayed = static_cast<std::size_t>(r.read_u64("delayed"));
-  m.offline = static_cast<std::size_t>(r.read_u64("offline"));
-  m.stale_reused = static_cast<std::size_t>(r.read_u64("stale_reused"));
-  m.fallbacks = static_cast<std::size_t>(r.read_u64("fallbacks"));
-  m.byz_active = static_cast<std::size_t>(r.read_u64("byz_active"));
-  m.corrupted = static_cast<std::size_t>(r.read_u64("corrupted"));
-  m.rejected = static_cast<std::size_t>(r.read_u64("rejected"));
-  m.reclipped = static_cast<std::size_t>(r.read_u64("reclipped"));
-  m.pi_attacker = r.read_f64("pi_attacker");
-  m.pi_honest = r.read_f64("pi_honest");
-  m.epsilon_spent = r.read_f64("epsilon_spent");
-  m.shapley_evals = static_cast<std::size_t>(r.read_u64("shapley_evals"));
-  m.shapley_early_stops = static_cast<std::size_t>(r.read_u64("shapley_early_stops"));
-  m.retransmits = static_cast<std::size_t>(r.read_u64("retransmits"));
-  m.corrupt_detected = static_cast<std::size_t>(r.read_u64("corrupt_detected"));
-  m.dup_dropped = static_cast<std::size_t>(r.read_u64("dup_dropped"));
-  m.reordered = static_cast<std::size_t>(r.read_u64("reordered"));
-  m.crashes = static_cast<std::size_t>(r.read_u64("crashes"));
-  m.resyncs = static_cast<std::size_t>(r.read_u64("resyncs"));
+  sim::for_each_column([&](const sim::MetricColumn& c, auto& v) { get(r, v, c.name.c_str()); },
+                       m);
   return m;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <fstream>
 #include <stdexcept>
 
 #include "common/vec_math.hpp"
@@ -38,25 +39,40 @@ std::vector<float> average_model(const fleet::LazyMatrix& models) {
   return mean_of(ptrs);
 }
 
+std::string deterministic_diff(const RoundMetrics& a, const RoundMetrics& b) {
+  std::string diff;
+  for_each_column(
+      [&](const MetricColumn& c, const auto& x, const auto& y) {
+        if (c.wall_clock || x == y) return;
+        diff += (diff.empty() ? "" : ", ") + c.name;
+      },
+      a, b);
+  return diff;
+}
+
 void write_metrics_csv(const std::string& path, const std::string& run_label,
-                       const std::vector<RoundMetrics>& series) {
-  CsvWriter csv(path, {"run", "round", "avg_loss", "test_accuracy", "consensus", "grad_norm",
-                       "messages", "bytes", "dropped", "delayed", "offline", "stale_reused",
-                       "fallbacks", "byz_active", "corrupted", "rejected", "reclipped",
-                       "pi_attacker", "pi_honest", "epsilon_spent", "shapley_evals",
-                       "shapley_early_stops", "retransmits", "corrupt_detected", "dup_dropped",
-                       "reordered", "crashes", "resyncs", "elapsed_s", "round_s", "local_grad_s",
-                       "crossgrad_s", "shapley_s", "aggregate_s", "gossip_s"});
+                       const std::vector<RoundMetrics>& series, bool wall_clock) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("write_metrics_csv: cannot open " + path);
+  // Ends a line with the deterministic cells, then (with `wall_clock`) the
+  // wall-clock ones.
+  const auto end_line = [&](const auto& cell, const auto&... m) {
+    for (const bool clock : {false, true}) {
+      if (clock && !wall_clock) break;
+      for_each_column(
+          [&](const MetricColumn& c, const auto&... v) {
+            if (c.wall_clock == clock) cell(c, v...);
+          },
+          m...);
+    }
+    out << '\n';
+  };
+  out << "run";
+  end_line([&](const MetricColumn& c) { out << ',' << c.name; });
   for (const auto& m : series) {
-    csv.row(run_label, m.round, m.avg_loss, m.test_accuracy, m.consensus, m.grad_norm,
-            m.messages, m.bytes, m.dropped, m.delayed, m.offline, m.stale_reused, m.fallbacks,
-            m.byz_active, m.corrupted, m.rejected, m.reclipped, m.pi_attacker, m.pi_honest,
-            m.epsilon_spent, m.shapley_evals, m.shapley_early_stops, m.retransmits,
-            m.corrupt_detected, m.dup_dropped, m.reordered, m.crashes, m.resyncs, m.elapsed_s,
-            m.round_s, m.phases.local_grad_s, m.phases.crossgrad_s, m.phases.shapley_s,
-            m.phases.aggregate_s, m.phases.gossip_s);
+    out << run_label;
+    end_line([&](const MetricColumn&, const auto& v) { out << ',' << v; }, m);
   }
-  csv.flush();
 }
 
 }  // namespace pdsl::sim

@@ -7,18 +7,18 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "fleet/lazy_matrix.hpp"
 #include "obs/phase.hpp"
 
 namespace pdsl::sim {
 
+/// One round's record. A new field needs one row in the column table
+/// (for_each_column below), which every column-wise consumer walks.
 struct RoundMetrics {
   std::size_t round = 0;
   double avg_loss = 0.0;        ///< mean over agents of F_i(x_i) on local eval data
   double test_accuracy = 0.0;   ///< mean over agents of accuracy(x_i) on the test set
   double consensus = 0.0;       ///< mean over agents of ||x_i - x_bar||_2
-  double grad_norm = 0.0;       ///< ||grad of F at x_bar|| proxy if recorded (else 0)
   std::size_t messages = 0;     ///< cumulative network messages so far
   std::size_t bytes = 0;        ///< cumulative network bytes so far
   double elapsed_s = 0.0;       ///< cumulative run wall time after this round
@@ -66,13 +66,61 @@ double consensus_distance(const fleet::LazyMatrix& models);
 std::vector<float> average_model(const std::vector<std::vector<float>>& models);
 std::vector<float> average_model(const fleet::LazyMatrix& models);
 
-/// Write a metrics series to CSV (columns: round, avg_loss, test_accuracy,
-/// consensus, grad_norm, messages, bytes, dropped, delayed, offline,
-/// stale_reused, fallbacks, byz_active, corrupted, rejected, reclipped,
-/// pi_attacker, pi_honest, epsilon_spent, shapley_evals, shapley_early_stops,
-/// retransmits, corrupt_detected, dup_dropped, reordered, crashes, resyncs, elapsed_s,
-/// round_s, then one <phase>_s column per obs::Phase).
+/// One column of the per-round record: its name (CSV header, ledger key) and
+/// whether it is wall-clock time, which differs run to run and so stays out of
+/// the golden fixtures, the ledger `round` event and every bit-identity check.
+struct MetricColumn {
+  std::string name;
+  bool wall_clock = false;
+};
+
+/// The column table, in the struct's order: calls f(column, r.field...) per
+/// column with that field of each record in `r` (none for a header, two to
+/// compare). The CSV, the PDSLRUN1 round rows, the ledger `round` event and
+/// deterministic_diff all walk it, so a new column is a field plus one row.
+template <class F, class... Records>
+void for_each_column(F&& f, Records&... m) {
+  constexpr bool kWallClock = true;
+  f(MetricColumn{"round"}, m.round...);
+  f(MetricColumn{"avg_loss"}, m.avg_loss...);
+  f(MetricColumn{"test_accuracy"}, m.test_accuracy...);
+  f(MetricColumn{"consensus"}, m.consensus...);
+  f(MetricColumn{"messages"}, m.messages...);
+  f(MetricColumn{"bytes"}, m.bytes...);
+  f(MetricColumn{"elapsed_s", kWallClock}, m.elapsed_s...);
+  f(MetricColumn{"round_s", kWallClock}, m.round_s...);
+  for (const obs::Phase p : obs::kPhases) {
+    f(MetricColumn{std::string(obs::phase_name(p)) + "_s", kWallClock}, m.phases.at(p)...);
+  }
+  f(MetricColumn{"dropped"}, m.dropped...);
+  f(MetricColumn{"delayed"}, m.delayed...);
+  f(MetricColumn{"offline"}, m.offline...);
+  f(MetricColumn{"stale_reused"}, m.stale_reused...);
+  f(MetricColumn{"fallbacks"}, m.fallbacks...);
+  f(MetricColumn{"byz_active"}, m.byz_active...);
+  f(MetricColumn{"corrupted"}, m.corrupted...);
+  f(MetricColumn{"rejected"}, m.rejected...);
+  f(MetricColumn{"reclipped"}, m.reclipped...);
+  f(MetricColumn{"pi_attacker"}, m.pi_attacker...);
+  f(MetricColumn{"pi_honest"}, m.pi_honest...);
+  f(MetricColumn{"epsilon_spent"}, m.epsilon_spent...);
+  f(MetricColumn{"shapley_evals"}, m.shapley_evals...);
+  f(MetricColumn{"shapley_early_stops"}, m.shapley_early_stops...);
+  f(MetricColumn{"retransmits"}, m.retransmits...);
+  f(MetricColumn{"corrupt_detected"}, m.corrupt_detected...);
+  f(MetricColumn{"dup_dropped"}, m.dup_dropped...);
+  f(MetricColumn{"reordered"}, m.reordered...);
+  f(MetricColumn{"crashes"}, m.crashes...);
+  f(MetricColumn{"resyncs"}, m.resyncs...);
+}
+
+/// The deterministic columns in which `a` and `b` differ, comma-separated;
+/// empty when they all match.
+std::string deterministic_diff(const RoundMetrics& a, const RoundMetrics& b);
+
+/// Write a metrics series to CSV: `run`, the deterministic columns, then (with
+/// `wall_clock`) the wall-clock ones, each group in table order.
 void write_metrics_csv(const std::string& path, const std::string& run_label,
-                       const std::vector<RoundMetrics>& series);
+                       const std::vector<RoundMetrics>& series, bool wall_clock = true);
 
 }  // namespace pdsl::sim

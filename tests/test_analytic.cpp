@@ -153,7 +153,7 @@ TEST(Analytic, JsonFuzzRoundTrip) {
         json::Object obj;
         const auto n = rng.uniform_int(0, 4);
         for (std::int64_t i = 0; i < n; ++i) {
-          obj["k" + std::to_string(i)] = gen(depth + 1);
+          obj[std::string("k").append(std::to_string(i))] = gen(depth + 1);
         }
         return json::Value(std::move(obj));
       }

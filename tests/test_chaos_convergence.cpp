@@ -171,6 +171,6 @@ TEST(ChaosConvergence, EveryBaselineSurvivesChaos) {
     for (float v : res.average_model) ASSERT_TRUE(std::isfinite(v)) << name;
     // fedavg's server phase is abstract (no Network traffic), so it only
     // feels churn; every decentralized baseline must show real drops.
-    if (name != "fedavg") EXPECT_GT(res.dropped, 0u) << name;
+    if (name != "fedavg") { EXPECT_GT(res.dropped, 0u) << name; }
   }
 }

@@ -247,7 +247,7 @@ TEST(CliSmoke, HelpNamesEveryRunFlag) {
   // The help text is written by hand; every flag the schema declares must
   // appear in it as --<flag> (either spelling: CliArgs folds '-' and '_').
   const std::string out = temp_path("pdsl_smoke_help.txt");
-  ASSERT_EQ(std::system(("\"" + std::string(PDSL_CLI_PATH) + "\" help > \"" + out + "\"").c_str()),
+  ASSERT_EQ(std::system((std::string("\"") + PDSL_CLI_PATH + "\" help > \"" + out + "\"").c_str()),
             0);
   std::string help = slurp(out);
   std::remove(out.c_str());

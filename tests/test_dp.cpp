@@ -103,10 +103,10 @@ TEST(Gaussian, SigmaMonotonicity) {
 }
 
 TEST(Gaussian, SigmaRejectsBadBudgets) {
-  EXPECT_THROW(gaussian_sigma(1.0, 0.0, 1e-3), std::invalid_argument);
-  EXPECT_THROW(gaussian_sigma(1.0, 0.1, 0.0), std::invalid_argument);
-  EXPECT_THROW(gaussian_sigma(1.0, 0.1, 1.0), std::invalid_argument);
-  EXPECT_THROW(gaussian_sigma(-1.0, 0.1, 1e-3), std::invalid_argument);
+  EXPECT_THROW((void)gaussian_sigma(1.0, 0.0, 1e-3), std::invalid_argument);
+  EXPECT_THROW((void)gaussian_sigma(1.0, 0.1, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)gaussian_sigma(1.0, 0.1, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)gaussian_sigma(-1.0, 0.1, 1e-3), std::invalid_argument);
 }
 
 TEST(Privatize, ClipsThenPerturbs) {
@@ -207,7 +207,7 @@ TEST(Accountant, HeterogeneousRoundsRefuseAdvanced) {
   PrivacyAccountant acc;
   acc.record(0.1, 1e-5);
   acc.record(0.2, 1e-5);
-  EXPECT_THROW(acc.advanced_epsilon(1e-5), std::logic_error);
+  EXPECT_THROW((void)acc.advanced_epsilon(1e-5), std::logic_error);
   EXPECT_NEAR(acc.basic_epsilon(), 0.3, 1e-12);
 }
 
@@ -215,5 +215,5 @@ TEST(Accountant, RejectsBadBudgets) {
   PrivacyAccountant acc;
   EXPECT_THROW(acc.record(0.0, 1e-5), std::invalid_argument);
   EXPECT_THROW(acc.record(0.1, 1.0), std::invalid_argument);
-  EXPECT_THROW(acc.advanced_epsilon(0.0), std::invalid_argument);
+  EXPECT_THROW((void)acc.advanced_epsilon(0.0), std::invalid_argument);
 }

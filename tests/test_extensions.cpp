@@ -157,7 +157,7 @@ TEST(CommCost, TransferTimeFormula) {
   model.parallel_links = 2;
   EXPECT_NEAR(model.transfer_time(10, 1000000), 4.05, 1e-9);
   model.bandwidth_bps = 0.0;
-  EXPECT_THROW(model.transfer_time(1, 1), std::invalid_argument);
+  EXPECT_THROW((void)model.transfer_time(1, 1), std::invalid_argument);
 }
 
 TEST(CommCost, SparserGraphsTradeTimeForRounds) {

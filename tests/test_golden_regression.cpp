@@ -19,8 +19,9 @@
 //     exact, which is how the counter columns stay locked down): a cell
 //     passes when |got - want| <= abs + rel * |want|.
 //
-// Timing columns (elapsed_s, round_s and the per-phase *_s breakdown) are
-// wall-clock and excluded from comparison in both tiers.
+// The fixtures hold only the deterministic columns of the per-round record:
+// its wall-clock ones (elapsed_s, round_s and the per-phase *_s breakdown)
+// are never written, so a regeneration rewrites numerics only.
 //
 // Fixtures live in tests/golden/ (path injected by CMake as PDSL_GOLDEN_DIR).
 // After an INTENTIONAL numerics change, regenerate and commit them:
@@ -183,11 +184,7 @@ std::string candidate_path(const std::string& name) {
 
 void run_scenario_to_csv(const Scenario& s, const std::string& path) {
   const ExperimentResult res = pdsl::core::run_experiment(s.cfg);
-  pdsl::sim::write_metrics_csv(path, s.name, res.series);
-}
-
-bool is_timing_column(const std::string& name) {
-  return name.size() > 2 && name.compare(name.size() - 2, 2, "_s") == 0;
+  pdsl::sim::write_metrics_csv(path, s.name, res.series, /*wall_clock=*/false);
 }
 
 /// Per-column tolerance: pass iff |got - want| <= abs + rel * |want|.
@@ -246,7 +243,6 @@ void compare_csv(const std::string& golden, const std::string& candidate,
     ASSERT_EQ(got[r].size(), header.size()) << "row " << r;
     ASSERT_EQ(want[r].size(), header.size()) << "row " << r;
     for (std::size_t c = 0; c < header.size(); ++c) {
-      if (is_timing_column(header[c])) continue;  // wall-clock, not numerics
       const Band* band = bands ? &bands->for_column(header[c]) : nullptr;
       if (band != nullptr && !band->exact()) {
         double w = 0.0, g = 0.0;

@@ -28,8 +28,10 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller, the free() would face a pointer the
+// compiler knows came from operator new and report a mismatched pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace pdsl;
 using namespace pdsl::io;
@@ -298,9 +300,9 @@ TEST(Blob, WrongMagicIsRefused) {
 
 TEST(Blob, UnsupportedFormatVersionIsRefused) {
   const std::string path = "/tmp/pdsl_blob_version.bin";
-  // A future version, and version 2 — whose PDSL state and run-state rows
-  // carried fields version 3 dropped — must both be refused, not misparsed.
-  for (const std::uint64_t bogus : {kCheckpointVersion + 7, std::uint64_t{2}}) {
+  // A future version, and versions 2 and 3 — whose PDSL state or run-state
+  // rows carried fields later versions dropped — must be refused, not misparsed.
+  for (const std::uint64_t bogus : {kCheckpointVersion + 7, std::uint64_t{2}, std::uint64_t{3}}) {
     SCOPED_TRACE(bogus);
     save_blob(path, kTestMagic, sample_body(), "blob-test");
     // Patch the version word (bytes 8..16).

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
+#include "sim/metrics.hpp"
 
 using namespace pdsl;
 using namespace pdsl::obs;
@@ -379,12 +381,26 @@ TEST(RunLedger, ExperimentLedgerHasTheContractedEventSequence) {
   EXPECT_EQ(events.back().at("type").as_string(), "run_end");
 
   // Per-round events carry the DP spend, Shapley vectors and phase timings.
+  // `round` holds exactly the deterministic columns of the per-round record,
+  // `phase_timing` one *_ms cell per phase, each plus the envelope.
+  const auto keys_of = [](const json::Value& ev) {
+    std::set<std::string> keys;
+    for (const auto& [key, value] : ev.as_object()) keys.insert(key);
+    return keys;
+  };
+  std::set<std::string> round_keys{"seq", "type"};
+  sim::for_each_column([&](const sim::MetricColumn& c) {
+    if (!c.wall_clock) round_keys.insert(c.name);
+  });
+  std::set<std::string> timing_keys{"seq", "type", "round", "round_ms", "metrics_eval_ms"};
+  for (const Phase p : kPhases) timing_keys.insert(std::string(phase_name(p)) + "_ms");
   std::size_t rounds = 0, shapley = 0, timing = 0;
   double prev_eps = 0.0;
   for (const auto& ev : events) {
     const std::string type = ev.at("type").as_string();
     if (type == "round") {
       ++rounds;
+      EXPECT_EQ(keys_of(ev), round_keys);
       const double eps = ev.at("epsilon_spent").as_number();
       EXPECT_GE(eps, prev_eps) << "epsilon_spent must be non-decreasing";
       prev_eps = eps;
@@ -394,8 +410,8 @@ TEST(RunLedger, ExperimentLedgerHasTheContractedEventSequence) {
       EXPECT_TRUE(ev.contains("phi"));
     } else if (type == RunLedger::kTimingEvent) {
       ++timing;
+      EXPECT_EQ(keys_of(ev), timing_keys);
       // The metrics evaluation after run_round is timed next to its phases.
-      ASSERT_TRUE(ev.contains("metrics_eval_ms"));
       EXPECT_GE(ev.at("metrics_eval_ms").as_number(), 0.0);
     }
   }

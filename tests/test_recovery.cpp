@@ -15,6 +15,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.hpp"
@@ -27,6 +28,7 @@
 #include "recovery/recovery.hpp"
 #include "recovery/run_state.hpp"
 #include "sim/faults.hpp"
+#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 using namespace pdsl;
@@ -71,40 +73,12 @@ core::ExperimentConfig tiny_cfg() {
   return cfg;
 }
 
-/// Compare every deterministic RoundMetrics field (everything except the
-/// wall-clock "_s" columns and the phase breakdown).
+/// Compare every deterministic column of the per-round record.
 void expect_same_series(const std::vector<RoundMetrics>& a,
                         const std::vector<RoundMetrics>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(std::string(what) + " round " + std::to_string(i));
-    EXPECT_EQ(a[i].round, b[i].round);
-    EXPECT_EQ(a[i].avg_loss, b[i].avg_loss);
-    EXPECT_EQ(a[i].test_accuracy, b[i].test_accuracy);
-    EXPECT_EQ(a[i].consensus, b[i].consensus);
-    EXPECT_EQ(a[i].grad_norm, b[i].grad_norm);
-    EXPECT_EQ(a[i].messages, b[i].messages);
-    EXPECT_EQ(a[i].bytes, b[i].bytes);
-    EXPECT_EQ(a[i].dropped, b[i].dropped);
-    EXPECT_EQ(a[i].delayed, b[i].delayed);
-    EXPECT_EQ(a[i].offline, b[i].offline);
-    EXPECT_EQ(a[i].stale_reused, b[i].stale_reused);
-    EXPECT_EQ(a[i].fallbacks, b[i].fallbacks);
-    EXPECT_EQ(a[i].byz_active, b[i].byz_active);
-    EXPECT_EQ(a[i].corrupted, b[i].corrupted);
-    EXPECT_EQ(a[i].rejected, b[i].rejected);
-    EXPECT_EQ(a[i].reclipped, b[i].reclipped);
-    EXPECT_EQ(a[i].pi_attacker, b[i].pi_attacker);
-    EXPECT_EQ(a[i].pi_honest, b[i].pi_honest);
-    EXPECT_EQ(a[i].epsilon_spent, b[i].epsilon_spent);
-    EXPECT_EQ(a[i].shapley_evals, b[i].shapley_evals);
-    EXPECT_EQ(a[i].shapley_early_stops, b[i].shapley_early_stops);
-    EXPECT_EQ(a[i].retransmits, b[i].retransmits);
-    EXPECT_EQ(a[i].corrupt_detected, b[i].corrupt_detected);
-    EXPECT_EQ(a[i].dup_dropped, b[i].dup_dropped);
-    EXPECT_EQ(a[i].reordered, b[i].reordered);
-    EXPECT_EQ(a[i].crashes, b[i].crashes);
-    EXPECT_EQ(a[i].resyncs, b[i].resyncs);
+    EXPECT_EQ(deterministic_diff(a[i], b[i]), "") << what << " round " << i;
   }
 }
 
@@ -574,11 +548,15 @@ TEST(ResumeTest, RunStateRoundTripsAndDetectsDamage) {
   st.resume.last_acc = 0.625;
   st.resume.accountant_rdp = {0.5, 1.25, 2.0};
   st.resume.accountant_invocations = 35;
+  // Every column distinct, so a row the codec skips, swaps or mistypes shows.
   RoundMetrics m;
-  m.round = 7;
-  m.avg_loss = 1.5;
-  m.retransmits = 3;
-  m.crashes = 1;
+  double next = 1.0;
+  for_each_column(
+      [&](const MetricColumn&, auto& v) {
+        v = static_cast<std::remove_cvref_t<decltype(v)>>(next);
+        next += 1.0;
+      },
+      m);
   st.resume.prior_series = {m};
   io::append_floats(st.algo_state, {1.0f, 2.0f, 3.0f});
   recovery::save_run_state(path, st);
@@ -590,9 +568,11 @@ TEST(ResumeTest, RunStateRoundTripsAndDetectsDamage) {
   EXPECT_EQ(back.resume.accountant_rdp, st.resume.accountant_rdp);
   EXPECT_EQ(back.resume.accountant_invocations, 35u);
   ASSERT_EQ(back.resume.prior_series.size(), 1u);
-  EXPECT_EQ(back.resume.prior_series[0].avg_loss, 1.5);
-  EXPECT_EQ(back.resume.prior_series[0].retransmits, 3u);
-  EXPECT_EQ(back.resume.prior_series[0].crashes, 1u);
+  for_each_column(
+      [](const MetricColumn& c, const auto& got, const auto& want) {
+        EXPECT_EQ(got, want) << c.name;
+      },
+      back.resume.prior_series[0], m);
   EXPECT_EQ(back.algo_state, st.algo_state);
 
   // Wrong identity hash: refused loudly.

@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
+#include "sim/metrics.hpp"
 
 using namespace pdsl;
 using pdsl::runtime::ThreadPool;
@@ -194,16 +195,10 @@ void expect_bit_identical(const core::ExperimentResult& a,
   // Model parameters: exact float equality, element by element.
   ASSERT_EQ(a.average_model.size(), b.average_model.size());
   EXPECT_TRUE(a.average_model == b.average_model);
-  // RoundMetrics: every deterministic field exact (times are wall-clock and
-  // legitimately differ).
+  // Every deterministic column exact (the wall-clock ones legitimately differ).
   ASSERT_EQ(a.series.size(), b.series.size());
   for (std::size_t r = 0; r < a.series.size(); ++r) {
-    EXPECT_EQ(a.series[r].round, b.series[r].round);
-    EXPECT_EQ(a.series[r].avg_loss, b.series[r].avg_loss) << "round " << r;
-    EXPECT_EQ(a.series[r].test_accuracy, b.series[r].test_accuracy) << "round " << r;
-    EXPECT_EQ(a.series[r].consensus, b.series[r].consensus) << "round " << r;
-    EXPECT_EQ(a.series[r].messages, b.series[r].messages) << "round " << r;
-    EXPECT_EQ(a.series[r].bytes, b.series[r].bytes) << "round " << r;
+    EXPECT_EQ(sim::deterministic_diff(a.series[r], b.series[r]), "") << "round " << r;
   }
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.bytes, b.bytes);

@@ -23,6 +23,7 @@
 #include "shapley/shapley.hpp"
 #include "shapley/weighting.hpp"
 #include "sim/evaluate.hpp"
+#include "sim/metrics.hpp"
 
 using namespace pdsl;
 using namespace pdsl::shapley;
@@ -947,9 +948,8 @@ TEST(CoalitionBatchEvaluator, LinearModeCnnRunBitIdenticalAcrossWidths) {
     EXPECT_TRUE(runs[r].average_model == runs[0].average_model);
     ASSERT_EQ(runs[r].series.size(), runs[0].series.size());
     for (std::size_t t = 0; t < runs[0].series.size(); ++t) {
-      EXPECT_EQ(runs[r].series[t].avg_loss, runs[0].series[t].avg_loss) << "round " << t;
-      EXPECT_EQ(runs[r].series[t].test_accuracy, runs[0].series[t].test_accuracy);
-      EXPECT_EQ(runs[r].series[t].pi_honest, runs[0].series[t].pi_honest);
+      EXPECT_EQ(sim::deterministic_diff(runs[r].series[t], runs[0].series[t]), "")
+          << "round " << t;
     }
   }
 }

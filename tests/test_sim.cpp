@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "common/csv.hpp"
 #include "data/synthetic.hpp"
 #include "nn/model_zoo.hpp"
 #include "runtime/parallel_for.hpp"
@@ -281,17 +288,46 @@ TEST(Metrics, AverageModel) {
   EXPECT_THROW(average_model(std::vector<std::vector<float>>{}), std::invalid_argument);
 }
 
+// Each column lands under its own header with its own value: the
+// deterministic columns first, then (unless left out) the wall-clock ones.
 TEST(Metrics, CsvRoundTrip) {
+  RoundMetrics m;
+  std::vector<std::string> deterministic, wall_clock;
+  std::map<std::string, std::string> cell;
+  for_each_column(
+      [&](const MetricColumn& c, auto& v) {
+        const std::size_t value = cell.size() + 1;
+        v = static_cast<std::remove_cvref_t<decltype(v)>>(value);
+        cell[c.name] = std::to_string(value);
+        (c.wall_clock ? wall_clock : deterministic).push_back(c.name);
+      },
+      m);
+  ASSERT_EQ(cell.size(), deterministic.size() + wall_clock.size()) << "duplicate column name";
+  EXPECT_EQ(wall_clock.size(), 2 + obs::kNumPhases);
   const std::string path = "/tmp/pdsl_metrics_test.csv";
-  std::vector<RoundMetrics> series(2);
-  series[0].round = 1;
-  series[0].avg_loss = 2.5;
-  series[1].round = 2;
-  series[1].test_accuracy = 0.75;
-  write_metrics_csv(path, "unit", series);
-  const auto rows = pdsl::read_csv(path);
-  ASSERT_EQ(rows.size(), 3u);  // header + 2
-  EXPECT_EQ(rows[0][0], "run");
-  EXPECT_EQ(rows[1][1], "1");
-  EXPECT_EQ(rows[2][0], "unit");
+  for (const bool with_clock : {true, false}) {
+    SCOPED_TRACE(with_clock);
+    write_metrics_csv(path, "unit", {m, m}, with_clock);
+    const auto rows = pdsl::read_csv(path);
+    ASSERT_EQ(rows.size(), 3u);  // header + 2
+    std::vector<std::string> header{"run"};
+    header.insert(header.end(), deterministic.begin(), deterministic.end());
+    if (with_clock) header.insert(header.end(), wall_clock.begin(), wall_clock.end());
+    ASSERT_EQ(rows[0], header);
+    EXPECT_EQ(rows[2][0], "unit");
+    for (std::size_t c = 1; c < header.size(); ++c) {
+      EXPECT_EQ(rows[2][c], cell[header[c]]) << header[c];
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Metrics, DeterministicDiffIgnoresWallClockColumns) {
+  RoundMetrics a, b;
+  b.round_s = 1.0;
+  b.phases.gossip_s = 2.0;
+  EXPECT_EQ(deterministic_diff(a, b), "");
+  b.dup_dropped = 3;
+  b.avg_loss = 0.5;
+  EXPECT_EQ(deterministic_diff(a, b), "avg_loss, dup_dropped");
 }
