@@ -19,7 +19,6 @@
 #include "common/schema.hpp"
 #include "common/stopwatch.hpp"
 #include "kernels/backend.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
 
@@ -229,17 +228,6 @@ std::string bench_git_rev() {
 #endif
 }
 
-json::Value phase_histograms_json() {
-  const json::Value snap = obs::MetricsRegistry::global().to_json();
-  json::Object out;
-  if (snap.contains("histograms")) {
-    for (const auto& [name, h] : snap.at("histograms").as_object()) {
-      if (name.rfind("phase.", 0) == 0) out[name] = h;
-    }
-  }
-  return json::Value(std::move(out));
-}
-
 BenchEnvelope::BenchEnvelope(std::string bench_id, std::string kind)
     : bench_id_(std::move(bench_id)),
       kind_(std::move(kind)),
@@ -296,7 +284,6 @@ json::Value BenchEnvelope::to_json() const {
   }
   o["metrics"] = json::Value(std::move(metrics));
   o["memory"] = memory_info_json();  // S-SCALE: safe schema-v1 addition
-  o["phases"] = phase_histograms_json();
   o["runs"] = json::Value(runs_);
   if (has_acceptance_) o["acceptance"] = json::Value(acceptance_);
   return json::Value(std::move(o));

@@ -82,9 +82,8 @@ json::Value fault_config_json(const core::ExperimentConfig& cfg);
 // tools/run_benchmarks.py can aggregate, diff and report uniformly. The
 // envelope carries full provenance (git rev, compiler, build type,
 // PDSL_NATIVE, host core count), the run's config and fault/adversary regime,
-// named metric series with median/min/max over the recorded samples, the
-// per-phase timing histograms from obs::MetricsRegistry, and a free-form
-// `runs` array with the bench's detailed rows. A binary records one sample
+// named metric series with median/min/max over the recorded samples, and a
+// free-form `runs` array with the bench's detailed rows. A binary records one sample
 // per metric per process; the python driver re-runs the binary N times and
 // merges the sample arrays, so `repeats` > 1 only ever appears in
 // driver-merged files.
@@ -119,10 +118,6 @@ json::Value memory_info_json();
 /// the PDSL_GIT_REV environment variable overrides, which the A/B driver
 /// uses when it rebuilds an older rev in a worktree).
 std::string bench_git_rev();
-
-/// Snapshot of the "phase.*" histograms in the global MetricsRegistry
-/// (populated by run_with_metrics: one observation per phase per round).
-json::Value phase_histograms_json();
 
 class BenchEnvelope {
  public:

@@ -12,7 +12,6 @@
 #include "dp/mechanism.hpp"
 #include "fleet/participation.hpp"
 #include "dp/rdp.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/parallel_for.hpp"
 #include "sim/evaluate.hpp"
 
@@ -161,10 +160,7 @@ void Algorithm::run_round(std::size_t t) {
   // round, faults or not (drops and delays never reach a mailbox). Leftovers
   // mean a protocol bug; keep the evidence visible in release builds too.
   const std::size_t leftover = net_.clear();
-  if (leftover != 0) {
-    unread_cleared_ += leftover;
-    obs::MetricsRegistry::global().counter("net.unread_cleared").add(leftover);
-  }
+  unread_cleared_ += leftover;
   assert(leftover == 0 && "protocol bug: round_impl left unread mailbox messages");
 }
 
@@ -185,9 +181,8 @@ void Algorithm::refresh_active(std::size_t t) {
   }
 }
 
-void Algorithm::absorb_late(std::vector<sim::LateMessage> late) {
-  // Default: the payload arrived too late to be useful — count and discard.
-  obs::MetricsRegistry::global().counter("net.late_discarded").add(late.size());
+void Algorithm::absorb_late(std::vector<sim::LateMessage> /*late*/) {
+  // Default: the payload arrived too late to be useful — discard it.
 }
 
 void Algorithm::set_models(std::vector<std::vector<float>> models) {
@@ -216,12 +211,6 @@ void Algorithm::note_crash_recovery(bool resynced, std::size_t lag) {
   ++fault_stats_.crashed_agents;
   if (resynced) ++fault_stats_.resynced_agents;
   fault_stats_.recovery_lag += lag;
-  static obs::Counter& crashes = obs::MetricsRegistry::global().counter("recov.crashes");
-  crashes.add(1);
-  if (resynced) {
-    static obs::Counter& resyncs = obs::MetricsRegistry::global().counter("recov.resyncs");
-    resyncs.add(1);
-  }
 }
 
 void Algorithm::save_state(io::ByteBuffer& buf) const {
@@ -325,8 +314,6 @@ bool Algorithm::sanitize_payload(std::vector<float>& payload, bool reclip) {
   for (float x : payload) {
     if (!std::isfinite(x)) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& rej = obs::MetricsRegistry::global().counter("defense.rejected");
-      rej.add(1);
       return false;
     }
   }
@@ -335,8 +322,6 @@ bool Algorithm::sanitize_payload(std::vector<float>& payload, bool reclip) {
     // contributes at most norm C — the same bound DP clipping promised.
     if (dp::clip_l2(payload, env_.hp.clip) > env_.hp.clip) {
       reclipped_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& rc = obs::MetricsRegistry::global().counter("defense.reclipped");
-      rc.add(1);
     }
   }
   return true;
@@ -484,23 +469,6 @@ void Algorithm::draw_all_batches() {
                         [&](std::size_t i) { workers_[i].draw_batch(); });
 }
 
-namespace {
-
-/// Per-phase latency histograms in the process-global registry: one
-/// observation per round per phase, in ms. The bench envelope snapshots these
-/// so every BENCH_*.json carries the phase distribution of its whole sweep.
-void observe_phase_histograms(const obs::PhaseTimings& p) {
-  static const std::vector<double> kBoundsMs = {0.05, 0.1, 0.25, 0.5, 1.0,  2.5,  5.0,
-                                                10.0, 25.0, 50.0, 100.0, 250.0, 1000.0};
-  auto& reg = obs::MetricsRegistry::global();
-  for (const obs::Phase phase : obs::kPhases) {
-    reg.histogram(std::string("phase.") + obs::phase_name(phase) + "_ms", kBoundsMs)
-        .observe(1e3 * p.at(phase));
-  }
-}
-
-}  // namespace
-
 std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t rounds,
                                                 const data::Dataset& test,
                                                 const MetricsOptions& opts,
@@ -619,15 +587,8 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
       m.epsilon_spent = accountant.epsilon(alg.env().dp_delta);
     }
     m.elapsed_s = watch.elapsed_seconds();
-    observe_phase_histograms(m.phases);
     if (ledger != nullptr && ledger->enabled()) {
-      json::Object ev;
-      sim::for_each_column(
-          [&](const sim::MetricColumn& c, const auto& v) {
-            if (!c.wall_clock) ev[c.name] = v;
-          },
-          m);
-      ledger->event("round", std::move(ev));
+      ledger->event("round", sim::deterministic_json(m));
       alg.ledger_round(*ledger, t);
       json::Object timing;
       timing["round"] = m.round;

@@ -427,13 +427,13 @@ using CheckpointHook = std::function<void(std::size_t t, double last_acc,
                                           const std::vector<sim::RoundMetrics>& series)>;
 
 /// Drive `alg` for `rounds` rounds, recording the per-round series the
-/// paper's figures plot and the final accuracy its tables report. Each round
-/// also feeds the per-phase obs::MetricsRegistry histograms ("phase.<name>_ms")
-/// and, when `ledger` is non-null and open, appends "round", algorithm-specific
-/// and "phase_timing" events to the run ledger (S-BENCH360). With `resume` the
-/// loop continues from resume->completed_rounds + 1; with `checkpoint_every`
-/// > 0 and a hook, the hook fires every that-many rounds (and never after the
-/// final round — the run is complete then, not resumable).
+/// paper's figures plot and the final accuracy its tables report. When
+/// `ledger` is non-null and open, each round appends "round",
+/// algorithm-specific and "phase_timing" events to the run ledger
+/// (S-BENCH360). With `resume` the loop continues from
+/// resume->completed_rounds + 1; with `checkpoint_every` > 0 and a hook, the
+/// hook fires every that-many rounds (and never after the final round — the
+/// run is complete then, not resumable).
 std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t rounds,
                                                 const data::Dataset& test,
                                                 const MetricsOptions& opts = {},

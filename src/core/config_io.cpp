@@ -4,6 +4,7 @@
 #include "fleet/options.hpp"
 #include "obs/phase.hpp"
 #include "sim/faults.hpp"
+#include "sim/metrics.hpp"
 
 namespace pdsl::core {
 
@@ -116,21 +117,7 @@ json::Value result_to_json(const ExperimentResult& res) {
   }
   o["phase_totals"] = json::Value(std::move(phases));
   json::Array series;
-  for (const auto& m : res.series) {
-    json::Object row;
-    row["round"] = m.round;
-    row["avg_loss"] = m.avg_loss;
-    row["test_accuracy"] = m.test_accuracy;
-    row["consensus"] = m.consensus;
-    row["epsilon_spent"] = m.epsilon_spent;
-    if (m.byz_active > 0) {
-      row["byzantine_active"] = m.byz_active;
-      row["msgs_rejected"] = m.rejected;
-      row["pi_attacker"] = m.pi_attacker;
-      row["pi_honest"] = m.pi_honest;
-    }
-    series.push_back(json::Value(std::move(row)));
-  }
+  for (const auto& m : res.series) series.push_back(json::Value(sim::deterministic_json(m)));
   o["series"] = json::Value(std::move(series));
   return json::Value(std::move(o));
 }

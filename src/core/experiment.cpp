@@ -20,7 +20,6 @@
 #include "dp/mechanism.hpp"
 #include "kernels/backend.hpp"
 #include "nn/model_zoo.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "recovery/recovery.hpp"
 #include "recovery/run_state.hpp"
@@ -248,7 +247,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // The recorder is process-global, so back-to-back runs accumulate into the
   // same trace file — each run rewrites it with everything recorded so far.
   if (!cfg.trace_out.empty()) obs::TraceRecorder::global().enable(true);
-  obs::MetricsRegistry::global().gauge("dp.sigma").set(hp.sigma);
 
   auto alg = make_algorithm(cfg.algorithm, env);
 
@@ -363,7 +361,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   for (const auto& rm : series) res.phase_totals += rm.phases;
   res.epsilon_spent = series.empty() ? 0.0 : series.back().epsilon_spent;
   res.series = std::move(series);
-  alg->network().publish_edge_metrics();
   if (ledger.enabled()) {
     json::Object end;
     end["final_loss"] = res.final_loss;

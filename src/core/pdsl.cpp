@@ -7,7 +7,6 @@
 #include "common/schema.hpp"
 #include "common/vec_math.hpp"
 #include "dp/mechanism.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "shapley/game.hpp"
@@ -62,11 +61,9 @@ void Pdsl::absorb_late(std::vector<sim::LateMessage> late) {
   // and only when the staleness bound allows reuse at all. Late payloads get
   // the same screening as fresh ones (a delayed NaN bomb is still a NaN bomb).
   const std::size_t bound = net_.faults().staleness_rounds;
-  std::size_t discarded = 0;
   for (auto& msg : late) {
     if (bound == 0 || msg.tag.rfind("xg@", 0) != 0 ||
         !sanitize_payload(msg.payload, /*reclip=*/true)) {
-      ++discarded;
       continue;
     }
     CachedXGrad& slot = xgrad_cache_[msg.dst][msg.src];
@@ -74,9 +71,6 @@ void Pdsl::absorb_late(std::vector<sim::LateMessage> late) {
       slot.grad = std::move(msg.payload);
       slot.round = msg.sent_round;
     }
-  }
-  if (discarded != 0) {
-    obs::MetricsRegistry::global().counter("net.late_discarded").add(discarded);
   }
 }
 
@@ -420,20 +414,8 @@ void Pdsl::round_impl(std::size_t t) {
     }
     last_shapley_stats_ = sstats;
     last_evals_ = sstats.coalition_evals;
-    static obs::Counter& evals =
-        obs::MetricsRegistry::global().counter("shapley.coalition_evals");
-    evals.add(last_evals_);
-    static obs::Counter& early_c =
-        obs::MetricsRegistry::global().counter("shapley.permutations_early_stopped");
-    early_c.add(sstats.early_stopped);
-    if (stale != 0) {
-      fault_stats_.stale_reused += stale;
-      obs::MetricsRegistry::global().counter("pdsl.stale_reused").add(stale);
-    }
-    if (fallbacks != 0) {
-      fault_stats_.self_fallbacks += fallbacks;
-      obs::MetricsRegistry::global().counter("pdsl.self_fallbacks").add(fallbacks);
-    }
+    fault_stats_.stale_reused += stale;
+    fault_stats_.self_fallbacks += fallbacks;
   }
 
   // ---- Eqs. 21-23: aggregation, momentum step ----

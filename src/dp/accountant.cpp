@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace pdsl::dp {
 
 void PrivacyAccountant::record(double epsilon, double delta) {
@@ -14,11 +12,6 @@ void PrivacyAccountant::record(double epsilon, double delta) {
   ++rounds_;
   sum_epsilon_ += epsilon;
   sum_delta_ += delta;
-  // Running spend, observable alongside the phase metrics while a run is live.
-  static obs::Counter& recorded = obs::MetricsRegistry::global().counter("dp.rounds_recorded");
-  static obs::Gauge& eps_sum = obs::MetricsRegistry::global().gauge("dp.eps_basic_sum");
-  recorded.add(1);
-  eps_sum.set(sum_epsilon_);
   if (per_round_epsilon_ == -1.0) {
     per_round_epsilon_ = epsilon;
     per_round_delta_ = delta;

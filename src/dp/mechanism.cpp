@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/vec_math.hpp"
-#include "obs/metrics.hpp"
 
 namespace pdsl::dp {
 
@@ -12,16 +11,7 @@ double clip_l2(std::vector<float>& g, double threshold) {
   if (threshold <= 0.0) throw std::invalid_argument("clip_l2: threshold must be positive");
   const double norm = l2_norm(g);
   const double denom = std::max(1.0, norm / threshold);
-  // grad.clip_fraction = grad.clipped / grad.clip_total; the norm histogram
-  // shows how far gradients sit from the clipping threshold.
-  static obs::Counter& total = obs::MetricsRegistry::global().counter("grad.clip_total");
-  static obs::Counter& clipped = obs::MetricsRegistry::global().counter("grad.clipped");
-  static obs::Histogram& norms = obs::MetricsRegistry::global().histogram(
-      "grad.l2_norm", {0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0});
-  total.add(1);
-  norms.observe(norm);
   if (denom > 1.0) {
-    clipped.add(1);
     const auto inv = static_cast<float>(1.0 / denom);
     for (auto& v : g) v *= inv;
   }

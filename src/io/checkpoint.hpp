@@ -28,7 +28,9 @@ namespace pdsl::io {
 /// counters from the PDSLRUN1 round rows; version-2 files are refused rather
 /// than misparsed. Version 4 dropped the never-assigned grad_norm column from
 /// the PDSLRUN1 round rows; version-3 files are refused the same way.
-constexpr std::uint64_t kCheckpointVersion = 4;
+/// Version 5 dropped the per-edge byte total from the network state (only
+/// the per-edge message index is kept); version-4 files are refused.
+constexpr std::uint64_t kCheckpointVersion = 5;
 
 /// Crash-safe writer: stream into a `.tmp` sibling, then std::rename over the
 /// destination once the bytes are durably written. A crash mid-save leaves the

@@ -50,6 +50,16 @@ std::string deterministic_diff(const RoundMetrics& a, const RoundMetrics& b) {
   return diff;
 }
 
+json::Object deterministic_json(const RoundMetrics& m) {
+  json::Object o;
+  for_each_column(
+      [&](const MetricColumn& c, const auto& v) {
+        if (!c.wall_clock) o[c.name] = v;
+      },
+      m);
+  return o;
+}
+
 void write_metrics_csv(const std::string& path, const std::string& run_label,
                        const std::vector<RoundMetrics>& series, bool wall_clock) {
   std::ofstream out(path);

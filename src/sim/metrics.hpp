@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "fleet/lazy_matrix.hpp"
 #include "obs/phase.hpp"
 
@@ -76,8 +77,9 @@ struct MetricColumn {
 
 /// The column table, in the struct's order: calls f(column, r.field...) per
 /// column with that field of each record in `r` (none for a header, two to
-/// compare). The CSV, the PDSLRUN1 round rows, the ledger `round` event and
-/// deterministic_diff all walk it, so a new column is a field plus one row.
+/// compare). The CSV, the PDSLRUN1 round rows, deterministic_json (the ledger
+/// `round` event and result_to_json's `series` rows) and deterministic_diff
+/// all walk it, so a new column is a field plus one row.
 template <class F, class... Records>
 void for_each_column(F&& f, Records&... m) {
   constexpr bool kWallClock = true;
@@ -117,6 +119,10 @@ void for_each_column(F&& f, Records&... m) {
 /// The deterministic columns in which `a` and `b` differ, comma-separated;
 /// empty when they all match.
 std::string deterministic_diff(const RoundMetrics& a, const RoundMetrics& b);
+
+/// The deterministic columns of `m` as a JSON object keyed by column name:
+/// one ledger `round` event, or one `series` row of result_to_json.
+json::Object deterministic_json(const RoundMetrics& m);
 
 /// Write a metrics series to CSV: `run`, the deterministic columns, then (with
 /// `wall_clock`) the wall-clock ones, each group in table order.

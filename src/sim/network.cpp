@@ -5,7 +5,6 @@
 #include <string>
 
 #include "fleet/wire.hpp"
-#include "obs/metrics.hpp"
 
 namespace pdsl::sim {
 
@@ -97,23 +96,11 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
   std::optional<ByzRole> byz;              // corrupt_payload() to apply
   std::optional<std::vector<float>> stale; // stale-replay substitute
   {
-    // Process-wide totals; handles cached so the per-send cost is two
-    // relaxed fetch_adds. Safe without mu_: registry instruments are atomic
-    // and the magic-static initialization is thread-safe.
-    static obs::Counter& msgs = obs::MetricsRegistry::global().counter("net.msgs");
-    static obs::Counter& bytes = obs::MetricsRegistry::global().counter("net.bytes");
-    msgs.add(1);
-    bytes.add(wire_bytes);
-  }
-  {
     std::lock_guard<std::mutex> lock(mu_);
     clock = clock_;
     ++sent_;
     bytes_ += wire_bytes;
-    auto& edge = edge_counts_[{src, dst}];
-    edge_index = edge.messages;  // nth message on this edge
-    ++edge.messages;
-    edge.bytes += wire_bytes;
+    edge_index = edge_messages_[{src, dst}]++;  // nth message on this edge
     if (src != dst) {
       const FaultPlan& plan = opts_.faults;
       // Churn: traffic to or from an offline agent is lost on the wire. The
@@ -122,15 +109,9 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
       // (seed, edge, per-edge index): the same messages drop no matter how
       // concurrent senders interleave, which is what makes fault injection
       // reproducible across --threads settings.
-      if (plan.offline(src, clock) || plan.offline(dst, clock)) {
+      if (plan.offline(src, clock) || plan.offline(dst, clock) ||
+          plan.drop(src, dst, edge_index, clock)) {
         ++dropped_;
-        static obs::Counter& off = obs::MetricsRegistry::global().counter("net.offline_drops");
-        off.add(1);
-        lost = true;
-      } else if (plan.drop(src, dst, edge_index, clock)) {
-        ++dropped_;
-        static obs::Counter& drops = obs::MetricsRegistry::global().counter("net.dropped");
-        drops.add(1);
         lost = true;
       } else if (channel == Channel::kContribution && opts_.adversary.any()) {
         // S-BYZ: an active Byzantine sender corrupts its contribution payload
@@ -156,9 +137,6 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
         }
         if (stale || byz) {
           ++corrupted_;
-          static obs::Counter& byz_count =
-              obs::MetricsRegistry::global().counter("net.byz_corrupted");
-          byz_count.add(1);
         }
       }
     }
@@ -216,20 +194,13 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
       frame_bytes = frame.size();
       ++frames_sent;
       frame_bytes_sent += frame.size();
-      if (attempt > 0) {
-        ++retransmits;
-        static obs::Counter& rtx = obs::MetricsRegistry::global().counter("net.retransmits");
-        rtx.add(1);
-      }
+      if (attempt > 0) ++retransmits;
       if (ch.corrupt(src, dst, edge_index, attempt)) {
         const std::size_t bit = ch.corrupt_bit(src, dst, edge_index, attempt, frame.size());
         frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         auto decoded = fleet::wire_try_decode(frame);
         if (!decoded) {
           ++corruptions_detected;
-          static obs::Counter& cd =
-              obs::MetricsRegistry::global().counter("net.corruptions_detected");
-          cd.add(1);
           continue;  // NACK: the corrupted frame never reaches a mailbox
         }
         // The flip survived the checksum (a 2^-64-grade collision, but
@@ -243,10 +214,6 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
       backoff = ChannelPlan::backoff_for(attempt);
       break;
     }
-    if (exhausted) {
-      static obs::Counter& ex = obs::MetricsRegistry::global().counter("net.retry_exhausted");
-      ex.add(1);
-    }
     payload = std::move(msg.payload);
     // In-flight duplication: the second copy arrives too, but the
     // transport's per-edge sequence numbers dedup it — exactly-once
@@ -255,8 +222,6 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
       duplicated = true;
       ++frames_sent;
       frame_bytes_sent += frame_bytes;
-      static obs::Counter& dup = obs::MetricsRegistry::global().counter("net.dup_dropped");
-      dup.add(1);
     }
   }
   const bool delivered = !lost && !exhausted;
@@ -281,16 +246,12 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
   if (!delivered) return false;
   if (delay > 0) {
     ++delayed_;
-    static obs::Counter& late = obs::MetricsRegistry::global().counter("net.delayed");
-    late.add(1);
     pending_.push_back(
         Pending{LateMessage{src, dst, tag, std::move(payload), clock}, clock + delay, edge_index});
     return true;  // sent, just slow — it surfaces via a later begin_round()
   }
   if (reorder) {
     ++reorders_;
-    static obs::Counter& ro = obs::MetricsRegistry::global().counter("net.reordered");
-    ro.add(1);
     boxes_[Key{src, dst, tag}].push_front(std::move(payload));
   } else {
     boxes_[Key{src, dst, tag}].push_back(std::move(payload));
@@ -385,27 +346,6 @@ std::size_t Network::round() const {
   return clock_;
 }
 
-std::vector<Network::EdgeTraffic> Network::edge_traffic() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<EdgeTraffic> out;
-  out.reserve(edge_counts_.size());
-  for (const auto& [edge, count] : edge_counts_) {
-    out.push_back({edge.first, edge.second, count.messages, count.bytes});
-  }
-  return out;
-}
-
-void Network::publish_edge_metrics(const std::string& prefix) const {
-  const auto edges = edge_traffic();  // snapshot under the lock, publish outside
-  auto& reg = obs::MetricsRegistry::global();
-  for (const auto& e : edges) {
-    const std::string suffix =
-        "{edge=" + std::to_string(e.src) + "->" + std::to_string(e.dst) + "}";
-    reg.counter(prefix + ".bytes" + suffix).add(e.bytes);
-    reg.counter(prefix + ".msgs" + suffix).add(e.messages);
-  }
-}
-
 std::size_t Network::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
@@ -438,12 +378,11 @@ void Network::save_state(io::ByteBuffer& buf) const {
   // Per-edge message indices: they key every drop/delay/corrupt decision, so
   // a resumed run must continue the sequence exactly. std::map iterates in
   // sorted order — the blob is deterministic.
-  io::append_u64(buf, edge_counts_.size());
-  for (const auto& [edge, count] : edge_counts_) {
+  io::append_u64(buf, edge_messages_.size());
+  for (const auto& [edge, messages] : edge_messages_) {
     io::append_u64(buf, edge.first);
     io::append_u64(buf, edge.second);
-    io::append_u64(buf, count.messages);
-    io::append_u64(buf, count.bytes);
+    io::append_u64(buf, messages);
   }
   // In-flight delayed messages (sorted for determinism; begin_round sorts the
   // matured batch anyway, but identical state must serialize identically).
@@ -492,15 +431,12 @@ void Network::restore_state(io::ByteReader& r) {
   retry_exhausted_ = static_cast<std::size_t>(r.read_u64("net retry_exhausted"));
   duplicates_dropped_ = static_cast<std::size_t>(r.read_u64("net duplicates_dropped"));
   reorders_ = static_cast<std::size_t>(r.read_u64("net reorders"));
-  edge_counts_.clear();
+  edge_messages_.clear();
   const auto n_edges = r.read_u64("net edge count");
   for (std::uint64_t i = 0; i < n_edges; ++i) {
     const auto src = static_cast<std::size_t>(r.read_u64("net edge src"));
     const auto dst = static_cast<std::size_t>(r.read_u64("net edge dst"));
-    EdgeCount count;
-    count.messages = static_cast<std::size_t>(r.read_u64("net edge messages"));
-    count.bytes = static_cast<std::size_t>(r.read_u64("net edge bytes"));
-    edge_counts_[{src, dst}] = count;
+    edge_messages_[{src, dst}] = static_cast<std::size_t>(r.read_u64("net edge messages"));
   }
   pending_.clear();
   const auto n_pending = r.read_u64("net pending count");

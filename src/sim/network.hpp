@@ -171,22 +171,6 @@ class Network {
   /// malformed blob.
   void restore_state(io::ByteReader& r);
 
-  /// Per-edge traffic totals (S-OBS): every (src,dst) pair that ever sent,
-  /// including dropped messages (they consumed the wire).
-  struct EdgeTraffic {
-    std::size_t src = 0;
-    std::size_t dst = 0;
-    std::size_t messages = 0;
-    std::size_t bytes = 0;
-  };
-
-  /// All edges with traffic, ordered by (src, dst).
-  [[nodiscard]] std::vector<EdgeTraffic> edge_traffic() const;
-
-  /// Fold per-edge byte totals into `obs::MetricsRegistry::global()` as
-  /// counters named `net.bytes{edge=src->dst}` (plus `net.msgs{edge=...}`).
-  void publish_edge_metrics(const std::string& prefix = "net") const;
-
  private:
   struct Key {
     std::size_t src;
@@ -245,11 +229,9 @@ class Network {
   std::size_t retry_exhausted_ = 0;      ///< S-RECOV: messages lost after all retries
   std::size_t duplicates_dropped_ = 0;   ///< S-RECOV: duplicate copies deduped
   std::size_t reorders_ = 0;             ///< S-RECOV: front-of-queue deliveries
-  struct EdgeCount {
-    std::size_t messages = 0;
-    std::size_t bytes = 0;
-  };
-  std::map<std::pair<std::size_t, std::size_t>, EdgeCount> edge_counts_;
+  /// Messages ever sent per (src, dst) edge: the per-edge index that keys
+  /// every drop/delay/corrupt decision.
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> edge_messages_;
 };
 
 }  // namespace pdsl::sim

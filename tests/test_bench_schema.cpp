@@ -107,7 +107,6 @@ TEST(BenchSchema, EveryCheckedInEnvelopeIsSchemaV1) {
     ASSERT_TRUE(doc.contains("config") && doc.at("config").is_object());
     ASSERT_TRUE(doc.contains("faults") && doc.at("faults").is_object());
     ASSERT_TRUE(doc.contains("adversary") && doc.at("adversary").is_object());
-    ASSERT_TRUE(doc.contains("phases") && doc.at("phases").is_object());
     ASSERT_TRUE(doc.contains("runs") && doc.at("runs").is_array());
 
     ASSERT_TRUE(doc.contains("metrics") && doc.at("metrics").is_object());

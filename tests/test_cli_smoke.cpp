@@ -56,11 +56,28 @@ int run_cli(const std::string& extra_flags, std::string* output) {
   return status;
 }
 
+/// The integer cells of CSV column `name`, one per data row.
+std::vector<std::size_t> csv_column(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  std::istringstream header(line);
+  std::size_t col = 0;
+  for (std::string cell; std::getline(header, cell, ',') && cell != name;) ++col;
+  std::vector<std::size_t> out;
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::string cell;
+    for (std::size_t c = 0; c <= col; ++c) std::getline(row, cell, ',');
+    out.push_back(std::stoull(cell));
+  }
+  return out;
+}
+
 }  // namespace
 
 TEST(CliSmoke, ProfileAndTraceOnTinyRun) {
   const std::string trace = temp_path("pdsl_smoke_trace.json");
-  const std::string metrics = temp_path("pdsl_smoke_metrics.csv");
   const std::string out = temp_path("pdsl_smoke_stdout.txt");
 
   std::ostringstream cmd;
@@ -68,7 +85,6 @@ TEST(CliSmoke, ProfileAndTraceOnTinyRun) {
       << " run --algorithm pdsl --agents 4 --rounds " << kRounds
       << " --train 240 --image 8 --batch 8 --mc_perms 2 --valbatch 16"
       << " --profile --trace-out \"" << trace << '"'
-      << " --metrics-out \"" << metrics << '"'
       << " > \"" << out << "\" 2>&1";
   ASSERT_EQ(std::system(cmd.str().c_str()), 0) << slurp(out);
 
@@ -95,14 +111,7 @@ TEST(CliSmoke, ProfileAndTraceOnTinyRun) {
   }
   EXPECT_GE(per_phase["round"], kRounds);
 
-  // Metrics registry dump exists and includes the key instruments.
-  const std::string metrics_text = slurp(metrics);
-  EXPECT_NE(metrics_text.find("shapley.coalition_evals"), std::string::npos);
-  EXPECT_NE(metrics_text.find("dp.sigma"), std::string::npos);
-  EXPECT_NE(metrics_text.find("net.bytes"), std::string::npos);
-
   std::remove(trace.c_str());
-  std::remove(metrics.c_str());
   std::remove(out.c_str());
 }
 
@@ -200,9 +209,25 @@ TEST(CliSmoke, CheckpointThenResumeContinuesTheRun) {
       << output;
   EXPECT_NE(output.find("run state checkpointed"), std::string::npos) << output;
 
+  // The resumed leg's CSV holds all four rounds, restored and re-run, and the
+  // --profile count covers the same rows.
+  const std::string csv = temp_path("pdsl_smoke_resume.csv");
   std::string resumed;
-  ASSERT_EQ(run_cli("--rounds 4 --resume-from \"" + ck + "\"", &resumed), 0) << resumed;
+  ASSERT_EQ(run_cli("--rounds 4 --profile --csv \"" + csv + "\" --resume-from \"" + ck + "\"",
+                    &resumed),
+            0)
+      << resumed;
   EXPECT_NE(resumed.find("resumed from round 2"), std::string::npos) << resumed;
+  const auto evals = csv_column(csv, "shapley_evals");
+  ASSERT_EQ(evals.size(), 4u) << slurp(csv);
+  std::size_t total = 0;
+  for (const std::size_t e : evals) total += e;
+  EXPECT_GT(total, 0u);
+  std::smatch printed;
+  ASSERT_TRUE(std::regex_search(resumed, printed, std::regex("shapley\\.coalition_evals=(\\d+)")))
+      << resumed;
+  EXPECT_EQ(std::stoull(printed[1].str()), total) << resumed;
+  std::remove(csv.c_str());
 
   // A config drift (different gamma) must be refused, naming the cause.
   std::string refused;
@@ -264,7 +289,7 @@ TEST(CliSmoke, RunAcceptsExactlyItsFlagSet) {
   // the CLI's own is accepted: with all of them given, the only complaint is
   // about the one unknown flag at the end.
   auto flags = pdsl::schema::flags<pdsl::core::ExperimentConfig>();
-  flags.insert(flags.end(), {"config", "json", "seeds", "csv", "save_model", "metrics-out"});
+  flags.insert(flags.end(), {"config", "json", "seeds", "csv", "save_model"});
   std::string all;
   for (const auto& f : flags) all += " --" + f + " 1";
   std::string output;
@@ -278,4 +303,40 @@ TEST(CliSmoke, RunAcceptsExactlyItsFlagSet) {
     EXPECT_NE(run_cli(std::string("--") + key + " 1", &output), 0);
     EXPECT_NE(output.find(std::string("unknown flag --") + key), std::string::npos) << output;
   }
+}
+
+TEST(CliSmoke, JsonReplacesTheTextReportButStillWritesTheFiles) {
+  const std::string csv = temp_path("pdsl_smoke_json.csv");
+  const std::string model = temp_path("pdsl_smoke_json.bin");
+  const std::string out = temp_path("pdsl_smoke_json.txt");
+  const std::string err = temp_path("pdsl_smoke_json.err");
+  std::remove(csv.c_str());
+  std::remove(model.c_str());
+  // Under --json stdout is one JSON document; the file notices go to stderr.
+  const std::string cmd = std::string("\"") + PDSL_CLI_PATH +
+                          "\" run --algorithm pdsl --agents 4 --rounds 2 --train 240 --image 8"
+                          " --batch 8 --mc_perms 2 --valbatch 16 --json --csv \"" + csv +
+                          "\" --save_model \"" + model + "\" > \"" + out + "\" 2> \"" + err +
+                          "\"";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << slurp(out) << slurp(err);
+  const Value v = pdsl::json::parse(slurp(out));
+  EXPECT_EQ(v.at("series").as_array().size(), 2u);
+  EXPECT_EQ(csv_column(csv, "round"), (std::vector<std::size_t>{1, 2})) << slurp(csv);
+  EXPECT_TRUE(std::filesystem::exists(model)) << "--save_model wrote nothing under --json";
+  EXPECT_NE(slurp(err).find("series written to"), std::string::npos) << slurp(err);
+  for (const auto& path : {csv, model, out, err}) std::remove(path.c_str());
+}
+
+TEST(CliSmoke, SeedsRefusesTheSingleRunOutputs) {
+  // A replicated run keeps no per-seed result, so a flag that asks to write
+  // one is refused by name rather than ignored.
+  const std::string file = temp_path("pdsl_smoke_seeds.out");
+  for (const std::string flag : {"--json", "--csv", "--save_model"}) {
+    SCOPED_TRACE(flag);
+    std::string output;
+    EXPECT_NE(run_cli("--seeds 1,2 " + flag + " \"" + file + "\"", &output), 0) << output;
+    EXPECT_NE(output.find("--seeds cannot be combined with " + flag), std::string::npos)
+        << output;
+  }
+  std::remove(file.c_str());
 }

@@ -300,9 +300,11 @@ TEST(Blob, WrongMagicIsRefused) {
 
 TEST(Blob, UnsupportedFormatVersionIsRefused) {
   const std::string path = "/tmp/pdsl_blob_version.bin";
-  // A future version, and versions 2 and 3 — whose PDSL state or run-state
-  // rows carried fields later versions dropped — must be refused, not misparsed.
-  for (const std::uint64_t bogus : {kCheckpointVersion + 7, std::uint64_t{2}, std::uint64_t{3}}) {
+  // A future version, and versions 2 to 4 — whose PDSL state, run-state rows
+  // or network state carried fields later versions dropped — must be
+  // refused, not misparsed.
+  for (const std::uint64_t bogus :
+       {kCheckpointVersion + 7, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{4}}) {
     SCOPED_TRACE(bogus);
     save_blob(path, kTestMagic, sample_body(), "blob-test");
     // Patch the version word (bytes 8..16).

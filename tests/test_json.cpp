@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/json.hpp"
 #include "common/schema.hpp"
 #include "core/config_io.hpp"
+#include "sim/metrics.hpp"
 
 using namespace pdsl;
 using namespace pdsl::json;
@@ -310,8 +312,8 @@ TEST(ConfigIo, EachKeyGetsTheStricterOfItsJsonAndFlagRanges) {
 }
 
 TEST(ConfigIo, RunFlagsAreExactlyTheDeclaredSet) {
-  // `pdsl_cli run` accepts these plus its own config, json, seeds, csv,
-  // save_model and metrics-out. Adding or dropping a flag shows up here.
+  // `pdsl_cli run` accepts these plus its own config, json, seeds, csv and
+  // save_model. Adding or dropping a flag shows up here.
   auto flags = schema::flags<core::ExperimentConfig>();
   std::sort(flags.begin(), flags.end());
   const std::vector<std::string> expected = {
@@ -363,6 +365,17 @@ TEST(ConfigIo, ResultSerialization) {
   EXPECT_DOUBLE_EQ(v.at("final_accuracy").as_number(), 0.9);
   EXPECT_EQ(v.at("series").as_array().size(), 2u);
   EXPECT_EQ(v.at("series").as_array()[1].at("round").as_int(), 2);
+  // Each row carries exactly the deterministic columns of the per-round table.
+  std::set<std::string> columns;
+  sim::for_each_column([&](const sim::MetricColumn& c) {
+    if (!c.wall_clock) columns.insert(c.name);
+  });
+  EXPECT_GT(columns.size(), 5u);
+  for (const auto& row : v.at("series").as_array()) {
+    std::set<std::string> keys;
+    for (const auto& [key, value] : row.as_object()) keys.insert(key);
+    EXPECT_EQ(keys, columns);
+  }
   // And it survives a text round trip.
   EXPECT_DOUBLE_EQ(parse(v.dump()).at("final_loss").as_number(), 0.5);
 }

@@ -1,9 +1,9 @@
-// Observability subsystem (S-OBS): trace recorder + scoped spans, metrics
-// registry instruments, phase timing accumulators and their renderings.
+// Observability subsystem (S-OBS): trace recorder + scoped spans, phase
+// timing accumulators and their renderings, and the run ledger.
 //
-// The recorder and registry are process-global singletons, so every test
-// that touches them clears/reset()s first; tests in this binary run
-// sequentially (gtest default), so that is race-free.
+// The recorder is a process-global singleton, so every test that touches it
+// clears it first; tests in this binary run sequentially (gtest default), so
+// that is race-free.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
 #include "sim/metrics.hpp"
@@ -123,94 +122,6 @@ TEST(Trace, ThreadIdsAreStablePerThread) {
   std::uint32_t other = here;
   std::thread([&] { other = TraceRecorder::thread_id(); }).join();
   EXPECT_NE(other, here);
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-
-TEST(Metrics, CounterGaugeBasics) {
-  MetricsRegistry reg;
-  reg.counter("c").add();
-  reg.counter("c").add(4);
-  EXPECT_EQ(reg.counter("c").value(), 5u);
-  reg.gauge("g").set(2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 2.5);
-  EXPECT_EQ(reg.size(), 2u);
-  reg.reset();
-  EXPECT_EQ(reg.counter("c").value(), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
-  EXPECT_EQ(reg.size(), 2u);  // registrations survive reset
-}
-
-TEST(Metrics, HistogramBucketing) {
-  Histogram h({1.0, 2.0, 4.0});
-  // One observation per region: <=1, <=2, <=4, overflow. Edges are inclusive.
-  h.observe(0.5);
-  h.observe(1.0);   // exactly on the first edge -> first bucket
-  h.observe(3.0);
-  h.observe(100.0);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 104.5);
-  const auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 0u);
-  EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 1u);  // overflow
-}
-
-TEST(Metrics, HistogramBoundsFixedAtCreation) {
-  MetricsRegistry reg;
-  reg.histogram("h", {1.0, 2.0}).observe(0.5);
-  // Second lookup with different bounds returns the existing instrument.
-  auto& same = reg.histogram("h", {10.0});
-  EXPECT_EQ(same.bounds().size(), 2u);
-  EXPECT_EQ(same.count(), 1u);
-}
-
-TEST(Metrics, RegistryIsThreadSafe) {
-  MetricsRegistry reg;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 2000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reg] {
-      for (int i = 0; i < kIters; ++i) {
-        reg.counter("shared").add();
-        reg.histogram("lat", {0.5, 1.0}).observe(0.25);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(reg.counter("shared").value(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(reg.histogram("lat", {}).count(),
-            static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-TEST(Metrics, JsonAndCsvSnapshots) {
-  MetricsRegistry reg;
-  reg.counter("net.msgs").add(3);
-  reg.gauge("dp.sigma").set(0.7);
-  reg.histogram("grad.l2", {1.0}).observe(0.5);
-  const auto v = reg.to_json();
-  EXPECT_EQ(v.at("counters").at("net.msgs").as_int(), 3);
-  EXPECT_DOUBLE_EQ(v.at("gauges").at("dp.sigma").as_number(), 0.7);
-  EXPECT_EQ(v.at("histograms").at("grad.l2").at("count").as_int(), 1);
-
-  const std::string path = temp_path("pdsl_test_metrics.csv");
-  reg.write_csv(path);
-  std::ifstream in(path);
-  std::string header;
-  ASSERT_TRUE(std::getline(in, header));
-  EXPECT_EQ(header, "kind,name,value,count,sum");
-  std::size_t rows = 0;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) ++rows;
-  }
-  EXPECT_EQ(rows, 3u);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
@@ -145,22 +144,10 @@ TEST(RuntimeTest, NestingRejectedAndRecoveredAtEveryWidth) {
 TEST(RuntimeTest, ObsInstrumentsAreSafeFromWorkerThreads) {
   WidthGuard guard;
   runtime::set_global_threads(4);
-  auto& reg = obs::MetricsRegistry::global();
-  reg.counter("test.runtime.events").reset();
-  reg.histogram("test.runtime.h", {1.0, 2.0}).reset();
   obs::TraceRecorder::global().enable(true);
   const std::size_t before = obs::TraceRecorder::global().size();
-  runtime::parallel_for(0, 512, 1, [&reg](std::size_t i) {
-    // Cached-handle pattern used in hot loops: magic statics are thread-safe,
-    // and registry handles never move (see metrics.hpp).
-    static obs::Counter& c = reg.counter("test.runtime.events");
-    c.add(1);
-    reg.histogram("test.runtime.h", {}).observe(static_cast<double>(i % 3));
-    PDSL_SPAN("test.runtime.span", i);
-  });
+  runtime::parallel_for(0, 512, 1, [](std::size_t i) { PDSL_SPAN("test.runtime.span", i); });
   obs::TraceRecorder::global().enable(false);
-  EXPECT_EQ(reg.counter("test.runtime.events").value(), 512u);
-  EXPECT_EQ(reg.histogram("test.runtime.h", {}).count(), 512u);
   EXPECT_EQ(obs::TraceRecorder::global().size(), before + 512);
 }
 

@@ -28,7 +28,6 @@
 #include "graph/spectral.hpp"
 #include "io/checkpoint.hpp"
 #include "kernels/backend.hpp"
-#include "obs/metrics.hpp"
 #include "fleet/options.hpp"
 #include "obs/phase.hpp"
 #include "obs/trace.hpp"
@@ -44,11 +43,14 @@ int usage() {
       "\n"
       "commands:\n"
       "  run        run one experiment (or several seeds) and print the series\n"
-      "             flags: --config <file.json> --json (machine-readable output)\n"
+      "             flags: --config <file.json> --json (print the result as JSON\n"
+      "                      instead of the text report)\n"
       "                    --algorithm --dataset --model --topology --agents --rounds\n"
       "                    --train --image --mu --partition --batch --gamma --alpha\n"
       "                    --clip --eps --delta --sigma_mode --noise_scale --seed\n"
-      "                    --seeds 1,2,3 --compression --drop_prob --corrupt\n"
+      "                    --seeds 1,2,3 (one summary line over the seeds; not with\n"
+      "                      --json, --csv or --save_model)\n"
+      "                    --compression --drop_prob --corrupt\n"
       "                    --csv <path> --save_model <path>\n"
       "                    --hidden H (the mlp model's hidden width)\n"
       "                    --mc_perms K --valbatch N (PDSL Shapley: Monte Carlo\n"
@@ -107,7 +109,6 @@ int usage() {
       "                      bit-identically; config must match the checkpoint)\n"
       "                    --profile (per-phase timing table + key counters)\n"
       "                    --trace-out <t.json> (Chrome trace-event spans)\n"
-      "                    --metrics-out <m.csv> (metrics registry dump)\n"
       "                    --ledger-out <l.jsonl> (S-BENCH360 run ledger:\n"
       "                      per-round epsilon/pi/fault events as JSONL)\n"
       "  topology   print spectral facts for the supported graphs\n"
@@ -119,11 +120,94 @@ int usage() {
   return 2;
 }
 
+/// The text report of one run: the round table, the counter lines and, with
+/// --profile, the phase breakdown and the run's Shapley and DP counts.
+void print_report(const core::ExperimentConfig& cfg, const core::ExperimentResult& res) {
+  std::printf("algorithm=%s d=%zu sigma=%.4f heterogeneity=%.3f rho=%.3f\n",
+              res.algorithm.c_str(), res.model_dim, res.sigma, res.heterogeneity,
+              res.spectral.rho);
+  std::printf("%6s %10s %10s %12s\n", "round", "avg_loss", "test_acc", "consensus");
+  // One row per accuracy evaluation (every 5 rounds when there is none),
+  // plus the first and the last round.
+  const std::size_t every = cfg.metrics.eval_every == 0 ? 5 : cfg.metrics.eval_every;
+  for (const auto& m : res.series) {
+    if (m.round % every == 0 || m.round == 1 || m.round == res.series.size()) {
+      std::printf("%6zu %10.4f %10.3f %12.5f\n", m.round, m.avg_loss, m.test_accuracy,
+                  m.consensus);
+    }
+  }
+  std::printf("final: loss=%.4f acc=%.3f messages=%zu bytes=%.1fMB\n", res.final_loss,
+              res.final_accuracy, res.messages, static_cast<double>(res.bytes) / 1e6);
+  if (res.epsilon_spent > 0.0) {
+    std::printf("privacy: epsilon_spent=%.3f at delta=%.1e (RDP, per-round releases)\n",
+                res.epsilon_spent, cfg.delta);
+  }
+  if (!cfg.ledger_out.empty()) {
+    std::printf("run ledger written to %s\n", cfg.ledger_out.c_str());
+  }
+  if (res.dropped != 0 || res.delayed != 0) {
+    std::printf("faults: dropped=%zu delayed=%zu\n", res.dropped, res.delayed);
+  }
+  if (res.corrupted != 0 || res.rejected != 0 || res.reclipped != 0) {
+    std::printf("byzantine: corrupted=%zu rejected=%zu reclipped=%zu\n", res.corrupted,
+                res.rejected, res.reclipped);
+  }
+  if (res.retransmits != 0 || res.corruptions_detected != 0 || res.duplicates_dropped != 0 ||
+      res.reordered != 0) {
+    std::printf(
+        "transport: retransmits=%zu corrupt_detected=%zu retry_exhausted=%zu "
+        "dup_dropped=%zu reordered=%zu\n",
+        res.retransmits, res.corruptions_detected, res.retry_exhausted,
+        res.duplicates_dropped, res.reordered);
+  }
+  if (res.crashes != 0) {
+    std::printf("recovery: crashes=%zu resyncs=%zu\n", res.crashes, res.resyncs);
+  }
+  if (res.resumed_from_round != 0) {
+    std::printf("resumed from round %zu (%s)\n", res.resumed_from_round,
+                cfg.resume_from.c_str());
+  }
+  if (cfg.checkpoint_every > 0 && cfg.rounds > cfg.checkpoint_every) {
+    std::printf("resumable run state checkpointed to %s (every %zu rounds)\n",
+                cfg.checkpoint_path.c_str(), cfg.checkpoint_every);
+  }
+  if (cfg.fleet.enabled()) {
+    std::printf("fleet: participants=%zu/%zu workers_peak=%zu models_materialized=%zu",
+                res.participants, cfg.agents, res.workers_peak, res.models_materialized);
+    if (res.wire_messages != 0) {
+      std::printf(" wire=%zu msgs/%.1fMB", res.wire_messages,
+                  static_cast<double>(res.wire_bytes) / 1e6);
+    }
+    std::printf("\n");
+  }
+
+  if (cfg.profile) {
+    std::printf("\n-- phase breakdown (%zu rounds; kernels backend=%s isa=%s) --\n%s",
+                cfg.rounds, kernels::backend_name(kernels::backend()), kernels::isa_name(),
+                obs::format_phase_table(res.phase_totals, cfg.rounds).c_str());
+    // Summed over every row of the series, so a resumed run counts the
+    // restored rounds too, as the phase table above does.
+    std::size_t evals = 0;
+    std::size_t early_stops = 0;
+    for (const auto& m : res.series) {
+      evals += m.shapley_evals;
+      early_stops += m.shapley_early_stops;
+    }
+    std::printf("shapley.coalition_evals=%zu  shapley.permutations_early_stopped=%zu  "
+                "dp.sigma=%.4f\n",
+                evals, early_stops, res.sigma);
+  }
+  if (!cfg.trace_out.empty()) {
+    std::printf("trace written to %s (%zu events; load in chrome://tracing)\n",
+                cfg.trace_out.c_str(), obs::TraceRecorder::global().size());
+  }
+}
+
 int cmd_run(int argc, const char* const* argv) {
   // The config schema declares every experiment flag; these few are the
   // CLI's own.
   std::vector<std::string> allowed = schema::flags<core::ExperimentConfig>();
-  allowed.insert(allowed.end(), {"config", "json", "seeds", "csv", "save_model", "metrics-out"});
+  allowed.insert(allowed.end(), {"config", "json", "seeds", "csv", "save_model"});
   const CliArgs args(argc, argv, allowed);
   core::ExperimentConfig cfg;
   const bool from_file = args.has("config");
@@ -187,9 +271,16 @@ int cmd_run(int argc, const char* const* argv) {
         "-player Shapley game, above the 63-player uint64 coalition-mask cap; "
         "use --topology regular --degree <= 62 (or a ring/torus topology) at this scale");
   }
-  const std::string metrics_out = args.get_string("metrics-out", "");
+  const bool as_json = args.get_bool("json", false);
 
   if (args.has("seeds")) {
+    // A replicated run prints one summary line and keeps no per-seed result,
+    // so the single-run outputs have nothing to write.
+    for (const char* flag : {"json", "csv", "save_model"}) {
+      if (args.has(flag)) {
+        throw std::invalid_argument(std::string("--seeds cannot be combined with --") + flag);
+      }
+    }
     const auto seed_ints = args.get_int_list("seeds", {1, 2, 3});
     const auto rep =
         core::run_replicated(cfg, std::vector<std::uint64_t>(seed_ints.begin(), seed_ints.end()));
@@ -200,105 +291,24 @@ int cmd_run(int argc, const char* const* argv) {
   }
 
   const auto res = core::run_experiment(cfg);
-  if (args.get_bool("json", false)) {
+  if (as_json) {
     std::printf("%s\n", core::result_to_json(res).dump(2).c_str());
-    return 0;
+  } else {
+    print_report(cfg, res);
   }
-  std::printf("algorithm=%s d=%zu sigma=%.4f heterogeneity=%.3f rho=%.3f\n",
-              res.algorithm.c_str(), res.model_dim, res.sigma, res.heterogeneity,
-              res.spectral.rho);
-  std::printf("%6s %10s %10s %12s\n", "round", "avg_loss", "test_acc", "consensus");
-  // One row per accuracy evaluation (every 5 rounds when there is none),
-  // plus the first and the last round.
-  const std::size_t every = cfg.metrics.eval_every == 0 ? 5 : cfg.metrics.eval_every;
-  for (const auto& m : res.series) {
-    if (m.round % every == 0 || m.round == 1 || m.round == res.series.size()) {
-      std::printf("%6zu %10.4f %10.3f %12.5f\n", m.round, m.avg_loss, m.test_accuracy,
-                  m.consensus);
-    }
-  }
-  std::printf("final: loss=%.4f acc=%.3f messages=%zu bytes=%.1fMB\n", res.final_loss,
-              res.final_accuracy, res.messages, static_cast<double>(res.bytes) / 1e6);
-  if (res.epsilon_spent > 0.0) {
-    std::printf("privacy: epsilon_spent=%.3f at delta=%.1e (RDP, per-round releases)\n",
-                res.epsilon_spent, cfg.delta);
-  }
-  if (!cfg.ledger_out.empty()) {
-    std::printf("run ledger written to %s\n", cfg.ledger_out.c_str());
-  }
-  if (res.dropped != 0 || res.delayed != 0) {
-    std::printf("faults: dropped=%zu delayed=%zu\n", res.dropped, res.delayed);
-  }
-  if (res.corrupted != 0 || res.rejected != 0 || res.reclipped != 0) {
-    std::printf("byzantine: corrupted=%zu rejected=%zu reclipped=%zu\n", res.corrupted,
-                res.rejected, res.reclipped);
-  }
-  if (res.retransmits != 0 || res.corruptions_detected != 0 || res.duplicates_dropped != 0 ||
-      res.reordered != 0) {
-    std::printf(
-        "transport: retransmits=%zu corrupt_detected=%zu retry_exhausted=%zu "
-        "dup_dropped=%zu reordered=%zu\n",
-        res.retransmits, res.corruptions_detected, res.retry_exhausted,
-        res.duplicates_dropped, res.reordered);
-  }
-  if (res.crashes != 0) {
-    std::printf("recovery: crashes=%zu resyncs=%zu\n", res.crashes, res.resyncs);
-  }
-  if (res.resumed_from_round != 0) {
-    std::printf("resumed from round %zu (%s)\n", res.resumed_from_round,
-                cfg.resume_from.c_str());
-  }
-  if (cfg.checkpoint_every > 0 && cfg.rounds > cfg.checkpoint_every) {
-    std::printf("resumable run state checkpointed to %s (every %zu rounds)\n",
-                cfg.checkpoint_path.c_str(), cfg.checkpoint_every);
-  }
-  if (cfg.fleet.enabled()) {
-    std::printf("fleet: participants=%zu/%zu workers_peak=%zu models_materialized=%zu",
-                res.participants, cfg.agents, res.workers_peak, res.models_materialized);
-    if (res.wire_messages != 0) {
-      std::printf(" wire=%zu msgs/%.1fMB", res.wire_messages,
-                  static_cast<double>(res.wire_bytes) / 1e6);
-    }
-    std::printf("\n");
-  }
-
-  if (cfg.profile) {
-    auto& reg = obs::MetricsRegistry::global();
-    std::printf("\n-- phase breakdown (%zu rounds; kernels backend=%s isa=%s) --\n%s",
-                cfg.rounds, kernels::backend_name(kernels::backend()), kernels::isa_name(),
-                obs::format_phase_table(res.phase_totals, cfg.rounds).c_str());
-    const auto clip_total = reg.counter("grad.clip_total").value();
-    const auto clipped = reg.counter("grad.clipped").value();
-    std::printf("shapley.coalition_evals=%llu  grad.clip_fraction=%.3f  dp.sigma=%.4f\n",
-                static_cast<unsigned long long>(
-                    reg.counter("shapley.coalition_evals").value()),
-                clip_total == 0 ? 0.0
-                                : static_cast<double>(clipped) /
-                                      static_cast<double>(clip_total),
-                reg.gauge("dp.sigma").value());
-    std::printf("shapley.permutations_early_stopped=%llu\n",
-                static_cast<unsigned long long>(
-                    reg.counter("shapley.permutations_early_stopped").value()));
-  }
-  if (!cfg.trace_out.empty()) {
-    std::printf("trace written to %s (%zu events; load in chrome://tracing)\n",
-                cfg.trace_out.c_str(), obs::TraceRecorder::global().size());
-  }
-  if (!metrics_out.empty()) {
-    obs::MetricsRegistry::global().write_csv(metrics_out);
-    std::printf("metrics registry written to %s\n", metrics_out.c_str());
-  }
-
+  // Under --json stdout holds the JSON document alone, so file notices go to
+  // stderr.
+  std::FILE* const notes = as_json ? stderr : stdout;
   if (args.has("csv")) {
     sim::write_metrics_csv(args.get_string("csv", ""), cfg.algorithm, res.series);
-    std::printf("series written to %s\n", args.get_string("csv", "").c_str());
+    std::fprintf(notes, "series written to %s\n", args.get_string("csv", "").c_str());
   }
   if (args.has("save_model")) {
     // Persist the consensus (average) model; agents are near-consensus
     // after the final gossip step anyway.
     const auto path = args.get_string("save_model", "");
     io::save_params(path, res.average_model);
-    std::printf("average model written to %s\n", path.c_str());
+    std::fprintf(notes, "average model written to %s\n", path.c_str());
   }
   return 0;
 }

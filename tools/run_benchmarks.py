@@ -231,7 +231,6 @@ def validate_envelope(doc, path="<doc>"):
                     lo, hi = min(samples), max(samples)
                     if not (lo <= m.get("median", lo) <= hi):
                         errs.append(f"{where}: median outside [min, max]")
-    need(doc, "phases", dict, path)
     need(doc, "runs", list, path)
     if "acceptance" in doc:
         acc = need(doc, "acceptance", dict, path)
