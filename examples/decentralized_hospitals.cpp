@@ -106,7 +106,8 @@ int main() {
   std::printf("privacy spend after %zu rounds: basic eps=%.2f, advanced eps=%.2f (delta'=%g)\n",
               accountant.num_rounds(), accountant.basic_epsilon(),
               accountant.advanced_epsilon(1e-4), 1e-4);
-  std::printf("network: %zu messages, %.1f MB\n", alg.network().messages_sent(),
-              static_cast<double>(alg.network().bytes_sent()) / 1e6);
+  const sim::NetCounters net = alg.network().counters();
+  std::printf("network: %zu messages, %.1f MB\n", net.messages,
+              static_cast<double>(net.bytes) / 1e6);
   return 0;
 }

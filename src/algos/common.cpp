@@ -207,10 +207,9 @@ void Algorithm::restore_agent_model(std::size_t i, std::vector<float> row) {
   models_.set(i, std::move(row));
 }
 
-void Algorithm::note_crash_recovery(bool resynced, std::size_t lag) {
+void Algorithm::note_crash_recovery(bool resynced) {
   ++fault_stats_.crashed_agents;
   if (resynced) ++fault_stats_.resynced_agents;
-  fault_stats_.recovery_lag += lag;
 }
 
 void Algorithm::save_state(io::ByteBuffer& buf) const {
@@ -357,7 +356,6 @@ void Algorithm::mix_exchange(
       net_.send(i, j, tag, row(i), channel);
     }
   });
-  std::vector<unsigned char> renorm(m, 0);  // slot writes; folded after barrier
   runtime::parallel_for(0, m, 1, [&](std::size_t i) {
     if (!active(i)) return;  // inactive rows stay untouched in `out`
     const std::vector<float>& self = row(i);
@@ -385,7 +383,6 @@ void Algorithm::mix_exchange(
         if (g) cols.push_back(&*g);
       }
       out[i] = robust_center(cols, env_.defense.robust_agg, env_.defense.trim_frac);
-      if (!complete) renorm[i] = 1;
       return;
     }
     std::vector<float> acc(self.size(), 0.0f);
@@ -413,11 +410,9 @@ void Algorithm::mix_exchange(
           if (got[k]) axpy(acc, *got[k], static_cast<float>(w(i, nbrs[k]) / wsum));
         }
       }
-      renorm[i] = 1;
     }
     out[i] = std::move(acc);
   });
-  for (unsigned char r : renorm) fault_stats_.mix_renormalized += r;
 }
 
 std::vector<std::vector<float>> Algorithm::mix_vectors(const fleet::LazyMatrix& in,
@@ -557,15 +552,16 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
     }
     const double metrics_eval_s = metrics_watch.elapsed_seconds();
     m.test_accuracy = last_acc;
-    m.messages = alg.network().messages_sent();
-    m.bytes = alg.network().bytes_sent();
-    m.dropped = alg.network().messages_dropped();
-    m.delayed = alg.network().messages_delayed();
+    const sim::NetCounters net = alg.network().counters();
+    m.messages = net.messages;
+    m.bytes = net.bytes;
+    m.dropped = net.dropped;
+    m.delayed = net.delayed;
     m.offline = alg.fault_stats().offline_agents;
     m.stale_reused = alg.fault_stats().stale_reused;
     m.fallbacks = alg.fault_stats().self_fallbacks;
     m.byz_active = alg.network().adversary().active_count(alg.num_agents(), t);
-    m.corrupted = alg.network().messages_corrupted();
+    m.corrupted = net.corrupted;
     m.rejected = alg.fault_stats().msgs_rejected;
     m.reclipped = alg.fault_stats().msgs_reclipped;
     if (const auto split = alg.attacker_honest_weight_split()) {
@@ -576,10 +572,10 @@ std::vector<sim::RoundMetrics> run_with_metrics(Algorithm& alg, std::size_t roun
       m.shapley_evals = sstats->coalition_evals;
       m.shapley_early_stops = sstats->early_stopped;
     }
-    m.retransmits = alg.network().retransmits();
-    m.corrupt_detected = alg.network().corruptions_detected();
-    m.dup_dropped = alg.network().duplicates_dropped();
-    m.reordered = alg.network().reorders();
+    m.retransmits = net.retransmits;
+    m.corrupt_detected = net.corrupt_detected;
+    m.dup_dropped = net.dup_dropped;
+    m.reordered = net.reordered;
     m.crashes = alg.fault_stats().crashed_agents;
     m.resyncs = alg.fault_stats().resynced_agents;
     if (noise_multiplier > 0.0) {

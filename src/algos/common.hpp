@@ -142,14 +142,12 @@ struct ShapleyRoundStats {
 /// every round and snapshotted by run_with_metrics into the CSV.
 struct FaultRoundStats {
   std::size_t offline_agents = 0;   ///< agents churned out this round
-  std::size_t mix_renormalized = 0; ///< mixing rows renormalized over arrivals
   std::size_t stale_reused = 0;     ///< cached cross-gradients substituted
   std::size_t self_fallbacks = 0;   ///< agents that fell back to self-gradient
   std::size_t msgs_rejected = 0;    ///< non-finite payloads refused (S-BYZ)
   std::size_t msgs_reclipped = 0;   ///< received gradients re-clipped to C (S-BYZ)
   std::size_t crashed_agents = 0;   ///< agents that crashed this round (S-RECOV)
   std::size_t resynced_agents = 0;  ///< crashed agents restored via snapshot+resync
-  std::size_t recovery_lag = 0;     ///< summed rounds-since-snapshot over recoveries
 };
 
 class Algorithm;
@@ -272,8 +270,7 @@ class Algorithm {
   void restore_agent_model(std::size_t i, std::vector<float> row);
 
   /// Fold one crash recovery into the round's fault accounting.
-  /// `lag` = rounds between the snapshot restored from and the crash round.
-  void note_crash_recovery(bool resynced, std::size_t lag);
+  void note_crash_recovery(bool resynced);
 
   /// Serialize the algorithm's full dynamic state for kill-and-resume
   /// (models, per-agent RNG cursors, network counters/in-flight messages,

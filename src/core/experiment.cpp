@@ -333,23 +333,24 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   // fleet.sparse skips the O(M^3) spectral report and leaves it zero.
   if (!cfg.fleet.sparse) res.spectral = graph::analyze(mixing);
   res.model_dim = model_template.num_params();
-  res.messages = alg->network().messages_sent();
-  res.bytes = alg->network().bytes_sent();
-  res.dropped = alg->network().messages_dropped();
-  res.delayed = alg->network().messages_delayed();
-  res.corrupted = alg->network().messages_corrupted();
+  const sim::NetCounters net = alg->network().counters();
+  res.messages = net.messages;
+  res.bytes = net.bytes;
+  res.dropped = net.dropped;
+  res.delayed = net.delayed;
+  res.corrupted = net.corrupted;
   for (const auto& rm : series) {
     res.rejected += rm.rejected;
     res.reclipped += rm.reclipped;
   }
   res.average_model = alg->average_model();
-  res.wire_messages = alg->network().wire_messages();
-  res.wire_bytes = alg->network().wire_bytes();
-  res.retransmits = alg->network().retransmits();
-  res.corruptions_detected = alg->network().corruptions_detected();
-  res.retry_exhausted = alg->network().retry_exhausted();
-  res.duplicates_dropped = alg->network().duplicates_dropped();
-  res.reordered = alg->network().reorders();
+  res.wire_messages = net.wire_messages;
+  res.wire_bytes = net.wire_bytes;
+  res.retransmits = net.retransmits;
+  res.corruptions_detected = net.corrupt_detected;
+  res.retry_exhausted = net.retry_exhausted;
+  res.duplicates_dropped = net.dup_dropped;
+  res.reordered = net.reordered;
   for (const auto& rm : series) {
     res.crashes += rm.crashes;
     res.resyncs += rm.resyncs;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace pdsl::core {
 
@@ -23,6 +25,18 @@ Aggregate Aggregate::of(const std::vector<double>& xs) {
 ReplicatedResult run_replicated(ExperimentConfig cfg,
                                 const std::vector<std::uint64_t>& seeds) {
   if (seeds.empty()) throw std::invalid_argument("run_replicated: no seeds");
+  // Every run would reopen these files: the ledger and the checkpoint would
+  // keep only the last seed's run, and each seed would resume from one state.
+  const std::pair<const char*, const std::string*> per_run_files[] = {
+      {"ledger_out", &cfg.ledger_out},
+      {"checkpoint_path", &cfg.checkpoint_path},
+      {"resume_from", &cfg.resume_from}};
+  for (const auto& [key, path] : per_run_files) {
+    if (!path->empty()) {
+      throw std::invalid_argument(std::string("run_replicated: \"") + key +
+                                  "\" names one run's file and cannot be shared by several seeds");
+    }
+  }
   ReplicatedResult out;
   std::vector<double> losses, accs;
   for (const auto seed : seeds) {

@@ -24,7 +24,10 @@ struct ReplicatedResult {
   std::vector<ExperimentResult> runs;  ///< one per seed, in seed order
 };
 
-/// Run `cfg` once per seed (cfg.seed is overwritten per run).
+/// Run `cfg` once per seed (cfg.seed is overwritten per run). Throws
+/// std::invalid_argument, naming the key, if `cfg` sets a per-run file
+/// (ledger_out, checkpoint_path, resume_from). trace_out accumulates every
+/// run into one trace, as documented.
 ReplicatedResult run_replicated(ExperimentConfig cfg, const std::vector<std::uint64_t>& seeds);
 
 }  // namespace pdsl::core

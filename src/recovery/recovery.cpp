@@ -101,10 +101,7 @@ void RecoveryManager::on_round_begin(algos::Algorithm& alg, std::size_t t) {
       }
       alg.restore_agent_model(i, std::move(blended));
     }
-    const std::size_t lag = (t > 0 ? t - 1 : 0) - snaps_[i].round;
-    alg.note_crash_recovery(resynced, lag);
-    ++crashes_;
-    if (resynced) ++resyncs_;
+    alg.note_crash_recovery(resynced);
   }
 }
 

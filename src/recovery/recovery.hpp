@@ -49,8 +49,6 @@ class RecoveryManager final : public algos::RecoveryHook {
   /// agent's post-round model row + crash_snapshot_extra.
   void on_round_end(algos::Algorithm& alg, std::size_t t) override;
 
-  [[nodiscard]] std::size_t crashes() const { return crashes_; }
-  [[nodiscard]] std::size_t resyncs() const { return resyncs_; }
   [[nodiscard]] std::size_t snapshot_epochs() const { return snapshot_epochs_; }
   [[nodiscard]] const sim::CrashPlan& plan() const { return plan_; }
 
@@ -66,8 +64,6 @@ class RecoveryManager final : public algos::RecoveryHook {
   sim::CrashPlan plan_;
   RecoveryOptions opts_;
   std::vector<Snapshot> snaps_;  ///< empty until the first hook call
-  std::size_t crashes_ = 0;
-  std::size_t resyncs_ = 0;
   std::size_t snapshot_epochs_ = 0;
 };
 

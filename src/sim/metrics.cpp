@@ -7,22 +7,6 @@
 
 namespace pdsl::sim {
 
-double consensus_distance(const std::vector<std::vector<float>>& models) {
-  if (models.empty()) return 0.0;
-  const auto avg = average_model(models);
-  double acc = 0.0;
-  for (const auto& m : models) acc += l2_distance(m, avg);
-  return acc / static_cast<double>(models.size());
-}
-
-std::vector<float> average_model(const std::vector<std::vector<float>>& models) {
-  if (models.empty()) throw std::invalid_argument("average_model: no models");
-  std::vector<const std::vector<float>*> ptrs;
-  ptrs.reserve(models.size());
-  for (const auto& m : models) ptrs.push_back(&m);
-  return mean_of(ptrs);
-}
-
 double consensus_distance(const fleet::LazyMatrix& models) {
   if (models.empty()) return 0.0;
   const auto avg = average_model(models);

@@ -60,11 +60,9 @@ struct RoundMetrics {
 };
 
 /// Mean over agents of ||x_i - mean_j x_j||.
-double consensus_distance(const std::vector<std::vector<float>>& models);
 double consensus_distance(const fleet::LazyMatrix& models);
 
 /// Average of per-agent flat models.
-std::vector<float> average_model(const std::vector<std::vector<float>>& models);
 std::vector<float> average_model(const fleet::LazyMatrix& models);
 
 /// One column of the per-round record: its name (CSV header, ledger key) and

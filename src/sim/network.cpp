@@ -77,29 +77,26 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
   const bool lossy_channel = (src != dst) && opts_.compressor != nullptr;
   // Compress outside the lock: apply() is const/stateless and can be the
   // expensive part of a send under top-k or quantization.
-  const std::size_t wire_bytes = lossy_channel ? opts_.compressor->wire_bytes(payload)
-                                               : payload.size() * sizeof(float);
+  const std::size_t payload_bytes = lossy_channel ? opts_.compressor->wire_bytes(payload)
+                                                  : payload.size() * sizeof(float);
   if (lossy_channel) payload = opts_.compressor->apply(payload);
 
-  // S-RECOV: the unreliable-channel transport supersedes the strict
-  // round-trip assert on inter-agent traffic — the same encode/decode runs,
-  // but a checksum failure is *detected* and answered with a retransmission
-  // instead of tearing the process down.
-  const bool transport = opts_.channel.any() && src != dst;
+  // Inter-agent traffic goes over the wire when a channel plan can impair it
+  // (S-RECOV) or when the wire round-trip is asked for (S-SCALE).
+  const bool wire = src != dst && (opts_.channel.any() || opts_.wire_roundtrip);
 
   // ---- Locked section 1: clock, send counters, the per-edge index, and the
   // offline / drop / Byzantine decisions. Everything that costs time in
   // proportion to the payload runs after it, without the lock.
   std::size_t clock = 0;
   std::uint64_t edge_index = 0;
-  bool lost = false;                       // offline endpoint or drop
   std::optional<ByzRole> byz;              // corrupt_payload() to apply
   std::optional<std::vector<float>> stale; // stale-replay substitute
   {
     std::lock_guard<std::mutex> lock(mu_);
     clock = clock_;
-    ++sent_;
-    bytes_ += wire_bytes;
+    ++counters_.messages;
+    counters_.bytes += payload_bytes;
     edge_index = edge_messages_[{src, dst}]++;  // nth message on this edge
     if (src != dst) {
       const FaultPlan& plan = opts_.faults;
@@ -108,12 +105,14 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
       // begin_round() (clock 0) see no churn. Drops are a pure function of
       // (seed, edge, per-edge index): the same messages drop no matter how
       // concurrent senders interleave, which is what makes fault injection
-      // reproducible across --threads settings.
+      // reproducible across --threads settings. A lost message never reaches
+      // the wire.
       if (plan.offline(src, clock) || plan.offline(dst, clock) ||
           plan.drop(src, dst, edge_index, clock)) {
-        ++dropped_;
-        lost = true;
-      } else if (channel == Channel::kContribution && opts_.adversary.any()) {
+        ++counters_.dropped;
+        return false;
+      }
+      if (channel == Channel::kContribution && opts_.adversary.any()) {
         // S-BYZ: an active Byzantine sender corrupts its contribution payload
         // at this boundary — after the drop decision (corrupting a lost
         // message is moot) and before any delay (the attacker sent it
@@ -136,71 +135,49 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
           byz = role;
         }
         if (stale || byz) {
-          ++corrupted_;
+          ++counters_.corrupted;
         }
       }
     }
   }
 
-  // ---- Unlocked: payload work on the sender's thread, counting into locals
-  // that section 2 folds in.
-  std::size_t frames_sent = 0;
-  std::size_t frame_bytes_sent = 0;
-  std::size_t retransmits = 0;
-  std::size_t corruptions_detected = 0;
-  bool exhausted = false;
-  bool duplicated = false;
-  const auto wire_message = [&](std::vector<float> body) {
-    return fleet::WireMessage{static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
-                              static_cast<std::uint32_t>(clock),
-                              static_cast<std::uint8_t>(channel == Channel::kContribution ? 1 : 0),
-                              tag, std::move(body)};
-  };
-  if (opts_.wire_roundtrip && !transport) {
-    // S-SCALE: prove the message survives serialization bit-identically and
-    // deliver the decoded copy — exactly what a multi-process shard would see.
-    const fleet::WireMessage msg = wire_message(std::move(payload));
-    const io::ByteBuffer frame = fleet::wire_encode(msg);
-    fleet::WireMessage decoded = fleet::wire_decode(frame);
-    if (!fleet::wire_equal(msg, decoded)) {
-      throw std::runtime_error("Network::send: wire round-trip mismatch on (" +
-                               std::to_string(src) + "->" + std::to_string(dst) + ", " + tag +
-                               ")");
-    }
-    ++frames_sent;
-    frame_bytes_sent += frame.size();
-    payload = std::move(decoded.payload);
-  }
-  if (lost && frames_sent == 0) return false;  // nothing left to fold in
+  // ---- Unlocked: payload work on the sender's thread, counting into a
+  // tally that section 2 folds in.
   if (stale) payload = std::move(*stale);
   if (byz) corrupt_payload(*byz, opts_.adversary.seed, src, dst, hash_tag(tag), payload);
 
-  // S-RECOV ReliableChannel: wire-encode every attempt; a hash-driven bit
-  // flip is caught by the frame checksum (wire_try_decode -> nullopt), the
-  // receiver NACKs and the sender retransmits, up to channel.max_retries
-  // extra attempts with round-granular exponential backoff. Exhausting the
-  // budget loses the message like a drop — the receiver degrades through
-  // the PR-4 renormalization path. Every decision hashes (seed, edge,
-  // per-edge index, attempt), so retransmission traces are bit-identical
-  // at any --threads width.
+  // The one wire path: encode every attempt; under a channel plan a
+  // hash-driven bit flip is caught by the frame checksum (wire_try_decode ->
+  // nullopt), the receiver NACKs and the sender retransmits, up to
+  // channel.max_retries extra attempts with round-granular exponential
+  // backoff. Exhausting the budget loses the message like a drop — the
+  // receiver degrades through its S-FAULT renormalization path. Every
+  // decision hashes (seed, edge, per-edge index, attempt), so retransmission
+  // traces are bit-identical at any --threads width. With no channel plan the
+  // first attempt is clean and wire_roundtrip checks it decodes bit for bit.
+  NetCounters tally;
+  bool exhausted = false;
   std::size_t backoff = 0;
-  if (transport && !lost) {
+  if (wire) {
     const ChannelPlan& ch = opts_.channel;
-    fleet::WireMessage msg = wire_message(std::move(payload));
+    fleet::WireMessage msg{static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst),
+                           static_cast<std::uint32_t>(clock),
+                           static_cast<std::uint8_t>(channel == Channel::kContribution ? 1 : 0),
+                           tag, std::move(payload)};
     std::size_t frame_bytes = 0;
     exhausted = true;
     for (std::size_t attempt = 0; attempt <= ch.max_retries; ++attempt) {
       io::ByteBuffer frame = fleet::wire_encode(msg);
       frame_bytes = frame.size();
-      ++frames_sent;
-      frame_bytes_sent += frame.size();
-      if (attempt > 0) ++retransmits;
+      ++tally.wire_messages;
+      tally.wire_bytes += frame.size();
+      if (attempt > 0) ++tally.retransmits;
       if (ch.corrupt(src, dst, edge_index, attempt)) {
         const std::size_t bit = ch.corrupt_bit(src, dst, edge_index, attempt, frame.size());
         frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
         auto decoded = fleet::wire_try_decode(frame);
         if (!decoded) {
-          ++corruptions_detected;
+          ++tally.corrupt_detected;
           continue;  // NACK: the corrupted frame never reaches a mailbox
         }
         // The flip survived the checksum (a 2^-64-grade collision, but
@@ -208,7 +185,13 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
         // frame, so deliver the decoded payload as-is.
         msg.payload = std::move(decoded->payload);
       } else {
-        msg.payload = fleet::wire_decode(frame).payload;  // clean frame
+        fleet::WireMessage decoded = fleet::wire_decode(frame);  // clean frame
+        if (opts_.wire_roundtrip && !fleet::wire_equal(msg, decoded)) {
+          throw std::runtime_error("Network::send: wire round-trip mismatch on (" +
+                                   std::to_string(src) + "->" + std::to_string(dst) + ", " +
+                                   tag + ")");
+        }
+        msg.payload = std::move(decoded.payload);
       }
       exhausted = false;
       backoff = ChannelPlan::backoff_for(attempt);
@@ -219,42 +202,39 @@ bool Network::send(std::size_t src, std::size_t dst, const std::string& tag,
     // transport's per-edge sequence numbers dedup it — exactly-once
     // mailbox delivery, while the wire still paid for the extra frame.
     if (!exhausted && ch.duplicate(src, dst, edge_index)) {
-      duplicated = true;
-      ++frames_sent;
-      frame_bytes_sent += frame_bytes;
+      ++tally.dup_dropped;
+      ++tally.wire_messages;
+      tally.wire_bytes += frame_bytes;
     }
   }
-  const bool delivered = !lost && !exhausted;
+  if (exhausted) {
+    ++tally.retry_exhausted;
+    ++tally.dropped;
+  }
   const std::size_t delay =
-      delivered && src != dst ? opts_.faults.delay(src, dst, edge_index) + backoff : 0;
+      !exhausted && src != dst ? opts_.faults.delay(src, dst, edge_index) + backoff : 0;
+  if (delay > 0) ++tally.delayed;
   // Reordering: the impairment hash promotes this delivery to the front of
   // the destination mailbox (older mail is read after it).
   const bool reorder =
-      delivered && delay == 0 && transport && opts_.channel.reorder(src, dst, edge_index);
+      !exhausted && delay == 0 && wire && opts_.channel.reorder(src, dst, edge_index);
+  if (reorder) ++tally.reordered;
 
-  // ---- Locked section 2: fold the tallies in and place the payload.
+  // ---- Locked section 2: fold the tally in and place the payload.
   std::lock_guard<std::mutex> lock(mu_);
-  wire_messages_ += frames_sent;
-  wire_bytes_ += frame_bytes_sent;
-  retransmits_ += retransmits;
-  corruptions_detected_ += corruptions_detected;
-  if (duplicated) ++duplicates_dropped_;
-  if (exhausted) {
-    ++retry_exhausted_;
-    ++dropped_;
-  }
-  if (!delivered) return false;
+  for_each_counter([](const char*, std::size_t& total, std::size_t n) { total += n; }, counters_,
+                   tally);
+  if (exhausted) return false;
   if (delay > 0) {
-    ++delayed_;
     pending_.push_back(
         Pending{LateMessage{src, dst, tag, std::move(payload), clock}, clock + delay, edge_index});
     return true;  // sent, just slow — it surfaces via a later begin_round()
   }
+  auto& box = boxes_[Key{src, dst, tag}];
   if (reorder) {
-    ++reorders_;
-    boxes_[Key{src, dst, tag}].push_front(std::move(payload));
+    box.push_front(std::move(payload));
   } else {
-    boxes_[Key{src, dst, tag}].push_back(std::move(payload));
+    box.push_back(std::move(payload));
   }
   return true;
 }
@@ -276,69 +256,14 @@ bool Network::has_message(std::size_t dst, std::size_t src, const std::string& t
   return it != boxes_.end() && !it->second.empty();
 }
 
-std::size_t Network::messages_sent() const {
+NetCounters Network::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sent_;
-}
-
-std::size_t Network::messages_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::size_t Network::messages_delayed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delayed_;
-}
-
-std::size_t Network::messages_corrupted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return corrupted_;
+  return counters_;
 }
 
 std::size_t Network::in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_.size();
-}
-
-std::size_t Network::bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_;
-}
-
-std::size_t Network::wire_messages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return wire_messages_;
-}
-
-std::size_t Network::wire_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return wire_bytes_;
-}
-
-std::size_t Network::retransmits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retransmits_;
-}
-
-std::size_t Network::corruptions_detected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return corruptions_detected_;
-}
-
-std::size_t Network::retry_exhausted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retry_exhausted_;
-}
-
-std::size_t Network::duplicates_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return duplicates_dropped_;
-}
-
-std::size_t Network::reorders() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reorders_;
 }
 
 std::size_t Network::round() const {
@@ -363,18 +288,7 @@ void Network::save_state(io::ByteBuffer& buf) const {
     }
   }
   io::append_u64(buf, clock_);
-  io::append_u64(buf, sent_);
-  io::append_u64(buf, dropped_);
-  io::append_u64(buf, delayed_);
-  io::append_u64(buf, corrupted_);
-  io::append_u64(buf, bytes_);
-  io::append_u64(buf, wire_messages_);
-  io::append_u64(buf, wire_bytes_);
-  io::append_u64(buf, retransmits_);
-  io::append_u64(buf, corruptions_detected_);
-  io::append_u64(buf, retry_exhausted_);
-  io::append_u64(buf, duplicates_dropped_);
-  io::append_u64(buf, reorders_);
+  for_each_counter([&](const char*, std::size_t n) { io::append_u64(buf, n); }, counters_);
   // Per-edge message indices: they key every drop/delay/corrupt decision, so
   // a resumed run must continue the sequence exactly. std::map iterates in
   // sorted order — the blob is deterministic.
@@ -419,18 +333,11 @@ void Network::restore_state(io::ByteReader& r) {
   std::lock_guard<std::mutex> lock(mu_);
   boxes_.clear();
   clock_ = static_cast<std::size_t>(r.read_u64("net clock"));
-  sent_ = static_cast<std::size_t>(r.read_u64("net sent"));
-  dropped_ = static_cast<std::size_t>(r.read_u64("net dropped"));
-  delayed_ = static_cast<std::size_t>(r.read_u64("net delayed"));
-  corrupted_ = static_cast<std::size_t>(r.read_u64("net corrupted"));
-  bytes_ = static_cast<std::size_t>(r.read_u64("net bytes"));
-  wire_messages_ = static_cast<std::size_t>(r.read_u64("net wire_messages"));
-  wire_bytes_ = static_cast<std::size_t>(r.read_u64("net wire_bytes"));
-  retransmits_ = static_cast<std::size_t>(r.read_u64("net retransmits"));
-  corruptions_detected_ = static_cast<std::size_t>(r.read_u64("net corruptions_detected"));
-  retry_exhausted_ = static_cast<std::size_t>(r.read_u64("net retry_exhausted"));
-  duplicates_dropped_ = static_cast<std::size_t>(r.read_u64("net duplicates_dropped"));
-  reorders_ = static_cast<std::size_t>(r.read_u64("net reorders"));
+  for_each_counter(
+      [&](const char* name, std::size_t& n) {
+        n = static_cast<std::size_t>(r.read_u64((std::string("net ") + name).c_str()));
+      },
+      counters_);
   edge_messages_.clear();
   const auto n_edges = r.read_u64("net edge count");
   for (std::uint64_t i = 0; i < n_edges; ++i) {

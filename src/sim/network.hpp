@@ -13,10 +13,10 @@
 // only for bookkeeping, in two short sections: the first reads the clock,
 // counts the send, reserves the per-edge message index and makes the
 // offline / drop / Byzantine decisions; the second folds the send's
-// transport counters in and places the payload. The payload work runs on
-// the sender's thread with no lock held: compression before the first
-// section; the Byzantine corruption, the wire round-trip and the whole
-// encode -> corrupt -> decode -> retransmit loop between the two.
+// transport counts in and places the payload. The payload work runs on the
+// sender's thread with no lock held: compression before the first section;
+// the Byzantine corruption and the one encode -> corrupt -> decode ->
+// retransmit loop between the two.
 // Determinism holds at any execution width because (a) each directed edge
 // is written by exactly one agent per phase, so the per-edge index sequence
 // and each mailbox's FIFO order are fixed by that agent's own loop even
@@ -63,25 +63,62 @@ struct NetworkOptions {
   std::uint64_t seed = 7;  ///< fault decision seed (faults.seed = 0 uses this)
   bool allow_self_send = true;
   /// Optional lossy channel compression (borrowed; must outlive the
-  /// Network). Applied to every inter-agent payload; bytes_sent() then
+  /// Network). Applied to every inter-agent payload; NetCounters::bytes then
   /// counts wire bytes under the scheme instead of dense floats.
   const compress::Compressor* compressor = nullptr;
   /// S-FAULT: deterministic drop/delay/churn injection.
   FaultPlan faults;
   /// S-BYZ: Byzantine roles; adversary.seed = 0 uses the merged faults.seed.
   AdversaryPlan adversary;
-  /// S-SCALE: encode + decode + verify every send through the fleet wire
-  /// format (fleet/wire.hpp); the delivered payload is the decoded copy, so
-  /// any serialization defect fails the run loudly instead of silently.
+  /// S-SCALE: send every inter-agent message that survives the drop decision
+  /// through the fleet wire format (fleet/wire.hpp) and verify that each
+  /// clean frame decodes to the sent message bit for bit; the delivered
+  /// payload is the decoded copy, so any serialization defect fails the run
+  /// loudly instead of silently.
   bool wire_roundtrip = false;
   /// S-RECOV: unreliable-channel model. When any() the inter-agent transport
-  /// always wire-encodes, the checksum *detects* hash-driven bit flips
-  /// instead of asserting, and a NACK/retransmit loop with bounded retries
-  /// plus round-granular exponential backoff recovers; duplication and
-  /// reorder impairments ride on top. channel.seed = 0 uses the merged
-  /// faults.seed.
+  /// wire-encodes too, the checksum *detects* hash-driven bit flips, and a
+  /// NACK/retransmit loop with bounded retries plus round-granular
+  /// exponential backoff recovers; duplication and reorder impairments ride
+  /// on top. channel.seed = 0 uses the merged faults.seed.
   ChannelPlan channel;
 };
+
+/// The network's cumulative counts, named like the RoundMetrics columns they
+/// feed. A new count is a field plus one row of for_each_counter.
+struct NetCounters {
+  std::size_t messages = 0;          ///< send() calls, self-sends included
+  std::size_t dropped = 0;           ///< lost: drop, offline endpoint or retries exhausted
+  std::size_t delayed = 0;           ///< delivered late, via a later begin_round()
+  std::size_t corrupted = 0;         ///< S-BYZ: payloads a Byzantine sender corrupted
+  std::size_t bytes = 0;             ///< payload bytes (the compressor's wire size, if any)
+  std::size_t wire_messages = 0;     ///< encoded frames, retransmits and duplicates included
+  std::size_t wire_bytes = 0;        ///< encoded frame bytes (header + payload + checksum)
+  std::size_t retransmits = 0;       ///< S-RECOV: frames resent after a NACK
+  std::size_t corrupt_detected = 0;  ///< S-RECOV: checksum-caught bit flips
+  std::size_t retry_exhausted = 0;   ///< S-RECOV: messages lost after all retries
+  std::size_t dup_dropped = 0;       ///< S-RECOV: duplicate copies deduped
+  std::size_t reordered = 0;         ///< S-RECOV: front-of-queue deliveries
+};
+
+/// The counter table, in the order Network::save_state writes the counts:
+/// calls f(name, c.field...) per counter with that field of each record in
+/// `c` (two to compare or fold one into another).
+template <class F, class... Counters>
+void for_each_counter(F&& f, Counters&... c) {
+  f("messages", c.messages...);
+  f("dropped", c.dropped...);
+  f("delayed", c.delayed...);
+  f("corrupted", c.corrupted...);
+  f("bytes", c.bytes...);
+  f("wire_messages", c.wire_messages...);
+  f("wire_bytes", c.wire_bytes...);
+  f("retransmits", c.retransmits...);
+  f("corrupt_detected", c.corrupt_detected...);
+  f("retry_exhausted", c.retry_exhausted...);
+  f("dup_dropped", c.dup_dropped...);
+  f("reordered", c.reordered...);
+}
 
 /// A delayed payload that matured: begin_round() hands these back to the
 /// caller instead of injecting them into mailboxes, so mailboxes stay a
@@ -132,25 +169,10 @@ class Network {
   /// they are neither counted nor discarded (see in_flight()).
   std::size_t clear();
 
-  [[nodiscard]] std::size_t messages_sent() const;
-  [[nodiscard]] std::size_t messages_dropped() const;
-  [[nodiscard]] std::size_t messages_delayed() const;
-  /// S-BYZ: delivered (or in-flight) payloads corrupted by a Byzantine
-  /// sender, cumulative.
-  [[nodiscard]] std::size_t messages_corrupted() const;
+  /// Every cumulative count, read under one lock.
+  [[nodiscard]] NetCounters counters() const;
   /// Delayed messages not yet matured by the last begin_round().
   [[nodiscard]] std::size_t in_flight() const;
-  [[nodiscard]] std::size_t bytes_sent() const;
-  /// S-SCALE wire-roundtrip counters (0 unless opts.wire_roundtrip or the
-  /// channel transport is active).
-  [[nodiscard]] std::size_t wire_messages() const;
-  [[nodiscard]] std::size_t wire_bytes() const;
-  /// S-RECOV transport counters (0 unless opts.channel.any()).
-  [[nodiscard]] std::size_t retransmits() const;          ///< frames resent after a NACK
-  [[nodiscard]] std::size_t corruptions_detected() const; ///< checksum-caught bit flips
-  [[nodiscard]] std::size_t retry_exhausted() const;      ///< messages lost after all retries
-  [[nodiscard]] std::size_t duplicates_dropped() const;   ///< in-flight dup copies deduped
-  [[nodiscard]] std::size_t reorders() const;             ///< deliveries that jumped the queue
   /// The fault plan actually in effect (seed fallback folded in).
   [[nodiscard]] const FaultPlan& faults() const { return opts_.faults; }
   /// The adversary plan actually in effect (seed fallback folded in).
@@ -217,18 +239,7 @@ class Network {
   std::vector<Pending> pending_;  ///< delayed, not yet matured
   std::map<ReplayKey, ReplayEntry> replay_;  ///< stale-replay payload history
   std::size_t clock_ = 0;         ///< current round (set by begin_round)
-  std::size_t sent_ = 0;
-  std::size_t dropped_ = 0;
-  std::size_t delayed_ = 0;
-  std::size_t corrupted_ = 0;
-  std::size_t bytes_ = 0;
-  std::size_t wire_messages_ = 0;  ///< sends round-tripped through the wire format
-  std::size_t wire_bytes_ = 0;     ///< encoded frame bytes (header + payload + checksum)
-  std::size_t retransmits_ = 0;          ///< S-RECOV: frames resent after a NACK
-  std::size_t corruptions_detected_ = 0; ///< S-RECOV: checksum-caught bit flips
-  std::size_t retry_exhausted_ = 0;      ///< S-RECOV: messages lost after all retries
-  std::size_t duplicates_dropped_ = 0;   ///< S-RECOV: duplicate copies deduped
-  std::size_t reorders_ = 0;             ///< S-RECOV: front-of-queue deliveries
+  NetCounters counters_;
   /// Messages ever sent per (src, dst) edge: the per-edge index that keys
   /// every drop/delay/corrupt decision.
   std::map<std::pair<std::size_t, std::size_t>, std::size_t> edge_messages_;

@@ -164,11 +164,11 @@ TEST(Baselines, MessageAccountingIsPlausible) {
   DPSGD alg(fx.env(0.0));
   alg.run_round(1);
   // Fully connected M=6: model mixing sends 6*5 messages per round.
-  EXPECT_EQ(alg.network().messages_sent(), 30u);
+  EXPECT_EQ(alg.network().counters().messages, 30u);
   DpCga cga(fx.env(0.0));
   cga.run_round(1);
   // CGA additionally exchanges models and returns cross-gradients: 3 * 30.
-  EXPECT_EQ(cga.network().messages_sent(), 90u);
+  EXPECT_EQ(cga.network().counters().messages, 90u);
 }
 
 TEST(Baselines, GossipAveragingConvergesToConsensus) {
@@ -194,7 +194,7 @@ TEST(Baselines, DropoutLinksDoNotCrash) {
   for (const auto& m : alg.models()) {
     for (float v : m) EXPECT_TRUE(std::isfinite(v));
   }
-  EXPECT_GT(alg.network().messages_dropped(), 0u);
+  EXPECT_GT(alg.network().counters().dropped, 0u);
 }
 
 TEST(Baselines, EnvValidation) {

@@ -264,7 +264,7 @@ TEST(NetworkByzantine, StateChannelIsNeverCorrupted) {
   net.send(0, 1, "xg@1", payload, Channel::kContribution);
   EXPECT_EQ(*net.receive(1, 0, "x@1"), payload);
   EXPECT_EQ(*net.receive(1, 0, "xg@1"), (std::vector<float>{-3.0f, -6.0f}));
-  EXPECT_EQ(net.messages_corrupted(), 1u);
+  EXPECT_EQ(net.counters().corrupted, 1u);
 }
 
 TEST(NetworkByzantine, HonestSendersAreUntouchedOnEveryChannel) {
@@ -277,7 +277,7 @@ TEST(NetworkByzantine, HonestSendersAreUntouchedOnEveryChannel) {
   const std::vector<float> payload{1.0f, 2.0f};
   net.send(1, 2, "xg@1", payload, Channel::kContribution);
   EXPECT_EQ(*net.receive(2, 1, "xg@1"), payload);
-  EXPECT_EQ(net.messages_corrupted(), 0u);
+  EXPECT_EQ(net.counters().corrupted, 0u);
 }
 
 TEST(NetworkByzantine, StaleReplayResendsTheFirstRecordedPayload) {
@@ -289,16 +289,16 @@ TEST(NetworkByzantine, StaleReplayResendsTheFirstRecordedPayload) {
   net.begin_round(1);
   net.send(0, 1, "xg@1", {1.0f}, Channel::kContribution);
   EXPECT_EQ(*net.receive(1, 0, "xg@1"), std::vector<float>{1.0f});  // recorded
-  EXPECT_EQ(net.messages_corrupted(), 0u);
+  EXPECT_EQ(net.counters().corrupted, 0u);
   net.begin_round(2);
   net.send(0, 1, "xg@2", {2.0f}, Channel::kContribution);
   // Round 2's payload is replaced by the round-1 recording (tag kind "xg").
   EXPECT_EQ(*net.receive(1, 0, "xg@2"), std::vector<float>{1.0f});
-  EXPECT_EQ(net.messages_corrupted(), 1u);
+  EXPECT_EQ(net.counters().corrupted, 1u);
   net.begin_round(3);
   net.send(0, 1, "xg@3", {3.0f}, Channel::kContribution);
   EXPECT_EQ(*net.receive(1, 0, "xg@3"), std::vector<float>{1.0f});
-  EXPECT_EQ(net.messages_corrupted(), 2u);
+  EXPECT_EQ(net.counters().corrupted, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,11 +465,12 @@ TEST(NetworkByzantine, CorruptedPayloadMaturesThroughTheDelayBuffer) {
     }
   }
   EXPECT_EQ(now + late, kMsgs);  // nothing lost, nothing double-delivered
-  EXPECT_EQ(net.messages_corrupted(), kMsgs);  // one Byz event per message
+  EXPECT_EQ(net.counters().corrupted, kMsgs);  // one Byz event per message
   // Every checksum-caught bit flip triggered exactly one retransmission and
   // never surfaced anywhere — the only corruption a receiver ever sees is
   // the adversary's, which the checksum cannot (and must not) flag.
-  EXPECT_GT(net.corruptions_detected(), 0u);
-  EXPECT_EQ(net.corruptions_detected(), net.retransmits());
-  EXPECT_EQ(net.retry_exhausted(), 0u);
+  const sim::NetCounters c = net.counters();
+  EXPECT_GT(c.corrupt_detected, 0u);
+  EXPECT_EQ(c.corrupt_detected, c.retransmits);
+  EXPECT_EQ(c.retry_exhausted, 0u);
 }

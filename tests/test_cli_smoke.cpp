@@ -15,6 +15,10 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include <sys/wait.h>
 
 #include "common/json.hpp"
 #include "common/schema.hpp"
@@ -337,6 +341,25 @@ TEST(CliSmoke, SeedsRefusesTheSingleRunOutputs) {
     EXPECT_NE(run_cli("--seeds 1,2 " + flag + " \"" + file + "\"", &output), 0) << output;
     EXPECT_NE(output.find("--seeds cannot be combined with " + flag), std::string::npos)
         << output;
+  }
+  std::remove(file.c_str());
+}
+
+TEST(CliSmoke, SeedsRefusesPerRunFiles) {
+  // Every seed's run would rewrite the file, so the replicated run exits 1
+  // naming the key instead of keeping the last seed's output alone.
+  const std::string file = temp_path("pdsl_smoke_seeds_per_run.out");
+  for (const auto& [flags, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--ledger-out", "ledger_out"},
+           {"--checkpoint-every 1 --checkpoint-path", "checkpoint_path"},
+           {"--resume-from", "resume_from"}}) {
+    SCOPED_TRACE(key);
+    std::string output;
+    const int status = run_cli("--seeds 1,2 " + flags + " \"" + file + "\"", &output);
+    ASSERT_TRUE(WIFEXITED(status)) << output;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+    EXPECT_NE(output.find('"' + key + '"'), std::string::npos) << output;
   }
   std::remove(file.c_str());
 }

@@ -121,7 +121,7 @@ TEST(NetworkChannel, CompressorIsAppliedAndBytesShrink) {
   std::size_t nonzero = 0;
   for (float v : *got) nonzero += (v != 0.0f);
   EXPECT_EQ(nonzero, 10u);
-  EXPECT_EQ(net.bytes_sent(), 10u * 8u);  // wire bytes, not dense bytes
+  EXPECT_EQ(net.counters().bytes, 10u * 8u);  // wire bytes, not dense bytes
 }
 
 TEST(NetworkChannel, SelfSendsBypassCompression) {

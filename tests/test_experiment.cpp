@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "core/replicate.hpp"
@@ -159,6 +161,27 @@ TEST(Experiment, ReplicationAggregates) {
   EXPECT_DOUBLE_EQ(agg.min, 1.0);
   EXPECT_DOUBLE_EQ(agg.max, 3.0);
   EXPECT_NEAR(agg.stddev, 1.0, 1e-12);
+}
+
+TEST(Experiment, ReplicationRefusesPerRunFiles) {
+  // Each seed's run would reopen the file, so only the last run would be
+  // kept (or, for resume_from, every seed would resume one run's state).
+  using File = std::string ExperimentConfig::*;
+  const std::pair<std::string, File> files[] = {
+      {"ledger_out", &ExperimentConfig::ledger_out},
+      {"checkpoint_path", &ExperimentConfig::checkpoint_path},
+      {"resume_from", &ExperimentConfig::resume_from}};
+  for (const auto& [key, file] : files) {
+    SCOPED_TRACE(key);
+    auto cfg = tiny("dpsgd");
+    cfg.*file = "per_run.out";
+    try {
+      (void)run_replicated(cfg, {1, 2});
+      ADD_FAILURE() << "run_replicated accepted " << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find('"' + key + '"'), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Experiment, PartitionModes) {

@@ -31,6 +31,7 @@ using pdsl::core::Pdsl;
 using pdsl::sim::EdgeFaultRule;
 using pdsl::sim::FaultPlan;
 using pdsl::sim::LateMessage;
+using pdsl::sim::NetCounters;
 using pdsl::sim::Network;
 using pdsl::sim::NetworkOptions;
 
@@ -323,12 +324,12 @@ TEST(NetworkFaults, DelayedMessagesMatureInDeterministicOrder) {
       ASSERT_TRUE(net.send(i, j, "m", {static_cast<float>(10 * i + j)}));
       if (net.receive(j, i, "m")) ++immediate;
     }
-  EXPECT_GT(net.messages_delayed(), 0u);
-  EXPECT_EQ(net.in_flight(), net.messages_delayed());
+  EXPECT_GT(net.counters().delayed, 0u);
+  EXPECT_EQ(net.in_flight(), net.counters().delayed);
   // In-flight delayed messages are legitimately in transit: clear() must not
   // count or discard them.
   EXPECT_EQ(net.clear(), 0u);
-  EXPECT_EQ(net.in_flight(), net.messages_delayed());
+  EXPECT_EQ(net.in_flight(), net.counters().delayed);
 
   std::size_t matured = 0;
   for (std::size_t t = 2; t <= 1 + opts.faults.delay_rounds; ++t) {
@@ -348,9 +349,9 @@ TEST(NetworkFaults, DelayedMessagesMatureInDeterministicOrder) {
     matured += late.size();
   }
   // Delay is bounded: everything sent in round 1 surfaced by round 1+max.
-  EXPECT_EQ(immediate + matured, net.messages_sent());
+  EXPECT_EQ(immediate + matured, net.counters().messages);
   EXPECT_EQ(net.in_flight(), 0u);
-  EXPECT_EQ(net.messages_dropped(), 0u);
+  EXPECT_EQ(net.counters().dropped, 0u);
 }
 
 TEST(NetworkFaults, ChurnDropsTrafficToAndFromOfflineAgents) {
@@ -380,7 +381,7 @@ TEST(NetworkFaults, ChurnDropsTrafficToAndFromOfflineAgents) {
       const bool endpoint_offline = plan.offline(i, 1) || plan.offline(j, 1);
       EXPECT_EQ(delivered, !endpoint_offline) << i << "->" << j;
     }
-  EXPECT_GT(net.messages_dropped(), 0u);
+  EXPECT_GT(net.counters().dropped, 0u);
   net.clear();
 }
 
@@ -415,7 +416,7 @@ TEST(PdslFaults, PiRenormalizesToUnityOverSurvivors) {
       }
     }
   }
-  EXPECT_GT(alg.network().messages_dropped(), 0u);
+  EXPECT_GT(alg.network().counters().dropped, 0u);
   EXPECT_TRUE(saw_renormalized_row)
       << "drop_prob=0.3 over 3 rounds never produced a partial neighborhood";
 }
@@ -492,9 +493,9 @@ TEST(PdslFaults, BitIdenticalAcrossThreadWidths) {
   runtime::set_global_threads(before);
 
   EXPECT_EQ(seq.models(), par.models());
-  EXPECT_EQ(seq.network().messages_dropped(), par.network().messages_dropped());
-  EXPECT_EQ(seq.network().messages_delayed(), par.network().messages_delayed());
-  EXPECT_GT(seq.network().messages_dropped(), 0u);
+  EXPECT_EQ(seq.network().counters().dropped, par.network().counters().dropped);
+  EXPECT_EQ(seq.network().counters().delayed, par.network().counters().delayed);
+  EXPECT_GT(seq.network().counters().dropped, 0u);
 }
 
 TEST(PdslFaults, ZeroFaultPlanMatchesLegacyCleanRun) {
@@ -510,8 +511,8 @@ TEST(PdslFaults, ZeroFaultPlanMatchesLegacyCleanRun) {
     planned.run_round(t);
   }
   EXPECT_EQ(clean.models(), planned.models());
-  EXPECT_EQ(clean.network().messages_dropped(), 0u);
-  EXPECT_EQ(planned.network().messages_delayed(), 0u);
+  EXPECT_EQ(clean.network().counters().dropped, 0u);
+  EXPECT_EQ(planned.network().counters().delayed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -600,13 +601,14 @@ TEST(NetworkFaults, ChannelCorruptionCountsExactlyOnceAndNeverLeaks) {
       ++delivered;
     }
   }
-  EXPECT_GT(net.corruptions_detected(), 0u);
-  EXPECT_GT(net.retransmits(), 0u);
-  EXPECT_GT(net.retry_exhausted(), 0u);
+  const NetCounters c = net.counters();
+  EXPECT_GT(c.corrupt_detected, 0u);
+  EXPECT_GT(c.retransmits, 0u);
+  EXPECT_GT(c.retry_exhausted, 0u);
   // Exactly-one-counter: each detection is either retransmitted or terminal.
-  EXPECT_EQ(net.corruptions_detected(), net.retransmits() + net.retry_exhausted());
+  EXPECT_EQ(c.corrupt_detected, c.retransmits + c.retry_exhausted);
   // Exactly-one-outcome: dropped counts both fault drops and exhausted
   // messages; everything else was delivered now or is maturing via backoff.
-  EXPECT_EQ(delivered + net.in_flight() + net.messages_dropped(), kMsgs);
-  EXPECT_GE(net.messages_dropped(), net.retry_exhausted());
+  EXPECT_EQ(delivered + net.in_flight() + c.dropped, kMsgs);
+  EXPECT_GE(c.dropped, c.retry_exhausted);
 }

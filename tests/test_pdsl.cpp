@@ -199,7 +199,7 @@ TEST(Pdsl, SurvivesMessageLoss) {
   for (const auto& m : alg.models()) {
     for (float v : m) EXPECT_TRUE(std::isfinite(v));
   }
-  EXPECT_GT(alg.network().messages_dropped(), 0u);
+  EXPECT_GT(alg.network().counters().dropped, 0u);
 }
 
 TEST(Pdsl, NoUnreadMailAfterRound) {

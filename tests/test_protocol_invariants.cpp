@@ -102,9 +102,9 @@ TEST(ProtocolInvariants, PdslMessageCountPerRoundIsExact) {
   auto env = make_env(topo, mixing, train, validation, model, partition, 0.0);
   core::Pdsl alg(env);
   alg.run_round(1);
-  EXPECT_EQ(alg.network().messages_sent(), 8u * topo.num_edges());
+  EXPECT_EQ(alg.network().counters().messages, 8u * topo.num_edges());
   alg.run_round(2);
-  EXPECT_EQ(alg.network().messages_sent(), 16u * topo.num_edges());
+  EXPECT_EQ(alg.network().counters().messages, 16u * topo.num_edges());
 }
 
 TEST(ProtocolInvariants, GossipPreservesParameterMean) {

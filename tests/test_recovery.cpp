@@ -232,11 +232,12 @@ TEST(TransportTest, RetransmitRecoversEveryCorruptedFrame) {
     }
   }
   EXPECT_EQ(delivered_now + delivered_late, kMsgs);
-  EXPECT_EQ(net.retry_exhausted(), 0u);
-  EXPECT_GT(net.retransmits(), 0u);
+  const NetCounters c = net.counters();
+  EXPECT_EQ(c.retry_exhausted, 0u);
+  EXPECT_GT(c.retransmits, 0u);
   // Exactly-one-counter invariant: every checksum-caught flip either triggered
   // one retransmission or (never, here) exhausted the budget.
-  EXPECT_EQ(net.corruptions_detected(), net.retransmits() + net.retry_exhausted());
+  EXPECT_EQ(c.corrupt_detected, c.retransmits + c.retry_exhausted);
 }
 
 TEST(TransportTest, DetectedCorruptionNeverReachesTheMailbox) {
@@ -261,12 +262,13 @@ TEST(TransportTest, DetectedCorruptionNeverReachesTheMailbox) {
       ++delivered;
     }
   }
-  EXPECT_GT(net.corruptions_detected(), 0u);
-  EXPECT_EQ(net.retransmits(), 0u);
+  const NetCounters c = net.counters();
+  EXPECT_GT(c.corrupt_detected, 0u);
+  EXPECT_EQ(c.retransmits, 0u);
   // With zero retries every detection is an exhaustion, counted exactly once.
-  EXPECT_EQ(net.corruptions_detected(), net.retry_exhausted());
-  EXPECT_EQ(net.retry_exhausted(), net.messages_dropped());
-  EXPECT_EQ(delivered + net.in_flight() + net.messages_dropped(), kMsgs);
+  EXPECT_EQ(c.corrupt_detected, c.retry_exhausted);
+  EXPECT_EQ(c.retry_exhausted, c.dropped);
+  EXPECT_EQ(delivered + net.in_flight() + c.dropped, kMsgs);
 }
 
 TEST(TransportTest, DuplicatesAreDeliveredExactlyOnce) {
@@ -286,9 +288,9 @@ TEST(TransportTest, DuplicatesAreDeliveredExactlyOnce) {
     // Exactly-once: the duplicate copy was deduped at the transport.
     EXPECT_FALSE(net.receive(1, 0, tag).has_value()) << tag;
   }
-  EXPECT_GT(net.duplicates_dropped(), 0u);
+  EXPECT_GT(net.counters().dup_dropped, 0u);
   // The duplicate copies consumed wire frames beyond one per message.
-  EXPECT_GT(net.wire_messages(), kMsgs);
+  EXPECT_GT(net.counters().wire_messages, kMsgs);
 }
 
 TEST(TransportTest, ReorderingIsDeterministicAndJumpsTheQueue) {
@@ -315,7 +317,7 @@ TEST(TransportTest, ReorderingIsDeterministicAndJumpsTheQueue) {
   while (auto got = net.receive(1, 0, "r")) order.push_back((*got)[0]);
   ASSERT_EQ(order.size(), kMsgs);
   EXPECT_EQ(order, std::vector<float>(expected.begin(), expected.end()));
-  EXPECT_GT(net.reorders(), 0u);
+  EXPECT_GT(net.counters().reordered, 0u);
   EXPECT_NE(order.front(), 0.0f);  // at least one jump actually happened
 
   // Deterministic: an identical network replays the identical order.

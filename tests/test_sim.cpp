@@ -57,8 +57,9 @@ TEST(Network, CountsMessagesAndBytes) {
   Network net(ring(4));
   net.send(0, 1, "a", std::vector<float>(10, 0.0f));
   net.send(1, 2, "a", std::vector<float>(5, 0.0f));
-  EXPECT_EQ(net.messages_sent(), 2u);
-  EXPECT_EQ(net.bytes_sent(), 15u * sizeof(float));
+  const NetCounters c = net.counters();
+  EXPECT_EQ(c.messages, 2u);
+  EXPECT_EQ(c.bytes, 15u * sizeof(float));
 }
 
 TEST(Network, DropInjectionLosesRoughlyTheRequestedFraction) {
@@ -71,7 +72,7 @@ TEST(Network, DropInjectionLosesRoughlyTheRequestedFraction) {
   for (int i = 0; i < total; ++i) {
     if (net.send(0, 1, "a", {1.0f})) ++delivered;
   }
-  EXPECT_EQ(net.messages_dropped(), static_cast<std::size_t>(total - delivered));
+  EXPECT_EQ(net.counters().dropped, static_cast<std::size_t>(total - delivered));
   EXPECT_NEAR(static_cast<double>(delivered) / total, 0.7, 0.05);
 }
 
@@ -94,10 +95,11 @@ namespace {
 
 // What one run of concurrent traffic leaves observable: every payload in the
 // order receivers read it (matured late messages first each round, then the
-// mailboxes in (dst, src, tag) order), and every counter.
+// mailboxes in (dst, src, tag) order), every counter and the in-flight count.
 struct TrafficTrace {
   std::vector<std::vector<float>> received;
-  std::vector<std::size_t> counters;
+  NetCounters counters;
+  std::size_t in_flight = 0;
 };
 
 TrafficTrace run_concurrent_traffic(std::size_t threads) {
@@ -140,10 +142,8 @@ TrafficTrace run_concurrent_traffic(std::size_t threads) {
     }
     EXPECT_EQ(net.clear(), 0u);
   }
-  trace.counters = {net.messages_sent(),   net.messages_dropped(),   net.messages_delayed(),
-                    net.in_flight(),       net.bytes_sent(),         net.wire_messages(),
-                    net.wire_bytes(),      net.retransmits(),        net.corruptions_detected(),
-                    net.retry_exhausted(), net.duplicates_dropped(), net.reorders()};
+  trace.counters = net.counters();
+  trace.in_flight = net.in_flight();
   runtime::set_global_threads(1);
   return trace;
 }
@@ -157,17 +157,102 @@ TEST(Network, ConcurrentLossyTrafficIsIdenticalAtEveryWidth) {
   const TrafficTrace serial = run_concurrent_traffic(1);
   const TrafficTrace wide = run_concurrent_traffic(4);
   EXPECT_EQ(wide.received, serial.received);
-  EXPECT_EQ(wide.counters, serial.counters);
-  // The plan exercised every impairment, the recovery identity holds, and
-  // the backed-off retransmissions reached receivers through begin_round().
-  ASSERT_EQ(serial.counters.size(), 12u);
-  EXPECT_GT(serial.counters[1], 0u);   // dropped
-  EXPECT_GT(serial.counters[2], 0u);   // delayed
-  EXPECT_GT(serial.counters[7], 0u);   // retransmits
-  EXPECT_GT(serial.counters[9], 0u);   // retry_exhausted
-  EXPECT_GT(serial.counters[10], 0u);  // duplicates_dropped
-  EXPECT_GT(serial.counters[11], 0u);  // reorders
-  EXPECT_EQ(serial.counters[8], serial.counters[7] + serial.counters[9]);
+  EXPECT_EQ(wide.in_flight, serial.in_flight);
+  // The plan exercised every impairment (there is no Byzantine sender, so
+  // nothing is corrupted), and the backed-off retransmissions reached
+  // receivers through begin_round().
+  for_each_counter(
+      [](const char* name, std::size_t w, std::size_t s) {
+        EXPECT_EQ(w, s) << name << " differs between widths 4 and 1";
+        if (std::string(name) != "corrupted") {
+          EXPECT_GT(s, 0u) << name << " never fired";
+        }
+      },
+      wide.counters, serial.counters);
+  const NetCounters& c = serial.counters;
+  EXPECT_EQ(c.corrupt_detected, c.retransmits + c.retry_exhausted);
+}
+
+namespace {
+
+// A fixed serial traffic script through every fault the network models:
+// drops, delays, a stale-replay attacker and every channel impairment. It
+// leaves delayed messages in flight and replay history behind, so the blob
+// holds every section save_state writes.
+io::ByteBuffer lossy_script_state() {
+  Network::Options opts;
+  opts.seed = 23;
+  opts.faults.drop_prob = 0.1;
+  opts.faults.delay_prob = 0.2;
+  opts.faults.delay_rounds = 2;
+  opts.adversary.frac = 0.25;  // agents 0 and 1 of 8
+  opts.adversary.mode = ByzMode::kStaleReplay;
+  opts.channel.corrupt_prob = 0.3;
+  opts.channel.duplicate_prob = 0.2;
+  opts.channel.reorder_prob = 0.2;
+  opts.channel.max_retries = 2;
+  const auto topo = graph::Graph::regular(8, 4);
+  Network net(topo, opts);
+  for (std::size_t t = 1; t <= 3; ++t) {
+    (void)net.begin_round(t);
+    const std::string tag = "xgrad@" + std::to_string(t);
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      for (const std::size_t j : topo.neighbors(i)) {
+        std::vector<float> payload(6, static_cast<float>(t));
+        payload[0] = static_cast<float>(i);
+        payload[1] = static_cast<float>(j);
+        net.send(i, j, tag, std::move(payload), Channel::kContribution);
+        net.send(i, j, "model@" + std::to_string(t), std::vector<float>(3, 0.25f));
+      }
+    }
+    (void)net.clear();
+  }
+  io::ByteBuffer blob;
+  net.save_state(blob);
+  return blob;
+}
+
+}  // namespace
+
+TEST(Network, SaveStateBytesArePinnedAfterALossyScript) {
+  // save_state writes the counters by walking for_each_counter, so this pin
+  // of the whole blob fails if a table row moves (or any other section's
+  // layout changes) without an io::kCheckpointVersion bump.
+  const io::ByteBuffer blob = lossy_script_state();
+  EXPECT_EQ(blob.size(), 2683u);
+  EXPECT_EQ(io::fnv1a_bytes(blob.data(), blob.size()), 0x81f105222553fa57ULL);
+  // Every count (and so every slot of the pinned blob) is live.
+  Network copy(graph::Graph::regular(8, 4));
+  io::ByteReader reader(blob, "Network blob");
+  copy.restore_state(reader);
+  const NetCounters restored = copy.counters();
+  for_each_counter([](const char* name, std::size_t n) { EXPECT_GT(n, 0u) << name; }, restored);
+  EXPECT_GT(copy.in_flight(), 0u);
+  io::ByteBuffer again;
+  copy.save_state(again);
+  EXPECT_EQ(again, blob);
+}
+
+TEST(Network, WireRoundTripEncodesOnlyMessagesThatSurviveTheDrop) {
+  // A dropped message never reaches the wire, so with no channel plan each
+  // delivered (or delayed) inter-agent message is exactly one frame.
+  Network::Options opts;
+  opts.seed = 5;
+  opts.wire_roundtrip = true;
+  opts.faults.drop_prob = 0.3;
+  opts.faults.delay_prob = 0.2;
+  opts.faults.delay_rounds = 1;
+  Network net(ring(4), opts);
+  std::size_t delivered = 0;
+  for (int k = 0; k < 200; ++k) {
+    if (net.send(0, 1, "w@" + std::to_string(k), {1.0f, -2.0f, 3.5f})) ++delivered;
+  }
+  const NetCounters c = net.counters();
+  EXPECT_GT(c.dropped, 0u);
+  EXPECT_GT(c.delayed, 0u);
+  EXPECT_EQ(c.wire_messages, c.messages - c.dropped);
+  EXPECT_EQ(c.wire_messages, delivered);
+  EXPECT_EQ(c.retransmits + c.corrupt_detected + c.dup_dropped + c.reordered, 0u);
 }
 
 TEST(Worker, GradientMatchesDirectModelComputation) {
@@ -272,20 +357,25 @@ TEST(Evaluate, FixedBatchScoring) {
   EXPECT_GT(loss_on(ws, params, batch), 0.0);
 }
 
+namespace {
+fleet::LazyMatrix rows(std::vector<std::vector<float>> r) {
+  fleet::LazyMatrix m;
+  m.assign(std::move(r));
+  return m;
+}
+}  // namespace
+
 TEST(Metrics, ConsensusDistance) {
-  const std::vector<std::vector<float>> same = {{1.0f, 0.0f}, {1.0f, 0.0f}};
-  EXPECT_DOUBLE_EQ(consensus_distance(same), 0.0);
+  EXPECT_DOUBLE_EQ(consensus_distance(rows({{1.0f, 0.0f}, {1.0f, 0.0f}})), 0.0);
   // Two models at distance 2 from each other: each is 1 from the mean.
-  const std::vector<std::vector<float>> split = {{1.0f, 0.0f}, {-1.0f, 0.0f}};
-  EXPECT_NEAR(consensus_distance(split), 1.0, 1e-6);
+  EXPECT_NEAR(consensus_distance(rows({{1.0f, 0.0f}, {-1.0f, 0.0f}})), 1.0, 1e-6);
 }
 
 TEST(Metrics, AverageModel) {
-  const std::vector<std::vector<float>> models = {{2.0f, 0.0f}, {0.0f, 2.0f}};
-  const auto avg = average_model(models);
+  const auto avg = average_model(rows({{2.0f, 0.0f}, {0.0f, 2.0f}}));
   EXPECT_FLOAT_EQ(avg[0], 1.0f);
   EXPECT_FLOAT_EQ(avg[1], 1.0f);
-  EXPECT_THROW(average_model(std::vector<std::vector<float>>{}), std::invalid_argument);
+  EXPECT_THROW(average_model(rows({})), std::invalid_argument);
 }
 
 // Each column lands under its own header with its own value: the

@@ -49,7 +49,8 @@ int usage() {
       "                    --train --image --mu --partition --batch --gamma --alpha\n"
       "                    --clip --eps --delta --sigma_mode --noise_scale --seed\n"
       "                    --seeds 1,2,3 (one summary line over the seeds; not with\n"
-      "                      --json, --csv or --save_model)\n"
+      "                      --json, --csv, --save_model, --ledger-out,\n"
+      "                      --checkpoint-path or --resume-from)\n"
       "                    --compression --drop_prob --corrupt\n"
       "                    --csv <path> --save_model <path>\n"
       "                    --hidden H (the mlp model's hidden width)\n"
@@ -77,7 +78,8 @@ int usage() {
       "                    --lazy-state --worker-cache N (materialize agent\n"
       "                      state on demand, LRU-evict above N)\n"
       "                    --wire-roundtrip (encode+decode+verify every\n"
-      "                      message through the fleet wire format)\n"
+      "                      inter-agent message that survives the drop\n"
+      "                      through the fleet wire format)\n"
       "                    --metric-agents K (evaluate loss/acc on the first\n"
       "                      K agents only; 0 = all)\n"
       "                    --threads N (parallel agents; 1=sequential, 0=auto-detect)\n"
