@@ -23,8 +23,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,7 +38,10 @@
 #include "dp/mechanism.hpp"
 #include "graph/mixing.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/cnn.hpp"
 #include "kernels/gemm.hpp"
+#include "kernels/im2col.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/model_zoo.hpp"
 #include "optim/qp.hpp"
@@ -267,6 +272,161 @@ NoiseRow time_dp_noise(std::size_t reps) {
   return row;
 }
 
+// ---------------------------------------------------------------------------
+// CNN layer kernels against the code they replaced, at each ISA level:
+// kernels::conv2d_forward against im2col + sgemm seeded with the bias,
+// kernels::maxpool2x2 against the scalar 2x2 loop, and
+// kernels::relu_maxpool2x2 against nn::ReLU::forward then that loop. Each
+// row checks that both give the same bytes and reports microseconds per
+// batch. No speed gate: such ratios swing by up to 2x between runs of
+// unchanged code.
+// ---------------------------------------------------------------------------
+
+struct LayerShape {
+  const char* name;
+  std::size_t batch, in_ch, out_ch, k, pad, image;
+};
+
+// conv1 and conv2 of make_mnist_cnn(14) and of make_cifar_cnn at the
+// benchmark workloads' 12x12 and the paper's 32x32; the pools take each
+// conv's output.
+const LayerShape kLayerShapes[] = {
+    {"mnist14_l1", 32, 1, 8, 3, 1, 14},  {"mnist14_l2", 32, 8, 16, 3, 1, 7},
+    {"cifar12_l1", 32, 3, 8, 5, 2, 12},  {"cifar12_l2", 32, 8, 16, 5, 2, 6},
+    {"cifar32_l1", 32, 3, 8, 5, 2, 32},  {"cifar32_l2", 32, 8, 16, 5, 2, 16},
+};
+
+struct LayerRow {
+  std::string name, shape;
+  std::vector<double> ref_us, new_us;  // per level of supported_isas()
+  bool identical = true;
+};
+
+/// best, at = v, idx if v > best, with masks rather than a branch: the
+/// 2x2 loop MaxPool2D ran before kernels::maxpool2x2, argmax as size_t.
+inline void take_if_greater(float v, std::size_t idx, float& best, std::size_t& at) {
+  const auto gt = static_cast<std::uint32_t>(v > best);
+  const std::uint32_t keep_v = 0u - gt;
+  best = std::bit_cast<float>((std::bit_cast<std::uint32_t>(v) & keep_v) |
+                              (std::bit_cast<std::uint32_t>(best) & ~keep_v));
+  at += (idx - at) & (std::size_t{0} - gt);
+}
+
+void reference_pool(const float* x, std::size_t planes, std::size_t ih, std::size_t iw,
+                    float* y, std::size_t* arg) {
+  std::size_t o = 0;
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t r = 0; r < ih / 2; ++r) {
+      const std::size_t base = (p * ih + 2 * r) * iw;
+      const float* row0 = x + base;
+      const float* row1 = row0 + iw;
+      for (std::size_t c = 0; c < iw / 2; ++c, ++o) {
+        float best = row0[2 * c];
+        std::size_t at = base + 2 * c;
+        take_if_greater(row0[2 * c + 1], base + 2 * c + 1, best, at);
+        take_if_greater(row1[2 * c], base + iw + 2 * c, best, at);
+        take_if_greater(row1[2 * c + 1], base + iw + 2 * c + 1, best, at);
+        y[o] = best;
+        arg[o] = at;
+      }
+    }
+  }
+}
+
+/// Times ref and fresh at every supported level; each writes `out_bytes`
+/// bytes at ref_out and new_out, which must match at every level.
+template <typename Ref, typename New>
+void time_layer(LayerRow& row, std::size_t reps, Ref&& ref, New&& fresh, const void* ref_out,
+                const void* new_out, std::size_t out_bytes) {
+  for (const auto level : supported_isas()) {
+    kernels::set_isa_cap(level);
+    row.ref_us.push_back(1000.0 * time_ms(reps, ref));
+    row.new_us.push_back(1000.0 * time_ms(reps, fresh));
+    row.identical = row.identical && std::memcmp(ref_out, new_out, out_bytes) == 0;
+  }
+  kernels::set_isa_cap(kernels::Isa::kAvx512);
+}
+
+std::vector<LayerRow> sweep_layers(std::size_t reps) {
+  std::vector<LayerRow> rows;
+  for (const auto& s : kLayerShapes) {
+    const std::size_t ih = s.image, oh = ih + 2 * s.pad - s.k + 1;
+    const std::size_t taps = s.in_ch * s.k * s.k, npix = oh * oh;
+    const auto x = random_vec(s.batch * s.in_ch * ih * ih, 6);
+    const auto w = random_vec(s.out_ch * taps, 7);
+    const auto bias = random_vec(s.out_ch, 8);
+    const std::size_t out_n = s.batch * s.out_ch * npix;
+    std::vector<float> col(taps * npix), y_ref(out_n), y_new(out_n);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "b%zu %zux%zux%zu k%zu p%zu -> %zuch", s.batch, s.in_ch, ih,
+                  ih, s.k, s.pad, s.out_ch);
+    LayerRow conv{std::string("conv_") + s.name, buf, {}, {}, true};
+    time_layer(
+        conv, reps,
+        [&] {
+          for (std::size_t b = 0; b < s.batch; ++b) {
+            kernels::im2col(x.data() + b * s.in_ch * ih * ih, s.in_ch, ih, ih, s.k, s.pad,
+                            col.data());
+            float* yb = y_ref.data() + b * s.out_ch * npix;
+            for (std::size_t oc = 0; oc < s.out_ch; ++oc) {
+              std::fill(yb + oc * npix, yb + (oc + 1) * npix, bias[oc]);
+            }
+            kernels::sgemm(s.out_ch, taps, npix, w.data(), col.data(), yb, true);
+          }
+          benchmark::DoNotOptimize(y_ref.data());
+        },
+        [&] {
+          kernels::conv2d_forward(x.data(), s.batch, s.in_ch, ih, ih, w.data(), bias.data(),
+                                  s.out_ch, s.k, s.pad, y_new.data());
+          benchmark::DoNotOptimize(y_new.data());
+        },
+        y_ref.data(), y_new.data(), out_n * sizeof(float));
+    rows.push_back(conv);
+
+    // The pools run on the conv output, as in the model.
+    const std::size_t planes = s.batch * s.out_ch, pooled = planes * (oh / 2) * (oh / 2);
+    std::vector<float> p_ref(pooled), p_new(pooled);
+    std::vector<std::size_t> a_ref(pooled);
+    std::vector<std::uint32_t> a_new(pooled);
+    std::snprintf(buf, sizeof(buf), "%zux%zux%zu", planes, oh, oh);
+    LayerRow pool{std::string("pool_") + s.name, buf, {}, {}, true};
+    time_layer(
+        pool, reps,
+        [&] {
+          reference_pool(y_ref.data(), planes, oh, oh, p_ref.data(), a_ref.data());
+          benchmark::DoNotOptimize(p_ref.data());
+        },
+        [&] {
+          kernels::maxpool2x2(y_ref.data(), planes, oh, oh, p_new.data(), a_new.data());
+          benchmark::DoNotOptimize(p_new.data());
+        },
+        p_ref.data(), p_new.data(), pooled * sizeof(float));
+    pool.identical = pool.identical && std::equal(a_ref.begin(), a_ref.end(), a_new.begin());
+    rows.push_back(pool);
+
+    // The reference is the inference path's old pair of passes: ReLU (with
+    // its backward mask) in place, then the pool. ReLU is idempotent, so
+    // every rep sees the same input.
+    LayerRow relu_pool{std::string("relupool_") + s.name, buf, {}, {}, true};
+    nn::ReLU relu;
+    Tensor relu_io(Shape{planes, 1, oh, oh}, y_ref);
+    time_layer(
+        relu_pool, reps,
+        [&] {
+          relu_io = relu.forward(std::move(relu_io));
+          reference_pool(relu_io.data(), planes, oh, oh, p_ref.data(), a_ref.data());
+          benchmark::DoNotOptimize(p_ref.data());
+        },
+        [&] {
+          kernels::relu_maxpool2x2(y_ref.data(), planes, oh, oh, p_new.data());
+          benchmark::DoNotOptimize(p_new.data());
+        },
+        p_ref.data(), p_new.data(), pooled * sizeof(float));
+    rows.push_back(relu_pool);
+  }
+  return rows;
+}
+
 int run_kernel_sweep(const CliArgs& args) {
   const std::string out_path = args.get_string("out", "BENCH_kernels.json");
   const auto reps = static_cast<std::size_t>(args.get_int("reps", 20));
@@ -341,6 +501,39 @@ int run_kernel_sweep(const CliArgs& args) {
   env.add_metric_sample("tb_blocked_min_speedup", "x", tb_blocked_min_speedup);
   env.add_metric_sample("sgemm_blocked_min_speedup", "x", sgemm_blocked_min_speedup);
 
+  const std::vector<LayerRow> layer_rows = sweep_layers(reps);
+  std::printf("\nCNN layer kernels, us per batch: ref = the replaced code, new = kernels::\n");
+  std::printf("%-20s %-26s", "layer", "shape");
+  for (const auto level : levels) {
+    std::printf(" %10s %10s", ("ref_" + std::string(kernels::isa_name(level))).c_str(),
+                ("new_" + std::string(kernels::isa_name(level))).c_str());
+  }
+  std::printf("  bits\n");
+  bool layers_identical = true;
+  for (const auto& r : layer_rows) {
+    layers_identical = layers_identical && r.identical;
+    std::printf("%-20s %-26s", r.name.c_str(), r.shape.c_str());
+    pdsl::json::Object by_isa;
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const std::string isa = kernels::isa_name(levels[l]);
+      std::printf(" %10.2f %10.2f", r.ref_us[l], r.new_us[l]);
+      env.add_metric_sample(r.name + ".ref_" + isa + "_us", "us", r.ref_us[l]);
+      env.add_metric_sample(r.name + ".new_" + isa + "_us", "us", r.new_us[l]);
+      pdsl::json::Object pair;
+      pair["ref_us"] = r.ref_us[l];
+      pair["new_us"] = r.new_us[l];
+      by_isa[isa] = pdsl::json::Value(std::move(pair));
+    }
+    std::printf("  %s\n", r.identical ? "identical" : "DIFFER");
+    pdsl::json::Object o;
+    o["name"] = r.name;
+    o["kind"] = std::string("layer");
+    o["shape"] = r.shape;
+    o["isa_us"] = pdsl::json::Value(std::move(by_isa));
+    o["identical"] = r.identical;
+    env.add_run(std::move(o));
+  }
+
   const NoiseRow noise = time_dp_noise(reps);
   const double noise_speedup = noise.ziggurat_ms > 0 ? noise.reference_ms / noise.ziggurat_ms : 0.0;
   std::printf("%-16s %-24s %12.4f %12.4f %8.2fx  (naive = Rng::normal loop, blocked = ziggurat)\n",
@@ -389,6 +582,10 @@ int run_kernel_sweep(const CliArgs& args) {
               sgemm_gate_met ? "passed" : "FAILED");
   std::printf("dp noise ziggurat speedup: %.2fx (gate >=3x: %s)\n", noise_speedup,
               noise_gate_met ? "passed" : "FAILED");
+  if (!layers_identical) {
+    std::fprintf(stderr, "bench_micro_kernels: a CNN layer kernel differs from its reference\n");
+    return 1;
+  }
   return 0;
 }
 

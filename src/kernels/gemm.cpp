@@ -1,9 +1,12 @@
 #include "kernels/gemm.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/backend.hpp"
+#include "kernels/cnn.hpp"
 
 namespace pdsl::kernels {
 
@@ -67,9 +70,10 @@ void naive_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a,
 }
 
 // ---------------------------------------------------------------------------
-// The blocked kernels (blocked_clone.inc), compiled once per x86-64 level in
-// a namespace of their own: baseline, AVX2 and AVX-512F, at 4, 8 and 16
-// floats per vector. Only the isa_avx2 and isa_avx512 clones hold VEX or
+// The blocked kernels (blocked_clone.inc: the GEMM tiles; cnn_clone.inc: the
+// 2x2 max-pool and the direct convolution of cnn.hpp), compiled once per
+// x86-64 level in a namespace of their own: baseline, AVX2 and AVX-512F, at
+// 4, 8 and 16 floats per vector. Only the isa_avx2 and isa_avx512 clones hold VEX or
 // EVEX code (tests/check_isa_portability.py checks the binary), and a call
 // enters one only after host_isa() has found the level on this CPU. Neither
 // clone enables the fma feature, and -ffp-contract=off keeps the compiler
@@ -82,6 +86,7 @@ void naive_sgemm_tb(std::size_t m, std::size_t n, std::size_t k, const float* a,
 namespace isa_baseline {
 constexpr std::size_t kFloats = 4;
 #include "kernels/blocked_clone.inc"
+#include "kernels/cnn_clone.inc"
 }  // namespace isa_baseline
 #undef PDSL_CLONE
 
@@ -90,6 +95,7 @@ constexpr std::size_t kFloats = 4;
 namespace isa_avx2 {
 constexpr std::size_t kFloats = 8;
 #include "kernels/blocked_clone.inc"
+#include "kernels/cnn_clone.inc"
 }  // namespace isa_avx2
 #undef PDSL_CLONE
 
@@ -101,6 +107,7 @@ constexpr std::size_t kFloats = 8;
 namespace isa_avx512 {
 constexpr std::size_t kFloats = 16;
 #include "kernels/blocked_clone.inc"
+#include "kernels/cnn_clone.inc"
 }  // namespace isa_avx512
 #undef PDSL_TB_FMA
 #undef PDSL_CLONE
@@ -114,14 +121,23 @@ struct BlockedClone {
   decltype(&isa_baseline::blocked_axpy) axpy;
   decltype(&isa_baseline::blocked_tb) tb;
   decltype(&isa_baseline::tb_scratch) tb_scratch;
+  decltype(&isa_baseline::maxpool2x2) maxpool;
+  decltype(&isa_baseline::relu_maxpool2x2) relu_maxpool;
+  decltype(&isa_baseline::conv_forward) conv;
+  decltype(&isa_baseline::conv_scratch) conv_scratch;
 };
 
 /// The clone of the dispatched level, indexed by Isa.
 const BlockedClone& blocked_clone() noexcept {
   static constexpr BlockedClone kClones[] = {
-      {isa_baseline::blocked_axpy, isa_baseline::blocked_tb, isa_baseline::tb_scratch},
-      {isa_avx2::blocked_axpy, isa_avx2::blocked_tb, isa_avx2::tb_scratch},
-      {isa_avx512::blocked_axpy, isa_avx512::blocked_tb, isa_avx512::tb_scratch},
+      {isa_baseline::blocked_axpy, isa_baseline::blocked_tb, isa_baseline::tb_scratch,
+       isa_baseline::maxpool2x2, isa_baseline::relu_maxpool2x2, isa_baseline::conv_forward,
+       isa_baseline::conv_scratch},
+      {isa_avx2::blocked_axpy, isa_avx2::blocked_tb, isa_avx2::tb_scratch, isa_avx2::maxpool2x2,
+       isa_avx2::relu_maxpool2x2, isa_avx2::conv_forward, isa_avx2::conv_scratch},
+      {isa_avx512::blocked_axpy, isa_avx512::blocked_tb, isa_avx512::tb_scratch,
+       isa_avx512::maxpool2x2, isa_avx512::relu_maxpool2x2, isa_avx512::conv_forward,
+       isa_avx512::conv_scratch},
   };
   return kClones[static_cast<std::size_t>(isa())];
 }
@@ -178,6 +194,30 @@ void sgemm_transpose_b(std::size_t m, std::size_t n, std::size_t k, const float*
   } else {
     blocked_sgemm_tb(m, n, k, a, b, c, accumulate);
   }
+}
+
+// The clones spell the argmax type `unsigned`, having no <cstdint>.
+static_assert(std::is_same_v<unsigned, std::uint32_t>);
+
+void maxpool2x2(const float* x, std::size_t planes, std::size_t ih, std::size_t iw, float* y,
+                std::uint32_t* arg) {
+  blocked_clone().maxpool(x, planes, ih, iw, y, arg);
+}
+
+void relu_maxpool2x2(const float* x, std::size_t planes, std::size_t ih, std::size_t iw,
+                     float* y) {
+  blocked_clone().relu_maxpool(x, planes, ih, iw, y);
+}
+
+void conv2d_forward(const float* x, std::size_t n, std::size_t in_ch, std::size_t ih,
+                    std::size_t iw, const float* w, const float* bias, std::size_t out_ch,
+                    std::size_t k, std::size_t pad, float* y) {
+  const BlockedClone& clone = blocked_clone();
+  // Per-thread and grow-only, like sgemm_transpose_b's scratch.
+  thread_local std::vector<float> scratch;
+  const std::size_t need = clone.conv_scratch(in_ch, ih, iw, out_ch, k, pad);
+  if (scratch.size() < need) scratch.resize(need);
+  clone.conv(x, n, in_ch, ih, iw, w, bias, out_ch, k, pad, y, scratch.data());
 }
 
 }  // namespace pdsl::kernels

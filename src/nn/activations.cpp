@@ -53,11 +53,17 @@ inline void keep_bits16(float* p, std::uint64_t bits) {
 }  // namespace
 
 // Both directions work in place on the tensor they were handed.
-Tensor ReLU::forward(Tensor input) {
-  const std::size_t n = input.numel();
+Tensor ReLU::infer(Tensor input) {
   float* y = input.data();
   // NaN and -0 both fail x > 0 and become +0.
-  for (std::size_t i = 0; i < n; ++i) y[i] = keep_or_zero(y[i], y[i] > 0.0f);
+  for (std::size_t i = 0; i < input.numel(); ++i) y[i] = keep_or_zero(y[i], y[i] > 0.0f);
+  return input;
+}
+
+Tensor ReLU::forward(Tensor input) {
+  input = infer(std::move(input));
+  const std::size_t n = input.numel();
+  const float* y = input.data();
   mask_len_ = n;
   mask_.resize((n + 63) / 64);
   for (std::size_t w = 0; w < mask_.size(); ++w) {

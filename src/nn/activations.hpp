@@ -10,6 +10,8 @@ namespace pdsl::nn {
 class ReLU final : public Layer {
  public:
   Tensor forward(Tensor input) override;
+  /// forward() without the mask backward() reads.
+  Tensor infer(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "ReLU"; }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "kernels/backend.hpp"
+#include "kernels/cnn.hpp"
 #include "kernels/gemm.hpp"
 
 namespace pdsl::nn {
@@ -37,10 +38,21 @@ Shape Conv2D::output_shape(const Shape& input) const {
 }
 
 Tensor Conv2D::forward(Tensor input) {
-  const Shape out_shape = output_shape(input.shape());
+  Tensor out = apply(input);
   cached_input_ = std::move(input);
-  if (kernels::backend() == kernels::Backend::kBlocked) return forward_im2col(out_shape);
-  return forward_direct(out_shape);
+  return out;
+}
+
+Tensor Conv2D::infer(Tensor input) { return apply(input); }
+
+Tensor Conv2D::apply(const Tensor& input) const {
+  const Shape out_shape = output_shape(input.shape());
+  if (kernels::backend() != kernels::Backend::kBlocked) return forward_direct(input, out_shape);
+  Tensor out(out_shape);
+  kernels::conv2d_forward(input.data(), input.dim(0), in_ch_, input.dim(2), input.dim(3),
+                          weight_.value.data(), bias_.value.data(), out_ch_, k_, pad_,
+                          out.data());
+  return out;
 }
 
 Tensor Conv2D::backward(Tensor grad_output) {
@@ -64,34 +76,10 @@ void Conv2D::backward_into(const Tensor& grad_output, float* gx) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked path: per image, lower to a column matrix and run GEMMs.
-//   forward:  Y_b(out_ch, oh*ow)  = W(out_ch, ickk) * col_b  (rows seeded
-//             with the bias, GEMM accumulates on top)
-//   backward: dW += dY_b * col_b^T ; dcol = W^T * dY_b ; dX_b = col2im(dcol)
-//             (the last two only when the input gradient is wanted)
+// Blocked backward: per image, lower to a column matrix and run GEMMs.
+//   dW += dY_b * col_b^T ; dcol = W^T * dY_b ; dX_b = col2im(dcol)
+//   (the last two only when the input gradient is wanted)
 // ---------------------------------------------------------------------------
-
-Tensor Conv2D::forward_im2col(const Shape& out_shape) {
-  const Tensor& input = cached_input_;
-  Tensor out(out_shape);
-  const std::size_t n = input.dim(0), ih = input.dim(2), iw = input.dim(3);
-  const std::size_t oh = out_shape[2], ow = out_shape[3];
-  const std::size_t npix = oh * ow;
-  const std::size_t ickk = in_ch_ * k_ * k_;
-  float* col = scratch_.buffer(0, ickk * npix);
-  const float* w = weight_.value.data();
-  for (std::size_t b = 0; b < n; ++b) {
-    kernels::im2col(input.data() + b * in_ch_ * ih * iw, in_ch_, ih, iw, k_, pad_, col);
-    float* y = out.data() + b * out_ch_ * npix;
-    for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      const float bias = bias_.value[oc];
-      float* row = y + oc * npix;
-      for (std::size_t i = 0; i < npix; ++i) row[i] = bias;
-    }
-    kernels::sgemm(out_ch_, ickk, npix, w, col, y, /*accumulate=*/true);
-  }
-  return out;
-}
 
 void Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape, float* gx) {
   const Shape in_shape = cached_input_.shape();
@@ -132,8 +120,7 @@ void Conv2D::backward_im2col(const Tensor& grad_output, const Shape& out_shape, 
 // propagation from weights and activations.
 // ---------------------------------------------------------------------------
 
-Tensor Conv2D::forward_direct(const Shape& out_shape) {
-  const Tensor& input = cached_input_;
+Tensor Conv2D::forward_direct(const Tensor& input, const Shape& out_shape) const {
   Tensor out(out_shape);
   const std::size_t n = input.dim(0), ih = input.dim(2), iw = input.dim(3);
   const std::size_t oh = out_shape[2], ow = out_shape[3];

@@ -1,11 +1,14 @@
 #pragma once
 // 2-D convolution (stride 1, symmetric zero padding). Two implementations,
-// selected by kernels::backend(): the blocked path lowers each image to an
-// im2col column matrix held in a per-layer scratch arena and runs the S-KER
-// GEMMs (forward, weight gradient, input gradient via col2im); the naive path
-// keeps the original direct six-loop form as a differential-testing
-// reference. Both paths agree to rounding error (the reductions associate
-// differently); each path is deterministic at every --threads width.
+// selected by kernels::backend(): the blocked path runs the forward as
+// kernels::conv2d_forward (a direct convolution over a zero-padded copy of
+// each image, bit-identical to an im2col + sgemm lowering) and the backward
+// by lowering each image to an im2col column matrix held in a per-layer
+// scratch arena and running the S-KER GEMMs (weight gradient, input gradient
+// via col2im); the naive path keeps the original direct six-loop form as a
+// differential-testing reference. Both paths agree to rounding error (the
+// reductions associate differently); each path is deterministic at every
+// --threads width.
 
 #include "kernels/im2col.hpp"
 #include "nn/layer.hpp"
@@ -19,6 +22,8 @@ class Conv2D final : public Layer {
          std::size_t pad = 0);
 
   Tensor forward(Tensor input) override;
+  /// forward() without keeping the input for backward().
+  Tensor infer(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -33,9 +38,9 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::size_t pad() const { return pad_; }
 
  private:
-  // Both forward paths read the input from cached_input_.
-  Tensor forward_direct(const Shape& out_shape);
-  Tensor forward_im2col(const Shape& out_shape);
+  /// The output on the current backend.
+  [[nodiscard]] Tensor apply(const Tensor& input) const;
+  [[nodiscard]] Tensor forward_direct(const Tensor& input, const Shape& out_shape) const;
   // The backward paths write the input gradient to gx (zero-filled, the
   // input's shape) or, when gx is null, accumulate parameter grads only.
   void backward_into(const Tensor& grad_output, float* gx);
@@ -49,7 +54,7 @@ class Conv2D final : public Layer {
   Param weight_;  // (out_ch, in_ch, k, k)
   Param bias_;    // (out_ch)
   Tensor cached_input_;
-  // Scratch for the im2col path (slot 0: column matrix, slot 1: column
+  // Scratch for the im2col backward (slot 0: column matrix, slot 1: column
   // gradient). Grow-only and reused across batches; never cloned — a fresh
   // layer starts with an empty arena and grows it on first use.
   kernels::Arena scratch_;

@@ -31,6 +31,10 @@ class Layer {
   /// Compute the layer output; caches activations needed by backward().
   virtual Tensor forward(Tensor input) = 0;
 
+  /// forward() for inference: the same output bits, but no backward() may
+  /// follow, so layers that can skip their caches override it.
+  virtual Tensor infer(Tensor input) { return forward(std::move(input)); }
+
   /// Propagate the loss gradient; accumulates into parameter grads and
   /// returns the gradient w.r.t. the layer input.
   virtual Tensor backward(Tensor grad_output) = 0;

@@ -30,19 +30,26 @@ Shape Linear::output_shape(const Shape& input) const {
 }
 
 Tensor Linear::forward(Tensor input) {
-  (void)output_shape(input.shape());  // validates
+  Tensor out = apply(input);
   cached_input_ = std::move(input);
-  // Seed every output row with the bias, then let the GEMM accumulate
-  // X(N,in) * W(out,in)^T on top — one pass over the output instead of two.
-  const std::size_t n = cached_input_.dim(0);
-  Tensor out(Shape{n, out_});
-  for (std::size_t r = 0; r < n; ++r) {
-    float* row = out.data() + r * out_;
-    for (std::size_t c = 0; c < out_; ++c) row[c] = bias_.value[c];
-  }
-  kernels::sgemm_transpose_b(n, in_, out_, cached_input_.data(), weight_.value.data(),
-                             out.data(), /*accumulate=*/true);
   return out;
+}
+
+Tensor Linear::infer(Tensor input) { return apply(input); }
+
+Tensor Linear::apply(const Tensor& input) const {
+  (void)output_shape(input.shape());  // validates
+  // Build every output row as the bias (no zero-fill first), then let the
+  // GEMM accumulate X(N,in) * W(out,in)^T on top.
+  const std::size_t n = input.dim(0);
+  std::vector<float> out;
+  out.reserve(n * out_);
+  for (std::size_t r = 0; r < n; ++r) {
+    out.insert(out.end(), bias_.value.vec().begin(), bias_.value.vec().end());
+  }
+  kernels::sgemm_transpose_b(n, in_, out_, input.data(), weight_.value.data(), out.data(),
+                             /*accumulate=*/true);
+  return Tensor(Shape{n, out_}, std::move(out));
 }
 
 Tensor Linear::backward(Tensor grad_output) {

@@ -10,6 +10,8 @@ class Linear final : public Layer {
   Linear(std::size_t in_features, std::size_t out_features);
 
   Tensor forward(Tensor input) override;
+  /// forward() without keeping the input for backward().
+  Tensor infer(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -24,6 +26,9 @@ class Linear final : public Layer {
   Param& bias() { return bias_; }
 
  private:
+  [[nodiscard]] Tensor apply(const Tensor& input) const;
+
+
   std::size_t in_;
   std::size_t out_;
   Param weight_;

@@ -4,6 +4,9 @@
 #include <string>
 #include <utility>
 
+#include "nn/activations.hpp"
+#include "nn/pooling.hpp"
+
 namespace pdsl::nn {
 
 Model::Model(const Model& other) {
@@ -28,15 +31,26 @@ void Model::init(Rng& rng) {
   for (auto& l : layers_) l->init(rng);
 }
 
-Tensor Model::forward(const Tensor& input) { return forward_from(0, input); }
+Tensor Model::forward(const Tensor& input) {
+  Tensor x = input;
+  for (auto& l : layers_) x = l->forward(std::move(x));
+  return x;
+}
 
-Tensor Model::forward_from(std::size_t first, Tensor input) {
+Tensor Model::infer_from(std::size_t first, Tensor input) {
   if (first > layers_.size()) {
-    throw std::out_of_range("Model::forward_from: layer " + std::to_string(first) + " of " +
+    throw std::out_of_range("Model::infer_from: layer " + std::to_string(first) + " of " +
                             std::to_string(layers_.size()));
   }
   for (std::size_t i = first; i < layers_.size(); ++i) {
-    input = layers_[i]->forward(std::move(input));
+    auto* pool = i + 1 < layers_.size() ? dynamic_cast<MaxPool2D*>(layers_[i + 1].get())
+                                        : nullptr;
+    if (pool != nullptr && dynamic_cast<const ReLU*>(layers_[i].get()) != nullptr) {
+      input = pool->infer_after_relu(std::move(input));
+      ++i;
+    } else {
+      input = layers_[i]->infer(std::move(input));
+    }
   }
   return input;
 }
@@ -122,19 +136,19 @@ double Model::loss_and_backward(const Tensor& batch_x, const std::vector<int>& b
 }
 
 double Model::loss(const Tensor& batch_x, const std::vector<int>& batch_y) {
-  const Tensor logits = forward(batch_x);
+  const Tensor logits = infer_from(0, batch_x);
   return loss_.forward(logits, batch_y);
 }
 
 double Model::accuracy(const Tensor& batch_x, const std::vector<int>& batch_y) {
-  const Tensor logits = forward(batch_x);
+  const Tensor logits = infer_from(0, batch_x);
   loss_.forward(logits, batch_y);
   return loss_.accuracy();
 }
 
 std::vector<double> Model::per_sample_losses(const Tensor& batch_x,
                                              const std::vector<int>& batch_y) {
-  const Tensor logits = forward(batch_x);
+  const Tensor logits = infer_from(0, batch_x);
   loss_.forward(logits, batch_y);
   return loss_.per_sample_losses();
 }

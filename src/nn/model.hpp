@@ -30,13 +30,17 @@ class Model {
   /// Initialize every layer's parameters.
   void init(Rng& rng);
 
-  /// Forward pass through all layers. The caller's tensor is copied once;
-  /// from there each layer's output moves into the next layer.
+  /// Forward pass through all layers, keeping what backward() reads. The
+  /// caller's tensor is copied once; from there each layer's output moves
+  /// into the next layer.
   Tensor forward(const Tensor& input);
 
-  /// Forward pass through layers first.. only: `input` is what layer
-  /// `first` takes (layer first-1's output). forward(x) is forward_from(0, x).
-  Tensor forward_from(std::size_t first, Tensor input);
+  /// Inference pass through layers first.. only: `input` is what layer
+  /// `first` takes (layer first-1's output). The output bits of forward(),
+  /// but no layer keeps a backward cache, and a ReLU followed by a
+  /// MaxPool2D runs as one pass (MaxPool2D::infer_after_relu). backward()
+  /// must not follow it.
+  Tensor infer_from(std::size_t first, Tensor input);
 
   /// Backward pass; accumulates parameter gradients. Stops at the lowest
   /// layer with parameters: the model's own input gradient is not computed.

@@ -21,11 +21,11 @@ Model make_mnist_cnn(std::size_t image, std::size_t channels, std::size_t classe
   Model m;
   m.emplace<Conv2D>(channels, 8, 3, 1);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   const std::size_t s1 = conv_out(image, 3, 1) / 2;
   m.emplace<Conv2D>(8, 16, 3, 1);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   const std::size_t s2 = conv_out(s1, 3, 1) / 2;
   m.emplace<Flatten>();
   m.emplace<Linear>(16 * s2 * s2, classes);
@@ -37,11 +37,11 @@ Model make_cifar_cnn(std::size_t image, std::size_t channels, std::size_t classe
   Model m;
   m.emplace<Conv2D>(channels, 8, 5, 2);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   const std::size_t s1 = conv_out(image, 5, 2) / 2;
   m.emplace<Conv2D>(8, 16, 5, 2);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   const std::size_t s2 = conv_out(s1, 5, 2) / 2;
   m.emplace<Flatten>();
   m.emplace<Linear>(16 * s2 * s2, 64);

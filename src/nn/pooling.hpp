@@ -1,6 +1,9 @@
 #pragma once
-// 2x2 (configurable) max pooling with stride equal to the window size, as in
-// the paper's CNNs. Stores argmax indices for the backward pass.
+// 2x2 max pooling with stride 2, as in the paper's CNNs. Stores each
+// window's argmax for the backward pass. Both forms run kernels::maxpool2x2
+// (or its ReLU-fused inference form) in place on the input's buffer.
+
+#include <cstdint>
 
 #include "nn/layer.hpp"
 
@@ -8,18 +11,18 @@ namespace pdsl::nn {
 
 class MaxPool2D final : public Layer {
  public:
-  explicit MaxPool2D(std::size_t window = 2);
-
   Tensor forward(Tensor input) override;
   Tensor backward(Tensor grad_output) override;
+  /// ReLU followed by this pool, for inference: the bits of ReLU::forward
+  /// then forward(), in one pass, without the argmax.
+  Tensor infer_after_relu(Tensor input);
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "MaxPool2D"; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
 
  private:
-  std::size_t win_;
   Shape cached_in_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  std::vector<std::uint32_t> argmax_;  // flat input index per output element
 };
 
 }  // namespace pdsl::nn

@@ -307,7 +307,7 @@ void CoalitionBatchEvaluator::set_members(
   }
   // Conv1 for every member is one convolution with the members' output
   // channels stacked: weights (p·out_ch, in_ch, k, k), biases (p·out_ch).
-  // It lowers each validation image once, and each output element keeps its
+  // It pads each validation image once, and each output element keeps its
   // own reduction chain, so member k's channels are bit-identical to its
   // own Conv2D forward. Output (N, p·out_ch, oh, ow): per image, the
   // members' (out_ch, oh, ow) blocks in member order.
@@ -369,7 +369,7 @@ std::vector<double> CoalitionBatchEvaluator::coalition_scores(
     }
     if (tail_model_) {
       tail_model_->set_flat_params(tail_buf_);
-      const Tensor logits = tail_model_->forward_from(1, Tensor(z_shape_, std::move(buf_a_)));
+      const Tensor logits = tail_model_->infer_from(1, Tensor(z_shape_, std::move(buf_a_)));
       out[q] = score_logits(logits.data(), want_loss);
     } else {
       out[q] = score_logits(chain_tail(tail_buf_.data()), want_loss);

@@ -92,13 +92,13 @@ class CoalitionBatchEvaluator {
   /// X·mean(W_j)^T + mean(b_j) = mean(X·W_j^T + b_j), and likewise for the
   /// convolution. set_members() runs the first layer ONCE per member (a
   /// first Linear as stacked GEMMs; a first Conv2D as one convolution with
-  /// the members' output channels stacked, which lowers each validation
-  /// image with im2col once) and keeps the members' pre-activations.
+  /// the members' output channels stacked, which pads each validation image
+  /// once) and keeps the members' pre-activations.
   /// coalition_accuracies()/losses() then fold, per coalition mask, the
   /// members' pre-activations and their parameters after layer 0, and run
   /// only the later layers: the MLP chains through this evaluator's own
   /// lane-parallel tail, conv-first models through the evaluator's clone of
-  /// the model (nn::Model::forward_from(1, ...)).
+  /// the model (nn::Model::infer_from(1, ...)).
   /// Mathematically identical to averaging weights first, but float addition
   /// does not distribute, so scores differ from accuracies()/losses() and
   /// accuracy_on()/loss_on() at rounding level — callers opt in via

@@ -87,7 +87,7 @@ TEST(Analytic, ConvolutionSamePaddingShape) {
 }
 
 TEST(Analytic, MaxPoolRoutesGradientToArgmax) {
-  nn::MaxPool2D pool(2);
+  nn::MaxPool2D pool;
   Tensor x(Shape{1, 1, 2, 2}, {1, 9, 3, 4});
   const Tensor y = pool.forward(x);
   EXPECT_FLOAT_EQ(y[0], 9.0f);

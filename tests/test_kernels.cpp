@@ -15,22 +15,35 @@
 // The blocked bit-identity tests run at every ISA clone the host supports
 // (KernelsIsa/<level>: baseline, avx2, avx512f), with tile edges and lane
 // offsets derived from that clone's vector width; im2col is checked against
-// its direct-index definition across alternating geometries.
+// its direct-index definition across alternating geometries. The CNN layer
+// kernels (cnn.hpp) are pinned byte for byte, at every level, to the code
+// they replaced: the 2x2 max-pool (values, argmax, MaxPool2D's backward, in
+// place and not) to the scalar window loop on NaN, signed-zero, infinite
+// and tied windows, the fused ReLU -> pool to ReLU::forward then
+// MaxPool2D::forward, and the direct convolution to im2col + sgemm seeded
+// with the bias, including a -0 bias, negative weights over padded zeros
+// and a NaN weight.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
 #include "kernels/backend.hpp"
+#include "kernels/cnn.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/im2col.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/pooling.hpp"
 #include "runtime/parallel_for.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -805,5 +818,231 @@ TEST(Kernels, PdslRoundLoopBitIdenticalAcrossWidthsOnBlockedBackend) {
   ASSERT_EQ(seq.series.size(), par.series.size());
   for (std::size_t i = 0; i < seq.series.size(); ++i) {
     EXPECT_EQ(seq.series[i].avg_loss, par.series[i].avg_loss);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CNN layer kernels (cnn.hpp) against the code they replaced, at every level.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<std::uint32_t> bits_of(const float* p, std::size_t n) {
+  std::vector<std::uint32_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = std::bit_cast<std::uint32_t>(p[i]);
+  return out;
+}
+
+/// The scalar 2x2 loop MaxPool2D ran before kernels::maxpool2x2: each window
+/// starts at its first element, later ones replace it only if strictly
+/// greater.
+void pool_reference(const std::vector<float>& x, std::size_t planes, std::size_t ih,
+                    std::size_t iw, std::vector<float>& y, std::vector<std::uint32_t>& arg) {
+  y.clear();
+  arg.clear();
+  for (std::size_t p = 0; p < planes; ++p) {
+    for (std::size_t r = 0; r < ih / 2; ++r) {
+      for (std::size_t c = 0; c < iw / 2; ++c) {
+        const std::size_t base = (p * ih + 2 * r) * iw + 2 * c;
+        const std::size_t idx[4] = {base, base + 1, base + iw, base + iw + 1};
+        std::size_t at = idx[0];
+        for (std::size_t t = 1; t < 4; ++t) {
+          if (x[idx[t]] > x[at]) at = idx[t];
+        }
+        y.push_back(x[at]);
+        arg.push_back(static_cast<std::uint32_t>(at));
+      }
+    }
+  }
+}
+
+struct PoolShape {
+  std::size_t planes, ih, iw;
+};
+
+// Rows of 1 to 33 outputs (every chunk width and its tails, odd input rows
+// and columns that the pool skips), a single plane, and the CNNs' pools.
+const std::vector<PoolShape> kPoolShapes = {
+    {1, 2, 2},  {3, 2, 3},   {2, 3, 2},   {2, 4, 4},   {5, 5, 7},   {4, 6, 6},
+    {3, 7, 7},  {2, 8, 8},   {2, 9, 11},  {3, 12, 12}, {3, 13, 9},  {2, 16, 16},
+    {2, 18, 34}, {1, 24, 24}, {2, 32, 32}, {1, 33, 66}, {1, 2, 64}, {16, 14, 14},
+};
+
+/// Windows that pin the comparison order: NaN first and later, +-0 ties,
+/// +-inf, equal maxima. Window o of the input gets pattern o % size(), or
+/// random values when that is past the end.
+std::vector<float> pool_input(const PoolShape& s, std::uint64_t seed) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> patterns = {
+      {nan, 1.0f, 2.0f, 3.0f},     {1.0f, nan, 3.0f, 2.0f},      {1.0f, 2.0f, nan, -1.0f},
+      {-1.0f, -2.0f, -3.0f, nan},  {-nan, -nan, 4.0f, 5.0f},     {-0.0f, 0.0f, 0.0f, -0.0f},
+      {0.0f, -0.0f, -0.0f, 0.0f},  {-1.0f, 0.0f, -0.0f, 0.0f},   {-0.0f, -1.0f, -2.0f, 0.0f},
+      {1.5f, 1.5f, 1.5f, 1.5f},    {-2.0f, 3.0f, 3.0f, 3.0f},    {-inf, -inf, -inf, -inf},
+      {-inf, inf, inf, -inf},      {inf, inf, nan, inf},         {-3e30f, -2e30f, -5e30f, -4e30f},
+      {-5.0f, -4.0f, -3.0f, -2.0f}, {2.0f, 1.0f, 2.0f, 1.0f},
+  };
+  std::vector<float> x = random_vec(s.planes * s.ih * s.iw, seed);
+  std::size_t o = 0;
+  for (std::size_t p = 0; p < s.planes; ++p) {
+    for (std::size_t r = 0; r < s.ih / 2; ++r) {
+      for (std::size_t c = 0; c < s.iw / 2; ++c, ++o) {
+        if (o % (patterns.size() + 3) >= patterns.size()) continue;
+        const auto& pat = patterns[o % (patterns.size() + 3)];
+        const std::size_t base = (p * s.ih + 2 * r) * s.iw + 2 * c;
+        x[base] = pat[0];
+        x[base + 1] = pat[1];
+        x[base + s.iw] = pat[2];
+        x[base + s.iw + 1] = pat[3];
+      }
+    }
+  }
+  return x;
+}
+
+}  // namespace
+
+TEST_P(KernelsIsa, MaxPool2x2MatchesTheScalarLoopInAndOutOfPlace) {
+  for (const auto& s : kPoolShapes) {
+    SCOPED_TRACE(std::to_string(s.planes) + "x" + std::to_string(s.ih) + "x" +
+                 std::to_string(s.iw));
+    const auto x = pool_input(s, 400 + s.ih * s.iw);
+    std::vector<float> want;
+    std::vector<std::uint32_t> want_arg;
+    pool_reference(x, s.planes, s.ih, s.iw, want, want_arg);
+    const std::size_t n = want.size();
+    // Canaries past y and arg: no lane of a chunk may land there.
+    std::vector<float> y(n + 32, -777.0f);
+    std::vector<std::uint32_t> arg(n + 32, 0xDEADBEEF);
+    kernels::maxpool2x2(x.data(), s.planes, s.ih, s.iw, y.data(), arg.data());
+    EXPECT_EQ(bits_of(y.data(), n), bits_of(want.data(), n));
+    EXPECT_EQ(std::vector<std::uint32_t>(arg.begin(), arg.begin() + static_cast<long>(n)),
+              want_arg);
+    for (std::size_t e = n; e < y.size(); ++e) ASSERT_EQ(y[e], -777.0f) << "@" << e;
+    for (std::size_t e = n; e < arg.size(); ++e) ASSERT_EQ(arg[e], 0xDEADBEEF) << "@" << e;
+    // In place: the outputs land over the front of the input.
+    std::vector<float> io = x;
+    kernels::maxpool2x2(io.data(), s.planes, s.ih, s.iw, io.data(), arg.data());
+    EXPECT_EQ(bits_of(io.data(), n), bits_of(want.data(), n));
+    EXPECT_EQ(std::vector<std::uint32_t>(arg.begin(), arg.begin() + static_cast<long>(n)),
+              want_arg);
+
+    // The inference form: the values of the scalar loop over ReLU'd input.
+    std::vector<float> relu_x = x;
+    for (float& v : relu_x) v = v > 0.0f ? v : 0.0f;
+    pool_reference(relu_x, s.planes, s.ih, s.iw, want, want_arg);
+    std::fill(y.begin(), y.end(), -777.0f);
+    kernels::relu_maxpool2x2(x.data(), s.planes, s.ih, s.iw, y.data());
+    EXPECT_EQ(bits_of(y.data(), n), bits_of(want.data(), n));
+    for (std::size_t e = n; e < y.size(); ++e) ASSERT_EQ(y[e], -777.0f) << "@" << e;
+    io = x;
+    kernels::relu_maxpool2x2(io.data(), s.planes, s.ih, s.iw, io.data());
+    EXPECT_EQ(bits_of(io.data(), n), bits_of(want.data(), n));
+  }
+}
+
+// The layer: MaxPool2D::forward's values and argmax (through backward, which
+// routes each gradient to its window's winner, accumulating none twice), and
+// the fused inference form against ReLU::forward then MaxPool2D::forward.
+TEST_P(KernelsIsa, MaxPool2DLayerMatchesTheScalarLoopAndReluThenPool) {
+  for (const auto& s : kPoolShapes) {
+    SCOPED_TRACE(std::to_string(s.planes) + "x" + std::to_string(s.ih) + "x" +
+                 std::to_string(s.iw));
+    const Shape in_shape{1, s.planes, s.ih, s.iw};
+    const auto x = pool_input(s, 500 + s.ih * s.iw);
+    std::vector<float> want;
+    std::vector<std::uint32_t> want_arg;
+    pool_reference(x, s.planes, s.ih, s.iw, want, want_arg);
+    nn::MaxPool2D pool;
+    const Tensor y = pool.forward(Tensor(in_shape, x));
+    ASSERT_EQ(y.shape(), (Shape{1, s.planes, s.ih / 2, s.iw / 2}));
+    EXPECT_EQ(bits_of(y.data(), y.numel()), bits_of(want.data(), want.size()));
+    const auto g = random_vec(y.numel(), 600);
+    std::vector<float> want_gx(x.size(), 0.0f);
+    for (std::size_t o = 0; o < g.size(); ++o) want_gx[want_arg[o]] += g[o];
+    const Tensor gx = pool.backward(Tensor(y.shape(), g));
+    ASSERT_EQ(gx.shape(), in_shape);
+    EXPECT_EQ(bits_of(gx.data(), gx.numel()), bits_of(want_gx.data(), want_gx.size()));
+
+    nn::ReLU relu;
+    nn::MaxPool2D after_relu;
+    const Tensor two_pass = after_relu.forward(relu.forward(Tensor(in_shape, x)));
+    const Tensor fused = nn::MaxPool2D().infer_after_relu(Tensor(in_shape, x));
+    ASSERT_EQ(fused.shape(), two_pass.shape());
+    EXPECT_EQ(bits_of(fused.data(), fused.numel()), bits_of(two_pass.data(), two_pass.numel()));
+  }
+}
+
+namespace {
+
+struct DirectConvCase {
+  std::size_t batch, in_ch, out_ch, k, pad, ih, iw;
+};
+
+// conv1 and conv2 of the cifar_cnn at 12x12 and at 32x32 and of the
+// mnist_cnn at 14x14, the set_members stack of six cifar members (48
+// channels), then channel counts that leave a block part-empty or need
+// several blocks at every width (1, 5, 17, 33, 70), rows of 1 to 13 pixels
+// (every tile remainder), pad 0, an even kernel and a 1x1 kernel.
+const std::vector<DirectConvCase> kDirectConvCases = {
+    {3, 3, 8, 5, 2, 12, 12}, {3, 8, 16, 5, 2, 6, 6},  {1, 3, 8, 5, 2, 32, 32},
+    {1, 8, 16, 5, 2, 16, 16}, {2, 1, 8, 3, 1, 14, 14}, {2, 8, 16, 3, 1, 7, 7},
+    {2, 3, 48, 5, 2, 12, 12}, {2, 2, 1, 3, 1, 5, 7},   {1, 1, 5, 3, 0, 9, 4},
+    {2, 3, 17, 3, 1, 6, 13},  {1, 2, 70, 1, 0, 3, 3},  {1, 1, 33, 2, 1, 4, 5},
+    {2, 2, 3, 3, 2, 1, 1},    {0, 1, 2, 3, 1, 4, 4},
+};
+
+/// Per image: im2col, every output row seeded with its bias, then sgemm
+/// accumulating on top (Conv2D's blocked forward before the direct kernel).
+std::vector<float> conv_im2col_reference(const DirectConvCase& c, const std::vector<float>& x,
+                                         const std::vector<float>& w,
+                                         const std::vector<float>& bias) {
+  const std::size_t oh = c.ih + 2 * c.pad - c.k + 1, ow = c.iw + 2 * c.pad - c.k + 1;
+  const std::size_t taps = c.in_ch * c.k * c.k, npix = oh * ow;
+  std::vector<float> col(taps * npix), y(c.batch * c.out_ch * npix);
+  for (std::size_t b = 0; b < c.batch; ++b) {
+    kernels::im2col(x.data() + b * c.in_ch * c.ih * c.iw, c.in_ch, c.ih, c.iw, c.k, c.pad,
+                    col.data());
+    float* yb = y.data() + b * c.out_ch * npix;
+    for (std::size_t oc = 0; oc < c.out_ch; ++oc) {
+      std::fill(yb + oc * npix, yb + (oc + 1) * npix, bias[oc]);
+    }
+    kernels::sgemm(c.out_ch, taps, npix, w.data(), col.data(), yb, /*accumulate=*/true);
+  }
+  return y;
+}
+
+}  // namespace
+
+TEST_P(KernelsIsa, DirectConvForwardMatchesIm2colSgemm) {
+  KernelEnvGuard guard;
+  kernels::set_backend(kernels::Backend::kBlocked);
+  for (std::size_t ci = 0; ci < kDirectConvCases.size(); ++ci) {
+    const auto& c = kDirectConvCases[ci];
+    SCOPED_TRACE("case " + std::to_string(ci));
+    const std::size_t taps = c.in_ch * c.k * c.k;
+    auto x = random_vec(c.batch * c.in_ch * c.ih * c.iw, 700 + ci);
+    auto w = random_vec(c.out_ch * taps, 800 + ci);
+    auto bias = random_vec(c.out_ch, 900 + ci);
+    // Channel 0: a -0 bias and negative weights, whose w x 0 terms over the
+    // padding are -0; image 0 is all zeros, so its channel-0 outputs are
+    // -0 + -0 + ... The last channel (if another) holds a NaN weight.
+    bias[0] = -0.0f;
+    for (std::size_t t = 0; t < taps; ++t) w[t] = -std::abs(w[t]) - 0.25f;
+    if (c.batch > 0) std::fill(x.begin(), x.begin() + static_cast<long>(c.in_ch * c.ih * c.iw), 0.0f);
+    if (c.out_ch > 1) w[(c.out_ch - 1) * taps + taps / 2] = std::numeric_limits<float>::quiet_NaN();
+    const auto want = conv_im2col_reference(c, x, w, bias);
+    std::vector<float> got(want.size() + 16, -777.0f);
+    kernels::conv2d_forward(x.data(), c.batch, c.in_ch, c.ih, c.iw, w.data(), bias.data(),
+                            c.out_ch, c.k, c.pad, got.data());
+    EXPECT_EQ(bits_of(got.data(), want.size()), bits_of(want.data(), want.size()));
+    for (std::size_t e = want.size(); e < got.size(); ++e) ASSERT_EQ(got[e], -777.0f) << "@" << e;
+
+    // Conv2D's forward on the blocked backend is the kernel.
+    nn::Conv2D conv(c.in_ch, c.out_ch, c.k, c.pad);
+    conv.params()[0]->value.vec() = w;
+    conv.params()[1]->value.vec() = bias;
+    const Tensor y = conv.forward(Tensor(Shape{c.batch, c.in_ch, c.ih, c.iw}, x));
+    EXPECT_EQ(bits_of(y.data(), y.numel()), bits_of(want.data(), want.size()));
   }
 }

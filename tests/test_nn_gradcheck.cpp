@@ -90,7 +90,7 @@ TEST(GradCheck, ConvPoolStack) {
   Rng rng(4);
   Model m;
   m.emplace<Conv2D>(1, 3, 3, 1);
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   m.emplace<Flatten>();
   m.emplace<Linear>(3 * 4 * 4, 3);
   m.init(rng);
@@ -103,10 +103,10 @@ TEST(GradCheck, PaperMnistCnnShape) {
   Model m;
   m.emplace<Conv2D>(1, 4, 3, 1);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   m.emplace<Conv2D>(4, 6, 3, 1);
   m.emplace<ReLU>();
-  m.emplace<MaxPool2D>(2);
+  m.emplace<MaxPool2D>();
   m.emplace<Flatten>();
   m.emplace<Linear>(6 * 3 * 3, 5);
   m.init(rng);

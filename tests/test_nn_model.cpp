@@ -250,10 +250,11 @@ TEST(Model, ForwardAndBackwardLeaveTheCallersBatchUnchanged) {
     EXPECT_EQ(bits_of(x.vec()), x_bits) << name << ": loss_and_backward wrote into its input";
     EXPECT_EQ(x.shape(), x_shape) << name;
 
-    // forward_from(0, x) is forward(x); past the last layer it is the identity.
-    EXPECT_EQ(bits_of(m.forward_from(0, x).vec()), bits_of(y1.vec())) << name;
-    EXPECT_EQ(bits_of(m.forward_from(m.num_layers(), y1).vec()), bits_of(y1.vec())) << name;
-    EXPECT_THROW(m.forward_from(m.num_layers() + 1, x), std::out_of_range) << name;
+    // infer_from(0, x) gives forward(x)'s bits; past the last layer it is
+    // the identity.
+    EXPECT_EQ(bits_of(m.infer_from(0, x).vec()), bits_of(y1.vec())) << name;
+    EXPECT_EQ(bits_of(m.infer_from(m.num_layers(), y1).vec()), bits_of(y1.vec())) << name;
+    EXPECT_THROW(m.infer_from(m.num_layers() + 1, x), std::out_of_range) << name;
   }
 }
 
@@ -313,39 +314,33 @@ TEST(MaxPool2D, WindowsBelowTheOldSentinelKeepTheirMaximum) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   struct Case {
-    std::size_t win;
-    std::vector<float> window;  // row-major, win x win
+    std::vector<float> window;  // row-major, 2 x 2
     float max;
     std::size_t argmax;
   };
   const std::vector<Case> cases = {
-      {2, {-3e30f, -2e30f, -5e30f, -4e30f}, -2e30f, 1},
-      {2, {-inf, -inf, -inf, -inf}, -inf, 0},
-      {2, {-inf, -inf, -FLT_MAX, -inf}, -FLT_MAX, 2},
-      {2, {-5e30f, -4e30f, -3e30f, -2e30f}, -2e30f, 3},
-      {2, {nan, 1.0f, 2.0f, 3.0f}, nan, 0},
-      {2, {1.0f, nan, 3.0f, 2.0f}, 3.0f, 2},
+      {{-3e30f, -2e30f, -5e30f, -4e30f}, -2e30f, 1},
+      {{-inf, -inf, -inf, -inf}, -inf, 0},
+      {{-inf, -inf, -FLT_MAX, -inf}, -FLT_MAX, 2},
+      {{-5e30f, -4e30f, -3e30f, -2e30f}, -2e30f, 3},
+      {{nan, 1.0f, 2.0f, 3.0f}, nan, 0},
+      {{1.0f, nan, 3.0f, 2.0f}, 3.0f, 2},
       // Ties keep the earlier element (strict >): +0 and -0 compare equal,
       // so the first zero's sign survives, and an all-equal window routes
       // its gradient to slot 0.
-      {2, {-0.0f, 0.0f, 0.0f, -0.0f}, -0.0f, 0},
-      {2, {-1.0f, 0.0f, -0.0f, 0.0f}, 0.0f, 1},
-      {2, {1.5f, 1.5f, 1.5f, 1.5f}, 1.5f, 0},
-      {3, std::vector<float>(9, 2.0f), 2.0f, 0},
-      {3, {-9e30f, -8e30f, -7e30f, -6e30f, -2e30f, -5e30f, -4e30f, -3e30f, -9e30f}, -2e30f, 4},
-      {3, std::vector<float>(9, -inf), -inf, 0},
-      {3, {nan, 1, 2, 3, 4, 5, 6, 7, 8}, nan, 0},
-      {3, {0, 1, 2, 3, nan, 5, 6, 7, 8}, 8.0f, 8},
+      {{-0.0f, 0.0f, 0.0f, -0.0f}, -0.0f, 0},
+      {{-1.0f, 0.0f, -0.0f, 0.0f}, 0.0f, 1},
+      {{1.5f, 1.5f, 1.5f, 1.5f}, 1.5f, 0},
   };
   for (const auto& c : cases) {
-    MaxPool2D pool(c.win);
-    const Tensor y = pool.forward(Tensor(Shape{1, 1, c.win, c.win}, c.window));
+    MaxPool2D pool;
+    const Tensor y = pool.forward(Tensor(Shape{1, 1, 2, 2}, c.window));
     ASSERT_EQ(y.numel(), 1u);
     EXPECT_EQ(std::bit_cast<std::uint32_t>(y[0]), std::bit_cast<std::uint32_t>(c.max))
-        << "window " << c.win << " argmax " << c.argmax << ": got " << y[0];
+        << "argmax " << c.argmax << ": got " << y[0];
     const Tensor gx = pool.backward(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
     for (std::size_t i = 0; i < gx.numel(); ++i) {
-      EXPECT_EQ(gx[i], i == c.argmax ? 1.0f : 0.0f) << "window " << c.win << " slot " << i;
+      EXPECT_EQ(gx[i], i == c.argmax ? 1.0f : 0.0f) << "slot " << i;
     }
   }
 }

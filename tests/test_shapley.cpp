@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <numeric>
 
 #include "core/experiment.hpp"
 #include "data/synthetic.hpp"
+#include "kernels/backend.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -573,7 +576,7 @@ TEST(CoalitionBatchEvaluator, BatchableRecognizesLayerChains) {
   nn::Model relu_first;
   relu_first.emplace<nn::ReLU>().emplace<nn::Flatten>().emplace<nn::Linear>(16, 4);
   nn::Model pool_first;
-  pool_first.emplace<nn::MaxPool2D>(2).emplace<nn::Conv2D>(1, 2, 3, 1);
+  pool_first.emplace<nn::MaxPool2D>().emplace<nn::Conv2D>(1, 2, 3, 1);
   for (const nn::Model& m : {relu_first, pool_first, nn::Model{}}) {
     EXPECT_FALSE(E::stackable(m));
     EXPECT_FALSE(E::linear_scorable(m));
@@ -911,6 +914,46 @@ TEST(CoalitionBatchEvaluator, LinearModeOnConvFirstModelsValidatesInputs) {
   const auto flat = data::make_gaussian_mixture(8, 4, 6, 2.5, 0.5, 9);
   const auto wrong = sim::FixedBatch::from(flat, {0, 1, 2, 3});
   EXPECT_THROW(sim::CoalitionBatchEvaluator(bed.model, wrong), std::invalid_argument);
+}
+
+// The conv-first tail (conv1 members stacked, then ReLU -> MaxPool2D fused,
+// the direct conv2, the fused pool again and the Linear head) at every ISA
+// level, pinned to the scores of the im2col + sgemm convolution and the
+// separate ReLU and MaxPool2D passes it replaced: an FNV-1a hash over the bits
+// of every coalition's loss, then every coalition's accuracy, for all 31
+// coalitions of five members. cifar_cnn_12 is the benchmark workloads'
+// 12x12 geometry at their 24-image validation batch.
+TEST(CoalitionBatchEvaluator, LinearModeOnConvFirstModelsIsPinnedAtEveryIsaLevel) {
+  std::vector<CnnBed> beds = cnn_beds();
+  beds.emplace_back("cifar_cnn_12", nn::make_cifar_cnn(12, 3, 10),
+                    data::cifar_like_spec(24, 12, 5));
+  const std::uint64_t want[] = {0x2ab338a3e1391332ull, 0x67c5ffdf03352b15ull,
+                                0x6c7872dd6820873eull};
+  std::vector<std::uint64_t> masks;
+  for (std::uint64_t m = 1; m < 32; ++m) masks.push_back(m);
+  for (std::size_t b = 0; b < beds.size(); ++b) {
+    for (const auto level : {kernels::Isa::kBaseline, kernels::Isa::kAvx2, kernels::Isa::kAvx512}) {
+      if (level > kernels::host_isa()) continue;
+      SCOPED_TRACE(beds[b].name + " at " + kernels::isa_name(level));
+      kernels::set_isa_cap(level);
+      sim::CoalitionBatchEvaluator eval(beds[b].model, beds[b].batch);
+      eval.set_members(beds[b].ptrs);
+      const auto losses = eval.coalition_losses(masks);
+      const auto accs = eval.coalition_accuracies(masks);
+      kernels::set_isa_cap(kernels::Isa::kAvx512);
+      std::uint64_t hash = 14695981039346656037ull;
+      for (const auto* scores : {&losses, &accs}) {
+        for (const double v : *scores) {
+          const auto bits = std::bit_cast<std::uint64_t>(v);
+          for (int i = 0; i < 8; ++i) {
+            hash ^= (bits >> (8 * i)) & 0xffu;
+            hash *= 1099511628211ull;
+          }
+        }
+      }
+      EXPECT_EQ(hash, want[b]);
+    }
+  }
 }
 
 TEST(CoalitionBatchEvaluator, LinearModeCnnRunBitIdenticalAcrossWidths) {
